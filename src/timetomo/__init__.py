@@ -9,24 +9,20 @@ from .core import (
     hermitian_eigensystem,
     max_abs,
     psd_sqrt,
-    tensor_product,
 )
 from .counts import (
     CountRecord,
     NoiseConfig,
     coincidence_count_set,
     counting_rng,
-    expected_count,
-    measured_count,
     poisson_draw,
     qubit_count_set,
 )
-from .dynamics import DynamicsParams, evolution_unitary, general_unitary
+from .dynamics import DynamicsParams
 from .estimator import (
     EstimateResult,
     EstimatorConfig,
     estimate_state,
-    likelihood,
     model_operator_stack,
 )
 from .harness import (
@@ -36,23 +32,17 @@ from .harness import (
     TrajectoryConfig,
     emit_trajectory,
     load_config,
-    run_entangled_sweep,
-    run_orthogonality_sweep,
-    run_qubit_sweep,
+    run_sweep,
     write_manifest,
     write_sweep_csv,
 )
 from .measurement import (
     JitterModel,
-    MeasurementOperator,
     MeasurementSchedule,
     bloch_trajectory,
-    evolve_operator,
     horizontal_closed_form,
     ic_povm_schedule,
-    jittered_operator,
     polarization_projector,
-    two_qubit_operator,
 )
 from .metrics import (
     CHSH_THRESHOLD,

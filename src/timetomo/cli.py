@@ -8,36 +8,28 @@ from pathlib import Path
 
 from .counts import MAX_SEED
 from .harness import (
-    ExperimentConfig,
+    MODES,
     TrajectoryConfig,
     emit_trajectory,
     load_config,
-    run_entangled_sweep,
     run_manifest,
-    run_orthogonality_sweep,
-    run_qubit_sweep,
+    run_sweep,
     write_manifest,
     write_sweep_csv,
 )
-
-_COMMAND_MODES = {
-    "trajectory": ("trajectory",),
-    "qubit-sweep": ("qubit-mixed", "qubit-pure"),
-    "ortho-sweep": ("qubit-orthogonal-pairs",),
-    "entangled-sweep": ("entangled",),
-}
-
-_RUNNERS = {
-    "qubit-sweep": run_qubit_sweep,
-    "ortho-sweep": run_orthogonality_sweep,
-    "entangled-sweep": run_entangled_sweep,
-}
 
 
 def _seed_type(text: str) -> int:
     value = int(text)
     if not (0 <= value <= MAX_SEED):
         raise argparse.ArgumentTypeError("seed must fit in an unsigned 64-bit integer")
+    return value
+
+
+def _workers_type(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("workers must be at least 1")
     return value
 
 
@@ -63,7 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
             help="use the full-size state samples instead of the desk-scale defaults",
         )
         if name != "trajectory":
-            cmd.add_argument("--workers", type=int, default=1, help="parallel worker processes")
+            cmd.add_argument("--workers", type=_workers_type, default=1, help="parallel worker processes")
             cmd.add_argument("--dump-counts", action="store_true", help="write raw counts per cell")
             cmd.add_argument("--state-log", action="store_true", help="write per-state estimate log")
     return parser
@@ -74,7 +66,8 @@ def main(argv=None) -> int:
     cfg = load_config(
         args.config, seed=args.seed, out_dir=args.out, paper_scale=args.paper_scale
     )
-    expected_modes = _COMMAND_MODES[args.command]
+    commands = {"trajectory": "trajectory", **{name: m.command for name, m in MODES.items()}}
+    expected_modes = tuple(mode for mode, command in commands.items() if command == args.command)
     mode = "trajectory" if isinstance(cfg, TrajectoryConfig) else cfg.mode
     if mode not in expected_modes:
         print(
@@ -92,9 +85,7 @@ def main(argv=None) -> int:
         print(path)
         return 0
 
-    assert isinstance(cfg, ExperimentConfig)
-    runner = _RUNNERS[args.command]
-    rows = runner(
+    rows = run_sweep(
         cfg,
         workers=args.workers,
         artifact_dir=out if (args.dump_counts or args.state_log) else None,

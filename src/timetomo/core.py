@@ -89,13 +89,6 @@ def psd_sqrt(m, reject_tol: float = PSD_REJECT_TOL) -> np.ndarray:
     return (vectors * np.sqrt(values)) @ vectors.conj().T
 
 
-def tensor_product(a, b) -> np.ndarray:
-    """Kronecker product of two square matrices."""
-    a = require_square(a, "first factor")
-    b = require_square(b, "second factor")
-    return np.kron(a, b)
-
-
 @dataclass(frozen=True)
 class DensityMatrix:
     """A physical quantum state: Hermitian, unit trace, PSD, dim 2 or 4.

@@ -19,12 +19,9 @@ from .core import DensityMatrix
 from .dynamics import DynamicsParams
 from .measurement import (
     JitterModel,
-    MeasurementOperator,
     MeasurementSchedule,
-    evolved_matrices,
+    arm_operator_stacks,
     ic_povm_schedule,
-    jittered_matrices,
-    polarization_projector,
 )
 
 MAX_SEED = 2**64 - 1
@@ -63,15 +60,6 @@ def counting_rng(seed: int, state_index: int, setting_index: int) -> np.random.G
     return np.random.default_rng([int(seed), 0, int(state_index), int(setting_index)])
 
 
-def expected_count(rho: DensityMatrix, op: MeasurementOperator, mean_photons: float) -> float:
-    """Mean count of a sharp detector: mean_photons * tr(M rho)."""
-    if rho.dim != op.dim:
-        raise ValueError(f"dimension mismatch: state {rho.dim}, operator {op.dim}")
-    if mean_photons <= 0:
-        raise ValueError("mean_photons must be positive")
-    return float(mean_photons) * float(np.real(np.trace(op.matrix @ rho.matrix)))
-
-
 def poisson_draw(mean_photons: float, rng: np.random.Generator, enabled: bool = True) -> float:
     """Photon number for one setting: Poisson around the mean, or the mean itself."""
     if mean_photons <= 0:
@@ -79,29 +67,6 @@ def poisson_draw(mean_photons: float, rng: np.random.Generator, enabled: bool = 
     if not enabled:
         return float(mean_photons)
     return float(rng.poisson(mean_photons))
-
-
-def measured_count(
-    rho_in: DensityMatrix,
-    op: MeasurementOperator,
-    cfg: NoiseConfig,
-    rng: np.random.Generator,
-) -> float:
-    """Simulated count: a fresh Poisson photon number times tr(M_smeared rho)."""
-    if rho_in.dim != op.dim:
-        raise ValueError(f"dimension mismatch: state {rho_in.dim}, operator {op.dim}")
-    photons = poisson_draw(cfg.mean_photons, rng, cfg.poisson_enabled)
-    return photons * float(np.real(np.trace(op.matrix @ rho_in.matrix)))
-
-
-def _arm_matrices(params, jitter, schedule, jittered_mats, ideal_mats):
-    proj = polarization_projector("H")
-    times = np.asarray(schedule.instants)
-    if ideal_mats is None:
-        ideal_mats = evolved_matrices(proj, params, times)
-    if jittered_mats is None:
-        jittered_mats = jittered_matrices(proj, params, jitter, times)
-    return ideal_mats, jittered_mats
 
 
 def qubit_count_set(
@@ -117,14 +82,15 @@ def qubit_count_set(
     """Count records for a single qubit over the measurement schedule.
 
     ``jittered_mats`` / ``ideal_mats`` accept precomputed operator stacks so
-    sweeps do not redo the convolution per state; they are recomputed here
-    when omitted.
+    sweeps do not redo the convolution per state; unless both are given,
+    both are computed here.
     """
     if rho_in.dim != 2:
         raise ValueError("qubit count sets need a 2x2 input state")
     if schedule is None:
         schedule = ic_povm_schedule()
-    ideal_mats, jittered_mats = _arm_matrices(params, jitter, schedule, jittered_mats, ideal_mats)
+    if jittered_mats is None or ideal_mats is None:
+        ideal_mats, jittered_mats = arm_operator_stacks(params, jitter, schedule.instants)
     rho = rho_in.matrix
     records = []
     for k, t in enumerate(schedule.instants):
@@ -156,7 +122,8 @@ def coincidence_count_set(
         raise ValueError("coincidence count sets need a 4x4 input state")
     if schedule is None:
         schedule = ic_povm_schedule()
-    ideal_mats, jittered_mats = _arm_matrices(params, jitter, schedule, jittered_mats, ideal_mats)
+    if jittered_mats is None or ideal_mats is None:
+        ideal_mats, jittered_mats = arm_operator_stacks(params, jitter, schedule.instants)
     rho = rho_in.matrix
     records = []
     setting = 0

@@ -39,27 +39,6 @@ class DynamicsParams:
         )
 
 
-def general_unitary(alpha: float, beta: float, gamma: float, delta: float) -> np.ndarray:
-    """2x2 unitary e^{i alpha} Z(beta) Y(gamma) Z(delta).
-
-    Z(x) = diag(e^{-ix/2}, e^{ix/2}) and Y(x) is the real rotation by x/2.
-    Any 2x2 unitary can be written this way.
-    """
-    angles = np.array([alpha, beta, gamma, delta], dtype=float)
-    require_finite(angles, "angles")
-    zb = np.exp(-0.5j * beta)
-    zd = np.exp(-0.5j * delta)
-    c = np.cos(0.5 * gamma)
-    s = np.sin(0.5 * gamma)
-    u = np.array(
-        [
-            [zb * c * zd, -zb * s * np.conj(zd)],
-            [np.conj(zb) * s * zd, np.conj(zb) * c * np.conj(zd)],
-        ]
-    )
-    return np.exp(1j * alpha) * u
-
-
 def evolution_unitaries(params: DynamicsParams, times) -> np.ndarray:
     """Evolution unitaries at many instants at once.
 
@@ -80,7 +59,3 @@ def evolution_unitaries(params: DynamicsParams, times) -> np.ndarray:
     u[..., 1, 1] = np.conj(z1) * c * np.conj(z3)
     return u
 
-
-def evolution_unitary(params: DynamicsParams, t: float) -> np.ndarray:
-    """Evolution unitary at a single instant (alpha = 0 in general_unitary)."""
-    return evolution_unitaries(params, float(t))

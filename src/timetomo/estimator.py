@@ -26,7 +26,7 @@ from .core import DensityMatrix
 from .counts import CountRecord
 from .dynamics import DynamicsParams
 from .measurement import evolved_matrices, polarization_projector
-from .states import _W_LAYOUT, cholesky_factor, cholesky_to_density
+from .states import _W_LAYOUT, cholesky_to_density
 
 OPTIMIZERS = ("simplex", "gradient")
 
@@ -159,39 +159,10 @@ def _pair_objective(model_stack, measured, mean_photons, epsilon_floor):
 
 
 def _objective_from_stack(model_stack, measured, mean_photons, epsilon_floor):
-    """Likelihood callable shared by the public entry point and the optimiser."""
+    """Objective callable over parameter vectors for one record set."""
     if model_stack.shape[1] == 2:
         return _qubit_objective(model_stack, measured, mean_photons, epsilon_floor)
     return _pair_objective(model_stack, measured, mean_photons, epsilon_floor)
-
-
-def likelihood(
-    w,
-    records: list[CountRecord],
-    mean_photons: float,
-    dynamics: DynamicsParams | None = None,
-    *,
-    epsilon_floor: float = 1e-9,
-    model_ops: np.ndarray | None = None,
-) -> float:
-    """Gaussian-approximated likelihood objective of ``w`` given records.
-
-    Returns sum_k (n_meas_k - n_model_k)^2 / n_model_k, the quantity the
-    estimator minimises; it is not an exact negative log-likelihood.
-    ``mean_photons`` is the known source intensity entering the model
-    counts.  ``model_ops`` may carry a precomputed ideal-operator stack.
-    """
-    w = np.asarray(w, dtype=float)
-    cholesky_factor(w)  # validates shape / finiteness / nonzero
-    if mean_photons <= 0:
-        raise ValueError("mean_photons must be positive")
-    stack = model_ops if model_ops is not None else model_operator_stack(records, dynamics)
-    if w.size != stack.shape[1] ** 2:
-        raise ValueError(
-            f"parameter vector length {w.size} does not match operator dimension {stack.shape[1]}"
-        )
-    measured = np.array([r.measured for r in records], dtype=float)
-    return _objective_from_stack(stack, measured, float(mean_photons), epsilon_floor)(w)
 
 
 _TRUNCATION_CUTS = (3e-2, 1e-2, 3e-3, 1e-3, 1e-4)

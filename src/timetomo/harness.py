@@ -2,9 +2,11 @@
 
 A sweep walks the (jitter width, photon number) grid over a fixed state
 sample, runs the full simulate-and-reconstruct pipeline per state, and
-aggregates metrics into one CSV row per cell.  Randomness is derived per
-(master seed, state index, setting index), so results are byte-identical
-for a given config and seed no matter how the work is scheduled.
+aggregates metrics into CSV rows per cell.  All modes share one sweep loop,
+``run_sweep``; the ``MODES`` table holds what differs between them.
+Randomness is derived per (master seed, state index, setting index), so
+results are byte-identical for a given config and seed no matter how the
+work is scheduled.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import platform
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 import scipy
@@ -23,22 +26,28 @@ import scipy
 from . import __version__
 from .counts import (
     MAX_SEED,
+    CountRecord,
     NoiseConfig,
     coincidence_count_set,
     qubit_count_set,
 )
 from .dynamics import DynamicsParams
-from .estimator import EstimatorConfig, estimate_state
+from .estimator import EstimateResult, EstimatorConfig, estimate_state
 from .measurement import (
     JitterModel,
-    MeasurementSchedule,
+    arm_operator_stacks,
     bloch_trajectory,
-    evolved_matrices,
     ic_povm_schedule,
-    jittered_matrices,
     polarization_projector,
 )
-from .metrics import aggregate, chsh_guarantee, concurrence, fidelity, trace_distance
+from .metrics import (
+    MetricsSummary,
+    aggregate,
+    chsh_guarantee,
+    concurrence,
+    fidelity,
+    trace_distance,
+)
 from .states import (
     bell_state,
     bloch_state,
@@ -48,7 +57,6 @@ from .states import (
     sample_pure_qubits,
 )
 
-SWEEP_MODES = ("qubit-mixed", "qubit-pure", "qubit-orthogonal-pairs", "entangled")
 TRAJECTORY_OPERATORS = ("H", "V", "D", "A", "R", "L")
 
 CSV_HEADER = "sigma_over_T,n_photons,metric,mean,sd,stderr,n_states"
@@ -69,28 +77,6 @@ class SampleSizes:
     n_states: int | None = None
 
 
-DESK_SAMPLES = {
-    "qubit-mixed": SampleSizes(n_r=8, n_theta=8, n_phi=8),
-    "qubit-pure": SampleSizes(n_theta=8, n_phi=8),
-    "qubit-orthogonal-pairs": SampleSizes(n_theta=8, n_phi=8),
-    "entangled": SampleSizes(n_states=50),
-}
-
-PAPER_SAMPLES = {
-    "qubit-mixed": SampleSizes(n_r=21, n_theta=21, n_phi=20),
-    "qubit-pure": SampleSizes(n_theta=21, n_phi=20),
-    "qubit-orthogonal-pairs": SampleSizes(n_theta=21, n_phi=20),
-    "entangled": SampleSizes(n_states=200),
-}
-
-_SAMPLE_KEYS = {
-    "qubit-mixed": ("n_r", "n_theta", "n_phi"),
-    "qubit-pure": ("n_theta", "n_phi"),
-    "qubit-orthogonal-pairs": ("n_theta", "n_phi"),
-    "entangled": ("n_states",),
-}
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One sweep: mode, grid axes, sample sizes, seed, estimator, output."""
@@ -105,8 +91,8 @@ class ExperimentConfig:
     periods: tuple[float, float, float] = (4.0, 1.0, 2.0)
 
     def __post_init__(self):
-        if self.mode not in SWEEP_MODES:
-            raise ValueError(f"mode must be one of {SWEEP_MODES}, got {self.mode!r}")
+        if self.mode not in MODES:
+            raise ValueError(f"mode must be one of {tuple(MODES)}, got {self.mode!r}")
         sigmas = tuple(float(s) for s in self.sigma_list)
         if not sigmas or any(not (math.isfinite(s) and s >= 0) for s in sigmas):
             raise ValueError("sigma_list must be nonempty with nonnegative finite entries")
@@ -115,11 +101,15 @@ class ExperimentConfig:
             raise ValueError("photon_list must be nonempty with positive entries")
         if not (0 <= int(self.seed) <= MAX_SEED):
             raise ValueError("seed must fit in an unsigned 64-bit integer")
-        sample = self.sample if self.sample is not None else DESK_SAMPLES[self.mode]
-        for key in _SAMPLE_KEYS[self.mode]:
+        sample = self.sample if self.sample is not None else MODES[self.mode].desk
+        for key in MODES[self.mode].sample_keys:
             value = getattr(sample, key)
             if value is None or int(value) < 1:
                 raise ValueError(f"sample.{key} must be a positive integer for mode {self.mode}")
+        if self.mode == "qubit-orthogonal-pairs" and int(sample.n_phi) % 2:
+            raise ValueError(
+                "sample.n_phi must be even for mode qubit-orthogonal-pairs so antipodes stay on the grid"
+            )
         DynamicsParams(*self.periods)  # validates
         object.__setattr__(self, "sigma_list", sigmas)
         object.__setattr__(self, "photon_list", photons)
@@ -178,8 +168,8 @@ def _reject_unknown(mapping: dict, allowed, where: str):
 
 
 def _build_sample(mode: str, raw: dict) -> SampleSizes:
-    _reject_unknown(raw, _SAMPLE_KEYS[mode], f"sample ({mode})")
-    merged = dataclasses.asdict(DESK_SAMPLES[mode])
+    _reject_unknown(raw, MODES[mode].sample_keys, f"sample ({mode})")
+    merged = dataclasses.asdict(MODES[mode].desk)
     merged.update({k: int(v) for k, v in raw.items()})
     return SampleSizes(**merged)
 
@@ -215,8 +205,8 @@ def load_config(source, *, seed=None, out_dir=None, paper_scale=False):
             cfg = dataclasses.replace(cfg, out_dir=str(out_dir))
         return cfg
 
-    if mode not in SWEEP_MODES:
-        raise ValueError(f"mode must be 'trajectory' or one of {SWEEP_MODES}, got {mode!r}")
+    if mode not in MODES:
+        raise ValueError(f"mode must be 'trajectory' or one of {tuple(MODES)}, got {mode!r}")
     allowed = ("mode", "sigma_list", "photon_list", "seed", "out_dir", "sample", "estimator", "periods")
     _reject_unknown(raw, allowed, "config")
     for key in ("sigma_list", "photon_list"):
@@ -237,7 +227,7 @@ def load_config(source, *, seed=None, out_dir=None, paper_scale=False):
         periods=tuple(raw.get("periods", (4.0, 1.0, 2.0))),
     )
     if paper_scale:
-        cfg = dataclasses.replace(cfg, sample=PAPER_SAMPLES[mode])
+        cfg = dataclasses.replace(cfg, sample=MODES[mode].paper)
     if seed is not None:
         cfg = dataclasses.replace(cfg, seed=int(seed))
     if out_dir is not None:
@@ -251,63 +241,129 @@ def estimation_rng(seed: int, state_index: int) -> np.random.Generator:
 
 
 # ---------------------------------------------------------------------------
-# per-state workers (module level so process pools can pickle them)
+# sweep modes and the cell loop
 
 
-def _qubit_worker(task):
-    (bloch, state_index, sigma, n_photons, seed, est_cfg, params, instants, jit_mats, ideal_mats) = task
-    rho_in = bloch_state(bloch)
-    noise = NoiseConfig(mean_photons=n_photons, seed=seed, poisson_enabled=True)
-    records = qubit_count_set(
-        rho_in,
-        params,
-        JitterModel(sigma),
-        noise,
-        state_index=state_index,
-        schedule=MeasurementSchedule(instants),
-        jittered_mats=jit_mats,
-        ideal_mats=ideal_mats,
+@dataclass(frozen=True)
+class StateResult:
+    """One simulated and reconstructed state of a sweep cell."""
+
+    index: int
+    fidelity: float
+    estimate: EstimateResult
+    records: list[CountRecord]
+
+
+@dataclass(frozen=True)
+class _Cell:
+    """One (jitter width, photon number) cell, with its arm operator stacks."""
+
+    mode: str
+    sigma: float
+    n_photons: float
+    seed: int
+    estimator: EstimatorConfig
+    params: DynamicsParams
+    smeared: np.ndarray
+    ideal: np.ndarray
+
+
+def _fit_state(rho_in, index: int, cell: _Cell) -> StateResult:
+    """Simulate one input state's counts, reconstruct it, and score the estimate."""
+    noise = NoiseConfig(mean_photons=cell.n_photons, seed=cell.seed, poisson_enabled=True)
+    count_set = qubit_count_set if rho_in.dim == 2 else coincidence_count_set
+    records = count_set(
+        rho_in, cell.params, JitterModel(cell.sigma), noise,
+        state_index=index, jittered_mats=cell.smeared, ideal_mats=cell.ideal,
     )
     est = estimate_state(
-        records, 2, est_cfg, estimation_rng(seed, state_index), mean_photons=n_photons, dynamics=params
+        records, rho_in.dim, cell.estimator, estimation_rng(cell.seed, index),
+        mean_photons=cell.n_photons, dynamics=cell.params,
     )
-    fid = fidelity(rho_in, est.rho_out)
-    return state_index, fid, est, records
+    return StateResult(index, fidelity(rho_in, est.rho_out), est, records)
 
 
-def _pair_worker(task):
-    (pair, pair_index, sigma, n_photons, seed, est_cfg, params, instants, jit_mats, ideal_mats) = task
-    outputs = []
-    for offset, bloch in enumerate(pair):
-        state_index = 2 * pair_index + offset
-        _, fid, est, records = _qubit_worker(
-            (bloch, state_index, sigma, n_photons, seed, est_cfg, params, instants, jit_mats, ideal_mats)
-        )
-        outputs.append((state_index, fid, est, records))
-    distance = trace_distance(outputs[0][2].rho_out, outputs[1][2].rho_out)
-    return pair_index, distance, outputs
+def _qubit_state(bloch, index: int, cell: _Cell) -> StateResult:
+    return _fit_state(bloch_state(bloch), index, cell)
 
 
-def _entangled_worker(task):
-    (bell, state_index, sigma, n_photons, seed, est_cfg, params, instants, jit_mats, ideal_mats) = task
-    rho_in = bell_state(bell)
-    noise = NoiseConfig(mean_photons=n_photons, seed=seed, poisson_enabled=True)
-    records = coincidence_count_set(
-        rho_in,
-        params,
-        JitterModel(sigma),
-        noise,
-        state_index=state_index,
-        schedule=MeasurementSchedule(instants),
-        jittered_mats=jit_mats,
-        ideal_mats=ideal_mats,
-    )
-    est = estimate_state(
-        records, 4, est_cfg, estimation_rng(seed, state_index), mean_photons=n_photons, dynamics=params
-    )
-    fid = fidelity(rho_in, est.rho_out)
-    conc = concurrence(est.rho_out)
-    return state_index, fid, conc, est, records
+def _pair_state(bell, index: int, cell: _Cell) -> StateResult:
+    return _fit_state(bell_state(bell), index, cell)
+
+
+def _fidelity_metrics(results):
+    return [aggregate([r.fidelity for r in results], "fidelity")]
+
+
+def _orthogonality_metrics(results):
+    # the sample lists each orthogonal pair as two consecutive states
+    pairs = zip(results[::2], results[1::2])
+    distances = [trace_distance(a.estimate.rho_out, b.estimate.rho_out) for a, b in pairs]
+    return [aggregate(distances, "trace_distance")]
+
+
+def _entanglement_metrics(results):
+    conc = aggregate([concurrence(r.estimate.rho_out) for r in results], "concurrence")
+    # one guarantee flag per cell, written as a row with sd 0
+    chsh = MetricsSummary(float(chsh_guarantee(conc)), 0.0, conc.n, "chsh_guarantee")
+    return [conc, *_fidelity_metrics(results), chsh]
+
+
+@dataclass(frozen=True)
+class SweepMode:
+    """What one sweep mode adds to the shared cell loop.
+
+    ``sample`` lists the mode's input-state parameters, ``per_state``
+    simulates and reconstructs one of them, and ``metrics`` summarises a
+    cell's results as its CSV rows, in order.  A mode uses the sample
+    fields that its desk-scale default sets.
+    """
+
+    command: str
+    desk: SampleSizes
+    paper: SampleSizes
+    sample: Callable[[SampleSizes], list]
+    per_state: Callable[..., StateResult]
+    metrics: Callable[[list[StateResult]], list[MetricsSummary]]
+
+    @property
+    def sample_keys(self) -> tuple[str, ...]:
+        return tuple(k for k, v in dataclasses.asdict(self.desk).items() if v is not None)
+
+
+# The lambdas look the sample functions up when called, so a wrapper put on
+# a module-level name (perfbench/probes.py times each layer that way) sees
+# every call; the per-state and metric functions do the same inside.
+MODES = {
+    "qubit-mixed": SweepMode(
+        "qubit-sweep", SampleSizes(n_r=8, n_theta=8, n_phi=8), SampleSizes(n_r=21, n_theta=21, n_phi=20),
+        lambda s: sample_mixed_qubits(s.n_r, s.n_theta, s.n_phi), _qubit_state, _fidelity_metrics,
+    ),
+    "qubit-pure": SweepMode(
+        "qubit-sweep", SampleSizes(n_theta=8, n_phi=8), SampleSizes(n_theta=21, n_phi=20),
+        lambda s: sample_pure_qubits(s.n_theta, s.n_phi), _qubit_state, _fidelity_metrics,
+    ),
+    "qubit-orthogonal-pairs": SweepMode(
+        "ortho-sweep", SampleSizes(n_theta=8, n_phi=8), SampleSizes(n_theta=21, n_phi=20),
+        lambda s: [state for pair in orthogonal_pairs(s.n_theta, s.n_phi) for state in pair],
+        _qubit_state, _orthogonality_metrics,
+    ),
+    "entangled": SweepMode(
+        "entangled-sweep", SampleSizes(n_states=50), SampleSizes(n_states=200),
+        lambda s: sample_bell_states(s.n_states), _pair_state, _entanglement_metrics,
+    ),
+}
+
+
+def _state_worker(task) -> StateResult:
+    """One state of one cell; module level so process pools can pickle it."""
+    cell, index, state = task
+    try:
+        return MODES[cell.mode].per_state(state, index, cell)
+    except Exception as exc:
+        raise RuntimeError(
+            f"mode {cell.mode}, sigma {cell.sigma:g}, N {cell.n_photons:g}, state {index}: {exc}"
+        ) from exc
 
 
 def _map_tasks(worker, tasks, workers: int):
@@ -318,29 +374,12 @@ def _map_tasks(worker, tasks, workers: int):
         return list(pool.map(worker, tasks, chunksize=chunk))
 
 
-# ---------------------------------------------------------------------------
-# sweep drivers
-
-
-def _arm_stacks(params, sigma, schedule):
-    proj = polarization_projector("H")
-    times = np.asarray(schedule.instants)
-    ideal = evolved_matrices(proj, params, times)
-    smeared = jittered_matrices(proj, params, JitterModel(sigma), times)
-    return ideal, smeared
-
-
 def _warning_row(sigma, n_photons, converged_flags) -> SweepRow | None:
     flags = np.asarray(converged_flags, dtype=bool)
     frac = 1.0 - float(flags.mean())
     if frac > CONVERGENCE_WARN_FRACTION:
         return SweepRow(sigma, n_photons, "convergence_warning", frac, 0.0, 0.0, int(flags.size))
     return None
-
-
-def _summary_row(sigma, n_photons, name, values) -> SweepRow:
-    agg = aggregate(values, name)
-    return SweepRow(sigma, n_photons, name, agg.mean, agg.sd, agg.stderr, agg.n)
 
 
 class _CellArtifacts:
@@ -351,31 +390,31 @@ class _CellArtifacts:
         self.dump_counts = dump_counts and self.directory is not None
         self.state_log = state_log and self.directory is not None
 
-    def write(self, sigma, n_photons, per_state):
+    def write(self, sigma, n_photons, results: list[StateResult]):
         if not (self.dump_counts or self.state_log):
             return
         tag = f"sigma{sigma:g}_N{n_photons:g}"
         if self.dump_counts:
             lines = [COUNTS_HEADER]
-            for state_index, _, _, records in per_state:
-                for rec in records:
+            for r in results:
+                for rec in r.records:
                     t_second = _fmt(rec.times[1]) if len(rec.times) == 2 else ""
                     lines.append(
-                        f"{state_index},{_fmt(rec.times[0])},{t_second},"
+                        f"{r.index},{_fmt(rec.times[0])},{t_second},"
                         f"{_fmt(rec.expected)},{_fmt(rec.measured)}"
                     )
             (self.directory / f"counts_{tag}.csv").write_text("\n".join(lines) + "\n")
         if self.state_log:
             lines = []
-            for state_index, fid, est, _ in per_state:
+            for r in results:
                 lines.append(
                     json.dumps(
                         {
-                            "state_id": state_index,
-                            "objective": est.objective,
-                            "iterations": est.iterations,
-                            "converged": est.converged,
-                            "fidelity": fid,
+                            "state_id": r.index,
+                            "objective": r.estimate.objective,
+                            "iterations": r.estimate.iterations,
+                            "converged": r.estimate.converged,
+                            "fidelity": r.fidelity,
                         },
                         sort_keys=True,
                     )
@@ -383,7 +422,7 @@ class _CellArtifacts:
             (self.directory / f"estimates_{tag}.jsonl").write_text("\n".join(lines) + "\n")
 
 
-def run_qubit_sweep(
+def run_sweep(
     cfg: ExperimentConfig,
     *,
     workers: int = 1,
@@ -391,104 +430,32 @@ def run_qubit_sweep(
     dump_counts: bool = False,
     state_log: bool = False,
 ) -> list[SweepRow]:
-    """Fidelity sweep over mixed-ball or pure-sphere state grids."""
-    if cfg.mode not in ("qubit-mixed", "qubit-pure"):
-        raise ValueError(f"run_qubit_sweep expects a qubit mode, got {cfg.mode!r}")
-    if cfg.mode == "qubit-mixed":
-        sample = sample_mixed_qubits(cfg.sample.n_r, cfg.sample.n_theta, cfg.sample.n_phi)
-    else:
-        sample = sample_pure_qubits(cfg.sample.n_theta, cfg.sample.n_phi)
-    schedule = ic_povm_schedule()
+    """Run every (jitter width, photon number) cell of ``cfg`` and return its rows.
+
+    Each cell reconstructs every state of the mode's sample, then appends
+    the mode's metric rows and, when too many estimates did not converge,
+    a warning row.
+    """
+    mode = MODES[cfg.mode]
+    sample = mode.sample(cfg.sample)
     params = cfg.dynamics
     artifacts = _CellArtifacts(artifact_dir, dump_counts, state_log)
     rows = []
     for sigma in cfg.sigma_list:
-        ideal, smeared = _arm_stacks(params, sigma, schedule)
+        # the count sets default to the same six-instant schedule
+        ideal, smeared = arm_operator_stacks(params, JitterModel(sigma), ic_povm_schedule().instants)
         for n_photons in cfg.photon_list:
-            tasks = [
-                (b, i, sigma, n_photons, cfg.seed, cfg.estimator, params, schedule.instants, smeared, ideal)
-                for i, b in enumerate(sample)
+            cell = _Cell(cfg.mode, sigma, n_photons, cfg.seed, cfg.estimator, params, smeared, ideal)
+            tasks = [(cell, index, state) for index, state in enumerate(sample)]
+            results = _map_tasks(_state_worker, tasks, workers)
+            rows += [
+                SweepRow(sigma, n_photons, m.metric_name, m.mean, m.sd, m.stderr, m.n)
+                for m in mode.metrics(results)
             ]
-            per_state = _map_tasks(_qubit_worker, tasks, workers)
-            rows.append(_summary_row(sigma, n_photons, "fidelity", [r[1] for r in per_state]))
-            warning = _warning_row(sigma, n_photons, [r[2].converged for r in per_state])
+            warning = _warning_row(sigma, n_photons, [r.estimate.converged for r in results])
             if warning:
                 rows.append(warning)
-            artifacts.write(sigma, n_photons, per_state)
-    return rows
-
-
-def run_orthogonality_sweep(
-    cfg: ExperimentConfig,
-    *,
-    workers: int = 1,
-    artifact_dir=None,
-    dump_counts: bool = False,
-    state_log: bool = False,
-) -> list[SweepRow]:
-    """Trace distance between independently reconstructed orthogonal partners."""
-    if cfg.mode != "qubit-orthogonal-pairs":
-        raise ValueError(f"run_orthogonality_sweep expects qubit-orthogonal-pairs, got {cfg.mode!r}")
-    pairs = orthogonal_pairs(cfg.sample.n_theta, cfg.sample.n_phi)
-    schedule = ic_povm_schedule()
-    params = cfg.dynamics
-    artifacts = _CellArtifacts(artifact_dir, dump_counts, state_log)
-    rows = []
-    for sigma in cfg.sigma_list:
-        ideal, smeared = _arm_stacks(params, sigma, schedule)
-        for n_photons in cfg.photon_list:
-            tasks = [
-                (pair, i, sigma, n_photons, cfg.seed, cfg.estimator, params, schedule.instants, smeared, ideal)
-                for i, pair in enumerate(pairs)
-            ]
-            per_pair = _map_tasks(_pair_worker, tasks, workers)
-            rows.append(_summary_row(sigma, n_photons, "trace_distance", [r[1] for r in per_pair]))
-            flat = [entry for r in per_pair for entry in r[2]]
-            warning = _warning_row(sigma, n_photons, [e[2].converged for e in flat])
-            if warning:
-                rows.append(warning)
-            artifacts.write(sigma, n_photons, flat)
-    return rows
-
-
-def run_entangled_sweep(
-    cfg: ExperimentConfig,
-    *,
-    workers: int = 1,
-    artifact_dir=None,
-    dump_counts: bool = False,
-    state_log: bool = False,
-) -> list[SweepRow]:
-    """Concurrence, fidelity, and the three-sigma CHSH guarantee for pairs."""
-    if cfg.mode != "entangled":
-        raise ValueError(f"run_entangled_sweep expects entangled mode, got {cfg.mode!r}")
-    sample = sample_bell_states(cfg.sample.n_states)
-    schedule = ic_povm_schedule()
-    params = cfg.dynamics
-    artifacts = _CellArtifacts(artifact_dir, dump_counts, state_log)
-    rows = []
-    for sigma in cfg.sigma_list:
-        ideal, smeared = _arm_stacks(params, sigma, schedule)
-        for n_photons in cfg.photon_list:
-            tasks = [
-                (b, i, sigma, n_photons, cfg.seed, cfg.estimator, params, schedule.instants, smeared, ideal)
-                for i, b in enumerate(sample)
-            ]
-            per_state = _map_tasks(_entangled_worker, tasks, workers)
-            conc_summary = aggregate([r[2] for r in per_state], "concurrence")
-            rows.append(
-                SweepRow(sigma, n_photons, "concurrence", conc_summary.mean, conc_summary.sd,
-                         conc_summary.stderr, conc_summary.n)
-            )
-            rows.append(_summary_row(sigma, n_photons, "fidelity", [r[1] for r in per_state]))
-            rows.append(
-                SweepRow(sigma, n_photons, "chsh_guarantee",
-                         1.0 if chsh_guarantee(conc_summary) else 0.0, 0.0, 0.0, conc_summary.n)
-            )
-            warning = _warning_row(sigma, n_photons, [r[3].converged for r in per_state])
-            if warning:
-                rows.append(warning)
-            artifacts.write(sigma, n_photons, [(r[0], r[1], r[3], r[4]) for r in per_state])
+            artifacts.write(sigma, n_photons, results)
     return rows
 
 

@@ -12,7 +12,6 @@ keeps using the sharp ideal operators.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +21,6 @@ from .core import (
     PSD_FLOOR,
     hermiticity_defect,
     require_square,
-    tensor_product,
 )
 from .dynamics import DynamicsParams, evolution_unitaries
 
@@ -57,33 +55,6 @@ def _require_psd_operator(m0, name: str = "operator") -> np.ndarray:
     if smallest < PSD_FLOOR:
         raise ValueError(f"{name} not positive semidefinite: min eigenvalue {smallest:.3e}")
     return m0
-
-
-@dataclass(frozen=True)
-class MeasurementOperator:
-    """Hermitian PSD operator tagged with its nominal instant and jitter width.
-
-    ``time`` is a single instant for 2x2 operators and an (arm 1, arm 2)
-    pair for 4x4 coincidence operators.
-    """
-
-    time: float | tuple[float, float]
-    matrix: np.ndarray
-    jitter: float = 0.0
-
-    def __post_init__(self):
-        m = _require_psd_operator(self.matrix, "measurement operator")
-        if m.shape[0] not in (2, 4):
-            raise ValueError(f"only dimensions 2 and 4 are supported, got {m.shape[0]}")
-        if self.jitter < 0:
-            raise ValueError("jitter width must be nonnegative")
-        m = m.copy()
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
 
 
 @dataclass(frozen=True)
@@ -182,16 +153,10 @@ def evolved_matrices(m0, params: DynamicsParams, times) -> np.ndarray:
     return np.einsum("tji,jk,tkl->til", u.conj(), m0, u)
 
 
-def evolve_operator(m0, params: DynamicsParams, t: float) -> MeasurementOperator:
-    """Ideal (jitter-free) measurement operator at instant ``t``."""
-    mat = evolved_matrices(m0, params, [float(t)])[0]
-    return MeasurementOperator(time=float(t), matrix=mat, jitter=0.0)
-
-
 def horizontal_closed_form(t: float) -> np.ndarray:
     """Closed form of the evolved H projector under the default periods.
 
-    Useful as an independent cross-check of ``evolve_operator``; valid only
+    Useful as an independent cross-check of ``evolved_matrices``; valid only
     for ``DynamicsParams()`` defaults.
     """
     t = float(t)
@@ -219,40 +184,16 @@ def jittered_matrices(m0, params: DynamicsParams, jitter: JitterModel, times) ->
     return 0.5 * (smeared + np.conj(np.swapaxes(smeared, -1, -2)))
 
 
-def jittered_operator(m0, params: DynamicsParams, jitter: JitterModel, t: float) -> MeasurementOperator:
-    """Measurement operator at ``t`` smeared by detector timing jitter."""
-    mat = jittered_matrices(m0, params, jitter, [float(t)])[0]
-    return MeasurementOperator(time=float(t), matrix=mat, jitter=jitter.sigma)
+def arm_operator_stacks(params: DynamicsParams, jitter: JitterModel, times):
+    """Sharp and smeared H-projector stacks of one detector arm at ``times``.
 
-
-def two_qubit_operator(
-    params: DynamicsParams,
-    jitter: JitterModel,
-    t_first: float,
-    t_second: float,
-    m0=None,
-) -> MeasurementOperator:
-    """Coincidence operator: independently smeared single-arm operators, tensored.
-
-    Each detector arm carries its own jitter, applied before the product.
-    Instants outside the six-instant schedule are allowed but flagged with a
-    warning since they break informational completeness of the standard set.
+    Returns ``(ideal, smeared)``, each of shape (len(times), 2, 2).  Counts
+    are drawn from the smeared stack and booked against the ideal one; a
+    coincidence setting tensors two entries of the same arm stack.
     """
-    if m0 is None:
-        m0 = polarization_projector("H")
-    schedule = ic_povm_schedule().instants
-    for t in (t_first, t_second):
-        if not any(math.isclose(t, s, abs_tol=1e-12) for s in schedule):
-            warnings.warn(
-                f"instant {t} is outside the six-instant schedule", stacklevel=2
-            )
-    a = jittered_matrices(m0, params, jitter, [float(t_first)])[0]
-    b = jittered_matrices(m0, params, jitter, [float(t_second)])[0]
-    return MeasurementOperator(
-        time=(float(t_first), float(t_second)),
-        matrix=tensor_product(a, b),
-        jitter=jitter.sigma,
-    )
+    proj = polarization_projector("H")
+    times = np.asarray(times, dtype=float)
+    return evolved_matrices(proj, params, times), jittered_matrices(proj, params, jitter, times)
 
 
 def bloch_trajectory(m0, params: DynamicsParams, jitter: JitterModel, time_grid) -> np.ndarray:

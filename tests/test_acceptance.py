@@ -23,14 +23,11 @@ from timetomo.harness import (
     ExperimentConfig,
     SampleSizes,
     estimation_rng,
-    run_entangled_sweep,
-    run_orthogonality_sweep,
-    run_qubit_sweep,
+    run_sweep,
     write_sweep_csv,
 )
 from timetomo.measurement import (
     JitterModel,
-    evolve_operator,
     evolved_matrices,
     horizontal_closed_form,
     ic_povm_schedule,
@@ -64,9 +61,9 @@ def _run_cells(mode, sample, sigma_list, photon_list, runner):
 
 @pytest.fixture(scope="module")
 def mixed_cells():
-    cells = _run_cells("qubit-mixed", MIXED_SAMPLE, (0.0,), (1000.0,), run_qubit_sweep)
+    cells = _run_cells("qubit-mixed", MIXED_SAMPLE, (0.0,), (1000.0,), run_sweep)
     cells.update(
-        _run_cells("qubit-mixed", MIXED_SAMPLE, (0.2,), (1000.0, 10.0), run_qubit_sweep)
+        _run_cells("qubit-mixed", MIXED_SAMPLE, (0.2,), (1000.0, 10.0), run_sweep)
     )
     return cells
 
@@ -74,26 +71,26 @@ def mixed_cells():
 @pytest.fixture(scope="module")
 def pure_cells():
     return _run_cells(
-        "qubit-pure", PURE_SAMPLE, (0.1, 0.5), (1000.0, 10.0), run_qubit_sweep
+        "qubit-pure", PURE_SAMPLE, (0.1, 0.5), (1000.0, 10.0), run_sweep
     )
 
 
 @pytest.fixture(scope="module")
 def entangled_cells():
     cells = _run_cells(
-        "entangled", BELL_SAMPLE, (0.25,), (10.0, 100.0, 1000.0), run_entangled_sweep
+        "entangled", BELL_SAMPLE, (0.25,), (10.0, 100.0, 1000.0), run_sweep
     )
     cells.update(
-        _run_cells("entangled", BELL_SAMPLE, (0.065,), (1000.0,), run_entangled_sweep)
+        _run_cells("entangled", BELL_SAMPLE, (0.065,), (1000.0,), run_sweep)
     )
     cells.update(
         _run_cells(
-            "entangled", BELL_SAMPLE, (0.07,), (10.0, 100.0, 1000.0), run_entangled_sweep
+            "entangled", BELL_SAMPLE, (0.07,), (10.0, 100.0, 1000.0), run_sweep
         )
     )
     cells.update(
         _run_cells(
-            "entangled", BELL_SAMPLE, (0.05, 0.15), (10.0, 1000.0), run_entangled_sweep
+            "entangled", BELL_SAMPLE, (0.05, 0.15), (10.0, 1000.0), run_sweep
         )
     )
     return cells
@@ -113,8 +110,8 @@ def test_criterion_02_closed_form_agreement():
     proj = polarization_projector("H")
     worst = 0.0
     for t in np.linspace(0.0, 2.0, 1000):
-        op = evolve_operator(proj, PARAMS, float(t))
-        worst = max(worst, max_abs(op.matrix - horizontal_closed_form(float(t))))
+        op = evolved_matrices(proj, PARAMS, [float(t)])[0]
+        worst = max(worst, max_abs(op - horizontal_closed_form(float(t))))
     ok = worst <= 1e-10
     _verdict(2, "closed-form operator agreement", ok, f"max error {worst:.3e} over 1000 points, tol 1e-10")
     assert ok
@@ -191,7 +188,7 @@ def test_criterion_05_fidelity_benchmarks(mixed_cells, pure_cells):
 
 def test_criterion_06_orthogonality_collapse():
     cells = _run_cells(
-        "qubit-orthogonal-pairs", PAIR_SAMPLE, (0.0, 0.75), (1000.0,), run_orthogonality_sweep
+        "qubit-orthogonal-pairs", PAIR_SAMPLE, (0.0, 0.75), (1000.0,), run_sweep
     )
     sharp = cells[(0.0, 1000.0, "trace_distance")].mean
     blurred = cells[(0.75, 1000.0, "trace_distance")].mean
@@ -287,11 +284,11 @@ def test_criterion_10_determinism(tmp_path):
     )
     paths = {}
     for tag, rows in (
-        ("q1", run_qubit_sweep(qubit_cfg, workers=1)),
-        ("q1-repeat", run_qubit_sweep(qubit_cfg, workers=1)),
-        ("q2", run_qubit_sweep(qubit_cfg, workers=2)),
-        ("b1", run_entangled_sweep(bell_cfg, workers=1)),
-        ("b2", run_entangled_sweep(bell_cfg, workers=2)),
+        ("q1", run_sweep(qubit_cfg, workers=1)),
+        ("q1-repeat", run_sweep(qubit_cfg, workers=1)),
+        ("q2", run_sweep(qubit_cfg, workers=2)),
+        ("b1", run_sweep(bell_cfg, workers=1)),
+        ("b2", run_sweep(bell_cfg, workers=2)),
     ):
         paths[tag] = write_sweep_csv(tmp_path / f"{tag}.csv", rows).read_bytes()
     repeat_ok = paths["q1"] == paths["q1-repeat"]

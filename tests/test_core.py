@@ -11,7 +11,6 @@ from timetomo.core import (
     psd_sqrt,
     require_finite,
     require_square,
-    tensor_product,
 )
 
 
@@ -78,15 +77,6 @@ def test_psd_sqrt_clamps_small_negative_eigenvalues():
 def test_psd_sqrt_rejects_clearly_indefinite_input():
     with pytest.raises(ValueError):
         psd_sqrt(np.diag([1.0, -1e-3]))
-
-
-def test_tensor_product_matches_manual_blocks():
-    a = np.array([[1.0, 2.0], [3.0, 4.0]])
-    b = np.array([[0.0, 1.0j], [-1.0j, 5.0]])
-    out = tensor_product(a, b)
-    assert out.shape == (4, 4)
-    assert max_abs(out[:2, :2] - 1.0 * b) == 0.0
-    assert max_abs(out[2:, 2:] - 4.0 * b) == 0.0
 
 
 def test_density_matrix_accepts_valid_states():

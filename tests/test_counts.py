@@ -10,15 +10,12 @@ from timetomo.counts import (
     NoiseConfig,
     coincidence_count_set,
     counting_rng,
-    expected_count,
-    measured_count,
     poisson_draw,
     qubit_count_set,
 )
 from timetomo.dynamics import DynamicsParams
 from timetomo.measurement import (
     JitterModel,
-    evolve_operator,
     ic_povm_schedule,
     polarization_projector,
 )
@@ -53,15 +50,15 @@ def test_counting_rng_streams_are_independent_and_stable():
 
 
 def test_expected_count_is_intensity_times_overlap():
+    # the bookkeeping column is N tr(M rho) with the sharp operator, whatever
+    # photon number the setting drew; t = 0 and t = 0.25 give overlaps 1 and 1/2
     rho = bloch_state(BlochParams(1.0, 0.0, 0.0))
-    op = evolve_operator(polarization_projector("H"), PARAMS, 0.0)
-    assert expected_count(rho, op, 500.0) == pytest.approx(500.0)
-    half = evolve_operator(polarization_projector("H"), PARAMS, 0.25)
-    assert expected_count(rho, half, 500.0) == pytest.approx(250.0)
+    records = qubit_count_set(rho, PARAMS, JitterModel(0.0), NoiseConfig(mean_photons=500.0, seed=1))
+    assert records[0].times == (0.0,) and records[1].times == (0.25,)
+    assert records[0].expected == pytest.approx(500.0)
+    assert records[1].expected == pytest.approx(250.0)
     with pytest.raises(ValueError):
-        expected_count(bell_state(BellParams(0.0)), op, 500.0)
-    with pytest.raises(ValueError):
-        expected_count(rho, op, 0.0)
+        qubit_count_set(bell_state(BellParams(0.0)), PARAMS, JitterModel(0.0), NoiseConfig(500.0))
 
 
 def test_poisson_draw_switch():
@@ -75,11 +72,12 @@ def test_poisson_draw_switch():
 
 
 def test_measured_count_uses_fresh_photon_number():
+    # setting 0 (t = 0) has overlap 1 with H, so its count is the photon
+    # number drawn from that setting's own stream
     rho = bloch_state(BlochParams(1.0, 0.0, 0.0))
-    op = evolve_operator(polarization_projector("H"), PARAMS, 0.0)
-    cfg = NoiseConfig(mean_photons=1000.0)
-    n = measured_count(rho, op, cfg, np.random.default_rng(3))
-    assert n == np.random.default_rng(3).poisson(1000.0)
+    cfg = NoiseConfig(mean_photons=1000.0, seed=3)
+    records = qubit_count_set(rho, PARAMS, JitterModel(0.0), cfg, state_index=4)
+    assert records[0].measured == counting_rng(3, 4, 0).poisson(1000.0)
 
 
 def test_qubit_set_noiseless_matches_closed_form():

@@ -6,12 +6,7 @@ import numpy as np
 import pytest
 
 from timetomo.core import max_abs
-from timetomo.dynamics import (
-    DynamicsParams,
-    evolution_unitaries,
-    evolution_unitary,
-    general_unitary,
-)
+from timetomo.dynamics import DynamicsParams, evolution_unitaries
 
 
 def test_params_require_positive_periods():
@@ -28,30 +23,15 @@ def test_angular_frequencies_are_two_pi_over_period():
     assert w3 == pytest.approx(math.pi)
 
 
-def test_general_unitary_is_unitary_with_expected_phase():
-    rng = np.random.default_rng(23)
-    for _ in range(50):
-        alpha, beta, gamma, delta = rng.uniform(-2 * math.pi, 2 * math.pi, 4)
-        u = general_unitary(alpha, beta, gamma, delta)
-        assert max_abs(u @ u.conj().T - np.eye(2)) < 1e-12
-        assert np.linalg.det(u) == pytest.approx(np.exp(2j * alpha), abs=1e-12)
-
-
-def test_general_unitary_reduces_to_z_rotation():
-    u = general_unitary(0.0, 0.3, 0.0, 0.0)
-    expect = np.diag([np.exp(-0.15j), np.exp(0.15j)])
-    assert max_abs(u - expect) < 1e-12
-
-
 def test_evolution_starts_at_identity():
-    assert max_abs(evolution_unitary(DynamicsParams(), 0.0) - np.eye(2)) < 1e-15
+    assert max_abs(evolution_unitaries(DynamicsParams(), 0.0) - np.eye(2)) < 1e-15
 
 
 def test_full_period_value_frozen():
     # hand-derived: with periods (4, 1, 2) the t=1 unitary collapses to
     # diag(e^{i pi/4}, e^{-i pi/4}) because the middle rotation closes a
     # full turn and contributes only a sign pair that cancels
-    u = evolution_unitary(DynamicsParams(), 1.0)
+    u = evolution_unitaries(DynamicsParams(), 1.0)
     expect = np.diag([np.exp(1j * math.pi / 4), np.exp(-1j * math.pi / 4)])
     assert max_abs(u - expect) < 1e-12
 
@@ -69,9 +49,10 @@ def test_scalar_wrapper_matches_batch():
     params = DynamicsParams(3.0, 1.5, 5.0)
     times = np.array([0.1, 0.77, 2.4])
     stack = evolution_unitaries(params, times)
-    # numpy's scalar and vector loops may differ in the last ulp
+    # a scalar instant gives one 2x2 unitary; numpy's scalar and vector
+    # loops may differ in the last ulp
     for k, t in enumerate(times):
-        assert max_abs(stack[k] - evolution_unitary(params, float(t))) < 1e-14
+        assert max_abs(stack[k] - evolution_unitaries(params, float(t))) < 1e-14
 
 
 def test_composition_structure_against_direct_product():
@@ -83,4 +64,4 @@ def test_composition_structure_against_direct_product():
         c, s = math.cos(0.5 * w2 * t), math.sin(0.5 * w2 * t)
         y = np.array([[c, -s], [s, c]])
         z3 = np.diag([np.exp(-0.5j * w3 * t), np.exp(0.5j * w3 * t)])
-        assert max_abs(evolution_unitary(params, t) - z1 @ y @ z3) < 1e-13
+        assert max_abs(evolution_unitaries(params, t) - z1 @ y @ z3) < 1e-13

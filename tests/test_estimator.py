@@ -10,9 +10,9 @@ from timetomo.counts import NoiseConfig, coincidence_count_set, qubit_count_set
 from timetomo.dynamics import DynamicsParams
 from timetomo.estimator import (
     EstimatorConfig,
+    _objective_from_stack,
     _rank_truncated_candidates,
     estimate_state,
-    likelihood,
     model_operator_stack,
 )
 from timetomo.measurement import JitterModel
@@ -27,6 +27,11 @@ from timetomo.states import (
 
 PARAMS = DynamicsParams()
 IDENTITY_W = np.array([1.0, 1.0, 0.0, 0.0])
+
+
+def _objective(records, mean_photons):
+    measured = np.array([r.measured for r in records])
+    return _objective_from_stack(model_operator_stack(records), measured, mean_photons, 1e-9)
 
 
 def _records(rho, sigma=0.0, n=1000.0, poisson=True, seed=0, state_index=0):
@@ -62,7 +67,7 @@ def test_likelihood_matches_direct_formula():
     rho = bloch_state(BlochParams(0.8, 1.0, 0.5))
     records = _records(rho, sigma=0.1, n=500.0)
     w = np.array([0.9, 0.5, 0.2, -0.1])
-    got = likelihood(w, records, 500.0)
+    got = _objective(records, 500.0)(w)
     cand = cholesky_to_density(w).matrix
     stack = model_operator_stack(records)
     total = 0.0
@@ -72,23 +77,14 @@ def test_likelihood_matches_direct_formula():
     assert got == pytest.approx(total, rel=1e-12)
 
 
-def test_likelihood_validates_inputs():
-    records = _records(bloch_state(BlochParams(0.0, 0.0, 0.0)))
-    with pytest.raises(ValueError):
-        likelihood(np.zeros(4), records, 100.0)
-    with pytest.raises(ValueError):
-        likelihood(IDENTITY_W, records, -1.0)
-    with pytest.raises(ValueError):
-        likelihood(np.ones(16), records, 100.0)  # wrong arity for qubit records
-
-
 def test_likelihood_floors_vanishing_model_counts():
     # candidate orthogonal to the measured state: floor keeps it finite
     rho = bloch_state(BlochParams(1.0, 0.0, 0.0))
     records = _records(rho, poisson=False)
-    val = likelihood(np.array([0.0, 1.0, 0.0, 0.0]), records, 1000.0)
+    objective = _objective(records, 1000.0)
+    val = objective(np.array([0.0, 1.0, 0.0, 0.0]))
     assert math.isfinite(val)
-    assert likelihood(IDENTITY_W, records, 1000.0) < val
+    assert objective(IDENTITY_W) < val
 
 
 def test_qubit_and_pair_objectives_agree_on_shared_formula():
@@ -96,9 +92,10 @@ def test_qubit_and_pair_objectives_agree_on_shared_formula():
     rho = bell_state(BellParams(0.7))
     records = _records(rho, sigma=0.05, n=800.0)
     rng = np.random.default_rng(2)
+    objective = _objective(records, 800.0)
     for _ in range(5):
         w = rng.normal(size=16)
-        direct = likelihood(w, records, 800.0)
+        direct = objective(w)
         cand = cholesky_to_density(w).matrix
         stack = model_operator_stack(records)
         total = 0.0

@@ -9,8 +9,7 @@ import pytest
 from timetomo.cli import main
 from timetomo.harness import (
     CSV_HEADER,
-    DESK_SAMPLES,
-    PAPER_SAMPLES,
+    MODES,
     ExperimentConfig,
     SampleSizes,
     SweepRow,
@@ -19,10 +18,8 @@ from timetomo.harness import (
     emit_trajectory,
     estimation_rng,
     load_config,
-    run_entangled_sweep,
     run_manifest,
-    run_orthogonality_sweep,
-    run_qubit_sweep,
+    run_sweep,
     sweep_rows_to_csv,
     write_manifest,
     write_sweep_csv,
@@ -55,10 +52,23 @@ def test_experiment_config_validation():
         )
 
 
+def test_orthogonal_pairs_reject_odd_n_phi():
+    sample = SampleSizes(n_theta=3, n_phi=3)
+    with pytest.raises(ValueError, match="n_phi must be even"):
+        ExperimentConfig(
+            mode="qubit-orthogonal-pairs", sigma_list=(0.0,), photon_list=(10.0,), sample=sample
+        )
+    doc = {"mode": "qubit-orthogonal-pairs", "sigma_list": [0.0], "photon_list": [10]}
+    with pytest.raises(ValueError, match="n_phi must be even"):
+        load_config({**doc, "sample": {"n_theta": 3, "n_phi": 3}})
+    # the same sizes are fine for a mode that does not pair antipodes
+    ExperimentConfig(mode="qubit-pure", sigma_list=(0.0,), photon_list=(10.0,), sample=sample)
+
+
 def test_default_samples_fill_in_per_mode():
     cfg = ExperimentConfig(mode="entangled", sigma_list=(0.0,), photon_list=(10.0,))
-    assert cfg.sample == DESK_SAMPLES["entangled"]
-    assert PAPER_SAMPLES["qubit-mixed"].n_r == 21
+    assert cfg.sample == MODES["entangled"].desk
+    assert MODES["qubit-mixed"].paper.n_r == 21
 
 
 def test_trajectory_config_validation():
@@ -88,7 +98,7 @@ def test_load_config_sweep_roundtrip(tmp_path):
     cfg2 = load_config(path, seed=9, out_dir="elsewhere", paper_scale=True)
     assert cfg2.seed == 9
     assert cfg2.out_dir == "elsewhere"
-    assert cfg2.sample == PAPER_SAMPLES["qubit-pure"]
+    assert cfg2.sample == MODES["qubit-pure"].paper
 
 
 def test_load_config_rejects_unknown_keys():
@@ -141,7 +151,7 @@ def test_sweep_csv_format():
 
 def test_qubit_sweep_rows_and_determinism(tmp_path):
     cfg = load_config(TINY_QUBIT)
-    rows_serial = run_qubit_sweep(cfg, workers=1)
+    rows_serial = run_sweep(cfg, workers=1)
     # one fidelity row per (sigma, N) cell
     assert [(r.sigma, r.n_photons, r.metric) for r in rows_serial if r.metric == "fidelity"] == [
         (0.0, 100.0, "fidelity"),
@@ -151,17 +161,13 @@ def test_qubit_sweep_rows_and_determinism(tmp_path):
         if row.metric == "fidelity":
             assert 0.0 <= row.mean <= 1.0
             assert row.n == 4
-    rows_parallel = run_qubit_sweep(cfg, workers=2)
+    rows_parallel = run_sweep(cfg, workers=2)
     assert sweep_rows_to_csv(rows_serial) == sweep_rows_to_csv(rows_parallel)
-    with pytest.raises(ValueError):
-        run_qubit_sweep(
-            ExperimentConfig(mode="entangled", sigma_list=(0.0,), photon_list=(10.0,))
-        )
 
 
 def test_qubit_sweep_artifacts(tmp_path):
     cfg = load_config({**TINY_QUBIT, "sigma_list": [0.0]})
-    run_qubit_sweep(cfg, artifact_dir=tmp_path, dump_counts=True, state_log=True)
+    run_sweep(cfg, artifact_dir=tmp_path, dump_counts=True, state_log=True)
     counts = (tmp_path / "counts_sigma0_N100.csv").read_text().strip().split("\n")
     assert counts[0] == "state_id,t_i_over_T,t_j_over_T,expected,measured"
     assert len(counts) == 1 + 4 * 6  # four states, six settings each
@@ -180,13 +186,11 @@ def test_orthogonality_sweep_rows():
             "sample": {"n_theta": 3, "n_phi": 2},
         }
     )
-    rows = run_orthogonality_sweep(cfg)
+    rows = run_sweep(cfg)
     dist = [r for r in rows if r.metric == "trace_distance"]
     assert len(dist) == 1
     assert dist[0].n == 3  # three antipodal pairs on the 3 x 2 grid
     assert dist[0].mean > 0.95  # noiseless partners reconstruct nearly orthogonal
-    with pytest.raises(ValueError):
-        run_orthogonality_sweep(load_config(TINY_QUBIT))
 
 
 def test_entangled_sweep_rows():
@@ -198,7 +202,7 @@ def test_entangled_sweep_rows():
             "sample": {"n_states": 3},
         }
     )
-    rows = run_entangled_sweep(cfg)
+    rows = run_sweep(cfg)
     metrics = [r.metric for r in rows]
     assert metrics[:3] == ["concurrence", "fidelity", "chsh_guarantee"]
     by_metric = {r.metric: r for r in rows}
@@ -206,8 +210,28 @@ def test_entangled_sweep_rows():
     assert by_metric["fidelity"].mean > 0.99
     assert by_metric["chsh_guarantee"].mean == 1.0
     assert by_metric["chsh_guarantee"].sd == 0.0
-    with pytest.raises(ValueError):
-        run_entangled_sweep(load_config(TINY_QUBIT))
+
+
+def test_state_failure_names_its_cell_and_state(monkeypatch):
+    import timetomo.harness as harness
+
+    real = harness.estimate_state
+    calls = []
+
+    def failing(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 3:  # a serial sweep fits states in order: this is state 2
+            raise FloatingPointError("boom")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "estimate_state", failing)
+    cfg = load_config({**TINY_QUBIT, "sigma_list": [0.1]})
+    with pytest.raises(RuntimeError) as info:
+        run_sweep(cfg, workers=1)
+    message = str(info.value)
+    for field in ("qubit-pure", "sigma 0.1", "N 100", "state 2", "boom"):
+        assert field in message
+    assert isinstance(info.value.__cause__, FloatingPointError)
 
 
 def test_emit_trajectory_file(tmp_path):
@@ -268,6 +292,16 @@ def test_cli_rejects_mode_subcommand_mismatch(tmp_path, capsys):
     code = main(["entangled-sweep", "--config", str(cfg_path), "--out", str(tmp_path)])
     assert code == 2
     assert "does not fit subcommand" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_cli_rejects_workers_below_one(tmp_path, capsys, workers):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(TINY_QUBIT))
+    with pytest.raises(SystemExit) as info:
+        main(["qubit-sweep", "--config", str(cfg_path), "--out", str(tmp_path), "--workers", workers])
+    assert info.value.code == 2
+    assert "workers must be at least 1" in capsys.readouterr().err
 
 
 def test_cli_seed_changes_results(tmp_path):

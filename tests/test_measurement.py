@@ -6,22 +6,21 @@ import numpy as np
 import pytest
 
 from timetomo.core import max_abs
+from timetomo.counts import NoiseConfig, coincidence_count_set
 from timetomo.dynamics import DynamicsParams
 from timetomo.measurement import (
     POLARIZATION_KETS,
     JitterModel,
-    MeasurementOperator,
     MeasurementSchedule,
+    arm_operator_stacks,
     bloch_trajectory,
-    evolve_operator,
     evolved_matrices,
     horizontal_closed_form,
     ic_povm_schedule,
     jittered_matrices,
-    jittered_operator,
     polarization_projector,
-    two_qubit_operator,
 )
+from timetomo.states import BellParams, bell_state
 
 PARAMS = DynamicsParams()
 
@@ -52,16 +51,14 @@ def test_projector_is_rank_one_and_idempotent():
 
 
 def test_measurement_operator_validation():
-    op = MeasurementOperator(time=0.25, matrix=np.eye(2) / 2, jitter=0.1)
-    assert op.dim == 2
+    # the seed operator must be a Hermitian PSD 2x2 matrix
+    assert evolved_matrices(np.eye(2) / 2, PARAMS, [0.25]).shape == (1, 2, 2)
     with pytest.raises(ValueError):
-        MeasurementOperator(time=0.0, matrix=np.array([[0.0, 1.0], [0.0, 0.0]]))
+        evolved_matrices(np.array([[0.0, 1.0], [0.0, 0.0]]), PARAMS, [0.0])
     with pytest.raises(ValueError):
-        MeasurementOperator(time=0.0, matrix=np.diag([1.0, -0.5]))
+        evolved_matrices(np.diag([1.0, -0.5]), PARAMS, [0.0])
     with pytest.raises(ValueError):
-        MeasurementOperator(time=0.0, matrix=np.eye(2), jitter=-0.1)
-    with pytest.raises(ValueError):
-        MeasurementOperator(time=0.0, matrix=np.eye(3))
+        evolved_matrices(np.eye(3), PARAMS, [0.0])
 
 
 def test_schedule_requires_strictly_increasing_instants():
@@ -86,14 +83,14 @@ def test_evolved_matches_closed_form_on_grid():
 
 def test_quarter_period_operator_frozen():
     # hand value: diag 1/2, off-diagonal -(1/2) e^{i pi/4}
-    op = evolve_operator(polarization_projector("H"), PARAMS, 0.25)
+    op = evolved_matrices(polarization_projector("H"), PARAMS, [0.25])[0]
     expect = np.array(
         [
             [0.5, -0.5 * np.exp(0.25j * math.pi)],
             [-0.5 * np.exp(-0.25j * math.pi), 0.5],
         ]
     )
-    assert max_abs(op.matrix - expect) < 1e-12
+    assert max_abs(op - expect) < 1e-12
 
 
 def test_six_instants_are_informationally_complete():
@@ -174,8 +171,8 @@ def test_smearing_preserves_trace_and_positivity():
 
 
 def test_extreme_jitter_flattens_to_half_identity():
-    op = jittered_operator(polarization_projector("H"), PARAMS, JitterModel(5.0), 0.3)
-    assert max_abs(op.matrix - np.eye(2) / 2) < 1e-6
+    op = jittered_matrices(polarization_projector("H"), PARAMS, JitterModel(5.0), [0.3])[0]
+    assert max_abs(op - np.eye(2) / 2) < 1e-6
 
 
 def test_quadrature_refinement_is_converged():
@@ -189,20 +186,26 @@ def test_quadrature_refinement_is_converged():
 
 
 def test_two_qubit_operator_is_smeared_tensor_product():
+    # each arm is smeared on its own before the product: a noiseless
+    # coincidence count is N tr((M_a (x) M_b) rho) with smeared arm operators
     jm = JitterModel(0.15)
-    op = two_qubit_operator(PARAMS, jm, 0.25, 0.75)
+    rho = bell_state(BellParams(0.4))
+    cfg = NoiseConfig(mean_photons=1000.0, poisson_enabled=False)
+    by_times = {r.times: r.measured for r in coincidence_count_set(rho, PARAMS, jm, cfg)}
     proj = polarization_projector("H")
     a = jittered_matrices(proj, PARAMS, jm, [0.25])[0]
     b = jittered_matrices(proj, PARAMS, jm, [0.75])[0]
-    assert op.dim == 4
-    assert op.time == (0.25, 0.75)
-    assert op.jitter == pytest.approx(0.15)
-    assert max_abs(op.matrix - np.kron(a, b)) < 1e-14
+    want = 1000.0 * np.trace(np.kron(a, b) @ rho.matrix).real
+    assert by_times[(0.25, 0.75)] == pytest.approx(want, rel=1e-12)
 
 
-def test_two_qubit_operator_warns_off_schedule():
-    with pytest.warns(UserWarning):
-        two_qubit_operator(PARAMS, JitterModel(0.0), 0.1, 0.25)
+def test_arm_operator_stacks_pair_sharp_and_smeared_projectors():
+    jm = JitterModel(0.15)
+    times = [0.25, 0.75]
+    ideal, smeared = arm_operator_stacks(PARAMS, jm, times)
+    proj = polarization_projector("H")
+    assert np.array_equal(ideal, evolved_matrices(proj, PARAMS, times))
+    assert np.array_equal(smeared, jittered_matrices(proj, PARAMS, jm, times))
 
 
 def test_trajectory_stays_on_sphere_without_jitter():
