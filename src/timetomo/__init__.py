@@ -58,7 +58,6 @@ from .states import (
     BlochParams,
     bell_state,
     bloch_state,
-    cholesky_to_density,
     orthogonal_pairs,
     orthogonal_partner,
     sample_bell_states,

@@ -49,12 +49,12 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--config", required=True, help="path to the JSON config")
         cmd.add_argument("--seed", type=_seed_type, default=None, help="override the config seed")
         cmd.add_argument("--out", default=None, help="override the config output directory")
-        cmd.add_argument(
-            "--paper-scale",
-            action="store_true",
-            help="use the full-size state samples instead of the desk-scale defaults",
-        )
         if name != "trajectory":
+            cmd.add_argument(
+                "--paper-scale",
+                action="store_true",
+                help="use the full-size state samples instead of the desk-scale defaults",
+            )
             cmd.add_argument("--workers", type=_workers_type, default=1, help="parallel worker processes")
             cmd.add_argument("--dump-counts", action="store_true", help="write raw counts per cell")
             cmd.add_argument("--state-log", action="store_true", help="write per-state estimate log")
@@ -64,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     cfg = load_config(
-        args.config, seed=args.seed, out_dir=args.out, paper_scale=args.paper_scale
+        args.config, seed=args.seed, out_dir=args.out, paper_scale=getattr(args, "paper_scale", False)
     )
     commands = {"trajectory": "trajectory", **{name: m.command for name, m in MODES.items()}}
     expected_modes = tuple(mode for mode, command in commands.items() if command == args.command)

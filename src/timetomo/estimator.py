@@ -1,17 +1,24 @@
 """Maximum-likelihood state reconstruction from count records.
 
-The candidate state is parametrised through the Cholesky-style vector so
-the search space contains exactly the physical density matrices.  The
-objective is the Gaussian-approximated likelihood of James, Kwiat, Munro &
-White, PRA 64, 052312 (2001),
+The objective is the Gaussian-approximated likelihood of James, Kwiat,
+Munro & White, PRA 64, 052312 (2001),
 
-    sum_k (n_meas_k - n_model_k)^2 / n_model_k
+    f(rho) = sum_k (n_meas_k - n_model_k)^2 / n_model_k,
+    n_model_k = N tr(M_k rho),
 
 with each model count floored at ``epsilon_floor``.  It is homogeneous of
 degree one in (n_meas, n_model), so for noiseless counts the minimiser does
 not depend on the photon number.  The model counts come from the sharp
 ideal operators: the fitter is deliberately blind to detector jitter, which
 is the effect under study.
+
+f is convex in rho, with gradient R = N sum_k (1 - n_meas_k^2 / n_model_k^2) M_k,
+so the search runs on the density matrix itself: a warm start from linear
+inversion projected onto the density matrices (Smolin, Gambetta & Smith,
+PRL 108, 070502 (2012)), then accelerated projected gradient (Shang, Zhang
+& Ng, PRA 95, 062336 (2017)).  Convexity also bounds the distance to the
+minimum: f(rho) - min f <= tr(R rho) - lambda_min(R), the Frank-Wolfe gap,
+which is what ``converged`` certifies.
 """
 
 from __future__ import annotations
@@ -20,34 +27,37 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .core import DensityMatrix
 from .counts import CountRecord
 from .dynamics import DynamicsParams
 from .measurement import evolved_matrices, polarization_projector
-from .states import _W_LAYOUT, cholesky_to_density
 
-OPTIMIZERS = ("simplex", "gradient")
+# Weight of the maximally mixed state in the warm start.  The projected
+# linear inversion is often rank-deficient, and where a model count nears
+# zero under a nonzero measured count the curvature n^2 / n_model^3 forces
+# tiny first steps.  The sharp operators are rank-one projectors, so the mix
+# lifts every model count to at least N * _WARM_START_MIX / d.
+_WARM_START_MIX = 5e-2
 
 
 @dataclass(frozen=True)
 class EstimatorConfig:
-    """Optimiser choice and stopping rules for the likelihood search."""
+    """Stopping rules and count floor for the likelihood search.
 
-    optimizer: str = "simplex"
+    ``convergence_tol`` is the largest accepted Frank-Wolfe gap, an upper
+    bound on how far the objective (in chi-squared units) lies above its
+    minimum.  ``max_iterations`` bounds the projected-gradient steps,
+    rejected backtracking steps included.
+    """
+
     max_iterations: int = 20000
-    convergence_tol: float = 1e-9
-    restarts: int = 5
+    convergence_tol: float = 1e-3
     epsilon_floor: float = 1e-9
 
     def __post_init__(self):
-        if self.optimizer not in OPTIMIZERS:
-            raise ValueError(f"optimizer must be one of {OPTIMIZERS}, got {self.optimizer!r}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
-        if self.restarts < 1:
-            raise ValueError("restarts must be at least 1")
         if not (self.convergence_tol > 0 and self.epsilon_floor > 0):
             raise ValueError("convergence_tol and epsilon_floor must be positive")
 
@@ -55,7 +65,6 @@ class EstimatorConfig:
 @dataclass(frozen=True)
 class EstimateResult:
     rho_out: DensityMatrix
-    w_opt: np.ndarray
     objective: float
     converged: bool
     iterations: int
@@ -74,193 +83,124 @@ def model_operator_stack(records: list[CountRecord], dynamics: DynamicsParams | 
         unique = sorted({t for r in records for t in r.times})
         singles = evolved_matrices(polarization_projector("H"), dynamics, unique)
         index = {t: k for k, t in enumerate(unique)}
-        return np.stack(
-            [np.kron(singles[index[r.times[0]]], singles[index[r.times[1]]]) for r in records]
-        )
+        first = singles[[index[r.times[0]] for r in records]]
+        second = singles[[index[r.times[1]] for r in records]]
+        # batched Kronecker product: (a kron b)[2i + k, 2j + l] = a[i, j] b[k, l]
+        return (first[:, :, None, :, None] * second[:, None, :, None, :]).reshape(len(records), 4, 4)
     raise ValueError("records mix single-qubit and pair settings")
 
 
-def _qubit_objective(model_stack, measured, mean_photons, epsilon_floor):
-    """Scalar-arithmetic likelihood for the 2x2 case.
+def _objective_from_stack(model_stack, measured, mean_photons, epsilon_floor):
+    """Objective and gradient over Hermitian candidate matrices for one record set.
 
-    With W = [[w1, 0], [w3 + i w4, w2]] the Gram matrix has entries
-    g00 = w1^2 + w3^2 + w4^2, g11 = w2^2, g01 = (w3 - i w4) w2, and
-    tr(W^dag W) = sum of squared parameters, so each model count needs a
-    handful of real multiplications.  Optimiser loops spend most of their
-    time here, which makes avoiding numpy dispatch overhead worthwhile.
+    The returned callable maps rho to (f(rho), R(rho)).  Model counts use
+    tr(M rho) = vec(M^T) . vec(rho), one matrix-vector product per call.
     """
-    table = [
-        (
-            float(m[0, 0].real),
-            float(m[1, 1].real),
-            2.0 * float(m[0, 1].real),
-            2.0 * float(m[0, 1].imag),
-            float(n_m),
-        )
-        for m, n_m in zip(model_stack, measured)
-    ]
+    count, dim = model_stack.shape[0], model_stack.shape[1]
+    flat = model_stack.reshape(count, dim * dim)
+    flat_transposed = np.ascontiguousarray(np.swapaxes(model_stack, 1, 2).reshape(count, dim * dim))
+    measured = np.asarray(measured, dtype=float)
+    measured_sq = measured * measured
 
-    def objective(w) -> float:
-        w1 = float(w[0])
-        w2 = float(w[1])
-        w3 = float(w[2])
-        w4 = float(w[3])
-        if not (math.isfinite(w1) and math.isfinite(w2) and math.isfinite(w3) and math.isfinite(w4)):
-            return math.inf
-        g11 = w2 * w2
-        g00 = w1 * w1 + w3 * w3 + w4 * w4
-        tau = g00 + g11
-        if not tau > 0:
-            return math.inf
-        scale = mean_photons / tau
-        cross_re = w2 * w3
-        cross_im = w2 * w4
-        total = 0.0
-        for m00, m11, a2, b2, n_m in table:
-            n_e = scale * (m00 * g00 + m11 * g11 + a2 * cross_re - b2 * cross_im)
-            if n_e < epsilon_floor:
-                n_e = epsilon_floor
-            diff = n_m - n_e
-            total += diff * diff / n_e
-        return total
-
-    return objective
-
-
-def _pair_objective(model_stack, measured, mean_photons, epsilon_floor):
-    """Vectorised likelihood for the 4x4 case.
-
-    Uses tr(M G) = vec(M^T) . vec(G) so the per-call work is one small
-    matrix product and one matrix-vector product.
-    """
-    dim = model_stack.shape[1]
-    flat_transposed = np.ascontiguousarray(
-        np.swapaxes(model_stack, 1, 2).reshape(model_stack.shape[0], dim * dim)
-    )
-    layout = _W_LAYOUT[dim * dim]
-    basis = np.zeros((dim * dim, dim, dim), dtype=complex)
-    basis[layout["re"], layout["rows"], layout["cols"]] += 1.0
-    basis[layout["im"], layout["rows"], layout["cols"]] += 1j * layout["mask"]
-
-    def objective(w) -> float:
-        if not np.all(np.isfinite(w)):
-            return np.inf
-        tau = float(w @ w)  # equals tr(W^dag W)
-        if not tau > 0:
-            return np.inf
-        factor = np.tensordot(w, basis, axes=1)
-        gram = factor.conj().T @ factor
-        model = (mean_photons / tau) * (flat_transposed @ gram.reshape(-1)).real
+    def evaluate(rho):
+        model = mean_photons * (flat_transposed @ rho.reshape(-1)).real
         np.maximum(model, epsilon_floor, out=model)
         resid = measured - model
-        return float(np.sum(resid * resid / model))
+        value = float(np.sum(resid * resid / model))
+        weights = mean_photons * (1.0 - measured_sq / (model * model))
+        return value, (weights @ flat).reshape(dim, dim)
 
-    return objective
-
-
-def _objective_from_stack(model_stack, measured, mean_photons, epsilon_floor):
-    """Objective callable over parameter vectors for one record set."""
-    if model_stack.shape[1] == 2:
-        return _qubit_objective(model_stack, measured, mean_photons, epsilon_floor)
-    return _pair_objective(model_stack, measured, mean_photons, epsilon_floor)
+    return evaluate
 
 
-_TRUNCATION_CUTS = (3e-2, 1e-2, 3e-3, 1e-3, 1e-4)
+def _project_to_states(h: np.ndarray) -> np.ndarray:
+    """Nearest unit-trace PSD matrix to Hermitian ``h`` in Frobenius norm.
 
-
-def _rank_truncated_candidates(x, dim):
-    """Parameter vectors for rank-truncated copies of the incumbent state.
-
-    Rank-deficient targets need some model counts to reach zero, which puts
-    the optimum on the boundary of the parameter space, and the simplex
-    walks toward it one contraction at a time.  Zeroing small eigenvalues
-    and refactoring jumps straight to the boundary.  Candidates are offered,
-    not imposed: the caller keeps one only if it lowers the objective, so
-    full-rank optima are unaffected.
+    Projects the spectrum onto the probability simplex and keeps the
+    eigenvectors (Smolin, Gambetta & Smith 2012).
     """
-    rho = cholesky_to_density(x).matrix
-    vals, vecs = np.linalg.eigh(rho)
-    layout = _W_LAYOUT[dim * dim]
-    flip = np.eye(dim)[::-1]
-    seen_ranks = set()
-    for cut in _TRUNCATION_CUTS:
-        keep = np.where(vals >= cut, vals, 0.0)
-        rank = int(np.count_nonzero(keep))
-        if rank == 0 or rank == dim or rank in seen_ranks:
-            continue
-        seen_ranks.add(rank)
-        truncated = (vecs * keep) @ vecs.conj().T
-        truncated /= np.trace(truncated).real
-        # tiny identity mix keeps the triangular factorization well posed
-        truncated = (1.0 - 1e-12) * truncated + (1e-12 / dim) * np.eye(dim)
-        try:
-            chol = np.linalg.cholesky(flip @ truncated @ flip)
-        except np.linalg.LinAlgError:
-            continue
-        # flipping the Cholesky factor of the index-reversed matrix gives
-        # the lower-triangular factor in the W^dag W convention
-        factor = flip @ chol.conj().T @ flip
-        w = np.zeros(dim * dim)
-        entries = factor[layout["rows"], layout["cols"]]
-        w[layout["re"]] = entries.real
-        has_imag = layout["mask"] > 0
-        w[layout["im"][has_imag]] = entries.imag[has_imag]
-        yield w
+    values, vectors = np.linalg.eigh(h)
+    ordered = values[::-1]
+    shifts = (np.cumsum(ordered) - 1.0) / np.arange(1, values.size + 1)
+    active = np.nonzero(ordered > shifts)[0][-1]
+    values = np.maximum(values - shifts[active], 0.0)
+    rho = (vectors * values) @ vectors.conj().T
+    return 0.5 * (rho + rho.conj().T)
 
 
-def _simplex_explore(objective, x0, cfg: EstimatorConfig):
-    """Cheap simplex run that only needs to land in the right basin.
+def _gap(rho, grad) -> float:
+    """Frank-Wolfe gap tr(R rho) - lambda_min(R), an upper bound on f(rho) - min f."""
+    return float(np.vdot(grad, rho).real) - float(np.linalg.eigvalsh(grad)[0])
 
-    Iterations are capped well below the configured budget; the winning
-    restart gets refined by the polish stage afterwards, so exploration
-    precision only has to suffice for ranking the restarts.
+
+def _warm_start(model_stack, measured, mean_photons):
+    """Least-squares linear inversion, projected onto the states and mixed."""
+    count, dim = model_stack.shape[0], model_stack.shape[1]
+    design = np.swapaxes(model_stack, 1, 2).reshape(count, dim * dim)
+    solution = np.linalg.lstsq(design, np.asarray(measured) / mean_photons, rcond=None)[0]
+    inverted = solution.reshape(dim, dim)
+    rho = _project_to_states(0.5 * (inverted + inverted.conj().T))
+    return (1.0 - _WARM_START_MIX) * rho + (_WARM_START_MIX / dim) * np.eye(dim)
+
+
+def _accelerated_descent(evaluate, rho, cfg: EstimatorConfig, mean_photons: float):
+    """FISTA on the density matrices with backtracking and adaptive restart.
+
+    The step is 1 / L for a curvature estimate L that starts at the photon
+    number (f scales with it), shrinks by 10% before each step and doubles
+    whenever a trial step fails the sufficient-decrease test.  Every trial
+    step, accepted or rejected, counts against ``cfg.max_iterations``.
+    Returns (rho, objective, converged, iterations).
     """
-    options = dict(
-        maxiter=min(cfg.max_iterations, 120 * x0.size),
-        fatol=max(cfg.convergence_tol, 1e-3),
-        xatol=1e-3,
-        adaptive=x0.size >= 8,
-    )
-    res = minimize(objective, x0, method="Nelder-Mead", options=options)
-    return res.x, float(res.fun), bool(res.success), int(res.nit)
-
-
-def _simplex_polish(objective, x0, cfg: EstimatorConfig):
-    """Full-precision simplex run from the incumbent point."""
-    options = dict(
-        maxiter=cfg.max_iterations,
-        fatol=cfg.convergence_tol,
-        xatol=1e-6,
-        adaptive=x0.size >= 8,
-    )
-    res = minimize(objective, x0, method="Nelder-Mead", options=options)
-    return res.x, float(res.fun), bool(res.success), int(res.nit)
-
-
-def _minimize_gradient(objective, x0, cfg: EstimatorConfig):
-    options = dict(maxiter=cfg.max_iterations, ftol=cfg.convergence_tol)
-    res = minimize(objective, x0, method="L-BFGS-B", options=options)
-    return res.x, float(res.fun), bool(res.success), int(res.nit)
+    value, grad = evaluate(rho)
+    ahead, ahead_value, ahead_grad = rho, value, grad
+    momentum = 1.0
+    lipschitz = mean_photons
+    steps = 0
+    while True:
+        if _gap(rho, grad) <= cfg.convergence_tol:
+            return rho, value, True, steps
+        lipschitz *= 0.9
+        while steps < cfg.max_iterations:
+            steps += 1
+            trial = _project_to_states(ahead - ahead_grad / lipschitz)
+            trial_value, trial_grad = evaluate(trial)
+            move = trial - ahead
+            bound = ahead_value + float(np.vdot(ahead_grad, move).real)
+            if trial_value <= bound + 0.5 * lipschitz * float(np.vdot(move, move).real):
+                break
+            lipschitz *= 2.0
+        else:
+            return rho, value, False, steps
+        if trial_value > value:
+            # momentum overshot: restart from the incumbent without it
+            ahead, ahead_value, ahead_grad = rho, value, grad
+            momentum = 1.0
+            continue
+        next_momentum = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * momentum * momentum))
+        ahead = trial + ((momentum - 1.0) / next_momentum) * (trial - rho)
+        rho, value, grad = trial, trial_value, trial_grad
+        momentum = next_momentum
+        ahead_value, ahead_grad = evaluate(ahead)
+        if ahead_value > value:
+            # the extrapolated point is already worse: drop the momentum
+            ahead, ahead_value, ahead_grad = rho, value, grad
+            momentum = 1.0
 
 
 def estimate_state(
     records: list[CountRecord],
     dim: int,
     cfg: EstimatorConfig,
-    rng: np.random.Generator,
     *,
     mean_photons: float,
     dynamics: DynamicsParams | None = None,
 ) -> EstimateResult:
     """Reconstruct the state that best explains the measured counts.
 
-    The first start is the maximally mixed state (identity diagonal);
-    remaining restarts perturb it with Gaussian noise from ``rng``.
-    Exploration restarts run with a loosened function tolerance; the
-    incumbent is then offered rank-truncated variants of itself (which
-    shortcut the slow descent toward boundary states) and polished down
-    to ``cfg.convergence_tol``.  The lowest objective wins, ties going
-    to the earlier restart.
+    Deterministic: linear inversion of the sharp operators gives the warm
+    start, accelerated projected gradient refines it, and the estimate is
+    ``converged`` when its Frank-Wolfe gap is at most ``cfg.convergence_tol``.
     """
     if dim not in (2, 4):
         raise ValueError(f"dim must be 2 or 4, got {dim}")
@@ -270,35 +210,13 @@ def estimate_state(
     if stack.shape[1] != dim:
         raise ValueError(f"records are {stack.shape[1]}-dimensional, expected {dim}")
     measured = np.array([r.measured for r in records], dtype=float)
-    objective = _objective_from_stack(stack, measured, float(mean_photons), cfg.epsilon_floor)
-
-    n_params = dim * dim
-    base = np.zeros(n_params)
-    base[:dim] = 1.0
-
-    best = None
-    for k in range(cfg.restarts):
-        x0 = base if k == 0 else base + rng.normal(0.0, 0.5, n_params)
-        if cfg.optimizer == "gradient":
-            candidate = _minimize_gradient(objective, x0, cfg)
-        else:
-            candidate = _simplex_explore(objective, x0, cfg)
-        if best is None or candidate[1] < best[1]:
-            best = candidate
-
-    x, fun, success, iterations = best
-    if cfg.optimizer == "simplex":
-        for cand in _rank_truncated_candidates(x, dim):
-            f_cand = objective(cand)
-            if f_cand < fun:
-                x, fun = cand, f_cand
-        x, fun, success, polish_iters = _simplex_polish(objective, x, cfg)
-        iterations += polish_iters
-
+    evaluate = _objective_from_stack(stack, measured, mean_photons, cfg.epsilon_floor)
+    rho, value, converged, iterations = _accelerated_descent(
+        evaluate, _warm_start(stack, measured, mean_photons), cfg, mean_photons
+    )
     return EstimateResult(
-        rho_out=cholesky_to_density(x),
-        w_opt=np.asarray(x, dtype=float),
-        objective=fun,
-        converged=success,
+        rho_out=DensityMatrix(rho),
+        objective=value,
+        converged=converged,
         iterations=iterations,
     )

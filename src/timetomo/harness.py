@@ -235,11 +235,6 @@ def load_config(source, *, seed=None, out_dir=None, paper_scale=False):
     return cfg
 
 
-def estimation_rng(seed: int, state_index: int) -> np.random.Generator:
-    """Restart-perturbation stream, disjoint from the counting streams."""
-    return np.random.default_rng([int(seed), 1, int(state_index)])
-
-
 # ---------------------------------------------------------------------------
 # sweep modes and the cell loop
 
@@ -277,8 +272,7 @@ def _fit_state(rho_in, index: int, cell: _Cell) -> StateResult:
         state_index=index, jittered_mats=cell.smeared, ideal_mats=cell.ideal,
     )
     est = estimate_state(
-        records, rho_in.dim, cell.estimator, estimation_rng(cell.seed, index),
-        mean_photons=cell.n_photons, dynamics=cell.params,
+        records, rho_in.dim, cell.estimator, mean_photons=cell.n_photons, dynamics=cell.params
     )
     return StateResult(index, fidelity(rho_in, est.rho_out), est, records)
 

@@ -120,14 +120,17 @@ class JitterModel:
     def kernel_mass(self) -> float:
         """Trapezoid integral of the truncated Gaussian kernel."""
         offsets, values = self._raw_kernel()
-        step = offsets[1] - offsets[0]
-        return float(np.trapezoid(values, dx=step))
+        return float(np.trapezoid(values, dx=(offsets[1] - offsets[0]) / self.sigma))
 
     def _raw_kernel(self):
+        """Offsets and the kernel there, as a density in offset / sigma.
+
+        Working in units of sigma keeps every intermediate finite for any
+        normal float width; 1 / sigma overflows near the smallest ones.
+        """
         n = max(1, int(round(self.window_halfwidth / self.quadrature_step)))
         offsets = np.arange(-n, n + 1) * self.quadrature_step
-        norm = 1.0 / math.sqrt(2.0 * math.pi * self.sigma**2)
-        return offsets, norm * np.exp(-0.5 * (offsets / self.sigma) ** 2)
+        return offsets, np.exp(-0.5 * (offsets / self.sigma) ** 2) / math.sqrt(2.0 * math.pi)
 
     def kernel_weights(self):
         """Quadrature offsets and trapezoid weights normalised to sum to 1.

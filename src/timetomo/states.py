@@ -1,9 +1,7 @@
 """Input-state constructors and the deterministic sample grids.
 
-Single qubits are parametrised by Bloch coordinates (r, theta, phi), photon
-pairs by the relative phase of a maximally entangled superposition, and
-reconstruction candidates by a real Cholesky-style vector that maps onto a
-physical density matrix for any parameter values.
+Single qubits are parametrised by Bloch coordinates (r, theta, phi) and
+photon pairs by the relative phase of a maximally entangled superposition.
 """
 
 from __future__ import annotations
@@ -60,59 +58,6 @@ def bell_state(b: BellParams) -> DensityMatrix:
     ket[0] = 1.0 / math.sqrt(2.0)
     ket[3] = np.exp(1j * b.alpha) / math.sqrt(2.0)
     return DensityMatrix(np.outer(ket, ket.conj()))
-
-
-# Lower-triangular fill order of the Cholesky-style factor.  Diagonal slots
-# come first (real), then each off-diagonal entry consumes a (real, imag)
-# pair of parameters.  Keyed by parameter-vector length.
-_W_LAYOUT = {
-    4: {
-        "rows": np.array([0, 1, 1]),
-        "cols": np.array([0, 1, 0]),
-        "re": np.array([0, 1, 2]),
-        "im": np.array([0, 0, 3]),
-        "mask": np.array([0.0, 0.0, 1.0]),
-    },
-    16: {
-        "rows": np.array([0, 1, 2, 3, 1, 2, 3, 2, 3, 3]),
-        "cols": np.array([0, 1, 2, 3, 0, 1, 2, 0, 1, 0]),
-        "re": np.array([0, 1, 2, 3, 4, 6, 8, 10, 12, 14]),
-        "im": np.array([0, 0, 0, 0, 5, 7, 9, 11, 13, 15]),
-        "mask": np.array([0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0]),
-    },
-}
-
-
-def cholesky_factor(w) -> np.ndarray:
-    """Lower-triangular factor of the candidate state, from a real vector.
-
-    Accepts length-4 (qubit) or length-16 (pair) vectors.  The first ``d``
-    entries fill the diagonal; the rest fill the lower triangle column by
-    column as (real, imaginary) pairs.
-    """
-    w = np.asarray(w, dtype=float)
-    if w.shape not in ((4,), (16,)):
-        raise ValueError(f"parameter vector must have length 4 or 16, got shape {w.shape}")
-    if not np.all(np.isfinite(w)):
-        raise ValueError("parameter vector contains non-finite entries")
-    if not np.any(w):
-        raise ValueError("parameter vector must not be all zero")
-    layout = _W_LAYOUT[w.size]
-    dim = 2 if w.size == 4 else 4
-    mat = np.zeros((dim, dim), dtype=complex)
-    mat[layout["rows"], layout["cols"]] = w[layout["re"]] + 1j * (w[layout["im"]] * layout["mask"])
-    return mat
-
-
-def cholesky_to_density(w) -> DensityMatrix:
-    """Map a real parameter vector to the density matrix W^dag W / tr(W^dag W).
-
-    Physical (Hermitian, PSD, unit trace) by construction for every
-    nonzero parameter vector.
-    """
-    factor = cholesky_factor(w)
-    gram = factor.conj().T @ factor
-    return DensityMatrix(gram / gram.trace().real)
 
 
 def _polar_grid(n: int, stop: float) -> np.ndarray:

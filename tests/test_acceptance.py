@@ -22,7 +22,6 @@ from timetomo.estimator import EstimatorConfig, estimate_state
 from timetomo.harness import (
     ExperimentConfig,
     SampleSizes,
-    estimation_rng,
     run_sweep,
     write_sweep_csv,
 )
@@ -145,17 +144,13 @@ def test_criterion_04_noiseless_recovery():
         )
         rho = bloch_state(b)
         records = qubit_count_set(rho, PARAMS, sharp, noise, state_index=index)
-        est = estimate_state(
-            records, 2, est_cfg, estimation_rng(0, index), mean_photons=1000.0
-        )
+        est = estimate_state(records, 2, est_cfg, mean_photons=1000.0)
         worst_qubit = min(worst_qubit, fidelity(rho, est.rho_out))
     worst_bell = 1.0
     for index, b in enumerate(sample_bell_states(20)):
         rho = bell_state(b)
         records = coincidence_count_set(rho, PARAMS, sharp, noise, state_index=index)
-        est = estimate_state(
-            records, 4, est_cfg, estimation_rng(0, index), mean_photons=1000.0
-        )
+        est = estimate_state(records, 4, est_cfg, mean_photons=1000.0)
         worst_bell = min(worst_bell, fidelity(rho, est.rho_out))
     ok = worst_qubit >= 0.999 and worst_bell >= 0.999
     _verdict(

@@ -16,7 +16,6 @@ from timetomo.harness import (
     TrajectoryConfig,
     _warning_row,
     emit_trajectory,
-    estimation_rng,
     load_config,
     run_manifest,
     run_sweep,
@@ -86,13 +85,13 @@ def test_trajectory_config_validation():
 def test_load_config_sweep_roundtrip(tmp_path):
     doc = dict(TINY_QUBIT)
     doc["seed"] = 7
-    doc["estimator"] = {"restarts": 2}
+    doc["estimator"] = {"max_iterations": 40}
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(doc))
     cfg = load_config(path)
     assert cfg.mode == "qubit-pure"
     assert cfg.seed == 7
-    assert cfg.estimator.restarts == 2
+    assert cfg.estimator.max_iterations == 40
     assert cfg.sample.n_theta == 2
     # overrides win over the file contents
     cfg2 = load_config(path, seed=9, out_dir="elsewhere", paper_scale=True)
@@ -108,6 +107,10 @@ def test_load_config_rejects_unknown_keys():
         load_config({**TINY_QUBIT, "sample": {"n_theta": 2, "bogus": 3}})
     with pytest.raises(ValueError):
         load_config({**TINY_QUBIT, "estimator": {"bogus": 3}})
+    # the switches of the removed multi-restart search are unknown keys
+    for key, value in (("optimizer", "simplex"), ("restarts", 5)):
+        with pytest.raises(ValueError, match=f"unknown estimator keys: {key}"):
+            load_config({**TINY_QUBIT, "estimator": {key: value}})
     with pytest.raises(ValueError):
         load_config({"mode": "qubit-pure", "sigma_list": [0.0]})  # missing photons
     with pytest.raises(ValueError):
@@ -122,14 +125,6 @@ def test_load_config_trajectory():
     assert cfg.operator == "D"
     with pytest.raises(ValueError):
         load_config({"mode": "trajectory", "bogus": 1})
-
-
-def test_estimation_rng_is_stable_and_disjoint():
-    a = estimation_rng(0, 1).normal(size=3)
-    b = estimation_rng(0, 1).normal(size=3)
-    c = estimation_rng(0, 2).normal(size=3)
-    assert np.array_equal(a, b)
-    assert not np.array_equal(a, c)
 
 
 def test_warning_row_thresholds():
@@ -284,6 +279,16 @@ def test_cli_trajectory_end_to_end(tmp_path, capsys):
     assert code == 0
     assert (out_dir / "trajectory.csv").exists()
     assert (out_dir / "manifest.json").exists()
+
+
+def test_cli_trajectory_rejects_paper_scale(tmp_path, capsys):
+    # --paper-scale resizes sweep samples; a trajectory has none to resize
+    cfg_path = tmp_path / "traj.json"
+    cfg_path.write_text(json.dumps({"mode": "trajectory", "points": 4}))
+    with pytest.raises(SystemExit) as info:
+        main(["trajectory", "--config", str(cfg_path), "--out", str(tmp_path), "--paper-scale"])
+    assert info.value.code == 2
+    assert "--paper-scale" in capsys.readouterr().err
 
 
 def test_cli_rejects_mode_subcommand_mismatch(tmp_path, capsys):

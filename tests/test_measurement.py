@@ -121,6 +121,11 @@ def test_jitter_model_validation_and_weights():
     assert weights.sum() == pytest.approx(1.0, abs=1e-15)
     assert offsets[0] == pytest.approx(-1.2)
     assert jm.kernel_mass() == pytest.approx(1.0, abs=1e-6)
+    # widths whose square underflows, and the smallest normal float
+    for sigma in (1e-200, 2.2250738585072014e-308):
+        tiny = JitterModel(sigma)
+        assert tiny.kernel_mass() == pytest.approx(1.0, abs=1e-6)
+        assert tiny.kernel_weights()[1].sum() == pytest.approx(1.0, abs=1e-15)
     with pytest.raises(ValueError):
         JitterModel(-0.1)
     with pytest.raises(ValueError):

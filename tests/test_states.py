@@ -1,4 +1,4 @@
-"""State constructors, Cholesky-style parametrization, sample grids."""
+"""State constructors and sample grids."""
 
 import math
 
@@ -6,13 +6,12 @@ import numpy as np
 import pytest
 
 from timetomo.core import max_abs
+from timetomo.estimator import _project_to_states
 from timetomo.states import (
     BellParams,
     BlochParams,
     bell_state,
     bloch_state,
-    cholesky_factor,
-    cholesky_to_density,
     orthogonal_pairs,
     orthogonal_partner,
     sample_bell_states,
@@ -82,55 +81,15 @@ def test_bell_state_structure():
     assert max_abs(rho[1:3, :]) == 0.0
 
 
-def test_cholesky_factor_layout():
-    w = cholesky_factor([1.0, 2.0, 3.0, 4.0])
-    expect = np.array([[1.0, 0.0], [3.0 + 4.0j, 2.0]])
-    assert max_abs(w - expect) == 0.0
-    with pytest.raises(ValueError):
-        cholesky_factor([1.0, 2.0, 3.0])
-    with pytest.raises(ValueError):
-        cholesky_factor(np.zeros(4))
-    with pytest.raises(ValueError):
-        cholesky_factor([1.0, np.inf, 0.0, 0.0])
-
-
-def test_cholesky_density_is_physical_for_random_vectors():
-    rng = np.random.default_rng(11)
-    for size in (4, 16):
-        for _ in range(25):
-            rho = cholesky_to_density(rng.normal(size=size)).matrix
-            assert np.trace(rho).real == pytest.approx(1.0)
-            assert max_abs(rho - rho.conj().T) < 1e-14
-            assert np.linalg.eigvalsh(rho).min() > -1e-14
-
-
-def test_cholesky_roundtrip_hits_target_state():
-    # the factor of a known state maps back to that state
-    rho = bloch_state(BlochParams(0.8, 1.1, 0.7)).matrix
-    # W^dag W with W lower triangular: flip, factor, flip back
-    flip = np.eye(2)[::-1]
-    chol = np.linalg.cholesky(flip @ rho @ flip)
-    factor = flip @ chol.conj().T @ flip
-    w = np.array([factor[0, 0].real, factor[1, 1].real, factor[1, 0].real, factor[1, 0].imag])
-    assert max_abs(cholesky_to_density(w).matrix - rho) < 1e-14
-
-
 def test_pair_parametrization_spans_entangled_states():
+    # the estimator searches the density matrices themselves; the projection
+    # that keeps it there leaves a Bell state fixed and lands on it exactly
+    # from a nearby matrix with negative eigenvalues
     target = bell_state(BellParams(0.0)).matrix
-    flip = np.eye(4)[::-1]
-    # mix in a sliver of identity so the factorization is well posed
-    safe = 0.999999 * target + (1e-6 / 4.0) * np.eye(4)
-    chol = np.linalg.cholesky(flip @ safe @ flip)
-    factor = flip @ chol.conj().T @ flip
-    w = np.zeros(16)
-    w[[0, 1, 2, 3]] = np.diag(factor).real
-    w[4], w[5] = factor[1, 0].real, factor[1, 0].imag
-    w[6], w[7] = factor[2, 1].real, factor[2, 1].imag
-    w[8], w[9] = factor[3, 2].real, factor[3, 2].imag
-    w[10], w[11] = factor[2, 0].real, factor[2, 0].imag
-    w[12], w[13] = factor[3, 1].real, factor[3, 1].imag
-    w[14], w[15] = factor[3, 0].real, factor[3, 0].imag
-    assert max_abs(cholesky_to_density(w).matrix - target) < 1e-5
+    assert max_abs(_project_to_states(target) - target) < 1e-12
+    near = 0.999999 * target + (1e-6 / 4.0) * np.eye(4)
+    grown = _project_to_states(near + 1e-3 * (target - np.eye(4) / 4.0))
+    assert max_abs(grown - target) < 1e-5
 
 
 def test_mixed_grid_size_and_coverage():
