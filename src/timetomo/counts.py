@@ -22,6 +22,7 @@ from .measurement import (
     MeasurementSchedule,
     arm_operator_stacks,
     ic_povm_schedule,
+    kron_pairs,
 )
 
 MAX_SEED = 2**64 - 1
@@ -69,6 +70,18 @@ def poisson_draw(mean_photons: float, rng: np.random.Generator, enabled: bool = 
     return float(rng.poisson(mean_photons))
 
 
+def _count_records(settings, smeared, ideal, rho_in: DensityMatrix, cfg: NoiseConfig, state_index: int):
+    """One record per setting: counts drawn from ``smeared``, booked against ``ideal``."""
+    # tr(M rho) for a whole operator stack at once
+    overlaps = np.einsum("kij,ji->k", smeared, rho_in.matrix).real
+    expected = cfg.mean_photons * np.einsum("kij,ji->k", ideal, rho_in.matrix).real
+    records = []
+    for k, times in enumerate(settings):
+        photons = poisson_draw(cfg.mean_photons, counting_rng(cfg.seed, state_index, k), cfg.poisson_enabled)
+        records.append(CountRecord(times, float(expected[k]), photons * float(overlaps[k])))
+    return records
+
+
 def qubit_count_set(
     rho_in: DensityMatrix,
     params: DynamicsParams,
@@ -82,8 +95,8 @@ def qubit_count_set(
     """Count records for a single qubit over the measurement schedule.
 
     ``jittered_mats`` / ``ideal_mats`` accept precomputed operator stacks so
-    sweeps do not redo the convolution per state; unless both are given,
-    both are computed here.
+    sweeps do not recompute them per state; unless both are given, both are
+    computed here.
     """
     if rho_in.dim != 2:
         raise ValueError("qubit count sets need a 2x2 input state")
@@ -91,15 +104,8 @@ def qubit_count_set(
         schedule = ic_povm_schedule()
     if jittered_mats is None or ideal_mats is None:
         ideal_mats, jittered_mats = arm_operator_stacks(params, jitter, schedule.instants)
-    rho = rho_in.matrix
-    records = []
-    for k, t in enumerate(schedule.instants):
-        rng = counting_rng(cfg.seed, state_index, k)
-        photons = poisson_draw(cfg.mean_photons, rng, cfg.poisson_enabled)
-        measured = photons * float(np.real(np.trace(jittered_mats[k] @ rho)))
-        expected = cfg.mean_photons * float(np.real(np.trace(ideal_mats[k] @ rho)))
-        records.append(CountRecord(times=(t,), expected=expected, measured=measured))
-    return records
+    settings = [(t,) for t in schedule.instants]
+    return _count_records(settings, jittered_mats, ideal_mats, rho_in, cfg, state_index)
 
 
 def coincidence_count_set(
@@ -124,19 +130,9 @@ def coincidence_count_set(
         schedule = ic_povm_schedule()
     if jittered_mats is None or ideal_mats is None:
         ideal_mats, jittered_mats = arm_operator_stacks(params, jitter, schedule.instants)
-    rho = rho_in.matrix
-    records = []
-    setting = 0
-    for i, t_first in enumerate(schedule.instants):
-        for j, t_second in enumerate(schedule.instants):
-            rng = counting_rng(cfg.seed, state_index, setting)
-            photons = poisson_draw(cfg.mean_photons, rng, cfg.poisson_enabled)
-            pair_smeared = np.kron(jittered_mats[i], jittered_mats[j])
-            pair_ideal = np.kron(ideal_mats[i], ideal_mats[j])
-            measured = photons * float(np.real(np.trace(pair_smeared @ rho)))
-            expected = cfg.mean_photons * float(np.real(np.trace(pair_ideal @ rho)))
-            records.append(
-                CountRecord(times=(t_first, t_second), expected=expected, measured=measured)
-            )
-            setting += 1
-    return records
+    instants = schedule.instants
+    settings = [(a, b) for a in instants for b in instants]
+    first, second = np.divmod(np.arange(len(settings)), len(instants))
+    smeared = kron_pairs(jittered_mats[first], jittered_mats[second])
+    ideal = kron_pairs(ideal_mats[first], ideal_mats[second])
+    return _count_records(settings, smeared, ideal, rho_in, cfg, state_index)

@@ -43,7 +43,7 @@ def evolution_unitaries(params: DynamicsParams, times) -> np.ndarray:
     """Evolution unitaries at many instants at once.
 
     Returns an array of shape ``times.shape + (2, 2)``.  Negative times are
-    legitimate inputs: the jitter convolution integrates through them.
+    legitimate inputs.
     """
     times = np.asarray(times, dtype=float)
     require_finite(times, "times")
@@ -59,3 +59,23 @@ def evolution_unitaries(params: DynamicsParams, times) -> np.ndarray:
     u[..., 1, 1] = np.conj(z1) * c * np.conj(z3)
     return u
 
+
+# Each rotation factor is a sum over the eigenprojectors (I + a sigma) / 2 of
+# its Pauli matrix, Z(w t) = sum_a exp(-i a w t / 2) (I + a sigma_z) / 2 and
+# likewise Y(w t) with sigma_y, so U(t) expands over the sign triples (a, b, c).
+_SIGNS = np.array([(a, b, c) for a in (1.0, -1.0) for b in (1.0, -1.0) for c in (1.0, -1.0)])
+_Z, _Y = np.diag([1.0, -1.0]), np.array([[0.0, -1j], [1j, 0.0]])
+_SPECTRAL_MATRICES = np.array(
+    [(np.eye(2) + a * _Z) @ (np.eye(2) + b * _Y) @ (np.eye(2) + c * _Z) / 8.0 for a, b, c in _SIGNS]
+)
+_SPECTRAL_MATRICES.flags.writeable = False
+
+
+def evolution_spectrum(params: DynamicsParams) -> tuple[np.ndarray, np.ndarray]:
+    """Spectral form of the evolution, U(t) = sum_s exp(-i h_s t) A_s.
+
+    Returns the 8 half-frequencies h_s = (a w1 + b w2 + c w3) / 2 over the
+    sign triples (a, b, c) and the 8 constant matrices A_s = P^z_a P^y_b P^z_c,
+    products of the factors' eigenprojectors; shapes (8,) and (8, 2, 2).
+    """
+    return 0.5 * (_SIGNS @ np.array(params.angular_frequencies)), _SPECTRAL_MATRICES

@@ -31,7 +31,7 @@ import numpy as np
 from .core import DensityMatrix
 from .counts import CountRecord
 from .dynamics import DynamicsParams
-from .measurement import evolved_matrices, polarization_projector
+from .measurement import evolved_matrices, kron_pairs, polarization_projector
 
 # Weight of the maximally mixed state in the warm start.  The projected
 # linear inversion is often rank-deficient, and where a model count nears
@@ -85,8 +85,7 @@ def model_operator_stack(records: list[CountRecord], dynamics: DynamicsParams | 
         index = {t: k for k, t in enumerate(unique)}
         first = singles[[index[r.times[0]] for r in records]]
         second = singles[[index[r.times[1]] for r in records]]
-        # batched Kronecker product: (a kron b)[2i + k, 2j + l] = a[i, j] b[k, l]
-        return (first[:, :, None, :, None] * second[:, None, :, None, :]).reshape(len(records), 4, 4)
+        return kron_pairs(first, second)
     raise ValueError("records mix single-qubit and pair settings")
 
 

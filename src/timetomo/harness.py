@@ -21,7 +21,6 @@ from pathlib import Path
 from typing import Callable
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .counts import (
@@ -37,6 +36,7 @@ from .measurement import (
     JitterModel,
     arm_operator_stacks,
     bloch_trajectory,
+    evolved_matrices,
     ic_povm_schedule,
     polarization_projector,
 )
@@ -65,6 +65,10 @@ TRAJECTORY_HEADER = "t_over_T,x,y,z,purity"
 
 # Fraction of non-converged estimates above which a cell gets flagged.
 CONVERGENCE_WARN_FRACTION = 0.1
+
+# Singular values of the six sharp operators (entries at most 1) below this
+# count as zero; a true rank loss leaves about 1e-15.
+_COMPLETENESS_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -110,11 +114,18 @@ class ExperimentConfig:
             raise ValueError(
                 "sample.n_phi must be even for mode qubit-orthogonal-pairs so antipodes stay on the grid"
             )
-        DynamicsParams(*self.periods)  # validates
         object.__setattr__(self, "sigma_list", sigmas)
         object.__setattr__(self, "photon_list", photons)
         object.__setattr__(self, "sample", sample)
         object.__setattr__(self, "periods", tuple(float(p) for p in self.periods))
+        # the fits invert the six sharp operators, so they must span the 2x2 Hermitian matrices
+        sharp = evolved_matrices(polarization_projector("H"), self.dynamics, ic_povm_schedule().instants)
+        rank = np.linalg.matrix_rank(sharp.reshape(-1, 4), tol=_COMPLETENESS_TOL)
+        if rank < 4:
+            raise ValueError(
+                f"periods {self.periods} leave the six measurement operators "
+                f"informationally incomplete (rank {rank} of 4)"
+            )
 
     @property
     def dynamics(self) -> DynamicsParams:
@@ -511,7 +522,6 @@ def run_manifest(command: str, cfg) -> dict:
             "timetomo": __version__,
             "python": platform.python_version(),
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
         },
     }
 

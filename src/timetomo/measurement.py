@@ -4,9 +4,10 @@ A fixed polarization projector M0, watched from the rotating frame of the
 qubit evolution, becomes a time-dependent operator M(t) = U(t)^dag M0 U(t).
 Sampling M(t) at six chosen instants yields an informationally complete set
 equivalent to the usual six-state polarization scheme.  Finite detector
-timing resolution smears M(t) with a Gaussian kernel in time; the smeared
-operator is what the simulated counts are drawn from, while reconstruction
-keeps using the sharp ideal operators.
+timing resolution smears M(t) with a Gaussian kernel in time, which damps
+each harmonic of M(t) by a closed-form factor; the smeared operator is what
+the simulated counts are drawn from, while reconstruction keeps using the
+sharp ideal operators.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .core import (
     hermiticity_defect,
     require_square,
 )
-from .dynamics import DynamicsParams, evolution_unitaries
+from .dynamics import DynamicsParams, evolution_spectrum
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -86,74 +87,62 @@ def ic_povm_schedule() -> MeasurementSchedule:
 
 @dataclass(frozen=True)
 class JitterModel:
-    """Gaussian timing-jitter kernel plus its quadrature discretisation.
+    """Gaussian timing jitter of width ``sigma``, in base-period units.
 
-    The kernel exp(-t^2 / 2 sigma^2) / sqrt(2 pi sigma^2) is truncated to
-    ``t +- window_halfwidth`` and sampled with ``quadrature_step`` spacing
-    for trapezoid integration.  Defaults (6 sigma window, sigma/20 step)
-    keep the truncated mass within 1e-6 of unity and the quadrature error
-    far below the tolerances used anywhere in the package.
+    Convolving with the kernel exp(-t^2 / 2 sigma^2) / sqrt(2 pi sigma^2)
+    multiplies each harmonic exp(i Omega t) by exp(-sigma^2 Omega^2 / 2).
     """
 
     sigma: float
-    window_halfwidth: float | None = None
-    quadrature_step: float | None = None
 
     def __post_init__(self):
         if not (math.isfinite(self.sigma) and self.sigma >= 0):
             raise ValueError(f"sigma must be nonnegative and finite, got {self.sigma}")
-        if self.sigma == 0:
-            return
-        if self.window_halfwidth is None:
-            object.__setattr__(self, "window_halfwidth", 6.0 * self.sigma)
-        if self.quadrature_step is None:
-            object.__setattr__(self, "quadrature_step", self.sigma / 20.0)
-        if self.window_halfwidth <= 0 or self.quadrature_step <= 0:
-            raise ValueError("window and step must be positive")
-        mass = self.kernel_mass()
-        if abs(mass - 1.0) > 1e-6:
-            raise ValueError(
-                f"truncated kernel mass {mass:.8f} deviates from 1 by more than 1e-6; "
-                "widen the window"
-            )
-
-    def kernel_mass(self) -> float:
-        """Trapezoid integral of the truncated Gaussian kernel."""
-        offsets, values = self._raw_kernel()
-        return float(np.trapezoid(values, dx=(offsets[1] - offsets[0]) / self.sigma))
-
-    def _raw_kernel(self):
-        """Offsets and the kernel there, as a density in offset / sigma.
-
-        Working in units of sigma keeps every intermediate finite for any
-        normal float width; 1 / sigma overflows near the smallest ones.
-        """
-        n = max(1, int(round(self.window_halfwidth / self.quadrature_step)))
-        offsets = np.arange(-n, n + 1) * self.quadrature_step
-        return offsets, np.exp(-0.5 * (offsets / self.sigma) ** 2) / math.sqrt(2.0 * math.pi)
-
-    def kernel_weights(self):
-        """Quadrature offsets and trapezoid weights normalised to sum to 1.
-
-        Normalising the discrete weights makes the smeared operator an exact
-        convex combination of evolved operators, so trace and positivity are
-        preserved to machine precision.
-        """
-        offsets, values = self._raw_kernel()
-        weights = values.copy()
-        weights[0] *= 0.5
-        weights[-1] *= 0.5
-        weights /= weights.sum()
-        return offsets, weights
 
 
-def evolved_matrices(m0, params: DynamicsParams, times) -> np.ndarray:
-    """U(t)^dag M0 U(t) for an array of instants; shape (len(times), 2, 2)."""
+def jittered_matrices(m0, params: DynamicsParams, jitter: JitterModel, times) -> np.ndarray:
+    """Gaussian-smeared operators at many instants; shape (len(times), 2, 2).
+
+    With U(t) = sum_s exp(-i h_s t) A_s (``evolution_spectrum``), the evolved
+    operator is a sum of harmonics,
+
+        M(t) = sum_{s, s'} exp(i Omega t) A_s^dag M0 A_s',   Omega = h_s - h_s',
+
+    and the jitter kernel damps each by exp(-sigma^2 Omega^2 / 2), exactly.
+    """
     m0 = _require_psd_operator(m0, "seed operator")
     if m0.shape[0] != 2:
         raise ValueError("time evolution is defined for 2x2 seed operators")
-    u = evolution_unitaries(params, np.asarray(times, dtype=float))
-    return np.einsum("tji,jk,tkl->til", u.conj(), m0, u)
+    times = np.asarray(times, dtype=float).ravel()
+    if not np.isfinite(times).all():
+        raise ValueError("times contains non-finite entries")
+    rates, mats = evolution_spectrum(params)
+    # terms[s, s'] = A_s^dag M0 A_s', from one (16, 2) @ (2, 16) product
+    left = (np.swapaxes(mats.conj(), 1, 2) @ m0).reshape(-1, 2)
+    terms = (left @ np.swapaxes(mats, 0, 1).reshape(2, -1)).reshape(8, 2, 8, 2).swapaxes(1, 2)
+    damping = np.exp(-0.5 * (jitter.sigma * np.subtract.outer(rates, rates)) ** 2)
+    phases = np.exp(-1j * np.multiply.outer(times, rates))
+    harmonics = (phases.conj()[:, :, None] * phases[:, None, :]).reshape(times.size, -1)
+    # einsum rather than a BLAS product: BLAS worker threads left spinning
+    # after a long product slow the single-threaded work that follows
+    stack = np.einsum("tk,kij->tij", harmonics, (damping[:, :, None, None] * terms).reshape(-1, 2, 2))
+    # the (s, s') and (s', s) terms are each other's adjoints; symmetrise
+    # away the rounding that the summation order leaves
+    return 0.5 * (stack + np.conj(np.swapaxes(stack, -1, -2)))
+
+
+def evolved_matrices(m0, params: DynamicsParams, times) -> np.ndarray:
+    """U(t)^dag M0 U(t) for an array of instants; shape (len(times), 2, 2).
+
+    The sharp operators are the smeared ones at zero width.
+    """
+    return jittered_matrices(m0, params, JitterModel(0.0), times)
+
+
+def kron_pairs(first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """Batched Kronecker product of 2x2 stacks: entry k is first[k] kron second[k]."""
+    # (a kron b)[2i + k, 2j + l] = a[i, j] b[k, l]
+    return (first[:, :, None, :, None] * second[:, None, :, None, :]).reshape(len(first), 4, 4)
 
 
 def horizontal_closed_form(t: float) -> np.ndarray:
@@ -172,21 +161,6 @@ def horizontal_closed_form(t: float) -> np.ndarray:
     )
 
 
-def jittered_matrices(m0, params: DynamicsParams, jitter: JitterModel, times) -> np.ndarray:
-    """Gaussian-smeared operators at many instants; shape (len(times), 2, 2)."""
-    times = np.asarray(times, dtype=float)
-    if jitter.sigma == 0:
-        return evolved_matrices(m0, params, times)
-    offsets, weights = jitter.kernel_weights()
-    taus = times[:, None] + offsets[None, :]
-    stack = evolved_matrices(m0, params, taus.ravel())
-    stack = stack.reshape(times.size, offsets.size, 2, 2)
-    smeared = np.einsum("k,nkij->nij", weights, stack)
-    # Convex combination of Hermitian PSD matrices; symmetrise away the
-    # last few ulps so downstream validation never trips.
-    return 0.5 * (smeared + np.conj(np.swapaxes(smeared, -1, -2)))
-
-
 def arm_operator_stacks(params: DynamicsParams, jitter: JitterModel, times):
     """Sharp and smeared H-projector stacks of one detector arm at ``times``.
 
@@ -195,7 +169,6 @@ def arm_operator_stacks(params: DynamicsParams, jitter: JitterModel, times):
     coincidence setting tensors two entries of the same arm stack.
     """
     proj = polarization_projector("H")
-    times = np.asarray(times, dtype=float)
     return evolved_matrices(proj, params, times), jittered_matrices(proj, params, jitter, times)
 
 

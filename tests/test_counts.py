@@ -187,14 +187,18 @@ def test_coincidence_setting_streams_match_flat_index():
     rho = bell_state(BellParams(1.0))
     cfg = NoiseConfig(mean_photons=500.0, seed=7)
     records = coincidence_count_set(rho, PARAMS, JitterModel(0.1), cfg, state_index=2)
-    # rebuild setting 10 by hand from its own rng stream
-    from timetomo.measurement import jittered_matrices
+    # rebuild every setting by hand, each from its own rng stream
+    from timetomo.measurement import evolved_matrices, jittered_matrices
 
     times = np.asarray(ic_povm_schedule().instants)
-    smeared = jittered_matrices(
-        polarization_projector("H"), PARAMS, JitterModel(0.1), times
-    )
-    i, j = divmod(10, 6)
-    photons = counting_rng(7, 2, 10).poisson(500.0)
-    overlap = np.real(np.trace(np.kron(smeared[i], smeared[j]) @ rho.matrix))
-    assert records[10].measured == pytest.approx(float(photons) * float(overlap))
+    proj = polarization_projector("H")
+    smeared = jittered_matrices(proj, PARAMS, JitterModel(0.1), times)
+    ideal = evolved_matrices(proj, PARAMS, times)
+    for k, record in enumerate(records):
+        i, j = divmod(k, 6)
+        photons = counting_rng(7, 2, k).poisson(500.0)
+        overlap = np.real(np.trace(np.kron(smeared[i], smeared[j]) @ rho.matrix))
+        expected = 500.0 * np.real(np.trace(np.kron(ideal[i], ideal[j]) @ rho.matrix))
+        assert record.times == (times[i], times[j])
+        assert record.measured == pytest.approx(float(photons) * float(overlap), rel=1e-12, abs=1e-12)
+        assert record.expected == pytest.approx(float(expected), rel=1e-12, abs=1e-12)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from timetomo.core import max_abs
-from timetomo.dynamics import DynamicsParams, evolution_unitaries
+from timetomo.dynamics import DynamicsParams, evolution_spectrum, evolution_unitaries
 
 
 def test_params_require_positive_periods():
@@ -65,3 +65,19 @@ def test_composition_structure_against_direct_product():
         y = np.array([[c, -s], [s, c]])
         z3 = np.diag([np.exp(-0.5j * w3 * t), np.exp(0.5j * w3 * t)])
         assert max_abs(evolution_unitaries(params, t) - z1 @ y @ z3) < 1e-13
+
+
+def test_spectral_form_reproduces_the_unitaries():
+    # U(t) = sum_s exp(-i h_s t) A_s, with the A_s summing to U(0) = I
+    for periods in ((4.0, 1.0, 2.0), (3.7, 1.3, 2.9)):
+        params = DynamicsParams(*periods)
+        rates, mats = evolution_spectrum(params)
+        assert rates.shape == (8,) and mats.shape == (8, 2, 2)
+        assert max_abs(mats.sum(axis=0) - np.eye(2)) < 1e-15
+        w1, w2, w3 = params.angular_frequencies
+        assert sorted(rates) == pytest.approx(
+            sorted(0.5 * (a * w1 + b * w2 + c * w3) for a in (1, -1) for b in (1, -1) for c in (1, -1))
+        )
+        times = np.linspace(-2.0, 3.0, 61)
+        expansion = np.einsum("ts,sij->tij", np.exp(-1j * np.multiply.outer(times, rates)), mats)
+        assert max_abs(expansion - evolution_unitaries(params, times)) < 1e-14

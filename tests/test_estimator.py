@@ -250,8 +250,7 @@ _BELL = st.builds(BellParams, st.floats(0.0, 2.0 * math.pi, exclude_max=True))
 @settings(max_examples=40, deadline=None)
 @given(
     params=st.one_of(_BLOCH, _BELL),
-    # JitterModel rejects the smallest subnormal widths: their quadrature step sigma/20 is 0
-    sigma=st.floats(0.0, 0.3, allow_subnormal=False),
+    sigma=st.floats(0.0, 0.3),
     n=st.sampled_from([10.0, 1000.0]),
     seed=st.integers(0, 2**32 - 1),
 )

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -49,6 +50,17 @@ def test_experiment_config_validation():
             photon_list=(10.0,),
             sample=SampleSizes(n_states=0),
         )
+
+
+def test_config_rejects_informationally_incomplete_periods():
+    # the six instants span the 2x2 Hermitian matrices only for some periods:
+    # rank 2 at (4, 0.5, 2) and rank 3 at (1, 1, 1)
+    doc = {"mode": "qubit-pure", "sigma_list": [0.0], "photon_list": [1000]}
+    for periods, rank in (((4.0, 0.5, 2.0), 2), ((1.0, 1.0, 1.0), 3)):
+        with pytest.raises(ValueError, match=re.escape(f"periods {periods}") + f".*rank {rank} of 4"):
+            load_config({**doc, "periods": list(periods)})
+    for periods in ((4.0, 1.0, 2.0), (3.7, 1.3, 2.9)):
+        assert load_config({**doc, "periods": list(periods)}).periods == periods
 
 
 def test_orthogonal_pairs_reject_odd_n_phi():
@@ -247,7 +259,7 @@ def test_write_csv_and_manifest(tmp_path):
     manifest = run_manifest("qubit-sweep", cfg)
     assert manifest["command"] == "qubit-sweep"
     assert manifest["config"]["mode"] == "qubit-pure"
-    assert set(manifest["versions"]) == {"timetomo", "python", "numpy", "scipy"}
+    assert set(manifest["versions"]) == {"timetomo", "python", "numpy"}
     out = write_manifest(tmp_path / "manifest.json", manifest)
     assert json.loads(out.read_text())["config"]["photon_list"] == [100.0]
 
