@@ -6,7 +6,6 @@ __version__ = "0.1.0"
 
 from .core import (
     DensityMatrix,
-    hermitian_eigensystem,
     max_abs,
     psd_sqrt,
 )

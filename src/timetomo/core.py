@@ -42,51 +42,60 @@ def require_square(m, name: str = "matrix") -> np.ndarray:
 
 
 def hermiticity_defect(m: np.ndarray) -> float:
-    """max |M - M^dag| over entries."""
+    """max |M - M^dag| over entries, of every matrix in a stack."""
     m = np.asarray(m)
-    return max_abs(m - m.conj().T)
-
-
-def hermitian_eigensystem(m, atol: float = EIG_HERMITIAN_ATOL):
-    """Eigenvalues and eigenvectors of a Hermitian matrix.
-
-    Parameters
-    ----------
-    m : array_like
-        Square matrix, Hermitian within ``atol``.
-    atol : float
-        Largest tolerated entry of ``m - m^dag``.
-
-    Returns
-    -------
-    (values, vectors)
-        ``values`` sorted descending; ``vectors[:, k]`` is the unit
-        eigenvector belonging to ``values[k]``.
-    """
-    m = require_square(m)
-    defect = hermiticity_defect(m)
-    if defect > atol:
-        raise ValueError(
-            f"matrix is not Hermitian: max |M - M^dag| = {defect:.3e} > {atol:.1e}"
-        )
-    # Symmetrise first so the result is insensitive to defects below atol.
-    values, vectors = np.linalg.eigh(0.5 * (m + m.conj().T))
-    return values[::-1].copy(), vectors[:, ::-1].copy()
+    return max_abs(m - np.conj(np.swapaxes(m, -1, -2)))
 
 
 def psd_sqrt(m, reject_tol: float = PSD_REJECT_TOL) -> np.ndarray:
-    """Principal square root of a positive-semidefinite Hermitian matrix.
+    """Principal square root of a positive-semidefinite Hermitian matrix, or of each in a stack.
 
-    Eigenvalues in ``(-reject_tol, 0)`` are treated as rounding debris and
-    clamped to zero; anything below ``-reject_tol`` raises ``ValueError``.
+    The input must be Hermitian within ``EIG_HERMITIAN_ATOL``.  Eigenvalues
+    in ``(-reject_tol, 0)`` are treated as rounding debris and clamped to
+    zero; anything below ``-reject_tol`` raises ``ValueError``.
     """
-    values, vectors = hermitian_eigensystem(m)
+    m = require_finite(m)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise ValueError(f"matrix must be square, got shape {m.shape}")
+    defect = hermiticity_defect(m)
+    if defect > EIG_HERMITIAN_ATOL:
+        raise ValueError(f"matrix is not Hermitian: max |M - M^dag| = {defect:.3e}")
+    # symmetrise first so the result is insensitive to defects below the tolerance
+    values, vectors = np.linalg.eigh(0.5 * (m + np.conj(np.swapaxes(m, -1, -2))))
     if values.min() < -reject_tol:
-        raise ValueError(
-            f"matrix is not positive semidefinite: min eigenvalue {values.min():.3e}"
-        )
-    values = np.clip(values, 0.0, None)
-    return (vectors * np.sqrt(values)) @ vectors.conj().T
+        raise ValueError(f"matrix is not positive semidefinite: min eigenvalue {values.min():.3e}")
+    roots = np.sqrt(np.clip(values, 0.0, None))[..., None, :]
+    return (vectors * roots) @ np.conj(np.swapaxes(vectors, -1, -2))
+
+
+class StateError(Exception):
+    """Entry ``index`` of a state batch failed; the chained cause says how."""
+
+    def __init__(self, index: int):
+        super().__init__(index)
+        self.index = index
+
+
+def first_unphysical(stack, name: str = "density matrix") -> tuple[int, str] | None:
+    """Index and defect of the first entry of a (B, d, d) stack that is not
+    finite, Hermitian, unit-trace and PSD within the module tolerances, or None."""
+    stack = np.asarray(stack)
+    finite = np.isfinite(stack).all(axis=(1, 2))
+    stack = np.where(finite[:, None, None], stack, 0.0)
+    adjoint = np.conj(np.swapaxes(stack, 1, 2))
+    defect = np.abs(stack - adjoint).max(axis=(1, 2))
+    trace_err = np.abs(np.einsum("bii->b", stack) - 1.0)
+    smallest = np.linalg.eigvalsh(0.5 * (stack + adjoint))[:, 0]
+    bad = ~finite | (defect > HERMITIAN_ATOL) | (trace_err > TRACE_ATOL) | (smallest < PSD_FLOOR)
+    for i in np.flatnonzero(bad)[:1]:
+        if not finite[i]:
+            return int(i), f"{name} contains non-finite entries"
+        if defect[i] > HERMITIAN_ATOL:
+            return int(i), f"{name} not Hermitian: defect {defect[i]:.3e}"
+        if trace_err[i] > TRACE_ATOL:
+            return int(i), f"{name} trace off by {trace_err[i]:.3e}"
+        return int(i), f"{name} has negative eigenvalue {smallest[i]:.3e}"
+    return None
 
 
 @dataclass(frozen=True)
@@ -103,15 +112,9 @@ class DensityMatrix:
         m = require_square(self.matrix, "density matrix")
         if m.shape[0] not in (2, 4):
             raise ValueError(f"only dimensions 2 and 4 are supported, got {m.shape[0]}")
-        defect = hermiticity_defect(m)
-        if defect > HERMITIAN_ATOL:
-            raise ValueError(f"density matrix not Hermitian: defect {defect:.3e}")
-        trace_err = abs(m.trace() - 1.0)
-        if trace_err > TRACE_ATOL:
-            raise ValueError(f"density matrix trace off by {trace_err:.3e}")
-        smallest = np.linalg.eigvalsh(0.5 * (m + m.conj().T)).min()
-        if smallest < PSD_FLOOR:
-            raise ValueError(f"density matrix has negative eigenvalue {smallest:.3e}")
+        problem = first_unphysical(m[None])
+        if problem is not None:
+            raise ValueError(problem[1])
         m = m.copy()
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)

@@ -17,13 +17,7 @@ import numpy as np
 
 from .core import DensityMatrix
 from .dynamics import DynamicsParams
-from .measurement import (
-    JitterModel,
-    MeasurementSchedule,
-    arm_operator_stacks,
-    ic_povm_schedule,
-    kron_pairs,
-)
+from .measurement import JitterModel, MeasurementSchedule, ic_povm_schedule, setting_operators
 
 MAX_SEED = 2**64 - 1
 
@@ -70,16 +64,32 @@ def poisson_draw(mean_photons: float, rng: np.random.Generator, enabled: bool = 
     return float(rng.poisson(mean_photons))
 
 
-def _count_records(settings, smeared, ideal, rho_in: DensityMatrix, cfg: NoiseConfig, state_index: int):
-    """One record per setting: counts drawn from ``smeared``, booked against ``ideal``."""
-    # tr(M rho) for a whole operator stack at once
-    overlaps = np.einsum("kij,ji->k", smeared, rho_in.matrix).real
-    expected = cfg.mean_photons * np.einsum("kij,ji->k", ideal, rho_in.matrix).real
-    records = []
-    for k, times in enumerate(settings):
-        photons = poisson_draw(cfg.mean_photons, counting_rng(cfg.seed, state_index, k), cfg.poisson_enabled)
-        records.append(CountRecord(times, float(expected[k]), photons * float(overlaps[k])))
-    return records
+def count_rows(states: np.ndarray, sharp: np.ndarray, smeared: np.ndarray, cfg: NoiseConfig, first_index=0):
+    """Expected and measured counts of a batch of states, each of shape (B, K).
+
+    ``states`` is (B, d, d) and the operator stacks are (K, d, d), one entry
+    per setting.  Counts are drawn from ``smeared`` and booked against
+    ``sharp``.  Batch entry b is sample state ``first_index + b`` and takes
+    its photon numbers from that state's own per-setting streams, so a
+    sample gives the same counts whether it is counted whole or in any split.
+    """
+    expected, measured = [], []
+    for index, rho in enumerate(states, first_index):
+        # tr(M rho) for a whole stack, one state at a time: a batched einsum
+        # would sum in an order that depends on the batch size
+        overlaps = np.einsum("kij,ji->k", smeared, rho).real
+        expected.append(cfg.mean_photons * np.einsum("kij,ji->k", sharp, rho).real)
+        rngs = [counting_rng(cfg.seed, index, k) for k in range(len(smeared))]
+        photons = [poisson_draw(cfg.mean_photons, rng, cfg.poisson_enabled) for rng in rngs]
+        measured.append(np.array(photons) * overlaps)
+    return np.array(expected), np.array(measured)
+
+
+def _count_set(rho_in: DensityMatrix, params, jitter, cfg, state_index, schedule) -> list[CountRecord]:
+    instants = (schedule if schedule is not None else ic_povm_schedule()).instants
+    settings, sharp, smeared = setting_operators(params, jitter, instants, rho_in.dim)
+    expected, measured = count_rows(rho_in.matrix[None], sharp, smeared, cfg, state_index)
+    return [CountRecord(times, float(e), float(m)) for times, e, m in zip(settings, expected[0], measured[0])]
 
 
 def qubit_count_set(
@@ -89,23 +99,11 @@ def qubit_count_set(
     cfg: NoiseConfig,
     state_index: int = 0,
     schedule: MeasurementSchedule | None = None,
-    jittered_mats: np.ndarray | None = None,
-    ideal_mats: np.ndarray | None = None,
 ) -> list[CountRecord]:
-    """Count records for a single qubit over the measurement schedule.
-
-    ``jittered_mats`` / ``ideal_mats`` accept precomputed operator stacks so
-    sweeps do not recompute them per state; unless both are given, both are
-    computed here.
-    """
+    """Count records for a single qubit over the measurement schedule."""
     if rho_in.dim != 2:
         raise ValueError("qubit count sets need a 2x2 input state")
-    if schedule is None:
-        schedule = ic_povm_schedule()
-    if jittered_mats is None or ideal_mats is None:
-        ideal_mats, jittered_mats = arm_operator_stacks(params, jitter, schedule.instants)
-    settings = [(t,) for t in schedule.instants]
-    return _count_records(settings, jittered_mats, ideal_mats, rho_in, cfg, state_index)
+    return _count_set(rho_in, params, jitter, cfg, state_index, schedule)
 
 
 def coincidence_count_set(
@@ -115,8 +113,6 @@ def coincidence_count_set(
     cfg: NoiseConfig,
     state_index: int = 0,
     schedule: MeasurementSchedule | None = None,
-    jittered_mats: np.ndarray | None = None,
-    ideal_mats: np.ndarray | None = None,
 ) -> list[CountRecord]:
     """Coincidence records for a photon pair over all instant pairs.
 
@@ -126,13 +122,4 @@ def coincidence_count_set(
     """
     if rho_in.dim != 4:
         raise ValueError("coincidence count sets need a 4x4 input state")
-    if schedule is None:
-        schedule = ic_povm_schedule()
-    if jittered_mats is None or ideal_mats is None:
-        ideal_mats, jittered_mats = arm_operator_stacks(params, jitter, schedule.instants)
-    instants = schedule.instants
-    settings = [(a, b) for a in instants for b in instants]
-    first, second = np.divmod(np.arange(len(settings)), len(instants))
-    smeared = kron_pairs(jittered_mats[first], jittered_mats[second])
-    ideal = kron_pairs(ideal_mats[first], ideal_mats[second])
-    return _count_records(settings, smeared, ideal, rho_in, cfg, state_index)
+    return _count_set(rho_in, params, jitter, cfg, state_index, schedule)

@@ -18,17 +18,19 @@ inversion projected onto the density matrices (Smolin, Gambetta & Smith,
 PRL 108, 070502 (2012)), then accelerated projected gradient (Shang, Zhang
 & Ng, PRA 95, 062336 (2017)).  Convexity also bounds the distance to the
 minimum: f(rho) - min f <= tr(R rho) - lambda_min(R), the Frank-Wolfe gap,
-which is what ``converged`` certifies.
+which is what ``converged`` certifies.  ``estimate_states`` fits a whole
+batch of states at once, each step acting on (B, d, d) stacks (Bolduc, Knee,
+Gauger & Leach, npj Quantum Inf. 3, 44 (2017)).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .core import DensityMatrix
+from .core import DensityMatrix, StateError, first_unphysical
 from .counts import CountRecord
 from .dynamics import DynamicsParams
 from .measurement import evolved_matrices, kron_pairs, polarization_projector
@@ -70,121 +72,159 @@ class EstimateResult:
     iterations: int
 
 
+class StateEstimates(NamedTuple):
+    """Estimates of a batch of states; entry b is fitted to count row b."""
+
+    rho: np.ndarray  # (B, d, d)
+    objective: np.ndarray  # (B,)
+    converged: np.ndarray  # (B,) bool
+    iterations: np.ndarray  # (B,) trial steps
+
+
 def model_operator_stack(records: list[CountRecord], dynamics: DynamicsParams | None = None) -> np.ndarray:
     """Sharp ideal operators matching the record settings, stacked (K, d, d)."""
     if not records:
         raise ValueError("empty record set")
+    if len({len(r.times) for r in records}) > 1:
+        raise ValueError("records mix single-qubit and pair settings")
     dynamics = dynamics if dynamics is not None else DynamicsParams()
-    arities = {len(r.times) for r in records}
-    if arities == {1}:
-        times = [r.times[0] for r in records]
-        return evolved_matrices(polarization_projector("H"), dynamics, times)
-    if arities == {2}:
-        unique = sorted({t for r in records for t in r.times})
-        singles = evolved_matrices(polarization_projector("H"), dynamics, unique)
-        index = {t: k for k, t in enumerate(unique)}
-        first = singles[[index[r.times[0]] for r in records]]
-        second = singles[[index[r.times[1]] for r in records]]
-        return kron_pairs(first, second)
-    raise ValueError("records mix single-qubit and pair settings")
+    times = np.array([r.times for r in records])
+    arms = [evolved_matrices(polarization_projector("H"), dynamics, column) for column in times.T]
+    return arms[0] if len(arms) == 1 else kron_pairs(*arms)
 
 
 def _objective_from_stack(model_stack, measured, mean_photons, epsilon_floor):
-    """Objective and gradient over Hermitian candidate matrices for one record set.
+    """Objective and gradient of candidates (b, d, d), each scored against the count row ``rows`` picks.
 
-    The returned callable maps rho to (f(rho), R(rho)).  Model counts use
-    tr(M rho) = vec(M^T) . vec(rho), one matrix-vector product per call.
+    Model counts use tr(M rho) = vec(M^T) . vec(rho).  The contractions are
+    einsums, whose sums do not depend on how many candidates share a call.
     """
     count, dim = model_stack.shape[0], model_stack.shape[1]
     flat = model_stack.reshape(count, dim * dim)
     flat_transposed = np.ascontiguousarray(np.swapaxes(model_stack, 1, 2).reshape(count, dim * dim))
-    measured = np.asarray(measured, dtype=float)
     measured_sq = measured * measured
 
-    def evaluate(rho):
-        model = mean_photons * (flat_transposed @ rho.reshape(-1)).real
+    def evaluate(rho, rows):
+        model = mean_photons * np.einsum("kx,bx->bk", flat_transposed, rho.reshape(len(rho), dim * dim)).real
         np.maximum(model, epsilon_floor, out=model)
-        resid = measured - model
-        value = float(np.sum(resid * resid / model))
-        weights = mean_photons * (1.0 - measured_sq / (model * model))
-        return value, (weights @ flat).reshape(dim, dim)
+        resid = measured[rows] - model
+        value = np.sum(resid * resid / model, axis=1)
+        weights = mean_photons * (1.0 - measured_sq[rows] / (model * model))
+        return value, np.einsum("bk,kx->bx", weights, flat).reshape(len(rho), dim, dim)
 
     return evaluate
 
 
 def _project_to_states(h: np.ndarray) -> np.ndarray:
-    """Nearest unit-trace PSD matrix to Hermitian ``h`` in Frobenius norm.
+    """Nearest unit-trace PSD matrices to Hermitian ``h`` (..., d, d) in Frobenius norm.
 
-    Projects the spectrum onto the probability simplex and keeps the
+    Projects each spectrum onto the probability simplex and keeps the
     eigenvectors (Smolin, Gambetta & Smith 2012).
     """
     values, vectors = np.linalg.eigh(h)
-    ordered = values[::-1]
-    shifts = (np.cumsum(ordered) - 1.0) / np.arange(1, values.size + 1)
-    active = np.nonzero(ordered > shifts)[0][-1]
-    values = np.maximum(values - shifts[active], 0.0)
-    rho = (vectors * values) @ vectors.conj().T
-    return 0.5 * (rho + rho.conj().T)
+    dim = values.shape[-1]
+    ordered = values[..., ::-1]
+    shifts = (np.cumsum(ordered, axis=-1) - 1.0) / np.arange(1, dim + 1)
+    # the last index where the sorted spectrum still exceeds its shift
+    active = dim - 1 - np.argmax((ordered > shifts)[..., ::-1], axis=-1)
+    values = np.maximum(values - np.take_along_axis(shifts, active[..., None], axis=-1), 0.0)
+    rho = np.einsum("...ij,...j,...kj->...ik", vectors, values, vectors.conj())
+    return 0.5 * (rho + np.conj(np.swapaxes(rho, -1, -2)))
 
 
-def _gap(rho, grad) -> float:
-    """Frank-Wolfe gap tr(R rho) - lambda_min(R), an upper bound on f(rho) - min f."""
-    return float(np.vdot(grad, rho).real) - float(np.linalg.eigvalsh(grad)[0])
+def _inner(a, b) -> np.ndarray:
+    """Real part of the Frobenius inner products tr(a_b^dag b_b) over a batch."""
+    return np.einsum("bij,bij->b", a.conj(), b).real
 
 
 def _warm_start(model_stack, measured, mean_photons):
-    """Least-squares linear inversion, projected onto the states and mixed."""
+    """Least-squares linear inversion of every count row, projected onto the states and mixed."""
     count, dim = model_stack.shape[0], model_stack.shape[1]
     design = np.swapaxes(model_stack, 1, 2).reshape(count, dim * dim)
-    solution = np.linalg.lstsq(design, np.asarray(measured) / mean_photons, rcond=None)[0]
-    inverted = solution.reshape(dim, dim)
-    rho = _project_to_states(0.5 * (inverted + inverted.conj().T))
+    inverted = np.einsum("xk,bk->bx", np.linalg.pinv(design), measured / mean_photons).reshape(-1, dim, dim)
+    rho = _project_to_states(0.5 * (inverted + np.conj(np.swapaxes(inverted, 1, 2))))
     return (1.0 - _WARM_START_MIX) * rho + (_WARM_START_MIX / dim) * np.eye(dim)
 
 
-def _accelerated_descent(evaluate, rho, cfg: EstimatorConfig, mean_photons: float):
-    """FISTA on the density matrices with backtracking and adaptive restart.
+def _accelerated_descent(evaluate, rho, cfg: EstimatorConfig, mean_photons: float) -> StateEstimates:
+    """FISTA on the density matrices with backtracking and adaptive restart, for a batch.
 
     The step is 1 / L for a curvature estimate L that starts at the photon
     number (f scales with it), shrinks by 10% before each step and doubles
     whenever a trial step fails the sufficient-decrease test.  Every trial
     step, accepted or rejected, counts against ``cfg.max_iterations``.
-    Returns (rho, objective, converged, iterations).
+    Each state keeps its own L, momentum and step count, and every pass
+    takes one trial step for each unfinished state, so each follows the
+    path it would follow alone.  ``stepping`` marks the states that have
+    passed their gap check and are inside their backtracking loop.
     """
-    value, grad = evaluate(rho)
-    ahead, ahead_value, ahead_grad = rho, value, grad
-    momentum = 1.0
-    lipschitz = mean_photons
-    steps = 0
+    batch = len(rho)
+    value, grad = evaluate(rho, np.arange(batch))
+    ahead, ahead_value, ahead_grad = rho.copy(), value.copy(), grad.copy()
+    momentum, lipschitz = np.ones(batch), np.full(batch, float(mean_photons))
+    steps = np.zeros(batch, dtype=int)
+    converged, stepping, finished = (np.zeros(batch, dtype=bool) for _ in range(3))
+
+    def drop_momentum(rows):
+        ahead[rows], ahead_value[rows], ahead_grad[rows] = rho[rows], value[rows], grad[rows]
+        momentum[rows] = 1.0
+
     while True:
-        if _gap(rho, grad) <= cfg.convergence_tol:
-            return rho, value, True, steps
-        lipschitz *= 0.9
-        while steps < cfg.max_iterations:
-            steps += 1
-            trial = _project_to_states(ahead - ahead_grad / lipschitz)
-            trial_value, trial_grad = evaluate(trial)
-            move = trial - ahead
-            bound = ahead_value + float(np.vdot(ahead_grad, move).real)
-            if trial_value <= bound + 0.5 * lipschitz * float(np.vdot(move, move).real):
-                break
-            lipschitz *= 2.0
-        else:
-            return rho, value, False, steps
-        if trial_value > value:
-            # momentum overshot: restart from the incumbent without it
-            ahead, ahead_value, ahead_grad = rho, value, grad
-            momentum = 1.0
-            continue
-        next_momentum = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * momentum * momentum))
-        ahead = trial + ((momentum - 1.0) / next_momentum) * (trial - rho)
-        rho, value, grad = trial, trial_value, trial_grad
-        momentum = next_momentum
-        ahead_value, ahead_grad = evaluate(ahead)
-        if ahead_value > value:
-            # the extrapolated point is already worse: drop the momentum
-            ahead, ahead_value, ahead_grad = rho, value, grad
-            momentum = 1.0
+        head = np.flatnonzero(~stepping & ~finished)
+        # Frank-Wolfe gap tr(R rho) - lambda_min(R), an upper bound on f(rho) - min f
+        done = _inner(grad[head], rho[head]) - np.linalg.eigvalsh(grad[head])[:, 0] <= cfg.convergence_tol
+        converged[head[done]] = finished[head[done]] = True
+        lipschitz[head[~done]] *= 0.9
+        stepping[head[~done]] = True
+        spent = stepping & (steps >= cfg.max_iterations)
+        finished |= spent
+        stepping &= ~spent
+        live = np.flatnonzero(stepping)
+        if not live.size:
+            return StateEstimates(rho, value, converged, steps)
+        steps[live] += 1
+        trial = _project_to_states(ahead[live] - ahead_grad[live] / lipschitz[live, None, None])
+        trial_value, trial_grad = evaluate(trial, live)
+        move = trial - ahead[live]
+        bound = ahead_value[live] + _inner(ahead_grad[live], move)
+        accepted = trial_value <= bound + 0.5 * lipschitz[live] * _inner(move, move)
+        lipschitz[live[~accepted]] *= 2.0
+        stepping[live[accepted]] = False
+        # momentum overshot: restart from the incumbent without it
+        drop_momentum(live[accepted & (trial_value > value[live])])
+        moved = accepted & (trial_value <= value[live])
+        live, trial, trial_value, trial_grad = (a[moved] for a in (live, trial, trial_value, trial_grad))
+        next_momentum = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * momentum[live] * momentum[live]))
+        ahead[live] = trial + ((momentum[live] - 1.0) / next_momentum)[:, None, None] * (trial - rho[live])
+        rho[live], value[live], grad[live], momentum[live] = trial, trial_value, trial_grad, next_momentum
+        ahead_value[live], ahead_grad[live] = evaluate(ahead[live], live)
+        # the extrapolated point is already worse: drop the momentum
+        drop_momentum(live[ahead_value[live] > value[live]])
+
+
+def estimate_states(stack, measured, mean_photons: float, cfg: EstimatorConfig) -> StateEstimates:
+    """Reconstruct a batch of states from their count rows, ``measured`` (B, K).
+
+    ``stack`` holds the sharp operators of the K settings, (K, d, d).  Linear
+    inversion gives the warm starts, accelerated projected gradient refines
+    them, and an estimate is ``converged`` when its Frank-Wolfe gap is at
+    most ``cfg.convergence_tol``.  Entry b depends on row b alone, so a batch
+    may be fitted whole or in any split.  A non-finite count row or a
+    non-physical estimate raises ``StateError`` naming its row, chained to
+    the error that describes it.
+    """
+    if mean_photons <= 0:
+        raise ValueError("mean_photons must be positive")
+    measured = np.asarray(measured, dtype=float)
+    bad = np.flatnonzero(~np.isfinite(measured).all(axis=1))
+    if bad.size:
+        raise StateError(int(bad[0])) from FloatingPointError("count row has non-finite entries")
+    evaluate = _objective_from_stack(stack, measured, mean_photons, cfg.epsilon_floor)
+    estimates = _accelerated_descent(evaluate, _warm_start(stack, measured, mean_photons), cfg, mean_photons)
+    problem = first_unphysical(estimates.rho, "estimate")
+    if problem is not None:
+        raise StateError(problem[0]) from ValueError(problem[1])
+    return estimates
 
 
 def estimate_state(
@@ -195,27 +235,13 @@ def estimate_state(
     mean_photons: float,
     dynamics: DynamicsParams | None = None,
 ) -> EstimateResult:
-    """Reconstruct the state that best explains the measured counts.
-
-    Deterministic: linear inversion of the sharp operators gives the warm
-    start, accelerated projected gradient refines it, and the estimate is
-    ``converged`` when its Frank-Wolfe gap is at most ``cfg.convergence_tol``.
-    """
+    """Reconstruct one state from its count records: ``estimate_states`` on one row."""
     if dim not in (2, 4):
         raise ValueError(f"dim must be 2 or 4, got {dim}")
-    if mean_photons <= 0:
-        raise ValueError("mean_photons must be positive")
     stack = model_operator_stack(records, dynamics)
     if stack.shape[1] != dim:
         raise ValueError(f"records are {stack.shape[1]}-dimensional, expected {dim}")
-    measured = np.array([r.measured for r in records], dtype=float)
-    evaluate = _objective_from_stack(stack, measured, mean_photons, cfg.epsilon_floor)
-    rho, value, converged, iterations = _accelerated_descent(
-        evaluate, _warm_start(stack, measured, mean_photons), cfg, mean_photons
-    )
+    fit = estimate_states(stack, [[r.measured for r in records]], mean_photons, cfg)
     return EstimateResult(
-        rho_out=DensityMatrix(rho),
-        objective=value,
-        converged=converged,
-        iterations=iterations,
+        DensityMatrix(fit.rho[0]), float(fit.objective[0]), bool(fit.converged[0]), int(fit.iterations[0])
     )

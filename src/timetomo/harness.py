@@ -1,17 +1,20 @@
 """Sweep orchestration: configs, cell execution, CSV and manifest output.
 
 A sweep walks the (jitter width, photon number) grid over a fixed state
-sample, runs the full simulate-and-reconstruct pipeline per state, and
-aggregates metrics into CSV rows per cell.  All modes share one sweep loop,
-``run_sweep``; the ``MODES`` table holds what differs between them.
-Randomness is derived per (master seed, state index, setting index), so
-results are byte-identical for a given config and seed no matter how the
-work is scheduled.
+sample.  Each cell runs the simulate-and-reconstruct pipeline on the whole
+sample as one batch (counts, estimates, metrics) and aggregates the metrics
+into CSV rows.  All modes share one sweep loop, ``run_sweep``; the ``MODES``
+table holds what differs between them.  Randomness is derived per (master
+seed, state index, setting index) and every stage treats each state on its
+own, so results are byte-identical for a given config and seed no matter how
+the work is split between processes.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import functools
 import json
 import math
 import platform
@@ -23,39 +26,20 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
-from .counts import (
-    MAX_SEED,
-    CountRecord,
-    NoiseConfig,
-    coincidence_count_set,
-    qubit_count_set,
-)
+from .core import StateError
+from .counts import MAX_SEED, NoiseConfig, count_rows
 from .dynamics import DynamicsParams
-from .estimator import EstimateResult, EstimatorConfig, estimate_state
+from .estimator import EstimatorConfig, StateEstimates, estimate_states
 from .measurement import (
     JitterModel,
-    arm_operator_stacks,
     bloch_trajectory,
     evolved_matrices,
     ic_povm_schedule,
     polarization_projector,
+    setting_operators,
 )
-from .metrics import (
-    MetricsSummary,
-    aggregate,
-    chsh_guarantee,
-    concurrence,
-    fidelity,
-    trace_distance,
-)
-from .states import (
-    bell_state,
-    bloch_state,
-    orthogonal_pairs,
-    sample_bell_states,
-    sample_mixed_qubits,
-    sample_pure_qubits,
-)
+from .metrics import MetricsSummary, aggregate, chsh_guarantee, concurrences, fidelities, trace_distances
+from .states import orthogonal_pairs, sample_bell_states, sample_mixed_qubits, sample_pure_qubits, state_stack
 
 TRAJECTORY_OPERATORS = ("H", "V", "D", "A", "R", "L")
 
@@ -250,86 +234,52 @@ def load_config(source, *, seed=None, out_dir=None, paper_scale=False):
 # sweep modes and the cell loop
 
 
-@dataclass(frozen=True)
-class StateResult:
-    """One simulated and reconstructed state of a sweep cell."""
+def _fit_chunk(cfg: ExperimentConfig, sigma, n_photons, sharp, smeared, states: np.ndarray, offset: int):
+    """Counts and estimates of one cell's states ``offset``, ``offset + 1``, ...
 
-    index: int
-    fidelity: float
-    estimate: EstimateResult
-    records: list[CountRecord]
-
-
-@dataclass(frozen=True)
-class _Cell:
-    """One (jitter width, photon number) cell, with its arm operator stacks."""
-
-    mode: str
-    sigma: float
-    n_photons: float
-    seed: int
-    estimator: EstimatorConfig
-    params: DynamicsParams
-    smeared: np.ndarray
-    ideal: np.ndarray
+    Module level so process pools can pickle it.  Returns the expected and
+    measured counts followed by the ``StateEstimates`` fields.
+    """
+    noise = NoiseConfig(mean_photons=n_photons, seed=cfg.seed, poisson_enabled=True)
+    expected, measured = count_rows(states, sharp, smeared, noise, offset)
+    try:
+        return (expected, measured, *estimate_states(sharp, measured, n_photons, cfg.estimator))
+    except StateError as exc:
+        raise RuntimeError(
+            f"mode {cfg.mode}, sigma {sigma:g}, N {n_photons:g}, state {offset + exc.index}: {exc.__cause__}"
+        ) from exc.__cause__
 
 
-def _fit_state(rho_in, index: int, cell: _Cell) -> StateResult:
-    """Simulate one input state's counts, reconstruct it, and score the estimate."""
-    noise = NoiseConfig(mean_photons=cell.n_photons, seed=cell.seed, poisson_enabled=True)
-    count_set = qubit_count_set if rho_in.dim == 2 else coincidence_count_set
-    records = count_set(
-        rho_in, cell.params, JitterModel(cell.sigma), noise,
-        state_index=index, jittered_mats=cell.smeared, ideal_mats=cell.ideal,
-    )
-    est = estimate_state(
-        records, rho_in.dim, cell.estimator, mean_photons=cell.n_photons, dynamics=cell.params
-    )
-    return StateResult(index, fidelity(rho_in, est.rho_out), est, records)
+def _fidelity_metrics(fits: StateEstimates, fidelity):
+    return [aggregate(fidelity, "fidelity")]
 
 
-def _qubit_state(bloch, index: int, cell: _Cell) -> StateResult:
-    return _fit_state(bloch_state(bloch), index, cell)
-
-
-def _pair_state(bell, index: int, cell: _Cell) -> StateResult:
-    return _fit_state(bell_state(bell), index, cell)
-
-
-def _fidelity_metrics(results):
-    return [aggregate([r.fidelity for r in results], "fidelity")]
-
-
-def _orthogonality_metrics(results):
+def _orthogonality_metrics(fits: StateEstimates, fidelity):
     # the sample lists each orthogonal pair as two consecutive states
-    pairs = zip(results[::2], results[1::2])
-    distances = [trace_distance(a.estimate.rho_out, b.estimate.rho_out) for a, b in pairs]
-    return [aggregate(distances, "trace_distance")]
+    return [aggregate(trace_distances(fits.rho[::2], fits.rho[1::2]), "trace_distance")]
 
 
-def _entanglement_metrics(results):
-    conc = aggregate([concurrence(r.estimate.rho_out) for r in results], "concurrence")
+def _entanglement_metrics(fits: StateEstimates, fidelity):
+    conc = aggregate(concurrences(fits.rho), "concurrence")
     # one guarantee flag per cell, written as a row with sd 0
     chsh = MetricsSummary(float(chsh_guarantee(conc)), 0.0, conc.n, "chsh_guarantee")
-    return [conc, *_fidelity_metrics(results), chsh]
+    return [conc, *_fidelity_metrics(fits, fidelity), chsh]
 
 
 @dataclass(frozen=True)
 class SweepMode:
     """What one sweep mode adds to the shared cell loop.
 
-    ``sample`` lists the mode's input-state parameters, ``per_state``
-    simulates and reconstructs one of them, and ``metrics`` summarises a
-    cell's results as its CSV rows, in order.  A mode uses the sample
-    fields that its desk-scale default sets.
+    ``sample`` lists the mode's input-state parameters and ``metrics``
+    summarises a cell's estimates and fidelities as its CSV rows, in order.
+    A mode uses the sample fields that its desk-scale default sets.
     """
 
     command: str
     desk: SampleSizes
     paper: SampleSizes
     sample: Callable[[SampleSizes], list]
-    per_state: Callable[..., StateResult]
-    metrics: Callable[[list[StateResult]], list[MetricsSummary]]
+    metrics: Callable[[StateEstimates, np.ndarray], list[MetricsSummary]]
 
     @property
     def sample_keys(self) -> tuple[str, ...]:
@@ -338,45 +288,26 @@ class SweepMode:
 
 # The lambdas look the sample functions up when called, so a wrapper put on
 # a module-level name (perfbench/probes.py times each layer that way) sees
-# every call; the per-state and metric functions do the same inside.
+# every call; the metric functions do the same inside.
 MODES = {
     "qubit-mixed": SweepMode(
         "qubit-sweep", SampleSizes(n_r=8, n_theta=8, n_phi=8), SampleSizes(n_r=21, n_theta=21, n_phi=20),
-        lambda s: sample_mixed_qubits(s.n_r, s.n_theta, s.n_phi), _qubit_state, _fidelity_metrics,
+        lambda s: sample_mixed_qubits(s.n_r, s.n_theta, s.n_phi), _fidelity_metrics,
     ),
     "qubit-pure": SweepMode(
         "qubit-sweep", SampleSizes(n_theta=8, n_phi=8), SampleSizes(n_theta=21, n_phi=20),
-        lambda s: sample_pure_qubits(s.n_theta, s.n_phi), _qubit_state, _fidelity_metrics,
+        lambda s: sample_pure_qubits(s.n_theta, s.n_phi), _fidelity_metrics,
     ),
     "qubit-orthogonal-pairs": SweepMode(
         "ortho-sweep", SampleSizes(n_theta=8, n_phi=8), SampleSizes(n_theta=21, n_phi=20),
         lambda s: [state for pair in orthogonal_pairs(s.n_theta, s.n_phi) for state in pair],
-        _qubit_state, _orthogonality_metrics,
+        _orthogonality_metrics,
     ),
     "entangled": SweepMode(
         "entangled-sweep", SampleSizes(n_states=50), SampleSizes(n_states=200),
-        lambda s: sample_bell_states(s.n_states), _pair_state, _entanglement_metrics,
+        lambda s: sample_bell_states(s.n_states), _entanglement_metrics,
     ),
 }
-
-
-def _state_worker(task) -> StateResult:
-    """One state of one cell; module level so process pools can pickle it."""
-    cell, index, state = task
-    try:
-        return MODES[cell.mode].per_state(state, index, cell)
-    except Exception as exc:
-        raise RuntimeError(
-            f"mode {cell.mode}, sigma {cell.sigma:g}, N {cell.n_photons:g}, state {index}: {exc}"
-        ) from exc
-
-
-def _map_tasks(worker, tasks, workers: int):
-    if workers <= 1:
-        return [worker(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        chunk = max(1, len(tasks) // (4 * workers))
-        return list(pool.map(worker, tasks, chunksize=chunk))
 
 
 def _warning_row(sigma, n_photons, converged_flags) -> SweepRow | None:
@@ -395,35 +326,23 @@ class _CellArtifacts:
         self.dump_counts = dump_counts and self.directory is not None
         self.state_log = state_log and self.directory is not None
 
-    def write(self, sigma, n_photons, results: list[StateResult]):
-        if not (self.dump_counts or self.state_log):
-            return
+    def write(self, sigma, n_photons, settings, expected, measured, fits: StateEstimates, fidelity):
         tag = f"sigma{sigma:g}_N{n_photons:g}"
         if self.dump_counts:
-            lines = [COUNTS_HEADER]
-            for r in results:
-                for rec in r.records:
-                    t_second = _fmt(rec.times[1]) if len(rec.times) == 2 else ""
-                    lines.append(
-                        f"{r.index},{_fmt(rec.times[0])},{t_second},"
-                        f"{_fmt(rec.expected)},{_fmt(rec.measured)}"
-                    )
+            times = [f"{_fmt(t[0])},{_fmt(t[1]) if len(t) == 2 else ''}" for t in settings]
+            lines = [COUNTS_HEADER] + [
+                f"{index},{t},{_fmt(e)},{_fmt(m)}"
+                for index, row in enumerate(zip(expected.tolist(), measured.tolist()))
+                for t, e, m in zip(times, *row)
+            ]
             (self.directory / f"counts_{tag}.csv").write_text("\n".join(lines) + "\n")
         if self.state_log:
-            lines = []
-            for r in results:
-                lines.append(
-                    json.dumps(
-                        {
-                            "state_id": r.index,
-                            "objective": r.estimate.objective,
-                            "iterations": r.estimate.iterations,
-                            "converged": r.estimate.converged,
-                            "fidelity": r.fidelity,
-                        },
-                        sort_keys=True,
-                    )
-                )
+            keys = ("objective", "iterations", "converged", "fidelity")
+            columns = zip(*(c.tolist() for c in (fits.objective, fits.iterations, fits.converged, fidelity)))
+            lines = [
+                json.dumps({"state_id": index, **dict(zip(keys, entry))}, sort_keys=True)
+                for index, entry in enumerate(columns)
+            ]
             (self.directory / f"estimates_{tag}.jsonl").write_text("\n".join(lines) + "\n")
 
 
@@ -437,30 +356,36 @@ def run_sweep(
 ) -> list[SweepRow]:
     """Run every (jitter width, photon number) cell of ``cfg`` and return its rows.
 
-    Each cell reconstructs every state of the mode's sample, then appends
-    the mode's metric rows and, when too many estimates did not converge,
-    a warning row.
+    Each cell counts, reconstructs and scores the whole state sample as one
+    batch, or with ``workers`` > 1 as that many contiguous chunks on one
+    process pool shared by all cells.  It then appends the mode's metric rows
+    and, when too many estimates did not converge, a warning row.
     """
     mode = MODES[cfg.mode]
-    sample = mode.sample(cfg.sample)
-    params = cfg.dynamics
+    states = state_stack(mode.sample(cfg.sample))
+    dim = states.shape[1]
+    instants = ic_povm_schedule().instants
     artifacts = _CellArtifacts(artifact_dir, dump_counts, state_log)
+    offsets = sorted({len(states) * w // workers for w in range(workers)})
+    chunks = [states[lo:hi] for lo, hi in zip(offsets, offsets[1:] + [len(states)])]
     rows = []
-    for sigma in cfg.sigma_list:
-        # the count sets default to the same six-instant schedule
-        ideal, smeared = arm_operator_stacks(params, JitterModel(sigma), ic_povm_schedule().instants)
-        for n_photons in cfg.photon_list:
-            cell = _Cell(cfg.mode, sigma, n_photons, cfg.seed, cfg.estimator, params, smeared, ideal)
-            tasks = [(cell, index, state) for index, state in enumerate(sample)]
-            results = _map_tasks(_state_worker, tasks, workers)
-            rows += [
-                SweepRow(sigma, n_photons, m.metric_name, m.mean, m.sd, m.stderr, m.n)
-                for m in mode.metrics(results)
-            ]
-            warning = _warning_row(sigma, n_photons, [r.estimate.converged for r in results])
-            if warning:
-                rows.append(warning)
-            artifacts.write(sigma, n_photons, results)
+    with ProcessPoolExecutor(len(chunks)) if len(chunks) > 1 else contextlib.nullcontext() as pool:
+        for sigma in cfg.sigma_list:
+            settings, sharp, smeared = setting_operators(cfg.dynamics, JitterModel(sigma), instants, dim)
+            for n_photons in cfg.photon_list:
+                fit = functools.partial(_fit_chunk, cfg, sigma, n_photons, sharp, smeared)
+                parts = list((pool.map if pool else map)(fit, chunks, offsets))
+                expected, measured, *fields = (np.concatenate(field) for field in zip(*parts))
+                fits = StateEstimates(*fields)
+                fidelity = fidelities(states, fits.rho)
+                rows += [
+                    SweepRow(sigma, n_photons, m.metric_name, m.mean, m.sd, m.stderr, m.n)
+                    for m in mode.metrics(fits, fidelity)
+                ]
+                warning = _warning_row(sigma, n_photons, fits.converged)
+                if warning:
+                    rows.append(warning)
+                artifacts.write(sigma, n_photons, settings, expected, measured, fits, fidelity)
     return rows
 
 
@@ -472,11 +397,9 @@ def emit_trajectory(cfg: TrajectoryConfig, out_dir=None) -> Path:
     table = bloch_trajectory(
         polarization_projector(cfg.operator), cfg.dynamics, JitterModel(cfg.sigma_over_T), grid
     )
-    lines = [TRAJECTORY_HEADER]
-    for row in table:
-        lines.append(",".join(f"{value:.6g}" for value in row))
     path = directory / "trajectory.csv"
-    path.write_text("\n".join(lines) + "\n")
+    # '%.6g' % x and f"{x:.6g}" agree, so this writes the bytes of per-value formatting
+    np.savetxt(path, table, fmt="%.6g", delimiter=",", header=TRAJECTORY_HEADER, comments="")
     return path
 
 

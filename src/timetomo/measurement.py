@@ -79,8 +79,12 @@ class MeasurementSchedule:
 def ic_povm_schedule() -> MeasurementSchedule:
     """The six instants whose operators form an informationally complete set.
 
-    One third of the sum of the six operators is the identity, and the six
-    operators pair up into three mutually unbiased projective bases.
+    At the default periods (4, 1, 2), one third of the sum of the six
+    operators is the identity and the six operators pair up into three
+    mutually unbiased projective bases.  Neither holds for periods in
+    general: at (3.7, 1.3, 2.9) one third of the sum is 0.116 off the
+    identity in its largest entry.  Sweep configs only require the six
+    operators to span the 2x2 Hermitian matrices.
     """
     return MeasurementSchedule((0.0, 0.25, 0.5, 0.75, 1.25, 1.75))
 
@@ -161,15 +165,22 @@ def horizontal_closed_form(t: float) -> np.ndarray:
     )
 
 
-def arm_operator_stacks(params: DynamicsParams, jitter: JitterModel, times):
-    """Sharp and smeared H-projector stacks of one detector arm at ``times``.
+def setting_operators(params: DynamicsParams, jitter: JitterModel, times, dim: int):
+    """Instants and operators of every measurement setting of one detector arm.
 
-    Returns ``(ideal, smeared)``, each of shape (len(times), 2, 2).  Counts
-    are drawn from the smeared stack and booked against the ideal one; a
-    coincidence setting tensors two entries of the same arm stack.
+    A qubit setting is one instant.  A pair setting is an ordered instant
+    pair, in row-major order (first arm outer), and tensors two operators of
+    the same arm, each smeared on its own.  Returns ``(settings, sharp,
+    smeared)`` with the H-projector stacks of shape (K, d, d): counts are
+    drawn from the smeared operators and booked against the sharp ones.
     """
     proj = polarization_projector("H")
-    return evolved_matrices(proj, params, times), jittered_matrices(proj, params, jitter, times)
+    sharp, smeared = evolved_matrices(proj, params, times), jittered_matrices(proj, params, jitter, times)
+    if dim == 2:
+        return [(t,) for t in times], sharp, smeared
+    first, second = np.divmod(np.arange(len(times) ** 2), len(times))
+    settings = [(times[i], times[j]) for i, j in zip(first, second)]
+    return settings, kron_pairs(sharp[first], sharp[second]), kron_pairs(smeared[first], smeared[second])
 
 
 def bloch_trajectory(m0, params: DynamicsParams, jitter: JitterModel, time_grid) -> np.ndarray:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DensityMatrix
+from .core import DensityMatrix, first_unphysical
 
 TWO_PI = 2.0 * math.pi
 
@@ -44,20 +44,37 @@ class BellParams:
             raise ValueError(f"alpha must lie in [0, 2 pi), got {self.alpha}")
 
 
-def bloch_state(b: BlochParams) -> DensityMatrix:
-    """Density matrix with Bloch vector r (sin t cos p, sin t sin p, cos t)."""
+def _bloch_matrix(b: BlochParams) -> np.ndarray:
     rz = b.r * math.cos(b.theta)
     cross = b.r * (math.sin(b.theta) * math.cos(b.phi) - 1j * math.sin(b.theta) * math.sin(b.phi))
-    mat = 0.5 * np.array([[1.0 + rz, cross], [np.conj(cross), 1.0 - rz]])
-    return DensityMatrix(mat)
+    return 0.5 * np.array([[1.0 + rz, cross], [np.conj(cross), 1.0 - rz]])
+
+
+def _bell_matrix(b: BellParams) -> np.ndarray:
+    ket = np.zeros(4, dtype=complex)
+    ket[0] = 1.0 / math.sqrt(2.0)
+    ket[3] = np.exp(1j * b.alpha) / math.sqrt(2.0)
+    return np.outer(ket, ket.conj())
+
+
+def bloch_state(b: BlochParams) -> DensityMatrix:
+    """Density matrix with Bloch vector r (sin t cos p, sin t sin p, cos t)."""
+    return DensityMatrix(_bloch_matrix(b))
 
 
 def bell_state(b: BellParams) -> DensityMatrix:
     """Projector onto (|00> + e^{i alpha} |11>)/sqrt(2)."""
-    ket = np.zeros(4, dtype=complex)
-    ket[0] = 1.0 / math.sqrt(2.0)
-    ket[3] = np.exp(1j * b.alpha) / math.sqrt(2.0)
-    return DensityMatrix(np.outer(ket, ket.conj()))
+    return DensityMatrix(_bell_matrix(b))
+
+
+def state_stack(sample: list[BlochParams] | list[BellParams]) -> np.ndarray:
+    """``bloch_state`` or ``bell_state`` of each sample entry, stacked (B, d, d) and validated once."""
+    build = _bloch_matrix if isinstance(sample[0], BlochParams) else _bell_matrix
+    stack = np.array([build(b) for b in sample])
+    problem = first_unphysical(stack)
+    if problem is not None:
+        raise ValueError(f"sample state {problem[0]}: {problem[1]}")
+    return stack
 
 
 def _polar_grid(n: int, stop: float) -> np.ndarray:

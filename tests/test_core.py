@@ -5,7 +5,6 @@ import pytest
 
 from timetomo.core import (
     DensityMatrix,
-    hermitian_eigensystem,
     hermiticity_defect,
     max_abs,
     psd_sqrt,
@@ -41,23 +40,6 @@ def test_hermiticity_defect_zero_for_hermitian():
     assert hermiticity_defect(m + np.array([[0, 1e-3], [0, 0]])) > 1e-4
 
 
-def test_hermitian_eigensystem_orders_descending_and_reconstructs():
-    rng = np.random.default_rng(11)
-    for dim in (2, 4):
-        for _ in range(25):
-            a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-            h = a + a.conj().T
-            vals, vecs = hermitian_eigensystem(h)
-            assert np.all(np.diff(vals) <= 1e-12)
-            rebuilt = (vecs * vals) @ vecs.conj().T
-            assert max_abs(rebuilt - h) < 1e-10 * max(1.0, max_abs(h))
-
-
-def test_hermitian_eigensystem_rejects_non_hermitian():
-    with pytest.raises(ValueError):
-        hermitian_eigensystem(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
 def test_psd_sqrt_squares_back():
     rng = np.random.default_rng(7)
     for dim in (2, 4):
@@ -77,6 +59,8 @@ def test_psd_sqrt_clamps_small_negative_eigenvalues():
 def test_psd_sqrt_rejects_clearly_indefinite_input():
     with pytest.raises(ValueError):
         psd_sqrt(np.diag([1.0, -1e-3]))
+    with pytest.raises(ValueError, match="not Hermitian"):
+        psd_sqrt(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def test_density_matrix_accepts_valid_states():

@@ -9,6 +9,7 @@ from timetomo.counts import (
     CountRecord,
     NoiseConfig,
     coincidence_count_set,
+    count_rows,
     counting_rng,
     poisson_draw,
     qubit_count_set,
@@ -18,6 +19,7 @@ from timetomo.measurement import (
     JitterModel,
     ic_povm_schedule,
     polarization_projector,
+    setting_operators,
 )
 from timetomo.states import BellParams, BlochParams, bell_state, bloch_state
 
@@ -125,19 +127,17 @@ def test_qubit_set_settings_draw_independent_photon_numbers():
 
 
 def test_qubit_set_accepts_precomputed_stacks():
-    from timetomo.measurement import evolved_matrices, jittered_matrices
-
-    rho = bloch_state(BlochParams(0.9, 0.4, 5.0))
+    # a sweep counts a whole batch over stacks it builds once; state b of a
+    # batch starting at sample index 5 is state 5 + b of the single-state sets
+    states = [bloch_state(BlochParams(0.9, 0.4, 5.0)), bloch_state(BlochParams(0.2, 2.0, 1.0))]
     cfg = NoiseConfig(mean_photons=200.0, seed=9)
     times = np.asarray(ic_povm_schedule().instants)
-    proj = polarization_projector("H")
-    ideal = evolved_matrices(proj, PARAMS, times)
-    smeared = jittered_matrices(proj, PARAMS, JitterModel(0.15), times)
-    direct = qubit_count_set(rho, PARAMS, JitterModel(0.15), cfg)
-    cached = qubit_count_set(
-        rho, PARAMS, JitterModel(0.15), cfg, jittered_mats=smeared, ideal_mats=ideal
-    )
-    assert [r.measured for r in direct] == [r.measured for r in cached]
+    _, sharp, smeared = setting_operators(PARAMS, JitterModel(0.15), times, 2)
+    expected, measured = count_rows(np.array([s.matrix for s in states]), sharp, smeared, cfg, 5)
+    for b, rho in enumerate(states):
+        direct = qubit_count_set(rho, PARAMS, JitterModel(0.15), cfg, state_index=5 + b)
+        assert [r.measured for r in direct] == measured[b].tolist()
+        assert [r.expected for r in direct] == expected[b].tolist()
     with pytest.raises(ValueError):
         qubit_count_set(bell_state(BellParams(0.0)), PARAMS, JitterModel(0.0), cfg)
 

@@ -7,32 +7,47 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from timetomo.core import DensityMatrix, max_abs
-from timetomo.counts import NoiseConfig, coincidence_count_set, qubit_count_set
+from timetomo.core import DensityMatrix, StateError, max_abs
+from timetomo.counts import NoiseConfig, coincidence_count_set, count_rows, qubit_count_set
 from timetomo.dynamics import DynamicsParams
 from timetomo.estimator import (
     EstimatorConfig,
     _objective_from_stack,
     _project_to_states,
+    _warm_start,
     estimate_state,
+    estimate_states,
     model_operator_stack,
 )
-from timetomo.measurement import JitterModel
+from timetomo.measurement import JitterModel, ic_povm_schedule, setting_operators
 from timetomo.metrics import fidelity
 from timetomo.states import (
     BellParams,
     BlochParams,
     bell_state,
     bloch_state,
+    sample_bell_states,
+    sample_mixed_qubits,
+    state_stack,
 )
 
 PARAMS = DynamicsParams()
 MIXED_QUBIT = 0.5 * np.eye(2, dtype=complex)
 
 
+def _row_objective(stack, row, mean_photons):
+    """The batched objective on one count row, as a map rho -> (f, R)."""
+    evaluate = _objective_from_stack(stack, np.array([row], dtype=float), mean_photons, 1e-9)
+
+    def single(rho):
+        value, grad = evaluate(np.asarray(rho, dtype=complex)[None], np.array([0]))
+        return float(value[0]), grad[0]
+
+    return single
+
+
 def _objective(records, mean_photons):
-    measured = np.array([r.measured for r in records])
-    return _objective_from_stack(model_operator_stack(records), measured, mean_photons, 1e-9)
+    return _row_objective(model_operator_stack(records), [r.measured for r in records], mean_photons)
 
 
 def _random_state(rng, dim):
@@ -266,3 +281,111 @@ def test_estimate_is_physical_and_no_worse_than_the_input_state(params, sigma, n
     objective = _objective(records, n)
     assert objective(result.rho_out.matrix)[0] == pytest.approx(result.objective, rel=1e-12)
     assert result.objective <= objective(rho_in.matrix)[0] + cfg.convergence_tol
+
+
+@pytest.mark.parametrize("dim", [2, 4], ids=["qubit", "pair"])
+def test_batch_split_does_not_change_estimates(dim):
+    # a sweep fits a cell whole, or in one contiguous chunk per worker; every
+    # state must come out bit for bit the same whichever way it is split
+    rng = np.random.default_rng(5)
+    states = np.array([_random_state(rng, dim) for _ in range(9)])
+    _, sharp, smeared = setting_operators(PARAMS, JitterModel(0.07), ic_povm_schedule().instants, dim)
+    _, measured = count_rows(states, sharp, smeared, NoiseConfig(mean_photons=50.0, seed=11))
+    cfg = EstimatorConfig()
+    whole = estimate_states(sharp, measured, 50.0, cfg)
+    for bounds in ((0, 4, 9), (0, 1, 2, 6, 9), tuple(range(10))):
+        chunks = [estimate_states(sharp, measured[a:b], 50.0, cfg) for a, b in zip(bounds, bounds[1:])]
+        for field, joined in zip(whole, zip(*chunks)):
+            assert np.array_equal(field, np.concatenate(joined))
+    assert whole.converged.all()
+    assert len(set(whole.iterations.tolist())) > 1  # the states finish at different passes
+
+
+def test_failing_batch_entries_are_named(monkeypatch):
+    import timetomo.estimator as estimator
+
+    records = _records(bloch_state(BlochParams(0.5, 1.0, 1.0)))
+    stack = model_operator_stack(records)
+    measured = np.tile([r.measured for r in records], (3, 1))
+    corrupt = measured.copy()
+    corrupt[1, 2] = np.inf
+    with pytest.raises(StateError) as info:
+        estimate_states(stack, corrupt, 1000.0, EstimatorConfig())
+    assert info.value.index == 1
+    assert isinstance(info.value.__cause__, FloatingPointError)
+
+    real = estimator._accelerated_descent
+
+    def unphysical(*args):
+        fits = real(*args)
+        fits.rho[2] = np.diag([1.2, -0.2])
+        return fits
+
+    monkeypatch.setattr(estimator, "_accelerated_descent", unphysical)
+    with pytest.raises(StateError) as info:
+        estimate_states(stack, measured, 1000.0, EstimatorConfig())
+    assert info.value.index == 2
+    assert "estimate has negative eigenvalue" in str(info.value.__cause__)
+
+
+def _serial_descent(evaluate, rho, cfg, mean_photons):
+    """The one-state FISTA loop that the batched solver replaced, kept as its reference.
+
+    Returns (rho, converged, trial steps, overshoot restarts).
+    """
+    value, grad = evaluate(rho)
+    ahead, ahead_value, ahead_grad = rho, value, grad
+    momentum, lipschitz, steps, restarts = 1.0, mean_photons, 0, 0
+    while True:
+        if np.vdot(grad, rho).real - np.linalg.eigvalsh(grad)[0] <= cfg.convergence_tol:
+            return rho, True, steps, restarts
+        lipschitz *= 0.9
+        while steps < cfg.max_iterations:
+            steps += 1
+            trial = _project_to_states(ahead - ahead_grad / lipschitz)
+            trial_value, trial_grad = evaluate(trial)
+            move = trial - ahead
+            bound = ahead_value + np.vdot(ahead_grad, move).real
+            if trial_value <= bound + 0.5 * lipschitz * np.vdot(move, move).real:
+                break
+            lipschitz *= 2.0
+        else:
+            return rho, False, steps, restarts
+        if trial_value > value:
+            ahead, ahead_value, ahead_grad, momentum = rho, value, grad, 1.0
+            restarts += 1
+            continue
+        next_momentum = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * momentum * momentum))
+        ahead = trial + ((momentum - 1.0) / next_momentum) * (trial - rho)
+        rho, value, grad, momentum = trial, trial_value, trial_grad, next_momentum
+        ahead_value, ahead_grad = evaluate(ahead)
+        if ahead_value > value:
+            ahead, ahead_value, ahead_grad, momentum = rho, value, grad, 1.0
+
+
+@pytest.mark.parametrize(
+    "sample, sigma, n",
+    [(sample_mixed_qubits(8, 8, 8), 0.0, 1000.0), (sample_bell_states(50), 0.07, 10.0)],
+    ids=["qubit", "pair"],
+)
+@pytest.mark.parametrize("max_iterations", [20000, 7])
+def test_batched_descent_follows_each_state_alone(sample, sigma, n, max_iterations):
+    # every state of a batch takes the trial steps, restarts and budget cut
+    # that the one-state loop takes from the same warm start; both samples
+    # hold states whose momentum overshoots
+    states = state_stack(sample)
+    instants = ic_povm_schedule().instants
+    _, sharp, smeared = setting_operators(PARAMS, JitterModel(sigma), instants, states.shape[1])
+    _, measured = count_rows(states, sharp, smeared, NoiseConfig(mean_photons=n, seed=3))
+    cfg = EstimatorConfig(max_iterations=max_iterations)
+    fits = estimate_states(sharp, measured, n, cfg)
+    starts = _warm_start(sharp, measured, n)
+    restarts = 0
+    for b in range(len(states)):
+        evaluate = _row_objective(sharp, measured[b], n)
+        rho, converged, steps, overshoots = _serial_descent(evaluate, starts[b], cfg, n)
+        assert (steps, converged) == (fits.iterations[b], fits.converged[b])
+        assert max_abs(rho - fits.rho[b]) < 1e-12
+        restarts += overshoots
+    assert fits.converged.all() == (max_iterations > 7)
+    assert restarts > 0 or max_iterations == 7

@@ -7,7 +7,9 @@ import re
 import numpy as np
 import pytest
 
+import timetomo.harness as harness_module
 from timetomo.cli import main
+from timetomo.core import StateError
 from timetomo.harness import (
     CSV_HEADER,
     MODES,
@@ -222,16 +224,15 @@ def test_entangled_sweep_rows():
 def test_state_failure_names_its_cell_and_state(monkeypatch):
     import timetomo.harness as harness
 
-    real = harness.estimate_state
-    calls = []
+    real = harness.estimate_states
 
     def failing(*args, **kwargs):
-        calls.append(None)
-        if len(calls) == 3:  # a serial sweep fits states in order: this is state 2
-            raise FloatingPointError("boom")
-        return real(*args, **kwargs)
+        real(*args, **kwargs)
+        # the batched stage reports entry 2 of its batch, which in a serial
+        # sweep is state 2 of the cell
+        raise StateError(2) from FloatingPointError("boom")
 
-    monkeypatch.setattr(harness, "estimate_state", failing)
+    monkeypatch.setattr(harness, "estimate_states", failing)
     cfg = load_config({**TINY_QUBIT, "sigma_list": [0.1]})
     with pytest.raises(RuntimeError) as info:
         run_sweep(cfg, workers=1)
@@ -239,6 +240,39 @@ def test_state_failure_names_its_cell_and_state(monkeypatch):
     for field in ("qubit-pure", "sigma 0.1", "N 100", "state 2", "boom"):
         assert field in message
     assert isinstance(info.value.__cause__, FloatingPointError)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_non_finite_count_row_names_its_state(monkeypatch, workers):
+    # with two workers, state 3 is entry 1 of the second chunk
+    import timetomo.harness as harness
+
+    real = harness.count_rows
+
+    def corrupt(states, sharp, smeared, cfg, first_index=0):
+        expected, measured = real(states, sharp, smeared, cfg, first_index)
+        measured[np.arange(first_index, first_index + len(states)) == 3, 0] = np.nan
+        return expected, measured
+
+    monkeypatch.setattr(harness, "count_rows", corrupt)
+    cfg = load_config({**TINY_QUBIT, "sigma_list": [0.1]})
+    message = "mode qubit-pure, sigma 0.1, N 100, state 3: count row has non-finite"
+    with pytest.raises(RuntimeError, match=message):
+        run_sweep(cfg, workers=workers)
+
+
+def test_trajectory_csv_matches_row_wise_formatting(tmp_path, monkeypatch):
+    # the table is written with one %-format; it must give the bytes of
+    # formatting each value with f"{x:.6g}", on values where the two could part
+    tricky = [-0.0, 0.0, 1e-5, -1e-5, 9.999995e-6, 1.0000049e-5, 1.23456789e-4, 123456.5, 1234567.0, 1e16]
+    rng = np.random.default_rng(3)
+    table = rng.choice(tricky, size=(60, 5)) * rng.choice([1.0, -1.0, 1.0 + 1e-12], size=(60, 5))
+    assert (np.signbit(table) & (table == 0.0)).any()
+    monkeypatch.setattr(harness_module, "bloch_trajectory", lambda *args: table)
+    rows = [",".join(f"{v:.6g}" for v in row) for row in table]
+    reference = "\n".join(["t_over_T,x,y,z,purity", *rows]) + "\n"
+    path = emit_trajectory(TrajectoryConfig(points=60, out_dir=str(tmp_path)))
+    assert path.read_bytes() == reference.encode()
 
 
 def test_emit_trajectory_file(tmp_path):

@@ -14,13 +14,13 @@ from timetomo.measurement import (
     POLARIZATION_KETS,
     JitterModel,
     MeasurementSchedule,
-    arm_operator_stacks,
     bloch_trajectory,
     evolved_matrices,
     horizontal_closed_form,
     ic_povm_schedule,
     jittered_matrices,
     polarization_projector,
+    setting_operators,
 )
 from timetomo.states import BellParams, bell_state
 
@@ -226,13 +226,19 @@ def test_two_qubit_operator_is_smeared_tensor_product():
     assert by_times[(0.25, 0.75)] == pytest.approx(want, rel=1e-12)
 
 
-def test_arm_operator_stacks_pair_sharp_and_smeared_projectors():
+def test_setting_operators_pair_sharp_and_smeared_projectors():
     jm = JitterModel(0.15)
     times = [0.25, 0.75]
-    ideal, smeared = arm_operator_stacks(PARAMS, jm, times)
+    settings, ideal, smeared = setting_operators(PARAMS, jm, times, 2)
     proj = polarization_projector("H")
+    assert settings == [(0.25,), (0.75,)]
     assert np.array_equal(ideal, evolved_matrices(proj, PARAMS, times))
     assert np.array_equal(smeared, jittered_matrices(proj, PARAMS, jm, times))
+    # pair settings run first arm outer and tensor the same arm stacks
+    settings, pair_ideal, pair_smeared = setting_operators(PARAMS, jm, times, 4)
+    assert settings == [(0.25, 0.25), (0.25, 0.75), (0.75, 0.25), (0.75, 0.75)]
+    assert np.array_equal(pair_ideal[1], np.kron(ideal[0], ideal[1]))
+    assert np.array_equal(pair_smeared[2], np.kron(smeared[1], smeared[0]))
 
 
 def test_trajectory_stays_on_sphere_without_jitter():

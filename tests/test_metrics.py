@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from timetomo.core import DensityMatrix
 from timetomo.metrics import (
@@ -12,8 +14,11 @@ from timetomo.metrics import (
     aggregate,
     chsh_guarantee,
     concurrence,
+    concurrences,
+    fidelities,
     fidelity,
     trace_distance,
+    trace_distances,
 )
 from timetomo.states import BellParams, BlochParams, bell_state, bloch_state
 
@@ -115,3 +120,43 @@ def test_chsh_guarantee_band_logic():
     assert not chsh_guarantee(edge)
     above = MetricsSummary(mean=CHSH_THRESHOLD + 1e-12, sd=0.0, n=3, metric_name="c")
     assert chsh_guarantee(above)
+
+
+def _qubit(r, theta, phi):
+    return bloch_state(BlochParams(r, theta, phi)).matrix
+
+
+# radius 1 gives pure, rank-deficient states; radius 0 the maximally mixed one
+_QUBIT = st.builds(
+    _qubit,
+    st.one_of(st.just(1.0), st.just(0.0), st.floats(0.0, 1.0)),
+    st.floats(0.0, math.pi),
+    st.floats(0.0, 2.0 * math.pi, exclude_max=True),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=_QUBIT, b=_QUBIT)
+def test_closed_form_qubit_fidelity_equals_uhlmann(a, b):
+    closed = fidelities(a[None], b[None])[0]
+    # square roots of rank-deficient matrices carry rounding of order 1e-8
+    assert closed == pytest.approx(fidelity(DensityMatrix(a), DensityMatrix(b)), abs=1e-7)
+    assert 0.0 <= closed <= 1.0
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=_QUBIT, b=_QUBIT)
+def test_trace_distance_is_symmetric_and_bounded(a, b):
+    forward = trace_distance(DensityMatrix(a), DensityMatrix(b))
+    assert forward == trace_distance(DensityMatrix(b), DensityMatrix(a))
+    assert 0.0 <= forward <= 1.0 + 1e-12
+    assert np.array_equal(trace_distances(a[None], b[None]), [forward])
+
+
+@settings(max_examples=100, deadline=None)
+@given(alpha=st.floats(0.0, 2.0 * math.pi, exclude_max=True))
+def test_concurrence_is_one_on_every_bell_phase(alpha):
+    rho = bell_state(BellParams(alpha))
+    # the square roots of three rounding-level eigenvalues come off the first
+    assert concurrence(rho) == pytest.approx(1.0, abs=1e-7)
+    assert concurrences(rho.matrix[None])[0] == concurrence(rho)
