@@ -4,26 +4,10 @@ reconstruct the input states by maximum likelihood."""
 
 __version__ = "0.1.0"
 
-from .core import (
-    DensityMatrix,
-    max_abs,
-    psd_sqrt,
-)
-from .counts import (
-    CountRecord,
-    NoiseConfig,
-    coincidence_count_set,
-    counting_rng,
-    poisson_draw,
-    qubit_count_set,
-)
+from .core import DensityMatrix, max_abs, psd_sqrt
+from .counts import NoiseConfig, count_rows
 from .dynamics import DynamicsParams
-from .estimator import (
-    EstimateResult,
-    EstimatorConfig,
-    estimate_state,
-    model_operator_stack,
-)
+from .estimator import EstimatorConfig, StateEstimates, estimate_states
 from .harness import (
     ExperimentConfig,
     SampleSizes,
@@ -36,21 +20,21 @@ from .harness import (
     write_sweep_csv,
 )
 from .measurement import (
+    IC_POVM_INSTANTS,
     JitterModel,
-    MeasurementSchedule,
     bloch_trajectory,
-    horizontal_closed_form,
-    ic_povm_schedule,
     polarization_projector,
+    setting_operators,
 )
 from .metrics import (
     CHSH_THRESHOLD,
     MetricsSummary,
     aggregate,
     chsh_guarantee,
-    concurrence,
+    concurrences,
+    fidelities,
     fidelity,
-    trace_distance,
+    trace_distances,
 )
 from .states import (
     BellParams,
@@ -58,8 +42,8 @@ from .states import (
     bell_state,
     bloch_state,
     orthogonal_pairs,
-    orthogonal_partner,
     sample_bell_states,
     sample_mixed_qubits,
     sample_pure_qubits,
+    state_stack,
 )

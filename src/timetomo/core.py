@@ -2,8 +2,7 @@
 
 Everything downstream works with 2x2 (single qubit) and 4x4 (photon pair)
 matrices, so the routines here favour clarity over asymptotic cleverness.
-Numerical tolerances are module constants; individual calls may override
-them through keyword arguments.
+Numerical tolerances are module constants, and no call overrides them.
 """
 
 from __future__ import annotations
@@ -47,12 +46,12 @@ def hermiticity_defect(m: np.ndarray) -> float:
     return max_abs(m - np.conj(np.swapaxes(m, -1, -2)))
 
 
-def psd_sqrt(m, reject_tol: float = PSD_REJECT_TOL) -> np.ndarray:
+def psd_sqrt(m) -> np.ndarray:
     """Principal square root of a positive-semidefinite Hermitian matrix, or of each in a stack.
 
     The input must be Hermitian within ``EIG_HERMITIAN_ATOL``.  Eigenvalues
-    in ``(-reject_tol, 0)`` are treated as rounding debris and clamped to
-    zero; anything below ``-reject_tol`` raises ``ValueError``.
+    in ``(-PSD_REJECT_TOL, 0)`` are treated as rounding debris and clamped to
+    zero; anything below ``-PSD_REJECT_TOL`` raises ``ValueError``.
     """
     m = require_finite(m)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
@@ -62,7 +61,7 @@ def psd_sqrt(m, reject_tol: float = PSD_REJECT_TOL) -> np.ndarray:
         raise ValueError(f"matrix is not Hermitian: max |M - M^dag| = {defect:.3e}")
     # symmetrise first so the result is insensitive to defects below the tolerance
     values, vectors = np.linalg.eigh(0.5 * (m + np.conj(np.swapaxes(m, -1, -2))))
-    if values.min() < -reject_tol:
+    if values.min() < -PSD_REJECT_TOL:
         raise ValueError(f"matrix is not positive semidefinite: min eigenvalue {values.min():.3e}")
     roots = np.sqrt(np.clip(values, 0.0, None))[..., None, :]
     return (vectors * roots) @ np.conj(np.swapaxes(vectors, -1, -2))

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import require_finite
-
 
 @dataclass(frozen=True)
 class DynamicsParams:
@@ -37,27 +35,6 @@ class DynamicsParams:
             2.0 * math.pi / self.period_2,
             2.0 * math.pi / self.period_3,
         )
-
-
-def evolution_unitaries(params: DynamicsParams, times) -> np.ndarray:
-    """Evolution unitaries at many instants at once.
-
-    Returns an array of shape ``times.shape + (2, 2)``.  Negative times are
-    legitimate inputs.
-    """
-    times = np.asarray(times, dtype=float)
-    require_finite(times, "times")
-    w1, w2, w3 = params.angular_frequencies
-    z1 = np.exp(-0.5j * w1 * times)
-    z3 = np.exp(-0.5j * w3 * times)
-    c = np.cos(0.5 * w2 * times)
-    s = np.sin(0.5 * w2 * times)
-    u = np.empty(times.shape + (2, 2), dtype=complex)
-    u[..., 0, 0] = z1 * c * z3
-    u[..., 0, 1] = -z1 * s * np.conj(z3)
-    u[..., 1, 0] = np.conj(z1) * s * z3
-    u[..., 1, 1] = np.conj(z1) * c * np.conj(z3)
-    return u
 
 
 # Each rotation factor is a sum over the eigenprojectors (I + a sigma) / 2 of

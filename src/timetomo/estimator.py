@@ -1,4 +1,4 @@
-"""Maximum-likelihood state reconstruction from count records.
+"""Maximum-likelihood state reconstruction from count rows.
 
 The objective is the Gaussian-approximated likelihood of James, Kwiat,
 Munro & White, PRA 64, 052312 (2001),
@@ -30,10 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import DensityMatrix, StateError, first_unphysical
-from .counts import CountRecord
-from .dynamics import DynamicsParams
-from .measurement import evolved_matrices, kron_pairs, polarization_projector
+from .core import StateError, first_unphysical
 
 # Weight of the maximally mixed state in the warm start.  The projected
 # linear inversion is often rank-deficient, and where a model count nears
@@ -64,14 +61,6 @@ class EstimatorConfig:
             raise ValueError("convergence_tol and epsilon_floor must be positive")
 
 
-@dataclass(frozen=True)
-class EstimateResult:
-    rho_out: DensityMatrix
-    objective: float
-    converged: bool
-    iterations: int
-
-
 class StateEstimates(NamedTuple):
     """Estimates of a batch of states; entry b is fitted to count row b."""
 
@@ -79,18 +68,6 @@ class StateEstimates(NamedTuple):
     objective: np.ndarray  # (B,)
     converged: np.ndarray  # (B,) bool
     iterations: np.ndarray  # (B,) trial steps
-
-
-def model_operator_stack(records: list[CountRecord], dynamics: DynamicsParams | None = None) -> np.ndarray:
-    """Sharp ideal operators matching the record settings, stacked (K, d, d)."""
-    if not records:
-        raise ValueError("empty record set")
-    if len({len(r.times) for r in records}) > 1:
-        raise ValueError("records mix single-qubit and pair settings")
-    dynamics = dynamics if dynamics is not None else DynamicsParams()
-    times = np.array([r.times for r in records])
-    arms = [evolved_matrices(polarization_projector("H"), dynamics, column) for column in times.T]
-    return arms[0] if len(arms) == 1 else kron_pairs(*arms)
 
 
 def _objective_from_stack(model_stack, measured, mean_photons, epsilon_floor):
@@ -226,22 +203,3 @@ def estimate_states(stack, measured, mean_photons: float, cfg: EstimatorConfig) 
         raise StateError(problem[0]) from ValueError(problem[1])
     return estimates
 
-
-def estimate_state(
-    records: list[CountRecord],
-    dim: int,
-    cfg: EstimatorConfig,
-    *,
-    mean_photons: float,
-    dynamics: DynamicsParams | None = None,
-) -> EstimateResult:
-    """Reconstruct one state from its count records: ``estimate_states`` on one row."""
-    if dim not in (2, 4):
-        raise ValueError(f"dim must be 2 or 4, got {dim}")
-    stack = model_operator_stack(records, dynamics)
-    if stack.shape[1] != dim:
-        raise ValueError(f"records are {stack.shape[1]}-dimensional, expected {dim}")
-    fit = estimate_states(stack, [[r.measured for r in records]], mean_photons, cfg)
-    return EstimateResult(
-        DensityMatrix(fit.rho[0]), float(fit.objective[0]), bool(fit.converged[0]), int(fit.iterations[0])
-    )

@@ -31,10 +31,10 @@ from .counts import MAX_SEED, NoiseConfig, count_rows
 from .dynamics import DynamicsParams
 from .estimator import EstimatorConfig, StateEstimates, estimate_states
 from .measurement import (
+    IC_POVM_INSTANTS,
     JitterModel,
     bloch_trajectory,
     evolved_matrices,
-    ic_povm_schedule,
     polarization_projector,
     setting_operators,
 )
@@ -53,6 +53,25 @@ CONVERGENCE_WARN_FRACTION = 0.1
 # Singular values of the six sharp operators (entries at most 1) below this
 # count as zero; a true rank loss leaves about 1e-15.
 _COMPLETENESS_TOL = 1e-10
+
+
+def _integer(value, key: str) -> int:
+    """``value`` as an int; a boolean or a non-integral number raises, naming ``key``."""
+    try:
+        if not isinstance(value, bool) and int(value) == value:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError(f"{key} must be an integer, got {value!r}")
+
+
+def _periods(periods) -> tuple[float, float, float]:
+    """The three rotation periods as floats, validated by ``DynamicsParams``."""
+    periods = tuple(float(p) for p in periods)
+    if len(periods) != 3:
+        raise ValueError(f"periods must list three rotation periods, got {len(periods)}: {periods}")
+    DynamicsParams(*periods)
+    return periods
 
 
 @dataclass(frozen=True)
@@ -87,23 +106,27 @@ class ExperimentConfig:
         photons = tuple(float(n) for n in self.photon_list)
         if not photons or any(not (math.isfinite(n) and n > 0) for n in photons):
             raise ValueError("photon_list must be nonempty with positive entries")
-        if not (0 <= int(self.seed) <= MAX_SEED):
+        seed = _integer(self.seed, "seed")
+        if not (0 <= seed <= MAX_SEED):
             raise ValueError("seed must fit in an unsigned 64-bit integer")
         sample = self.sample if self.sample is not None else MODES[self.mode].desk
+        sizes = {}
         for key in MODES[self.mode].sample_keys:
             value = getattr(sample, key)
-            if value is None or int(value) < 1:
+            sizes[key] = _integer(value, f"sample.{key}") if value is not None else 0
+            if sizes[key] < 1:
                 raise ValueError(f"sample.{key} must be a positive integer for mode {self.mode}")
-        if self.mode == "qubit-orthogonal-pairs" and int(sample.n_phi) % 2:
+        if self.mode == "qubit-orthogonal-pairs" and sizes["n_phi"] % 2:
             raise ValueError(
                 "sample.n_phi must be even for mode qubit-orthogonal-pairs so antipodes stay on the grid"
             )
         object.__setattr__(self, "sigma_list", sigmas)
         object.__setattr__(self, "photon_list", photons)
-        object.__setattr__(self, "sample", sample)
-        object.__setattr__(self, "periods", tuple(float(p) for p in self.periods))
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "sample", dataclasses.replace(sample, **sizes))
+        object.__setattr__(self, "periods", _periods(self.periods))
         # the fits invert the six sharp operators, so they must span the 2x2 Hermitian matrices
-        sharp = evolved_matrices(polarization_projector("H"), self.dynamics, ic_povm_schedule().instants)
+        sharp = evolved_matrices(polarization_projector("H"), self.dynamics, IC_POVM_INSTANTS)
         rank = np.linalg.matrix_rank(sharp.reshape(-1, 4), tol=_COMPLETENESS_TOL)
         if rank < 4:
             raise ValueError(
@@ -133,12 +156,14 @@ class TrajectoryConfig:
             raise ValueError(f"operator must be one of {TRAJECTORY_OPERATORS}")
         if not (math.isfinite(self.sigma_over_T) and self.sigma_over_T >= 0):
             raise ValueError("sigma_over_T must be nonnegative")
-        if self.points < 2:
+        points = _integer(self.points, "points")
+        if points < 2:
             raise ValueError("points must be at least 2")
         if not (math.isfinite(self.t_max_over_T) and self.t_max_over_T > 0):
             raise ValueError("t_max_over_T must be positive")
-        DynamicsParams(*self.periods)
-        object.__setattr__(self, "periods", tuple(float(p) for p in self.periods))
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "seed", _integer(self.seed, "seed"))
+        object.__setattr__(self, "periods", _periods(self.periods))
 
     @property
     def dynamics(self) -> DynamicsParams:
@@ -165,7 +190,7 @@ def _reject_unknown(mapping: dict, allowed, where: str):
 def _build_sample(mode: str, raw: dict) -> SampleSizes:
     _reject_unknown(raw, MODES[mode].sample_keys, f"sample ({mode})")
     merged = dataclasses.asdict(MODES[mode].desk)
-    merged.update({k: int(v) for k, v in raw.items()})
+    merged.update(raw)
     return SampleSizes(**merged)
 
 
@@ -215,7 +240,7 @@ def load_config(source, *, seed=None, out_dir=None, paper_scale=False):
         mode=mode,
         sigma_list=tuple(raw["sigma_list"]),
         photon_list=tuple(raw["photon_list"]),
-        seed=int(raw.get("seed", 0)),
+        seed=raw.get("seed", 0),
         out_dir=str(raw.get("out_dir", "results")),
         sample=sample,
         estimator=EstimatorConfig(**est_raw),
@@ -364,14 +389,14 @@ def run_sweep(
     mode = MODES[cfg.mode]
     states = state_stack(mode.sample(cfg.sample))
     dim = states.shape[1]
-    instants = ic_povm_schedule().instants
     artifacts = _CellArtifacts(artifact_dir, dump_counts, state_log)
     offsets = sorted({len(states) * w // workers for w in range(workers)})
     chunks = [states[lo:hi] for lo, hi in zip(offsets, offsets[1:] + [len(states)])]
     rows = []
     with ProcessPoolExecutor(len(chunks)) if len(chunks) > 1 else contextlib.nullcontext() as pool:
         for sigma in cfg.sigma_list:
-            settings, sharp, smeared = setting_operators(cfg.dynamics, JitterModel(sigma), instants, dim)
+            jitter = JitterModel(sigma)
+            settings, sharp, smeared = setting_operators(cfg.dynamics, jitter, IC_POVM_INSTANTS, dim)
             for n_photons in cfg.photon_list:
                 fit = functools.partial(_fit_chunk, cfg, sigma, n_photons, sharp, smeared)
                 parts = list((pool.map if pool else map)(fit, chunks, offsets))

@@ -58,35 +58,14 @@ def _require_psd_operator(m0, name: str = "operator") -> np.ndarray:
     return m0
 
 
-@dataclass(frozen=True)
-class MeasurementSchedule:
-    """Strictly increasing measurement instants, in base-period units."""
-
-    instants: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.instants) == 0:
-            raise ValueError("schedule must contain at least one instant")
-        inst = tuple(float(t) for t in self.instants)
-        if any(b <= a for a, b in zip(inst, inst[1:])):
-            raise ValueError("schedule instants must be strictly increasing")
-        object.__setattr__(self, "instants", inst)
-
-    def __len__(self) -> int:
-        return len(self.instants)
-
-
-def ic_povm_schedule() -> MeasurementSchedule:
-    """The six instants whose operators form an informationally complete set.
-
-    At the default periods (4, 1, 2), one third of the sum of the six
-    operators is the identity and the six operators pair up into three
-    mutually unbiased projective bases.  Neither holds for periods in
-    general: at (3.7, 1.3, 2.9) one third of the sum is 0.116 off the
-    identity in its largest entry.  Sweep configs only require the six
-    operators to span the 2x2 Hermitian matrices.
-    """
-    return MeasurementSchedule((0.0, 0.25, 0.5, 0.75, 1.25, 1.75))
+# The six instants, in base-period units, whose operators form an
+# informationally complete set.  At the default periods (4, 1, 2), one third
+# of the sum of the six operators is the identity and the six operators pair
+# up into three mutually unbiased projective bases.  Neither holds for periods
+# in general: at (3.7, 1.3, 2.9) one third of the sum is 0.116 off the
+# identity in its largest entry.  Sweep configs only require the six
+# operators to span the 2x2 Hermitian matrices.
+IC_POVM_INSTANTS = (0.0, 0.25, 0.5, 0.75, 1.25, 1.75)
 
 
 @dataclass(frozen=True)
@@ -147,22 +126,6 @@ def kron_pairs(first: np.ndarray, second: np.ndarray) -> np.ndarray:
     """Batched Kronecker product of 2x2 stacks: entry k is first[k] kron second[k]."""
     # (a kron b)[2i + k, 2j + l] = a[i, j] b[k, l]
     return (first[:, :, None, :, None] * second[:, None, :, None, :]).reshape(len(first), 4, 4)
-
-
-def horizontal_closed_form(t: float) -> np.ndarray:
-    """Closed form of the evolved H projector under the default periods.
-
-    Useful as an independent cross-check of ``evolved_matrices``; valid only
-    for ``DynamicsParams()`` defaults.
-    """
-    t = float(t)
-    off = -0.5 * np.exp(1j * math.pi * t) * math.sin(2.0 * math.pi * t)
-    return np.array(
-        [
-            [math.cos(math.pi * t) ** 2, off],
-            [np.conj(off), math.sin(math.pi * t) ** 2],
-        ]
-    )
 
 
 def setting_operators(params: DynamicsParams, jitter: JitterModel, times, dim: int):

@@ -56,27 +56,15 @@ def concurrences(rho: np.ndarray) -> np.ndarray:
     return np.maximum(0.0, roots[:, 3] - roots[:, 2] - roots[:, 1] - roots[:, 0])
 
 
-def _pair(a: DensityMatrix, b: DensityMatrix):
+def fidelity(a: DensityMatrix, b: DensityMatrix) -> float:
+    """Uhlmann fidelity (tr sqrt(sqrt(a) b sqrt(a)))^2 of two states, clipped to [0, 1].
+
+    The reference that the closed-form qubit branch of ``fidelities`` is
+    checked against.
+    """
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    return a.matrix[None], b.matrix[None]
-
-
-def fidelity(a: DensityMatrix, b: DensityMatrix) -> float:
-    """Uhlmann fidelity (tr sqrt(sqrt(a) b sqrt(a)))^2, clipped to [0, 1]."""
-    return float(_uhlmann(*_pair(a, b))[0])
-
-
-def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
-    """Half the sum of absolute eigenvalues of (a - b)."""
-    return float(trace_distances(*_pair(a, b))[0])
-
-
-def concurrence(rho: DensityMatrix) -> float:
-    """Two-qubit concurrence of one state; see ``concurrences``."""
-    if rho.dim != 4:
-        raise ValueError("concurrence is defined for two-qubit states")
-    return float(concurrences(rho.matrix[None])[0])
+    return float(_uhlmann(a.matrix[None], b.matrix[None])[0])
 
 
 @dataclass(frozen=True)

@@ -111,11 +111,6 @@ def sample_pure_qubits(n_theta: int = 21, n_phi: int = 20) -> list[BlochParams]:
     ]
 
 
-def orthogonal_partner(b: BlochParams) -> BlochParams:
-    """Antipodal pure state, orthogonal to the pure state at (theta, phi)."""
-    return BlochParams(1.0, math.pi - b.theta, (b.phi + math.pi) % TWO_PI)
-
-
 def orthogonal_pairs(n_theta: int = 21, n_phi: int = 20) -> list[tuple[BlochParams, BlochParams]]:
     """Pair up the pure-state grid into antipodal (orthogonal) couples.
 

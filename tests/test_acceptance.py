@@ -15,10 +15,11 @@ import math
 import numpy as np
 import pytest
 
-from timetomo.core import max_abs
-from timetomo.counts import NoiseConfig, coincidence_count_set, qubit_count_set
+from oracles import horizontal_closed_form
+from timetomo.core import DensityMatrix, max_abs
+from timetomo.counts import NoiseConfig, count_rows
 from timetomo.dynamics import DynamicsParams
-from timetomo.estimator import EstimatorConfig, estimate_state
+from timetomo.estimator import EstimatorConfig, estimate_states
 from timetomo.harness import (
     ExperimentConfig,
     SampleSizes,
@@ -26,12 +27,12 @@ from timetomo.harness import (
     write_sweep_csv,
 )
 from timetomo.measurement import (
+    IC_POVM_INSTANTS,
     JitterModel,
     evolved_matrices,
-    horizontal_closed_form,
-    ic_povm_schedule,
     jittered_matrices,
     polarization_projector,
+    setting_operators,
 )
 from timetomo.metrics import fidelity
 from timetomo.states import BellParams, BlochParams, bell_state, bloch_state, sample_bell_states
@@ -97,7 +98,7 @@ def entangled_cells():
 
 def test_criterion_01_schedule_completeness():
     stack = evolved_matrices(
-        polarization_projector("H"), PARAMS, ic_povm_schedule().instants
+        polarization_projector("H"), PARAMS, IC_POVM_INSTANTS
     )
     defect = max_abs(stack.sum(axis=0) / 3.0 - np.eye(2))
     ok = defect <= 1e-10
@@ -135,23 +136,24 @@ def test_criterion_04_noiseless_recovery():
     noise = NoiseConfig(mean_photons=1000.0, poisson_enabled=False)
     sharp = JitterModel(0.0)
     rng = np.random.default_rng(0)
-    worst_qubit = 1.0
-    for index in range(50):
+
+    def worst_fidelity(states):
+        _, ideal, smeared = setting_operators(PARAMS, sharp, IC_POVM_INSTANTS, states[0].dim)
+        stack = np.array([rho.matrix for rho in states])
+        _, measured = count_rows(stack, ideal, smeared, noise, first_index=0)
+        fits = estimate_states(ideal, measured, 1000.0, est_cfg)
+        return min(fidelity(rho, DensityMatrix(est)) for rho, est in zip(states, fits.rho))
+
+    qubits = []
+    for _ in range(50):
         b = BlochParams(
             rng.uniform(0.0, 1.0),
             rng.uniform(0.0, math.pi),
             rng.uniform(0.0, 2.0 * math.pi),
         )
-        rho = bloch_state(b)
-        records = qubit_count_set(rho, PARAMS, sharp, noise, state_index=index)
-        est = estimate_state(records, 2, est_cfg, mean_photons=1000.0)
-        worst_qubit = min(worst_qubit, fidelity(rho, est.rho_out))
-    worst_bell = 1.0
-    for index, b in enumerate(sample_bell_states(20)):
-        rho = bell_state(b)
-        records = coincidence_count_set(rho, PARAMS, sharp, noise, state_index=index)
-        est = estimate_state(records, 4, est_cfg, mean_photons=1000.0)
-        worst_bell = min(worst_bell, fidelity(rho, est.rho_out))
+        qubits.append(bloch_state(b))
+    worst_qubit = worst_fidelity(qubits)
+    worst_bell = worst_fidelity([bell_state(b) for b in sample_bell_states(20)])
     ok = worst_qubit >= 0.999 and worst_bell >= 0.999
     _verdict(
         4,

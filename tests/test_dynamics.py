@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from oracles import evolution_unitaries
 from timetomo.core import max_abs
-from timetomo.dynamics import DynamicsParams, evolution_spectrum, evolution_unitaries
+from timetomo.dynamics import DynamicsParams, evolution_spectrum
 
 
 def test_params_require_positive_periods():

@@ -8,18 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from timetomo.core import DensityMatrix, StateError, max_abs
-from timetomo.counts import NoiseConfig, coincidence_count_set, count_rows, qubit_count_set
+from timetomo.counts import NoiseConfig, count_rows
 from timetomo.dynamics import DynamicsParams
 from timetomo.estimator import (
     EstimatorConfig,
     _objective_from_stack,
     _project_to_states,
     _warm_start,
-    estimate_state,
     estimate_states,
-    model_operator_stack,
 )
-from timetomo.measurement import JitterModel, ic_povm_schedule, setting_operators
+from timetomo.measurement import IC_POVM_INSTANTS, JitterModel, setting_operators
 from timetomo.metrics import fidelity
 from timetomo.states import (
     BellParams,
@@ -47,7 +45,7 @@ def _row_objective(stack, row, mean_photons):
 
 
 def _objective(records, mean_photons):
-    return _row_objective(model_operator_stack(records), [r.measured for r in records], mean_photons)
+    return _row_objective(*records, mean_photons)
 
 
 def _random_state(rng, dim):
@@ -57,9 +55,18 @@ def _random_state(rng, dim):
 
 
 def _records(rho, sigma=0.0, n=1000.0, poisson=True, seed=0, state_index=0):
+    """The sharp operator stack and the count row of one state, as a sweep makes them."""
     cfg = NoiseConfig(mean_photons=n, seed=seed, poisson_enabled=poisson)
-    maker = qubit_count_set if rho.dim == 2 else coincidence_count_set
-    return maker(rho, PARAMS, JitterModel(sigma), cfg, state_index=state_index)
+    _, sharp, smeared = setting_operators(PARAMS, JitterModel(sigma), IC_POVM_INSTANTS, rho.dim)
+    _, measured = count_rows(rho.matrix[None], sharp, smeared, cfg, state_index)
+    return sharp, measured[0]
+
+
+def _estimate(records, mean_photons, cfg=EstimatorConfig()):
+    """``estimate_states`` on one count row: (estimate, objective, converged, trial steps)."""
+    sharp, row = records
+    fit = estimate_states(sharp, row[None], mean_photons, cfg)
+    return DensityMatrix(fit.rho[0]), float(fit.objective[0]), bool(fit.converged[0]), int(fit.iterations[0])
 
 
 def test_estimator_config_validation():
@@ -70,27 +77,16 @@ def test_estimator_config_validation():
         EstimatorConfig(convergence_tol=0.0)
 
 
-def test_model_stack_shapes_and_mixed_rejection():
-    qubit = _records(bloch_state(BlochParams(0.0, 0.0, 0.0)))
-    pair = _records(bell_state(BellParams(0.0)))
-    assert model_operator_stack(qubit).shape == (6, 2, 2)
-    assert model_operator_stack(pair).shape == (36, 4, 4)
-    with pytest.raises(ValueError):
-        model_operator_stack([])
-    with pytest.raises(ValueError):
-        model_operator_stack(qubit + pair)
-
-
 def test_likelihood_matches_direct_formula():
     rho = bloch_state(BlochParams(0.8, 1.0, 0.5))
     records = _records(rho, sigma=0.1, n=500.0)
     cand = bloch_state(BlochParams(0.6, 0.9, 2.0)).matrix
     got = _objective(records, 500.0)(cand)[0]
-    stack = model_operator_stack(records)
+    stack, row = records
     total = 0.0
-    for rec, m in zip(records, stack):
+    for measured, m in zip(row, stack):
         n_e = max(500.0 * float(np.trace(m @ cand).real), 1e-9)
-        total += (rec.measured - n_e) ** 2 / n_e
+        total += (measured - n_e) ** 2 / n_e
     assert got == pytest.approx(total, rel=1e-12)
 
 
@@ -113,11 +109,11 @@ def test_qubit_and_pair_objectives_agree_on_shared_formula():
     for _ in range(5):
         cand = _random_state(rng, 4)
         direct = objective(cand)[0]
-        stack = model_operator_stack(records)
+        stack, row = records
         total = 0.0
-        for rec, m in zip(records, stack):
+        for measured, m in zip(row, stack):
             n_e = max(800.0 * float(np.trace(m @ cand).real), 1e-9)
-            total += (rec.measured - n_e) ** 2 / n_e
+            total += (measured - n_e) ** 2 / n_e
         assert direct == pytest.approx(total, rel=1e-10)
 
 
@@ -152,23 +148,17 @@ def test_projection_is_physical_and_fixes_states():
 
 def test_noiseless_qubit_reconstruction_is_exact():
     rho = bloch_state(BlochParams(1.0, 1.2, 0.4))
-    records = _records(rho, poisson=False)
-    result = estimate_state(
-        records, 2, EstimatorConfig(), mean_photons=1000.0
-    )
-    assert result.converged
-    assert fidelity(result.rho_out, rho) > 0.9999
-    assert max_abs(result.rho_out.matrix - rho.matrix) < 5e-3
+    rho_out, _, converged, _ = _estimate(_records(rho, poisson=False), 1000.0)
+    assert converged
+    assert fidelity(rho_out, rho) > 0.9999
+    assert max_abs(rho_out.matrix - rho.matrix) < 5e-3
 
 
 def test_noiseless_pair_reconstruction_is_exact():
     rho = bell_state(BellParams(2.0))
-    records = _records(rho, poisson=False)
-    result = estimate_state(
-        records, 4, EstimatorConfig(), mean_photons=1000.0
-    )
-    assert result.converged
-    assert fidelity(result.rho_out, rho) > 0.999
+    rho_out, _, converged, _ = _estimate(_records(rho, poisson=False), 1000.0)
+    assert converged
+    assert fidelity(rho_out, rho) > 0.999
 
 
 @pytest.mark.parametrize(
@@ -182,75 +172,55 @@ def test_noiseless_estimate_does_not_depend_on_photon_number(rho):
     # so both fits must land on the same state
     estimates = []
     for n in (10.0, 1000.0):
-        records = _records(rho, sigma=0.07, n=n, poisson=False)
-        result = estimate_state(
-            records, rho.dim, EstimatorConfig(), mean_photons=n
-        )
-        assert result.converged
-        estimates.append(result.rho_out.matrix)
+        rho_out, _, converged, _ = _estimate(_records(rho, sigma=0.07, n=n, poisson=False), n)
+        assert converged
+        estimates.append(rho_out.matrix)
     assert max_abs(estimates[0] - estimates[1]) < 1e-3
 
 
 def test_mixed_state_reconstruction():
     rho = bloch_state(BlochParams(0.4, 2.0, 3.0))
-    records = _records(rho, poisson=False)
-    result = estimate_state(
-        records, 2, EstimatorConfig(), mean_photons=1000.0
-    )
-    assert fidelity(result.rho_out, rho) > 0.9999
+    rho_out = _estimate(_records(rho, poisson=False), 1000.0)[0]
+    assert fidelity(rho_out, rho) > 0.9999
 
 
 def test_reconstruction_is_deterministic_given_rng_seed():
     rho = bloch_state(BlochParams(0.9, 0.8, 1.5))
     records = _records(rho, sigma=0.05, n=100.0, seed=3)
-    a = estimate_state(records, 2, EstimatorConfig(), mean_photons=100.0)
-    b = estimate_state(records, 2, EstimatorConfig(), mean_photons=100.0)
-    assert np.array_equal(a.rho_out.matrix, b.rho_out.matrix)
-    assert a.objective == b.objective
+    a_rho, a_objective, _, _ = _estimate(records, 100.0)
+    b_rho, b_objective, _, _ = _estimate(records, 100.0)
+    assert np.array_equal(a_rho.matrix, b_rho.matrix)
+    assert a_objective == b_objective
 
 
 def test_estimate_state_validates_arguments():
     records = _records(bloch_state(BlochParams(0.0, 0.0, 0.0)))
-    cfg = EstimatorConfig()
     with pytest.raises(ValueError):
-        estimate_state(records, 3, cfg, mean_photons=100.0)
-    with pytest.raises(ValueError):
-        estimate_state(records, 4, cfg, mean_photons=100.0)
-    with pytest.raises(ValueError):
-        estimate_state(records, 2, cfg, mean_photons=0.0)
+        _estimate(records, 0.0)
 
 
 def test_estimator_is_blind_to_jitter_by_design():
     # fitting blurred counts with sharp models drags the estimate inward;
     # the pull toward the maximally mixed state is the effect under study
     rho = bloch_state(BlochParams(1.0, 0.5 * math.pi, 0.0))
-    sharp = estimate_state(
-        _records(rho, sigma=0.0, poisson=False),
-        2,
-        EstimatorConfig(),
-        mean_photons=1000.0,
-    )
-    blurred = estimate_state(
-        _records(rho, sigma=0.25, poisson=False),
-        2,
-        EstimatorConfig(),
-        mean_photons=1000.0,
-    )
-    assert sharp.rho_out.purity() > 0.999
-    assert blurred.rho_out.purity() < sharp.rho_out.purity() - 0.1
+    sharp = _estimate(_records(rho, sigma=0.0, poisson=False), 1000.0)[0]
+    blurred = _estimate(_records(rho, sigma=0.25, poisson=False), 1000.0)[0]
+    assert sharp.purity() > 0.999
+    assert blurred.purity() < sharp.purity() - 0.1
 
 
 def test_convergence_is_certified_within_the_iteration_budget():
     # a noisy, jitter-blurred Bell fit: certified at the default budget,
     # not after two trial steps
     records = _records(bell_state(BellParams(0.9)), sigma=0.07, n=10.0, seed=4)
-    full = estimate_state(records, 4, EstimatorConfig(), mean_photons=10.0)
-    assert full.converged
-    assert full.iterations <= EstimatorConfig().max_iterations
-    cut = estimate_state(records, 4, EstimatorConfig(max_iterations=2), mean_photons=10.0)
-    assert not cut.converged
-    assert cut.iterations == 2
-    assert full.objective <= cut.objective
+    _, full_objective, full_converged, full_iterations = _estimate(records, 10.0)
+    assert full_converged
+    assert full_iterations <= EstimatorConfig().max_iterations
+    cut = EstimatorConfig(max_iterations=2)
+    _, cut_objective, cut_converged, cut_iterations = _estimate(records, 10.0, cut)
+    assert not cut_converged
+    assert cut_iterations == 2
+    assert full_objective <= cut_objective
 
 
 _BLOCH = st.builds(
@@ -275,12 +245,12 @@ def test_estimate_is_physical_and_no_worse_than_the_input_state(params, sigma, n
     rho_in = bloch_state(params) if isinstance(params, BlochParams) else bell_state(params)
     records = _records(rho_in, sigma=sigma, n=n, seed=seed)
     cfg = EstimatorConfig()
-    result = estimate_state(records, rho_in.dim, cfg, mean_photons=n)
-    assert result.converged
-    DensityMatrix(result.rho_out.matrix)
+    rho_out, value, converged, _ = _estimate(records, n, cfg)
+    assert converged
+    DensityMatrix(rho_out.matrix)
     objective = _objective(records, n)
-    assert objective(result.rho_out.matrix)[0] == pytest.approx(result.objective, rel=1e-12)
-    assert result.objective <= objective(rho_in.matrix)[0] + cfg.convergence_tol
+    assert objective(rho_out.matrix)[0] == pytest.approx(value, rel=1e-12)
+    assert value <= objective(rho_in.matrix)[0] + cfg.convergence_tol
 
 
 @pytest.mark.parametrize("dim", [2, 4], ids=["qubit", "pair"])
@@ -289,7 +259,7 @@ def test_batch_split_does_not_change_estimates(dim):
     # state must come out bit for bit the same whichever way it is split
     rng = np.random.default_rng(5)
     states = np.array([_random_state(rng, dim) for _ in range(9)])
-    _, sharp, smeared = setting_operators(PARAMS, JitterModel(0.07), ic_povm_schedule().instants, dim)
+    _, sharp, smeared = setting_operators(PARAMS, JitterModel(0.07), IC_POVM_INSTANTS, dim)
     _, measured = count_rows(states, sharp, smeared, NoiseConfig(mean_photons=50.0, seed=11))
     cfg = EstimatorConfig()
     whole = estimate_states(sharp, measured, 50.0, cfg)
@@ -304,9 +274,8 @@ def test_batch_split_does_not_change_estimates(dim):
 def test_failing_batch_entries_are_named(monkeypatch):
     import timetomo.estimator as estimator
 
-    records = _records(bloch_state(BlochParams(0.5, 1.0, 1.0)))
-    stack = model_operator_stack(records)
-    measured = np.tile([r.measured for r in records], (3, 1))
+    stack, row = _records(bloch_state(BlochParams(0.5, 1.0, 1.0)))
+    measured = np.tile(row, (3, 1))
     corrupt = measured.copy()
     corrupt[1, 2] = np.inf
     with pytest.raises(StateError) as info:
@@ -374,8 +343,7 @@ def test_batched_descent_follows_each_state_alone(sample, sigma, n, max_iteratio
     # that the one-state loop takes from the same warm start; both samples
     # hold states whose momentum overshoots
     states = state_stack(sample)
-    instants = ic_povm_schedule().instants
-    _, sharp, smeared = setting_operators(PARAMS, JitterModel(sigma), instants, states.shape[1])
+    _, sharp, smeared = setting_operators(PARAMS, JitterModel(sigma), IC_POVM_INSTANTS, states.shape[1])
     _, measured = count_rows(states, sharp, smeared, NoiseConfig(mean_photons=n, seed=3))
     cfg = EstimatorConfig(max_iterations=max_iterations)
     fits = estimate_states(sharp, measured, n, cfg)

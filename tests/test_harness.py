@@ -65,6 +65,45 @@ def test_config_rejects_informationally_incomplete_periods():
         assert load_config({**doc, "periods": list(periods)}).periods == periods
 
 
+@pytest.mark.parametrize("periods", [[3, 1], [4, 1, 2, 1]], ids=["two", "four"])
+def test_configs_reject_periods_without_three_entries(periods):
+    # a short list would run with a default period that the manifest does not record
+    doc = {"mode": "qubit-pure", "sigma_list": [0.0], "photon_list": [1000]}
+    for source in ({**doc, "periods": periods}, {"mode": "trajectory", "periods": periods}):
+        with pytest.raises(ValueError, match="periods must list three rotation periods"):
+            load_config(source)
+    with pytest.raises(ValueError, match="periods"):
+        ExperimentConfig(mode="qubit-pure", sigma_list=(0.0,), photon_list=(10.0,), periods=tuple(periods))
+    with pytest.raises(ValueError, match="periods"):
+        TrajectoryConfig(periods=tuple(periods))
+
+
+@pytest.mark.parametrize(
+    "doc, key",
+    [
+        ({**TINY_QUBIT, "sample": {"n_theta": 2.7, "n_phi": 2}}, "sample.n_theta"),
+        ({**TINY_QUBIT, "sample": {"n_theta": 2, "n_phi": True}}, "sample.n_phi"),
+        ({**TINY_QUBIT, "seed": 1.9}, "seed"),
+        ({**TINY_QUBIT, "seed": False}, "seed"),
+        ({"mode": "trajectory", "points": 10.5}, "points"),
+        ({"mode": "trajectory", "points": True}, "points"),
+        ({"mode": "trajectory", "seed": 0.5}, "seed"),
+    ],
+)
+def test_integer_fields_reject_fractions_and_booleans(doc, key):
+    # truncating 2.7 to 2 would run a sample the config does not name, and a
+    # fractional point count would fail only after the output directory exists
+    with pytest.raises(ValueError, match=re.escape(key) + " must be an integer"):
+        load_config(doc)
+
+
+def test_integral_floats_load_as_integers():
+    cfg = load_config({**TINY_QUBIT, "seed": 3.0, "sample": {"n_theta": 2.0, "n_phi": 2}})
+    assert (cfg.seed, cfg.sample.n_theta) == (3, 2)
+    assert type(cfg.seed) is int and type(cfg.sample.n_theta) is int
+    assert type(load_config({"mode": "trajectory", "points": 10.0}).points) is int
+
+
 def test_orthogonal_pairs_reject_odd_n_phi():
     sample = SampleSizes(n_theta=3, n_phi=3)
     with pytest.raises(ValueError, match="n_phi must be even"):

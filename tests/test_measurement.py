@@ -7,17 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import evolution_unitaries, horizontal_closed_form
 from timetomo.core import max_abs
-from timetomo.counts import NoiseConfig, coincidence_count_set
-from timetomo.dynamics import DynamicsParams, evolution_unitaries
+from timetomo.counts import NoiseConfig, count_rows
+from timetomo.dynamics import DynamicsParams
 from timetomo.measurement import (
+    IC_POVM_INSTANTS,
     POLARIZATION_KETS,
     JitterModel,
-    MeasurementSchedule,
     bloch_trajectory,
     evolved_matrices,
-    horizontal_closed_form,
-    ic_povm_schedule,
     jittered_matrices,
     polarization_projector,
     setting_operators,
@@ -63,16 +62,8 @@ def test_measurement_operator_validation():
         evolved_matrices(np.eye(3), PARAMS, [0.0])
 
 
-def test_schedule_requires_strictly_increasing_instants():
-    MeasurementSchedule((0.0, 0.5, 1.0))
-    with pytest.raises(ValueError):
-        MeasurementSchedule(())
-    with pytest.raises(ValueError):
-        MeasurementSchedule((0.0, 0.5, 0.5))
-
-
 def test_standard_schedule_instants_frozen():
-    assert ic_povm_schedule().instants == (0.0, 0.25, 0.5, 0.75, 1.25, 1.75)
+    assert IC_POVM_INSTANTS == (0.0, 0.25, 0.5, 0.75, 1.25, 1.75)
 
 
 def test_evolved_matches_closed_form_on_grid():
@@ -97,15 +88,14 @@ def test_quarter_period_operator_frozen():
 
 def test_six_instants_are_informationally_complete():
     proj = polarization_projector("H")
-    stack = evolved_matrices(proj, PARAMS, ic_povm_schedule().instants)
+    stack = evolved_matrices(proj, PARAMS, IC_POVM_INSTANTS)
     total = stack.sum(axis=0) / 3.0
     assert max_abs(total - np.eye(2)) < 1e-12
 
 
 def test_six_instants_form_three_orthogonal_pairs():
     proj = polarization_projector("H")
-    instants = ic_povm_schedule().instants
-    mats = {t: m for t, m in zip(instants, evolved_matrices(proj, PARAMS, instants))}
+    mats = {t: m for t, m in zip(IC_POVM_INSTANTS, evolved_matrices(proj, PARAMS, IC_POVM_INSTANTS))}
     for a, b in ((0.0, 0.5), (0.25, 1.25), (0.75, 1.75)):
         assert max_abs(mats[a] + mats[b] - np.eye(2)) < 1e-12
         assert abs(np.trace(mats[a] @ mats[b])) < 1e-12
@@ -218,7 +208,8 @@ def test_two_qubit_operator_is_smeared_tensor_product():
     jm = JitterModel(0.15)
     rho = bell_state(BellParams(0.4))
     cfg = NoiseConfig(mean_photons=1000.0, poisson_enabled=False)
-    by_times = {r.times: r.measured for r in coincidence_count_set(rho, PARAMS, jm, cfg)}
+    settings, sharp, smeared = setting_operators(PARAMS, jm, IC_POVM_INSTANTS, 4)
+    by_times = dict(zip(settings, count_rows(rho.matrix[None], sharp, smeared, cfg)[1][0]))
     proj = polarization_projector("H")
     a = jittered_matrices(proj, PARAMS, jm, [0.25])[0]
     b = jittered_matrices(proj, PARAMS, jm, [0.75])[0]
@@ -239,6 +230,9 @@ def test_setting_operators_pair_sharp_and_smeared_projectors():
     assert settings == [(0.25, 0.25), (0.25, 0.75), (0.75, 0.25), (0.75, 0.75)]
     assert np.array_equal(pair_ideal[1], np.kron(ideal[0], ideal[1]))
     assert np.array_equal(pair_smeared[2], np.kron(smeared[1], smeared[0]))
+    # the six-instant schedule gives 6 qubit and 36 pair settings
+    assert setting_operators(PARAMS, jm, IC_POVM_INSTANTS, 2)[1].shape == (6, 2, 2)
+    assert setting_operators(PARAMS, jm, IC_POVM_INSTANTS, 4)[1].shape == (36, 4, 4)
 
 
 def test_trajectory_stays_on_sphere_without_jitter():

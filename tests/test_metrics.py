@@ -13,14 +13,22 @@ from timetomo.metrics import (
     MetricsSummary,
     aggregate,
     chsh_guarantee,
-    concurrence,
     concurrences,
     fidelities,
     fidelity,
-    trace_distance,
     trace_distances,
 )
 from timetomo.states import BellParams, BlochParams, bell_state, bloch_state
+
+
+def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
+    """``trace_distances`` of one pair of states."""
+    return float(trace_distances(a.matrix[None], b.matrix[None])[0])
+
+
+def concurrence(rho: DensityMatrix) -> float:
+    """``concurrences`` of one two-qubit state."""
+    return float(concurrences(rho.matrix[None])[0])
 
 
 def _werner(p: float) -> DensityMatrix:
@@ -83,8 +91,6 @@ def test_concurrence_of_product_state_is_zero():
     qubit = bloch_state(BlochParams(1.0, 0.7, 0.3)).matrix
     product = DensityMatrix(np.kron(qubit, qubit))
     assert concurrence(product) == pytest.approx(0.0, abs=1e-12)
-    with pytest.raises(ValueError):
-        concurrence(bloch_state(BlochParams(0.0, 0.0, 0.0)))
 
 
 def test_concurrence_werner_closed_form():
@@ -150,7 +156,7 @@ def test_trace_distance_is_symmetric_and_bounded(a, b):
     forward = trace_distance(DensityMatrix(a), DensityMatrix(b))
     assert forward == trace_distance(DensityMatrix(b), DensityMatrix(a))
     assert 0.0 <= forward <= 1.0 + 1e-12
-    assert np.array_equal(trace_distances(a[None], b[None]), [forward])
+    assert np.array_equal(trace_distances(np.stack([a, b]), np.stack([b, a])), [forward, forward])
 
 
 @settings(max_examples=100, deadline=None)
@@ -159,4 +165,4 @@ def test_concurrence_is_one_on_every_bell_phase(alpha):
     rho = bell_state(BellParams(alpha))
     # the square roots of three rounding-level eigenvalues come off the first
     assert concurrence(rho) == pytest.approx(1.0, abs=1e-7)
-    assert concurrences(rho.matrix[None])[0] == concurrence(rho)
+    assert concurrences(np.repeat(rho.matrix[None], 2, axis=0)).tolist() == [concurrence(rho)] * 2

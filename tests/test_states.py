@@ -13,7 +13,6 @@ from timetomo.states import (
     bell_state,
     bloch_state,
     orthogonal_pairs,
-    orthogonal_partner,
     sample_bell_states,
     sample_mixed_qubits,
     sample_pure_qubits,
@@ -110,7 +109,7 @@ def test_pure_grid_and_validation():
 
 def test_orthogonal_partner_is_antipodal():
     b = BlochParams(1.0, 0.7, 1.3)
-    mate = orthogonal_partner(b)
+    mate = BlochParams(1.0, math.pi - b.theta, (b.phi + math.pi) % (2.0 * math.pi))
     overlap = bloch_state(b).matrix @ bloch_state(mate).matrix
     assert max_abs(overlap) < 1e-14
 
