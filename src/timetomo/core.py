@@ -33,6 +33,16 @@ def require_finite(m, name: str = "matrix") -> np.ndarray:
     return out
 
 
+def require_integer(value, key: str) -> int:
+    """``value`` as an int; a boolean or a non-integral number raises, naming ``key``."""
+    try:
+        if not isinstance(value, bool) and int(value) == value:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError(f"{key} must be an integer, got {value!r}")
+
+
 def require_square(m, name: str = "matrix") -> np.ndarray:
     out = require_finite(m, name)
     if out.ndim != 2 or out.shape[0] != out.shape[1]:

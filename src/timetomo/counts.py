@@ -6,6 +6,13 @@ each setting is an independent Poisson draw around the source mean.  Each
 count comes with the count an ideal sharp detector would expect for the
 true input state, purely as bookkeeping; reconstruction recomputes its own
 expectations from candidate states.
+
+The photon numbers come from the counter-based generator Philox4x64-10
+(Salmon, Moraes, Dror & Shaw, "Parallel random numbers: as easy as 1, 2,
+3", SC'11), written in numpy ``uint64`` arithmetic: setting k of sample
+state s draws one uniform from key (seed, 0) and counter (s, k, 0, 0), and
+exact inversion of the Poisson CDF turns it into a photon number.  A count
+is therefore a pure function of (run seed, state, setting).
 """
 
 from __future__ import annotations
@@ -15,7 +22,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import require_integer
+
 MAX_SEED = 2**64 - 1
+
+_PHILOX_ROUNDS = 10
+_PHILOX_MULTIPLIERS = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_WEYL = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_LOW32 = 0xFFFFFFFF
+
+# Each tail the Poisson table leaves out holds less than exp(-_TAIL_LOG) =
+# 2^-54, so together they hold less than 2^-53, the spacing of the uniforms.
+_TAIL_LOG = 54.0 * math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -29,8 +47,58 @@ class NoiseConfig:
     def __post_init__(self):
         if not (math.isfinite(self.mean_photons) and self.mean_photons > 0):
             raise ValueError(f"mean_photons must be positive, got {self.mean_photons}")
-        if not (0 <= int(self.seed) <= MAX_SEED):
+        seed = require_integer(self.seed, "seed")
+        if not (0 <= seed <= MAX_SEED):
             raise ValueError("seed must fit in an unsigned 64-bit integer")
+        object.__setattr__(self, "seed", seed)
+
+
+def _uniforms(key, counter: np.ndarray) -> np.ndarray:
+    """Uniforms in [0, 1) from Philox4x64-10 blocks, one per counter.
+
+    ``key`` is a pair of unsigned 64-bit ints and ``counter`` a ``uint64``
+    array of shape (4, ...).  A uniform is the top 53 bits of output word 0
+    over 2^53, the double that ``numpy.random.Generator(Philox).random()``
+    makes of the same block.
+    """
+    ctr = np.array(counter, dtype=np.uint64)
+    key = list(key)
+    mult = np.array(_PHILOX_MULTIPLIERS, dtype=np.uint64).reshape((2,) + (1,) * (ctr.ndim - 1))
+    mult_lo, mult_hi = mult & _LOW32, mult >> 32
+    for round_ in range(_PHILOX_ROUNDS):
+        if round_:
+            key = [(k + w) & MAX_SEED for k, w in zip(key, _PHILOX_WEYL)]
+        # 64 x 64 -> 128-bit products of words 0 and 2 with the multipliers, from 32-bit halves
+        words = ctr[0::2]
+        lo, hi = words & _LOW32, words >> 32
+        cross_lo, cross_hi = lo * mult_hi, hi * mult_lo
+        carry = ((lo * mult_lo) >> 32) + (cross_lo & _LOW32) + (cross_hi & _LOW32)
+        high = hi * mult_hi + (cross_lo >> 32) + (cross_hi >> 32) + (carry >> 32)
+        ctr = np.stack((
+            high[1] ^ ctr[1] ^ np.uint64(key[0]),
+            words[1] * mult[1],
+            high[0] ^ ctr[3] ^ np.uint64(key[1]),
+            words[0] * mult[0],
+        ))
+    return (ctr[0] >> 11).astype(float) * 2.0**-53
+
+
+def _poisson_table(mean: float) -> tuple[int, np.ndarray]:
+    """Lowest photon number and CDF of Poisson(``mean``) on a window about the mean.
+
+    The window leaves out less than 2^-53 of the mass: by the Bernstein
+    bound P(X >= mean + t) <= exp(-t^2 / (2 (mean + t / 3))) above and the
+    Chernoff bound P(X <= mean - t) <= exp(-t^2 / (2 mean)) below, each tail
+    holds less than 2^-54.  Its width grows as sqrt(mean).  The log pmf is
+    the running sum of log p(n) / p(n - 1) = -log1p((n - mean) / mean), so no
+    large terms cancel; the CDF is normalised to end at exactly 1.
+    """
+    upper = _TAIL_LOG / 3.0 + math.sqrt((_TAIL_LOG / 3.0) ** 2 + 2.0 * _TAIL_LOG * mean)
+    lowest = max(0, math.floor(mean - math.sqrt(2.0 * _TAIL_LOG * mean)))
+    numbers = np.arange(lowest + 1, math.ceil(mean + upper) + 1, dtype=float)
+    log_pmf = np.concatenate(([0.0], np.cumsum(-np.log1p((numbers - mean) / mean))))
+    cdf = np.cumsum(np.exp(log_pmf - log_pmf.max()))
+    return lowest, cdf / cdf[-1]
 
 
 def count_rows(states: np.ndarray, sharp: np.ndarray, smeared: np.ndarray, cfg: NoiseConfig, first_index=0):
@@ -39,22 +107,25 @@ def count_rows(states: np.ndarray, sharp: np.ndarray, smeared: np.ndarray, cfg: 
     ``states`` is (B, d, d) and the operator stacks are (K, d, d), one entry
     per setting.  Counts are drawn from ``smeared`` and booked against
     ``sharp``.  Batch entry b is sample state ``first_index + b``, and the
-    photon number of its setting k is drawn from a stream of its own, keyed
-    (seed, state, setting), so a sample gives the same counts whether it is
-    counted whole or in any split.  Without Poisson noise every setting gets
+    photon number of its setting k inverts the Poisson CDF at the Philox
+    uniform of counter (first_index + b, k, 0, 0), so a sample gives the same
+    counts whether it is counted whole or in any split, and the same photon
+    numbers at every jitter width.  Without Poisson noise every setting gets
     the mean photon number.
     """
-    expected, measured = [], []
-    for index, rho in enumerate(states, first_index):
-        # tr(M rho) for a whole stack, one state at a time: a batched einsum
-        # would sum in an order that depends on the batch size
-        overlaps = np.einsum("kij,ji->k", smeared, rho).real
-        expected.append(cfg.mean_photons * np.einsum("kij,ji->k", sharp, rho).real)
-        photons = [
-            float(np.random.default_rng([int(cfg.seed), 0, index, k]).poisson(cfg.mean_photons))
-            if cfg.poisson_enabled
-            else float(cfg.mean_photons)
-            for k in range(len(smeared))
-        ]
-        measured.append(np.array(photons) * overlaps)
-    return np.array(expected), np.array(measured)
+    batch, dim = states.shape[0], states.shape[1]
+    count = sharp.shape[0]
+    flat = states.reshape(batch, dim * dim)
+    # tr(M rho) = vec(M^T) . vec(rho); an einsum sums each entry alike whatever the batch size
+    sharp_overlaps, smeared_overlaps = (
+        np.einsum("kx,bx->bk", np.swapaxes(stack, 1, 2).reshape(count, dim * dim), flat).real
+        for stack in (sharp, smeared)
+    )
+    if cfg.poisson_enabled:
+        index = np.arange(first_index, first_index + batch, dtype=np.uint64)[:, None]
+        counter = np.stack(np.broadcast_arrays(index, np.arange(count, dtype=np.uint64), np.uint64(0), np.uint64(0)))
+        lowest, cdf = _poisson_table(cfg.mean_photons)
+        photons = lowest + np.searchsorted(cdf, _uniforms((cfg.seed, 0), counter), side="right").astype(float)
+    else:
+        photons = cfg.mean_photons
+    return cfg.mean_photons * sharp_overlaps, photons * smeared_overlaps

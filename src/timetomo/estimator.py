@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import StateError, first_unphysical
+from .core import StateError, first_unphysical, require_integer
 
 # Weight of the maximally mixed state in the warm start.  The projected
 # linear inversion is often rank-deficient, and where a model count nears
@@ -55,8 +55,10 @@ class EstimatorConfig:
     epsilon_floor: float = 1e-9
 
     def __post_init__(self):
-        if self.max_iterations < 1:
+        max_iterations = require_integer(self.max_iterations, "max_iterations")
+        if max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
+        object.__setattr__(self, "max_iterations", max_iterations)
         if not (self.convergence_tol > 0 and self.epsilon_floor > 0):
             raise ValueError("convergence_tol and epsilon_floor must be positive")
 

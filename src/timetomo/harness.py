@@ -4,10 +4,12 @@ A sweep walks the (jitter width, photon number) grid over a fixed state
 sample.  Each cell runs the simulate-and-reconstruct pipeline on the whole
 sample as one batch (counts, estimates, metrics) and aggregates the metrics
 into CSV rows.  All modes share one sweep loop, ``run_sweep``; the ``MODES``
-table holds what differs between them.  Randomness is derived per (master
-seed, state index, setting index) and every stage treats each state on its
-own, so results are byte-identical for a given config and seed no matter how
-the work is split between processes.
+table holds what differs between them.  The only randomness is the photon
+number of each count, a Philox draw keyed by (run seed, state index, setting
+index), and every stage treats each state on its own, so results are
+byte-identical for a given config and seed no matter how the work is split
+between processes.  Cells that differ only in jitter width see the same
+photon numbers.
 """
 
 from __future__ import annotations
@@ -17,7 +19,9 @@ import dataclasses
 import functools
 import json
 import math
+import numbers
 import platform
+from collections.abc import Iterable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -26,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
-from .core import StateError
+from .core import StateError, require_integer
 from .counts import MAX_SEED, NoiseConfig, count_rows
 from .dynamics import DynamicsParams
 from .estimator import EstimatorConfig, StateEstimates, estimate_states
@@ -55,19 +59,23 @@ CONVERGENCE_WARN_FRACTION = 0.1
 _COMPLETENESS_TOL = 1e-10
 
 
-def _integer(value, key: str) -> int:
-    """``value`` as an int; a boolean or a non-integral number raises, naming ``key``."""
-    try:
-        if not isinstance(value, bool) and int(value) == value:
-            return int(value)
-    except (TypeError, ValueError, OverflowError):
-        pass
-    raise ValueError(f"{key} must be an integer, got {value!r}")
+def _real(value, key: str) -> float:
+    """``value`` as a float; a string, boolean or other non-number raises, naming ``key``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
+def _reals(values, key: str) -> tuple[float, ...]:
+    """``values`` as a tuple of floats; a scalar, a string or a non-number entry raises, naming ``key``."""
+    if isinstance(values, (str, bytes)) or not isinstance(values, Iterable):
+        raise ValueError(f"{key} must be a list of numbers, got {values!r}")
+    return tuple(_real(v, f"{key} entry") for v in values)
 
 
 def _periods(periods) -> tuple[float, float, float]:
     """The three rotation periods as floats, validated by ``DynamicsParams``."""
-    periods = tuple(float(p) for p in periods)
+    periods = _reals(periods, "periods")
     if len(periods) != 3:
         raise ValueError(f"periods must list three rotation periods, got {len(periods)}: {periods}")
     DynamicsParams(*periods)
@@ -100,20 +108,20 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {tuple(MODES)}, got {self.mode!r}")
-        sigmas = tuple(float(s) for s in self.sigma_list)
+        sigmas = _reals(self.sigma_list, "sigma_list")
         if not sigmas or any(not (math.isfinite(s) and s >= 0) for s in sigmas):
             raise ValueError("sigma_list must be nonempty with nonnegative finite entries")
-        photons = tuple(float(n) for n in self.photon_list)
+        photons = _reals(self.photon_list, "photon_list")
         if not photons or any(not (math.isfinite(n) and n > 0) for n in photons):
             raise ValueError("photon_list must be nonempty with positive entries")
-        seed = _integer(self.seed, "seed")
+        seed = require_integer(self.seed, "seed")
         if not (0 <= seed <= MAX_SEED):
             raise ValueError("seed must fit in an unsigned 64-bit integer")
         sample = self.sample if self.sample is not None else MODES[self.mode].desk
         sizes = {}
         for key in MODES[self.mode].sample_keys:
             value = getattr(sample, key)
-            sizes[key] = _integer(value, f"sample.{key}") if value is not None else 0
+            sizes[key] = require_integer(value, f"sample.{key}") if value is not None else 0
             if sizes[key] < 1:
                 raise ValueError(f"sample.{key} must be a positive integer for mode {self.mode}")
         if self.mode == "qubit-orthogonal-pairs" and sizes["n_phi"] % 2:
@@ -154,15 +162,17 @@ class TrajectoryConfig:
     def __post_init__(self):
         if self.operator not in TRAJECTORY_OPERATORS:
             raise ValueError(f"operator must be one of {TRAJECTORY_OPERATORS}")
-        if not (math.isfinite(self.sigma_over_T) and self.sigma_over_T >= 0):
+        sigma = _real(self.sigma_over_T, "sigma_over_T")
+        if not (math.isfinite(sigma) and sigma >= 0):
             raise ValueError("sigma_over_T must be nonnegative")
-        points = _integer(self.points, "points")
+        points = require_integer(self.points, "points")
         if points < 2:
             raise ValueError("points must be at least 2")
-        if not (math.isfinite(self.t_max_over_T) and self.t_max_over_T > 0):
+        t_max = _real(self.t_max_over_T, "t_max_over_T")
+        if not (math.isfinite(t_max) and t_max > 0):
             raise ValueError("t_max_over_T must be positive")
         object.__setattr__(self, "points", points)
-        object.__setattr__(self, "seed", _integer(self.seed, "seed"))
+        object.__setattr__(self, "seed", require_integer(self.seed, "seed"))
         object.__setattr__(self, "periods", _periods(self.periods))
 
     @property
@@ -215,12 +225,9 @@ def load_config(source, *, seed=None, out_dir=None, paper_scale=False):
     if mode == "trajectory":
         allowed = ("mode", "operator", "sigma_over_T", "points", "t_max_over_T", "seed", "out_dir", "periods")
         _reject_unknown(raw, allowed, "config")
-        kwargs = {k: raw[k] for k in allowed[1:] if k in raw}
-        if "periods" in kwargs:
-            kwargs["periods"] = tuple(kwargs["periods"])
-        cfg = TrajectoryConfig(**kwargs)
+        cfg = TrajectoryConfig(**{k: raw[k] for k in allowed[1:] if k in raw})
         if seed is not None:
-            cfg = dataclasses.replace(cfg, seed=int(seed))
+            cfg = dataclasses.replace(cfg, seed=seed)
         if out_dir is not None:
             cfg = dataclasses.replace(cfg, out_dir=str(out_dir))
         return cfg
@@ -238,18 +245,18 @@ def load_config(source, *, seed=None, out_dir=None, paper_scale=False):
     sample = _build_sample(mode, raw.get("sample", {})) if "sample" in raw else None
     cfg = ExperimentConfig(
         mode=mode,
-        sigma_list=tuple(raw["sigma_list"]),
-        photon_list=tuple(raw["photon_list"]),
+        sigma_list=raw["sigma_list"],
+        photon_list=raw["photon_list"],
         seed=raw.get("seed", 0),
         out_dir=str(raw.get("out_dir", "results")),
         sample=sample,
         estimator=EstimatorConfig(**est_raw),
-        periods=tuple(raw.get("periods", (4.0, 1.0, 2.0))),
+        periods=raw.get("periods", (4.0, 1.0, 2.0)),
     )
     if paper_scale:
         cfg = dataclasses.replace(cfg, sample=MODES[mode].paper)
     if seed is not None:
-        cfg = dataclasses.replace(cfg, seed=int(seed))
+        cfg = dataclasses.replace(cfg, seed=seed)
     if out_dir is not None:
         cfg = dataclasses.replace(cfg, out_dir=str(out_dir))
     return cfg

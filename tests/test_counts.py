@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from timetomo.counts import NoiseConfig, count_rows
+from timetomo.counts import MAX_SEED, NoiseConfig, _poisson_table, _uniforms, count_rows
 from timetomo.dynamics import DynamicsParams
 from timetomo.measurement import (
     IC_POVM_INSTANTS,
@@ -13,7 +13,7 @@ from timetomo.measurement import (
     polarization_projector,
     setting_operators,
 )
-from timetomo.states import BellParams, BlochParams, bell_state, bloch_state
+from timetomo.states import BellParams, BlochParams, bell_state, bloch_state, sample_bell_states, sample_mixed_qubits, state_stack
 
 PARAMS = DynamicsParams()
 
@@ -22,9 +22,38 @@ IDENTITY = np.eye(2, dtype=complex)[None]
 H_STATE = np.diag([1.0, 0.0]).astype(complex)
 
 
+def _philox_uniform(key, counter):
+    """numpy's own Philox4x64-10 double for one (key, counter) pair.
+
+    numpy steps the counter before it computes its first block, so the
+    reference starts one below ``counter``.  The state takes ``uint64``
+    arrays: list entries of 2^53 and more would pass through floats.
+    """
+    previous = (sum(word << (64 * i) for i, word in enumerate(counter)) - 1) % 2**256
+    bits = np.random.Philox()
+    state = bits.state
+    state["state"] = {
+        "counter": np.array([(previous >> (64 * i)) & MAX_SEED for i in range(4)], dtype=np.uint64),
+        "key": np.array(key, dtype=np.uint64),
+    }
+    bits.state = state
+    return np.random.Generator(bits).random()
+
+
+def _poisson_pmf(n, mean):
+    return math.exp(n * math.log(mean) - mean - math.lgamma(n + 1))
+
+
 def _photons(seed, state_index, setting_index, mean_photons):
-    """The photon number of one setting, drawn from its (seed, state, setting) stream."""
-    return float(np.random.default_rng([seed, 0, state_index, setting_index]).poisson(mean_photons))
+    """The photon number of one setting: the smallest n whose Poisson CDF exceeds
+    the Philox uniform of key (seed, 0) and counter (state, setting, 0, 0)."""
+    uniform = _philox_uniform((seed, 0), (state_index, setting_index, 0, 0))
+    cdf = 0.0
+    for n in range(int(10 * mean_photons) + 100):
+        cdf += _poisson_pmf(n, mean_photons)
+        if cdf > uniform:
+            return float(n)
+    raise AssertionError("uniform beyond the summed CDF")
 
 
 def _rows(rho, sigma, cfg, state_index=0):
@@ -42,6 +71,101 @@ def test_noise_config_validation():
         NoiseConfig(mean_photons=math.inf)
     with pytest.raises(ValueError):
         NoiseConfig(mean_photons=10.0, seed=-1)
+    for seed in (1.9, True):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            NoiseConfig(mean_photons=10.0, seed=seed)
+    assert type(NoiseConfig(mean_photons=10.0, seed=3.0).seed) is int
+
+
+def test_uniforms_match_numpy_philox():
+    rng = np.random.default_rng(17)
+    for _ in range(100):
+        key = [int(word) for word in rng.integers(0, 2**64, 2, dtype=np.uint64)]
+        counters = rng.integers(0, 2**64, (4, 5), dtype=np.uint64)
+        # a zero low word makes the reference borrow from the next word
+        counters[0, 0] = 0
+        counters[:, 1] = [0, 0, 0, 0]
+        want = [_philox_uniform(key, [int(word) for word in counter]) for counter in counters.T]
+        assert _uniforms(key, counters).tolist() == want
+
+
+@pytest.mark.parametrize("mean", [0.5, 10.0, 1000.0])
+def test_poisson_photon_numbers_fit_their_distribution(mean):
+    # 20000 photon numbers through identity operators, where a count is the photon number
+    identities = np.repeat(IDENTITY, 5, axis=0)
+    states = np.repeat(H_STATE[None], 4000, axis=0)
+    draws = count_rows(states, identities, identities, NoiseConfig(mean, seed=2024))[1].ravel()
+    size = draws.size
+    assert np.array_equal(draws, np.round(draws))
+    assert abs(draws.mean() - mean) < 4.0 * math.sqrt(mean / size)
+    assert abs(draws.var(ddof=1) - mean) < 4.0 * math.sqrt((mean + 2.0 * mean * mean) / size)
+    # chi-square over bins holding at least 5 expected draws, tails pooled
+    numbers = np.arange(int(mean + 12.0 * math.sqrt(mean) + 20))
+    expected = size * np.array([_poisson_pmf(int(n), mean) for n in numbers])
+    kept = numbers[expected >= 5.0]
+    low, high = kept[0], kept[-1]
+    inner = (numbers > low) & (numbers < high)
+    observed = [np.sum(draws <= low), *(np.sum(draws == n) for n in numbers[inner]), np.sum(draws >= high)]
+    below = expected[numbers <= low].sum()
+    wanted = [below, *expected[inner], size - below - expected[inner].sum()]
+    statistic = sum((o - e) ** 2 / e for o, e in zip(observed, wanted))
+    dof = len(wanted) - 1
+    # Wilson-Hilferty 99.9% quantile of chi-square with dof degrees of freedom
+    quantile = dof * (1.0 - 2.0 / (9.0 * dof) + 3.09 * math.sqrt(2.0 / (9.0 * dof))) ** 3
+    assert statistic < quantile, (statistic, quantile, dof)
+
+
+@pytest.mark.parametrize("mean", [1e-3, 1.0, 1e3, 1e6])
+def test_poisson_window_leaves_out_less_than_the_uniform_spacing(mean):
+    lowest, cdf = _poisson_table(mean)
+    highest = lowest + len(cdf) - 1
+    assert cdf[-1] == 1.0 and np.all(np.diff(cdf) >= 0.0)
+    assert len(cdf) <= 40.0 * math.sqrt(mean) + 60
+    # the tails summed outward from the window until what is left is negligible
+    excluded = 0.0
+    for numbers in (range(lowest - 1, -1, -1), range(highest + 1, highest + 10**6)):
+        for n in numbers:
+            term = _poisson_pmf(n, mean)
+            excluded += term
+            if term < 2.0**-53 * 1e-6:
+                break
+    assert excluded < 2.0**-53
+    # and inside the window the table is the Poisson CDF, up to the reference's
+    # own error: its log pmf carries a few ulp of n ln n
+    reference = np.cumsum([_poisson_pmf(n, mean) for n in range(lowest, highest + 1)])
+    assert np.abs(cdf - reference).max() < 1e-12 + 2.0**-50 * mean * max(1.0, math.log(mean))
+
+
+@pytest.mark.parametrize("sample", [sample_mixed_qubits(3, 2, 2), sample_bell_states(12)], ids=["qubit", "pair"])
+def test_count_rows_do_not_depend_on_the_split(sample):
+    states = state_stack(sample)
+    _, sharp, smeared = setting_operators(PARAMS, JitterModel(0.1), IC_POVM_INSTANTS, states.shape[1])
+    cfg = NoiseConfig(mean_photons=100.0, seed=5)
+    whole = count_rows(states, sharp, smeared, cfg, first_index=7)
+    for size in (1, 2, 3, 5):
+        parts = [count_rows(states[lo:lo + size], sharp, smeared, cfg, 7 + lo) for lo in range(0, len(states), size)]
+        for column, joined in zip(whole, map(np.concatenate, zip(*parts))):
+            assert joined.tobytes() == column.tobytes()
+
+
+def test_photon_numbers_do_not_depend_on_sigma():
+    # cells that differ only in jitter width share their photon numbers,
+    # so a sigma comparison is paired
+    # so a sigma comparison is paired; a count over its noiseless value is the
+    # photon number over N wherever the overlap is not near zero
+    states = state_stack(sample_mixed_qubits(2, 3, 3))
+    photons, kept = [], True
+    for sigma in (0.0, 0.1, 0.3):
+        _, sharp, smeared = setting_operators(PARAMS, JitterModel(sigma), IC_POVM_INSTANTS, 2)
+        measured = count_rows(states, sharp, smeared, NoiseConfig(1000.0, seed=8))[1]
+        noiseless = count_rows(states, sharp, smeared, NoiseConfig(1000.0, poisson_enabled=False))[1]
+        kept = kept & (noiseless > 1.0)
+        photons.append(1000.0 * measured / np.maximum(noiseless, 1.0))
+    photons = np.array(photons)[:, kept]
+    assert np.abs(photons - np.round(photons)).max() < 1e-9
+    assert np.array_equal(np.round(photons[0]), np.round(photons[1]))
+    assert np.array_equal(np.round(photons[0]), np.round(photons[2]))
+    assert kept.sum() > 0.8 * kept.size and len(np.unique(np.round(photons[0]))) > 10
 
 
 def test_counting_rng_streams_are_independent_and_stable():

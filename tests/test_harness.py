@@ -2,11 +2,16 @@
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import timetomo
 import timetomo.harness as harness_module
 from timetomo.cli import main
 from timetomo.core import StateError
@@ -88,19 +93,40 @@ def test_configs_reject_periods_without_three_entries(periods):
         ({"mode": "trajectory", "points": 10.5}, "points"),
         ({"mode": "trajectory", "points": True}, "points"),
         ({"mode": "trajectory", "seed": 0.5}, "seed"),
+        ({**TINY_QUBIT, "estimator": {"max_iterations": 2.5}}, "max_iterations"),
+        ({**TINY_QUBIT, "estimator": {"max_iterations": True}}, "max_iterations"),
     ],
 )
 def test_integer_fields_reject_fractions_and_booleans(doc, key):
-    # truncating 2.7 to 2 would run a sample the config does not name, and a
-    # fractional point count would fail only after the output directory exists
+    # truncating 2.7 to 2 would run a sample the config does not name, a
+    # fractional point count would fail only after the output directory
+    # exists, and 2.5 trial steps would allow 3
     with pytest.raises(ValueError, match=re.escape(key) + " must be an integer"):
         load_config(doc)
 
 
+@pytest.mark.parametrize(
+    "doc, key",
+    [
+        ({**TINY_QUBIT, "sigma_list": 0.1}, "sigma_list must be a list of numbers"),
+        ({**TINY_QUBIT, "photon_list": 10}, "photon_list must be a list of numbers"),
+        ({**TINY_QUBIT, "photon_list": ["100"]}, "photon_list entry must be a number"),
+        ({**TINY_QUBIT, "periods": 4}, "periods must be a list of numbers"),
+        ({"mode": "trajectory", "periods": 4}, "periods must be a list of numbers"),
+        ({"mode": "trajectory", "sigma_over_T": "0.1"}, "sigma_over_T must be a number"),
+        ({"mode": "trajectory", "t_max_over_T": "2"}, "t_max_over_T must be a number"),
+    ],
+)
+def test_config_type_errors_name_the_key(doc, key):
+    with pytest.raises(ValueError, match=re.escape(key)):
+        load_config(doc)
+
+
 def test_integral_floats_load_as_integers():
-    cfg = load_config({**TINY_QUBIT, "seed": 3.0, "sample": {"n_theta": 2.0, "n_phi": 2}})
-    assert (cfg.seed, cfg.sample.n_theta) == (3, 2)
-    assert type(cfg.seed) is int and type(cfg.sample.n_theta) is int
+    cfg = load_config({**TINY_QUBIT, "seed": 3.0, "sample": {"n_theta": 2.0, "n_phi": 2},
+                       "estimator": {"max_iterations": 40.0}})
+    assert (cfg.seed, cfg.sample.n_theta, cfg.estimator.max_iterations) == (3, 2, 40)
+    assert type(cfg.seed) is int and type(cfg.sample.n_theta) is int and type(cfg.estimator.max_iterations) is int
     assert type(load_config({"mode": "trajectory", "points": 10.0}).points) is int
 
 
@@ -423,3 +449,23 @@ def test_cli_dump_counts_writes_artifacts(tmp_path):
     assert code == 0
     assert (out_dir / "counts_sigma0_N100.csv").exists()
     assert (out_dir / "estimates_sigma0_N100.jsonl").exists()
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_cli_sweep_leaves_numpy_random_unimported(tmp_path, workers):
+    # the counts draw from their own Philox; importing numpy.random would cost
+    # every interpreter and every pool worker tens of milliseconds
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"mode": "qubit-pure", "sigma_list": [0.1], "photon_list": [100]}))
+    script = (
+        "import sys\n"
+        "from timetomo.cli import main\n"
+        f"code = main(['qubit-sweep', '--config', {str(cfg_path)!r}, '--out', {str(tmp_path / 'run')!r},"
+        f" '--workers', {workers!r}])\n"
+        "print(code, 'numpy.random' in sys.modules)\n"
+    )
+    src = str(Path(timetomo.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split()[-2:] == ["0", "False"]
