@@ -7,6 +7,7 @@ Numerical tolerances are module constants, and no call overrides them.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +42,13 @@ def require_integer(value, key: str) -> int:
     except (TypeError, ValueError, OverflowError):
         pass
     raise ValueError(f"{key} must be an integer, got {value!r}")
+
+
+def require_real(value, key: str) -> float:
+    """``value`` as a float; a string, boolean or other non-number raises, naming ``key``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{key} must be a number, got {value!r}")
+    return float(value)
 
 
 def require_square(m, name: str = "matrix") -> np.ndarray:

@@ -22,9 +22,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import require_integer
+from .core import require_integer, require_real
 
 MAX_SEED = 2**64 - 1
+
+# Largest accepted mean photon number.  The Poisson table that a count call
+# builds grows as sqrt(mean): at 1e9 it holds 547k entries (4.4 MB), takes
+# about 25 ms to build and raises a process's peak memory by about 18 MB.
+MAX_MEAN_PHOTONS = 1e9
 
 _PHILOX_ROUNDS = 10
 _PHILOX_MULTIPLIERS = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
@@ -45,8 +50,11 @@ class NoiseConfig:
     poisson_enabled: bool = True
 
     def __post_init__(self):
-        if not (math.isfinite(self.mean_photons) and self.mean_photons > 0):
+        mean = require_real(self.mean_photons, "mean_photons")
+        if not (math.isfinite(mean) and mean > 0):
             raise ValueError(f"mean_photons must be positive, got {self.mean_photons}")
+        if mean > MAX_MEAN_PHOTONS:
+            raise ValueError(f"mean_photons must be at most MAX_MEAN_PHOTONS = {MAX_MEAN_PHOTONS:g}, got {mean:g}")
         seed = require_integer(self.seed, "seed")
         if not (0 <= seed <= MAX_SEED):
             raise ValueError("seed must fit in an unsigned 64-bit integer")

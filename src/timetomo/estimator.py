@@ -25,12 +25,13 @@ Gauger & Leach, npj Quantum Inf. 3, 44 (2017)).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .core import StateError, first_unphysical, require_integer
+from .core import StateError, first_unphysical, require_integer, require_real
 
 # Weight of the maximally mixed state in the warm start.  The projected
 # linear inversion is often rank-deficient, and where a model count nears
@@ -59,8 +60,11 @@ class EstimatorConfig:
         if max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
         object.__setattr__(self, "max_iterations", max_iterations)
-        if not (self.convergence_tol > 0 and self.epsilon_floor > 0):
-            raise ValueError("convergence_tol and epsilon_floor must be positive")
+        for key in ("convergence_tol", "epsilon_floor"):
+            value = require_real(getattr(self, key), key)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{key} must be positive and finite, got {value!r}")
+            object.__setattr__(self, key, value)
 
 
 class StateEstimates(NamedTuple):
@@ -75,7 +79,8 @@ class StateEstimates(NamedTuple):
 def _objective_from_stack(model_stack, measured, mean_photons, epsilon_floor):
     """Objective and gradient of candidates (b, d, d), each scored against the count row ``rows`` picks.
 
-    Model counts use tr(M rho) = vec(M^T) . vec(rho).  The contractions are
+    ``mean_photons`` holds the photon number of each count row, (B,).  Model
+    counts use tr(M rho) = vec(M^T) . vec(rho).  The contractions are
     einsums, whose sums do not depend on how many candidates share a call.
     """
     count, dim = model_stack.shape[0], model_stack.shape[1]
@@ -84,11 +89,12 @@ def _objective_from_stack(model_stack, measured, mean_photons, epsilon_floor):
     measured_sq = measured * measured
 
     def evaluate(rho, rows):
-        model = mean_photons * np.einsum("kx,bx->bk", flat_transposed, rho.reshape(len(rho), dim * dim)).real
+        photons = mean_photons[rows, None]
+        model = photons * np.einsum("kx,bx->bk", flat_transposed, rho.reshape(len(rho), dim * dim)).real
         np.maximum(model, epsilon_floor, out=model)
         resid = measured[rows] - model
         value = np.sum(resid * resid / model, axis=1)
-        weights = mean_photons * (1.0 - measured_sq[rows] / (model * model))
+        weights = photons * (1.0 - measured_sq[rows] / (model * model))
         return value, np.einsum("bk,kx->bx", weights, flat).reshape(len(rho), dim, dim)
 
     return evaluate
@@ -117,30 +123,35 @@ def _inner(a, b) -> np.ndarray:
 
 
 def _warm_start(model_stack, measured, mean_photons):
-    """Least-squares linear inversion of every count row, projected onto the states and mixed."""
+    """Least-squares linear inversion of every count row, projected onto the states and mixed.
+
+    ``mean_photons`` holds the photon number of each count row, (B,).
+    """
     count, dim = model_stack.shape[0], model_stack.shape[1]
     design = np.swapaxes(model_stack, 1, 2).reshape(count, dim * dim)
-    inverted = np.einsum("xk,bk->bx", np.linalg.pinv(design), measured / mean_photons).reshape(-1, dim, dim)
+    rates = measured / mean_photons[:, None]
+    inverted = np.einsum("xk,bk->bx", np.linalg.pinv(design), rates).reshape(-1, dim, dim)
     rho = _project_to_states(0.5 * (inverted + np.conj(np.swapaxes(inverted, 1, 2))))
     return (1.0 - _WARM_START_MIX) * rho + (_WARM_START_MIX / dim) * np.eye(dim)
 
 
-def _accelerated_descent(evaluate, rho, cfg: EstimatorConfig, mean_photons: float) -> StateEstimates:
+def _accelerated_descent(evaluate, rho, cfg: EstimatorConfig, mean_photons: np.ndarray) -> StateEstimates:
     """FISTA on the density matrices with backtracking and adaptive restart, for a batch.
 
-    The step is 1 / L for a curvature estimate L that starts at the photon
-    number (f scales with it), shrinks by 10% before each step and doubles
-    whenever a trial step fails the sufficient-decrease test.  Every trial
-    step, accepted or rejected, counts against ``cfg.max_iterations``.
-    Each state keeps its own L, momentum and step count, and every pass
-    takes one trial step for each unfinished state, so each follows the
-    path it would follow alone.  ``stepping`` marks the states that have
-    passed their gap check and are inside their backtracking loop.
+    The step is 1 / L for a curvature estimate L that starts at the state's
+    photon number in ``mean_photons`` (B,) (f scales with it), shrinks by 10%
+    before each step and doubles whenever a trial step fails the
+    sufficient-decrease test.  Every trial step, accepted or rejected, counts
+    against ``cfg.max_iterations``.  Each state keeps its own L, momentum
+    and step count, and every pass takes one trial step for each unfinished
+    state, so each follows the path it would follow alone.  ``stepping``
+    marks the states that have passed their gap check and are inside their
+    backtracking loop.
     """
     batch = len(rho)
     value, grad = evaluate(rho, np.arange(batch))
     ahead, ahead_value, ahead_grad = rho.copy(), value.copy(), grad.copy()
-    momentum, lipschitz = np.ones(batch), np.full(batch, float(mean_photons))
+    momentum, lipschitz = np.ones(batch), mean_photons.copy()
     steps = np.zeros(batch, dtype=int)
     converged, stepping, finished = (np.zeros(batch, dtype=bool) for _ in range(3))
 
@@ -181,20 +192,23 @@ def _accelerated_descent(evaluate, rho, cfg: EstimatorConfig, mean_photons: floa
         drop_momentum(live[ahead_value[live] > value[live]])
 
 
-def estimate_states(stack, measured, mean_photons: float, cfg: EstimatorConfig) -> StateEstimates:
+def estimate_states(stack, measured, mean_photons, cfg: EstimatorConfig) -> StateEstimates:
     """Reconstruct a batch of states from their count rows, ``measured`` (B, K).
 
-    ``stack`` holds the sharp operators of the K settings, (K, d, d).  Linear
+    ``stack`` holds the sharp operators of the K settings, (K, d, d), and
+    ``mean_photons`` the source photon number, one for the whole batch or one
+    per row, (B,), so rows of several sweep cells can share one call.  Linear
     inversion gives the warm starts, accelerated projected gradient refines
     them, and an estimate is ``converged`` when its Frank-Wolfe gap is at
-    most ``cfg.convergence_tol``.  Entry b depends on row b alone, so a batch
-    may be fitted whole or in any split.  A non-finite count row or a
-    non-physical estimate raises ``StateError`` naming its row, chained to
-    the error that describes it.
+    most ``cfg.convergence_tol``.  Entry b depends on row b and its photon
+    number alone, so a batch may be fitted whole or in any split.  A
+    non-finite count row or a non-physical estimate raises ``StateError``
+    naming its row, chained to the error that describes it.
     """
-    if mean_photons <= 0:
-        raise ValueError("mean_photons must be positive")
     measured = np.asarray(measured, dtype=float)
+    mean_photons = np.broadcast_to(np.asarray(mean_photons, dtype=float), measured.shape[:1])
+    if not (np.isfinite(mean_photons) & (mean_photons > 0)).all():
+        raise ValueError("mean_photons must be positive and finite")
     bad = np.flatnonzero(~np.isfinite(measured).all(axis=1))
     if bad.size:
         raise StateError(int(bad[0])) from FloatingPointError("count row has non-finite entries")

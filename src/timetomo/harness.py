@@ -1,15 +1,16 @@
-"""Sweep orchestration: configs, cell execution, CSV and manifest output.
+"""Sweep orchestration: configs, the sweep batch, CSV and manifest output.
 
 A sweep walks the (jitter width, photon number) grid over a fixed state
-sample.  Each cell runs the simulate-and-reconstruct pipeline on the whole
-sample as one batch (counts, estimates, metrics) and aggregates the metrics
-into CSV rows.  All modes share one sweep loop, ``run_sweep``; the ``MODES``
-table holds what differs between them.  The only randomness is the photon
-number of each count, a Philox draw keyed by (run seed, state index, setting
-index), and every stage treats each state on its own, so results are
-byte-identical for a given config and seed no matter how the work is split
-between processes.  Cells that differ only in jitter width see the same
-photon numbers.
+sample.  Every cell fits against the same sharp operators, so the whole
+grid runs as one batch: each cell's counts are drawn on their own, all
+cells' count rows are fitted in one estimator call with a photon number per
+row, and then each cell's metrics are aggregated into CSV rows.  All modes
+share one sweep loop, ``run_sweep``; the ``MODES`` table holds what differs
+between them.  The only randomness is the photon number of each count, a
+Philox draw keyed by (run seed, state index, setting index), and every stage
+treats each state on its own, so results are byte-identical for a given
+config and seed no matter how the work is split between processes.  Cells
+that differ only in jitter width see the same photon numbers.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import dataclasses
 import functools
 import json
 import math
-import numbers
 import platform
 from collections.abc import Iterable
 from concurrent.futures import ProcessPoolExecutor
@@ -30,8 +30,8 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
-from .core import StateError, require_integer
-from .counts import MAX_SEED, NoiseConfig, count_rows
+from .core import StateError, require_integer, require_real
+from .counts import MAX_MEAN_PHOTONS, MAX_SEED, NoiseConfig, count_rows
 from .dynamics import DynamicsParams
 from .estimator import EstimatorConfig, StateEstimates, estimate_states
 from .measurement import (
@@ -59,18 +59,11 @@ CONVERGENCE_WARN_FRACTION = 0.1
 _COMPLETENESS_TOL = 1e-10
 
 
-def _real(value, key: str) -> float:
-    """``value`` as a float; a string, boolean or other non-number raises, naming ``key``."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{key} must be a number, got {value!r}")
-    return float(value)
-
-
 def _reals(values, key: str) -> tuple[float, ...]:
     """``values`` as a tuple of floats; a scalar, a string or a non-number entry raises, naming ``key``."""
     if isinstance(values, (str, bytes)) or not isinstance(values, Iterable):
         raise ValueError(f"{key} must be a list of numbers, got {values!r}")
-    return tuple(_real(v, f"{key} entry") for v in values)
+    return tuple(require_real(v, f"{key} entry") for v in values)
 
 
 def _periods(periods) -> tuple[float, float, float]:
@@ -114,6 +107,8 @@ class ExperimentConfig:
         photons = _reals(self.photon_list, "photon_list")
         if not photons or any(not (math.isfinite(n) and n > 0) for n in photons):
             raise ValueError("photon_list must be nonempty with positive entries")
+        if max(photons) > MAX_MEAN_PHOTONS:
+            raise ValueError(f"photon_list entries must be at most MAX_MEAN_PHOTONS = {MAX_MEAN_PHOTONS:g}")
         seed = require_integer(self.seed, "seed")
         if not (0 <= seed <= MAX_SEED):
             raise ValueError("seed must fit in an unsigned 64-bit integer")
@@ -162,13 +157,13 @@ class TrajectoryConfig:
     def __post_init__(self):
         if self.operator not in TRAJECTORY_OPERATORS:
             raise ValueError(f"operator must be one of {TRAJECTORY_OPERATORS}")
-        sigma = _real(self.sigma_over_T, "sigma_over_T")
+        sigma = require_real(self.sigma_over_T, "sigma_over_T")
         if not (math.isfinite(sigma) and sigma >= 0):
             raise ValueError("sigma_over_T must be nonnegative")
         points = require_integer(self.points, "points")
         if points < 2:
             raise ValueError("points must be at least 2")
-        t_max = _real(self.t_max_over_T, "t_max_over_T")
+        t_max = require_real(self.t_max_over_T, "t_max_over_T")
         if not (math.isfinite(t_max) and t_max > 0):
             raise ValueError("t_max_over_T must be positive")
         object.__setattr__(self, "points", points)
@@ -266,20 +261,31 @@ def load_config(source, *, seed=None, out_dir=None, paper_scale=False):
 # sweep modes and the cell loop
 
 
-def _fit_chunk(cfg: ExperimentConfig, sigma, n_photons, sharp, smeared, states: np.ndarray, offset: int):
-    """Counts and estimates of one cell's states ``offset``, ``offset + 1``, ...
+def _fit_chunk(cfg: ExperimentConfig, cells, sharp, smeared, states: np.ndarray, offset: int):
+    """Counts and estimates of states ``offset``, ``offset + 1``, ... in every cell of a sweep.
 
-    Module level so process pools can pickle it.  Returns the expected and
-    measured counts followed by the ``StateEstimates`` fields.
+    ``cells`` lists the (sigma, N) pairs and ``smeared`` maps each sigma to
+    its smeared operator stack.  Each cell's counts are drawn on their own,
+    and the rows of all cells are fitted in one ``estimate_states`` call with
+    a photon number per row.  Module level so process pools can pickle it.
+    Returns the expected and measured counts followed by the
+    ``StateEstimates`` fields, each shaped (cells, chunk, ...).
     """
-    noise = NoiseConfig(mean_photons=n_photons, seed=cfg.seed, poisson_enabled=True)
-    expected, measured = count_rows(states, sharp, smeared, noise, offset)
+    counted = [
+        count_rows(states, sharp, smeared[sigma], NoiseConfig(mean_photons=n_photons, seed=cfg.seed), offset)
+        for sigma, n_photons in cells
+    ]
+    expected, measured = (np.stack(part) for part in zip(*counted))
+    photons = np.repeat([n_photons for _, n_photons in cells], len(states))
     try:
-        return (expected, measured, *estimate_states(sharp, measured, n_photons, cfg.estimator))
+        fits = estimate_states(sharp, measured.reshape(len(photons), -1), photons, cfg.estimator)
     except StateError as exc:
+        cell, state = divmod(exc.index, len(states))
+        sigma, n_photons = cells[cell]
         raise RuntimeError(
-            f"mode {cfg.mode}, sigma {sigma:g}, N {n_photons:g}, state {offset + exc.index}: {exc.__cause__}"
+            f"mode {cfg.mode}, sigma {sigma:g}, N {n_photons:g}, state {offset + state}: {exc.__cause__}"
         ) from exc.__cause__
+    return (expected, measured, *(field.reshape(len(cells), len(states), *field.shape[1:]) for field in fits))
 
 
 def _fidelity_metrics(fits: StateEstimates, fidelity):
@@ -388,10 +394,13 @@ def run_sweep(
 ) -> list[SweepRow]:
     """Run every (jitter width, photon number) cell of ``cfg`` and return its rows.
 
-    Each cell counts, reconstructs and scores the whole state sample as one
-    batch, or with ``workers`` > 1 as that many contiguous chunks on one
-    process pool shared by all cells.  It then appends the mode's metric rows
-    and, when too many estimates did not converge, a warning row.
+    The whole sweep is one batch: the counts of every cell are drawn, and
+    all of them are fitted in one ``estimate_states`` call, since every cell
+    fits against the same sharp operators.  With ``workers`` > 1 the state
+    sample is split into that many contiguous chunks; the calling process
+    fits the first, and a process pool of ``workers`` - 1 fits the rest, each
+    over every cell.  Then, cell by cell, the mode's metric rows follow and,
+    when too many estimates did not converge, a warning row.
     """
     mode = MODES[cfg.mode]
     states = state_stack(mode.sample(cfg.sample))
@@ -399,25 +408,29 @@ def run_sweep(
     artifacts = _CellArtifacts(artifact_dir, dump_counts, state_log)
     offsets = sorted({len(states) * w // workers for w in range(workers)})
     chunks = [states[lo:hi] for lo, hi in zip(offsets, offsets[1:] + [len(states)])]
+    # the settings and the sharp operators do not depend on the jitter width
+    settings, sharp, _ = setting_operators(cfg.dynamics, JitterModel(0.0), IC_POVM_INSTANTS, dim)
+    smeared = {
+        sigma: setting_operators(cfg.dynamics, JitterModel(sigma), IC_POVM_INSTANTS, dim)[2] for sigma in cfg.sigma_list
+    }
+    cells = [(sigma, n_photons) for sigma in cfg.sigma_list for n_photons in cfg.photon_list]
+    fit = functools.partial(_fit_chunk, cfg, cells, sharp, smeared)
+    with ProcessPoolExecutor(len(chunks) - 1) if len(chunks) > 1 else contextlib.nullcontext() as pool:
+        pending = [pool.submit(fit, chunk, offset) for chunk, offset in zip(chunks[1:], offsets[1:])]
+        parts = [fit(chunks[0], offsets[0])] + [future.result() for future in pending]
+    expected, measured, *fields = (np.concatenate(field, axis=1) for field in zip(*parts))
     rows = []
-    with ProcessPoolExecutor(len(chunks)) if len(chunks) > 1 else contextlib.nullcontext() as pool:
-        for sigma in cfg.sigma_list:
-            jitter = JitterModel(sigma)
-            settings, sharp, smeared = setting_operators(cfg.dynamics, jitter, IC_POVM_INSTANTS, dim)
-            for n_photons in cfg.photon_list:
-                fit = functools.partial(_fit_chunk, cfg, sigma, n_photons, sharp, smeared)
-                parts = list((pool.map if pool else map)(fit, chunks, offsets))
-                expected, measured, *fields = (np.concatenate(field) for field in zip(*parts))
-                fits = StateEstimates(*fields)
-                fidelity = fidelities(states, fits.rho)
-                rows += [
-                    SweepRow(sigma, n_photons, m.metric_name, m.mean, m.sd, m.stderr, m.n)
-                    for m in mode.metrics(fits, fidelity)
-                ]
-                warning = _warning_row(sigma, n_photons, fits.converged)
-                if warning:
-                    rows.append(warning)
-                artifacts.write(sigma, n_photons, settings, expected, measured, fits, fidelity)
+    for cell, (sigma, n_photons) in enumerate(cells):
+        fits = StateEstimates(*(field[cell] for field in fields))
+        fidelity = fidelities(states, fits.rho)
+        rows += [
+            SweepRow(sigma, n_photons, m.metric_name, m.mean, m.sd, m.stderr, m.n)
+            for m in mode.metrics(fits, fidelity)
+        ]
+        warning = _warning_row(sigma, n_photons, fits.converged)
+        if warning:
+            rows.append(warning)
+        artifacts.write(sigma, n_photons, settings, expected[cell], measured[cell], fits, fidelity)
     return rows
 
 

@@ -1,11 +1,12 @@
 """Photon-count simulation: noise model, seeding, setting layout."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
-from timetomo.counts import MAX_SEED, NoiseConfig, _poisson_table, _uniforms, count_rows
+from timetomo.counts import MAX_MEAN_PHOTONS, MAX_SEED, NoiseConfig, _poisson_table, _uniforms, count_rows
 from timetomo.dynamics import DynamicsParams
 from timetomo.measurement import (
     IC_POVM_INSTANTS,
@@ -75,6 +76,13 @@ def test_noise_config_validation():
         with pytest.raises(ValueError, match="seed must be an integer"):
             NoiseConfig(mean_photons=10.0, seed=seed)
     assert type(NoiseConfig(mean_photons=10.0, seed=3.0).seed) is int
+    # the Poisson table grows as sqrt(N); the ceiling bounds it
+    assert _poisson_table(MAX_MEAN_PHOTONS)[1].size < 600_000
+    NoiseConfig(mean_photons=MAX_MEAN_PHOTONS)
+    with pytest.raises(ValueError, match=re.escape("mean_photons must be at most MAX_MEAN_PHOTONS = 1e+09")):
+        NoiseConfig(mean_photons=1e10)
+    with pytest.raises(ValueError, match="mean_photons must be a number"):
+        NoiseConfig(mean_photons="100")
 
 
 def test_uniforms_match_numpy_philox():

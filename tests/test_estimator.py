@@ -35,7 +35,7 @@ MIXED_QUBIT = 0.5 * np.eye(2, dtype=complex)
 
 def _row_objective(stack, row, mean_photons):
     """The batched objective on one count row, as a map rho -> (f, R)."""
-    evaluate = _objective_from_stack(stack, np.array([row], dtype=float), mean_photons, 1e-9)
+    evaluate = _objective_from_stack(stack, np.array([row], dtype=float), np.array([mean_photons]), 1e-9)
 
     def single(rho):
         value, grad = evaluate(np.asarray(rho, dtype=complex)[None], np.array([0]))
@@ -197,6 +197,13 @@ def test_estimate_state_validates_arguments():
     records = _records(bloch_state(BlochParams(0.0, 0.0, 0.0)))
     with pytest.raises(ValueError):
         _estimate(records, 0.0)
+    stack, row = records
+    measured = np.tile(row, (3, 1))
+    for photons in (-5.0, math.nan, [100.0, math.inf, 100.0], [100.0, 0.0, 100.0]):
+        with pytest.raises(ValueError, match="mean_photons must be positive and finite"):
+            estimate_states(stack, measured, photons, EstimatorConfig())
+    with pytest.raises(ValueError):
+        estimate_states(stack, measured, [100.0, 100.0], EstimatorConfig())
 
 
 def test_estimator_is_blind_to_jitter_by_design():
@@ -347,7 +354,7 @@ def test_batched_descent_follows_each_state_alone(sample, sigma, n, seed, max_it
     _, measured = count_rows(states, sharp, smeared, NoiseConfig(mean_photons=n, seed=seed))
     cfg = EstimatorConfig(max_iterations=max_iterations)
     fits = estimate_states(sharp, measured, n, cfg)
-    starts = _warm_start(sharp, measured, n)
+    starts = _warm_start(sharp, measured, np.full(len(measured), n))
     restarts = 0
     for b in range(len(states)):
         evaluate = _row_objective(sharp, measured[b], n)
@@ -357,3 +364,21 @@ def test_batched_descent_follows_each_state_alone(sample, sigma, n, seed, max_it
         restarts += overshoots
     assert fits.converged.all() == (max_iterations > 7)
     assert restarts > 0 or max_iterations == 7
+
+
+@pytest.mark.parametrize("dim", [2, 4], ids=["qubit", "pair"])
+def test_per_row_photon_numbers_match_scalar_calls(dim):
+    # a sweep fits the rows of all its cells in one call, each row at its own
+    # photon number; every row must come out as a call at that number alone
+    rng = np.random.default_rng(12)
+    states = np.array([_random_state(rng, dim) for _ in range(5)])
+    _, sharp, smeared = setting_operators(PARAMS, JitterModel(0.07), IC_POVM_INSTANTS, dim)
+    groups = (10.0, 100.0, 1000.0)
+    rows = [count_rows(states, sharp, smeared, NoiseConfig(mean_photons=n, seed=4))[1] for n in groups]
+    photons = np.repeat(groups, len(states))
+    joint = estimate_states(sharp, np.concatenate(rows), photons, EstimatorConfig())
+    alone = [estimate_states(sharp, measured, n, EstimatorConfig()) for n, measured in zip(groups, rows)]
+    for field, parts in zip(joint, zip(*alone)):
+        assert np.array_equal(field, np.concatenate(parts))
+    assert len(set(joint.iterations.tolist())) > 1
+

@@ -15,6 +15,7 @@ import timetomo
 import timetomo.harness as harness_module
 from timetomo.cli import main
 from timetomo.core import StateError
+from timetomo.counts import MAX_MEAN_PHOTONS
 from timetomo.harness import (
     CSV_HEADER,
     MODES,
@@ -115,11 +116,23 @@ def test_integer_fields_reject_fractions_and_booleans(doc, key):
         ({"mode": "trajectory", "periods": 4}, "periods must be a list of numbers"),
         ({"mode": "trajectory", "sigma_over_T": "0.1"}, "sigma_over_T must be a number"),
         ({"mode": "trajectory", "t_max_over_T": "2"}, "t_max_over_T must be a number"),
+        ({**TINY_QUBIT, "estimator": {"convergence_tol": "1e-3"}}, "convergence_tol must be a number"),
+        ({**TINY_QUBIT, "estimator": {"convergence_tol": True}}, "convergence_tol must be a number"),
+        ({**TINY_QUBIT, "estimator": {"epsilon_floor": "1e-9"}}, "epsilon_floor must be a number"),
+        ({**TINY_QUBIT, "estimator": {"epsilon_floor": True}}, "epsilon_floor must be a number"),
     ],
 )
 def test_config_type_errors_name_the_key(doc, key):
     with pytest.raises(ValueError, match=re.escape(key)):
         load_config(doc)
+
+
+def test_photon_list_is_capped():
+    # the Poisson table of a count call grows as sqrt(N); past the ceiling a
+    # config is rejected before any state is counted
+    assert load_config({**TINY_QUBIT, "photon_list": [MAX_MEAN_PHOTONS]}).photon_list == (MAX_MEAN_PHOTONS,)
+    with pytest.raises(ValueError, match=re.escape("at most MAX_MEAN_PHOTONS = 1e+09")):
+        load_config({**TINY_QUBIT, "photon_list": [100, 1e10]})
 
 
 def test_integral_floats_load_as_integers():
@@ -309,21 +322,56 @@ def test_state_failure_names_its_cell_and_state(monkeypatch):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_non_finite_count_row_names_its_state(monkeypatch, workers):
-    # with two workers, state 3 is entry 1 of the second chunk
+    # with two workers, state 3 is entry 1 of the second chunk; in a grid,
+    # the sweep fits every cell's rows in one call, and the failing row must
+    # still map back to its own cell
     import timetomo.harness as harness
 
     real = harness.count_rows
+    corrupted = {}
 
     def corrupt(states, sharp, smeared, cfg, first_index=0):
         expected, measured = real(states, sharp, smeared, cfg, first_index)
-        measured[np.arange(first_index, first_index + len(states)) == 3, 0] = np.nan
+        if corrupted["cell"](not np.array_equal(smeared, sharp), cfg.mean_photons):
+            measured[np.arange(first_index, first_index + len(states)) == 3, 0] = np.nan
         return expected, measured
 
     monkeypatch.setattr(harness, "count_rows", corrupt)
+    corrupted["cell"] = lambda jittered, n_photons: True
     cfg = load_config({**TINY_QUBIT, "sigma_list": [0.1]})
     message = "mode qubit-pure, sigma 0.1, N 100, state 3: count row has non-finite"
     with pytest.raises(RuntimeError, match=message):
         run_sweep(cfg, workers=workers)
+
+    # only the last cell of a 2 x 2 grid; at sigma 0 the smeared operators are the sharp ones
+    corrupted["cell"] = lambda jittered, n_photons: jittered and n_photons == 100
+    cfg = load_config({**TINY_QUBIT, "photon_list": [10, 100]})
+    message = "mode qubit-pure, sigma 0.1, N 100, state 3: count row has non-finite"
+    with pytest.raises(RuntimeError, match=message):
+        run_sweep(cfg, workers=workers)
+
+
+@pytest.mark.parametrize("mode", ["qubit-mixed", "entangled"])
+def test_grid_outputs_do_not_depend_on_workers(tmp_path, mode):
+    # the sweep fits every cell in one batch split into chunks; the CSV, the
+    # counts and the state logs must be the same bytes for any split
+    doc = {
+        "mode": mode,
+        "sigma_list": [0.0, 0.1],
+        "photon_list": [10, 1000],
+        "sample": {"n_states": 5} if mode == "entangled" else {"n_r": 2, "n_theta": 2, "n_phi": 2},
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    command = MODES[mode].command
+    outputs = []
+    for workers in ("1", "2", "3"):
+        out_dir = tmp_path / f"run{workers}"
+        args = ["--config", str(cfg_path), "--out", str(out_dir), "--workers", workers]
+        assert main([command, *args, "--dump-counts", "--state-log"]) == 0
+        outputs.append({p.name: p.read_bytes() for p in out_dir.iterdir() if p.name != "manifest.json"})
+    assert len(outputs[0]) == 1 + 2 * 4  # results.csv, then counts and a state log per cell
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 def test_trajectory_csv_matches_row_wise_formatting(tmp_path, monkeypatch):
