@@ -64,6 +64,21 @@ def hermiticity_defect(m: np.ndarray) -> float:
     return max_abs(m - np.conj(np.swapaxes(m, -1, -2)))
 
 
+def ascending_eigenvalues(stack: np.ndarray) -> np.ndarray:
+    """Eigenvalues of each Hermitian matrix in a (..., d, d) stack, ascending, as ``np.linalg.eigvalsh``.
+
+    Like ``eigvalsh`` it reads the lower triangle only.  A 2x2 Hermitian
+    matrix is a I + b . sigma, with eigenvalues a -/+ |b|, so qubit stacks
+    take that closed form instead of a LAPACK call.
+    """
+    if stack.shape[-2:] != (2, 2):
+        return np.linalg.eigvalsh(stack)
+    top, bottom = stack[..., 0, 0].real, stack[..., 1, 1].real
+    centre = 0.5 * (top + bottom)
+    radius = np.hypot(0.5 * (top - bottom), np.abs(stack[..., 1, 0]))
+    return np.stack([centre - radius, centre + radius], axis=-1)
+
+
 def psd_sqrt(m) -> np.ndarray:
     """Principal square root of a positive-semidefinite Hermitian matrix, or of each in a stack.
 
@@ -102,7 +117,7 @@ def first_unphysical(stack, name: str = "density matrix") -> tuple[int, str] | N
     adjoint = np.conj(np.swapaxes(stack, 1, 2))
     defect = np.abs(stack - adjoint).max(axis=(1, 2))
     trace_err = np.abs(np.einsum("bii->b", stack) - 1.0)
-    smallest = np.linalg.eigvalsh(0.5 * (stack + adjoint))[:, 0]
+    smallest = ascending_eigenvalues(0.5 * (stack + adjoint))[:, 0]
     bad = ~finite | (defect > HERMITIAN_ATOL) | (trace_err > TRACE_ATOL) | (smallest < PSD_FLOOR)
     for i in np.flatnonzero(bad)[:1]:
         if not finite[i]:

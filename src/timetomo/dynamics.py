@@ -27,6 +27,9 @@ class DynamicsParams:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be positive and finite, got {value}")
+        # the evolution's half-frequencies reach (w1 + w2 + w3) / 2
+        if not math.isfinite(sum(self.angular_frequencies)):
+            raise ValueError("periods are too short: the angular frequencies 2 pi / period overflow")
 
     @property
     def angular_frequencies(self) -> tuple[float, float, float]:

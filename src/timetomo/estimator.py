@@ -21,6 +21,11 @@ minimum: f(rho) - min f <= tr(R rho) - lambda_min(R), the Frank-Wolfe gap,
 which is what ``converged`` certifies.  ``estimate_states`` fits a whole
 batch of states at once, each step acting on (B, d, d) stacks (Bolduc, Knee,
 Gauger & Leach, npj Quantum Inf. 3, 44 (2017)).
+
+A qubit matrix a I + b . sigma has eigenvalues a -/+ |b|, so qubit fits use
+closed forms and no eigensolver: the projection shrinks the Bloch vector
+onto the Bloch ball, and lambda_min(R) is a - |b|.  Photon pairs use
+``eigh`` and ``eigvalsh``.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import StateError, first_unphysical, require_integer, require_real
+from .core import StateError, ascending_eigenvalues, first_unphysical, require_integer, require_real
 
 # Weight of the maximally mixed state in the warm start.  The projected
 # linear inversion is often rank-deficient, and where a model count nears
@@ -39,6 +44,11 @@ from .core import StateError, first_unphysical, require_integer, require_real
 # tiny first steps.  The sharp operators are rank-one projectors, so the mix
 # lifts every model count to at least N * _WARM_START_MIX / d.
 _WARM_START_MIX = 5e-2
+
+# Rows fitted and validated together.  The solver holds about fifteen
+# (rows, d, d) temporaries, so blocks bound its memory on sweeps of any size;
+# each row's arithmetic does not depend on the block it shares.
+_BLOCK_ROWS = 8192
 
 
 @dataclass(frozen=True)
@@ -104,8 +114,21 @@ def _project_to_states(h: np.ndarray) -> np.ndarray:
     """Nearest unit-trace PSD matrices to Hermitian ``h`` (..., d, d) in Frobenius norm.
 
     Projects each spectrum onto the probability simplex and keeps the
-    eigenvectors (Smolin, Gambetta & Smith 2012).
+    eigenvectors (Smolin, Gambetta & Smith 2012).  For qubits the Hermitian
+    part of h is a I + b . sigma with spectrum a -/+ |b|, whose projection is
+    (1/2 -/+ |b| min(1, 1 / (2|b|))): the Bloch vector b is shrunk onto the
+    ball |b| <= 1/2, and no eigenvectors are needed.
     """
+    if h.shape[-1] == 2:
+        half_split = 0.5 * (h[..., 0, 0].real - h[..., 1, 1].real)
+        lower = 0.5 * (h[..., 1, 0] + np.conj(h[..., 0, 1]))
+        shrink = 1.0 / np.maximum(1.0, 2.0 * np.hypot(half_split, np.abs(lower)))
+        rho = np.empty(h.shape, dtype=complex)
+        rho[..., 0, 0] = 0.5 + shrink * half_split
+        rho[..., 1, 1] = 0.5 - shrink * half_split
+        rho[..., 1, 0] = shrink * lower
+        rho[..., 0, 1] = np.conj(rho[..., 1, 0])
+        return rho
     values, vectors = np.linalg.eigh(h)
     dim = values.shape[-1]
     ordered = values[..., ::-1]
@@ -162,7 +185,7 @@ def _accelerated_descent(evaluate, rho, cfg: EstimatorConfig, mean_photons: np.n
     while True:
         head = np.flatnonzero(~stepping & ~finished)
         # Frank-Wolfe gap tr(R rho) - lambda_min(R), an upper bound on f(rho) - min f
-        done = _inner(grad[head], rho[head]) - np.linalg.eigvalsh(grad[head])[:, 0] <= cfg.convergence_tol
+        done = _inner(grad[head], rho[head]) - ascending_eigenvalues(grad[head])[:, 0] <= cfg.convergence_tol
         converged[head[done]] = finished[head[done]] = True
         lipschitz[head[~done]] *= 0.9
         stepping[head[~done]] = True
@@ -201,9 +224,11 @@ def estimate_states(stack, measured, mean_photons, cfg: EstimatorConfig) -> Stat
     inversion gives the warm starts, accelerated projected gradient refines
     them, and an estimate is ``converged`` when its Frank-Wolfe gap is at
     most ``cfg.convergence_tol``.  Entry b depends on row b and its photon
-    number alone, so a batch may be fitted whole or in any split.  A
-    non-finite count row or a non-physical estimate raises ``StateError``
-    naming its row, chained to the error that describes it.
+    number alone, so a batch may be fitted whole or in any split; it is
+    fitted and validated in blocks of ``_BLOCK_ROWS`` rows, which bounds the
+    memory a large batch takes.  A non-finite count row or a non-physical
+    estimate raises ``StateError`` naming its row in the whole batch,
+    chained to the error that describes it.
     """
     measured = np.asarray(measured, dtype=float)
     mean_photons = np.broadcast_to(np.asarray(mean_photons, dtype=float), measured.shape[:1])
@@ -212,10 +237,15 @@ def estimate_states(stack, measured, mean_photons, cfg: EstimatorConfig) -> Stat
     bad = np.flatnonzero(~np.isfinite(measured).all(axis=1))
     if bad.size:
         raise StateError(int(bad[0])) from FloatingPointError("count row has non-finite entries")
-    evaluate = _objective_from_stack(stack, measured, mean_photons, cfg.epsilon_floor)
-    estimates = _accelerated_descent(evaluate, _warm_start(stack, measured, mean_photons), cfg, mean_photons)
-    problem = first_unphysical(estimates.rho, "estimate")
-    if problem is not None:
-        raise StateError(problem[0]) from ValueError(problem[1])
-    return estimates
+    blocks = []
+    # at least one block, so that an empty batch returns empty fields
+    for start in range(0, max(len(measured), 1), _BLOCK_ROWS):
+        rows, photons = measured[start : start + _BLOCK_ROWS], mean_photons[start : start + _BLOCK_ROWS]
+        evaluate = _objective_from_stack(stack, rows, photons, cfg.epsilon_floor)
+        block = _accelerated_descent(evaluate, _warm_start(stack, rows, photons), cfg, photons)
+        problem = first_unphysical(block.rho, "estimate")
+        if problem is not None:
+            raise StateError(start + problem[0]) from ValueError(problem[1])
+        blocks.append(block)
+    return StateEstimates(*(np.concatenate(field) for field in zip(*blocks)))
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DensityMatrix, psd_sqrt
+from .core import DensityMatrix, ascending_eigenvalues, psd_sqrt
 
 # Pauli sigma_y tensored with itself; fixed matrix used by the concurrence.
 _SIGMA_Y = np.array([[0.0, -1j], [1j, 0.0]])
@@ -40,7 +40,7 @@ def _uhlmann(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def trace_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Half the sum of absolute eigenvalues of a - b, for each pair in two stacks."""
-    return 0.5 * np.abs(np.linalg.eigvalsh(a - b)).sum(axis=1)
+    return 0.5 * np.abs(ascending_eigenvalues(a - b)).sum(axis=1)
 
 
 def concurrences(rho: np.ndarray) -> np.ndarray:

@@ -1,13 +1,16 @@
-"""Independent references for the evolved operators, used only by tests.
+"""Independent references and generated inputs, used only by tests.
 
 ``evolution_unitaries`` evaluates the ZYZ product U(t) factor by factor, and
 ``horizontal_closed_form`` is the evolved H projector worked out by hand, so
 neither depends on the spectral form that the package smears with.
+``qubit_stacks`` generates the 2x2 Hermitian stacks that the closed-form
+qubit spectra are checked on.
 """
 
 import math
 
 import numpy as np
+from hypothesis import strategies as st
 
 from timetomo.core import require_finite
 from timetomo.dynamics import DynamicsParams
@@ -48,3 +51,38 @@ def horizontal_closed_form(t: float) -> np.ndarray:
             [np.conj(off), math.sin(math.pi * t) ** 2],
         ]
     )
+
+
+def _qubit_matrix(centre, radius, theta, phi, skew):
+    """centre I + b . sigma with |b| = radius along (theta, phi); the upper
+    off-diagonal entry is off by a factor 1 + skew, so the matrix is
+    Hermitian only up to rounding when skew is nonzero."""
+    x = radius * math.sin(theta) * math.cos(phi)
+    y = radius * math.sin(theta) * math.sin(phi)
+    z = radius * math.cos(theta)
+    h = np.array([[centre + z, x - 1j * y], [x + 1j * y, centre - z]])
+    h[0, 1] *= 1.0 + skew
+    return h
+
+
+# (centre, |b|): pure states, multiples of I, |b| of exactly 1/2 (along z
+# when theta is 0), Bloch vectors inside and far outside the ball
+_SPECTRA = st.one_of(
+    st.just((0.5, 0.5)),
+    st.tuples(
+        st.floats(-3.0, 3.0),
+        st.one_of(st.just(0.0), st.just(0.5), st.floats(0.0, 4.0), st.floats(1.0, 1e12)),
+    ),
+)
+
+qubit_stacks = st.lists(
+    st.builds(
+        lambda spectrum, theta, phi, skew: _qubit_matrix(*spectrum, theta, phi, skew),
+        _SPECTRA,
+        st.one_of(st.just(0.0), st.floats(0.0, math.pi)),
+        st.floats(0.0, 2.0 * math.pi),
+        st.one_of(st.just(0.0), st.floats(-4e-16, 4e-16)),
+    ),
+    min_size=1,
+    max_size=6,
+).map(np.array)

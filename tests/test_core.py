@@ -2,9 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import qubit_stacks
 from timetomo.core import (
     DensityMatrix,
+    ascending_eigenvalues,
     hermiticity_defect,
     max_abs,
     psd_sqrt,
@@ -38,6 +42,24 @@ def test_hermiticity_defect_zero_for_hermitian():
     m = np.array([[1.0, 2.0 - 1.0j], [2.0 + 1.0j, -3.0]])
     assert hermiticity_defect(m) == 0.0
     assert hermiticity_defect(m + np.array([[0, 1e-3], [0, 0]])) > 1e-4
+
+
+@settings(max_examples=150, deadline=None)
+@given(stack=qubit_stacks, scale=st.sampled_from([1.0, 1e-150, 1e150]))
+def test_qubit_eigenvalues_match_eigvalsh(stack, scale):
+    stack = scale * stack
+    closed = ascending_eigenvalues(stack)
+    # the largest entry is within a factor 2 of the spectral norm of a 2x2 matrix
+    norms = np.abs(stack).max(axis=(1, 2))
+    assert (np.abs(closed - np.linalg.eigvalsh(stack)) <= 1e-12 * norms[:, None]).all()
+    assert (closed[:, 0] <= closed[:, 1]).all()
+
+
+def test_eigenvalues_of_larger_matrices_come_from_eigvalsh():
+    rng = np.random.default_rng(2)
+    h = rng.normal(size=(3, 4, 4)) + 1j * rng.normal(size=(3, 4, 4))
+    h = h + np.conj(np.swapaxes(h, 1, 2))
+    assert np.array_equal(ascending_eigenvalues(h), np.linalg.eigvalsh(h))
 
 
 def test_psd_sqrt_squares_back():

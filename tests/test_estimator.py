@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import qubit_stacks
 from timetomo.core import DensityMatrix, StateError, max_abs
 from timetomo.counts import NoiseConfig, count_rows
 from timetomo.dynamics import DynamicsParams
@@ -146,6 +147,29 @@ def test_projection_is_physical_and_fixes_states():
     assert max_abs(_project_to_states(np.diag([1.5, 0.2]).astype(complex)) - np.diag([1.0, 0.0])) < 1e-15
 
 
+def _simplex_projection(h):
+    """Nearest state to the Hermitian part of one matrix: eigh, then the
+    spectrum projected onto the simplex by the sorting rule."""
+    values, vectors = np.linalg.eigh(0.5 * (h + h.conj().T))
+    ordered = values[::-1]
+    for k in range(len(values), 0, -1):
+        shift = (ordered[:k].sum() - 1.0) / k
+        if ordered[k - 1] > shift:
+            break
+    return (vectors * np.maximum(values - shift, 0.0)) @ vectors.conj().T
+
+
+@settings(max_examples=150, deadline=None)
+@given(h=qubit_stacks)
+def test_qubit_projection_matches_eigh_and_simplex(h):
+    rho = _project_to_states(h)
+    assert max_abs(rho - np.array([_simplex_projection(m) for m in h])) < 1e-12
+    assert np.array_equal(rho, np.conj(np.swapaxes(rho, 1, 2)))
+    assert np.abs(np.trace(rho, axis1=1, axis2=2) - 1.0).max() < 1e-15
+    assert np.linalg.eigvalsh(rho).min() > -1e-15
+    assert max_abs(_project_to_states(rho) - rho) < 1e-15
+
+
 def test_noiseless_qubit_reconstruction_is_exact():
     rho = bloch_state(BlochParams(1.0, 1.2, 0.4))
     rho_out, _, converged, _ = _estimate(_records(rho, poisson=False), 1000.0)
@@ -261,9 +285,12 @@ def test_estimate_is_physical_and_no_worse_than_the_input_state(params, sigma, n
 
 
 @pytest.mark.parametrize("dim", [2, 4], ids=["qubit", "pair"])
-def test_batch_split_does_not_change_estimates(dim):
-    # a sweep fits a cell whole, or in one contiguous chunk per worker; every
-    # state must come out bit for bit the same whichever way it is split
+def test_batch_split_does_not_change_estimates(dim, monkeypatch):
+    # a sweep fits a cell whole, or in one contiguous chunk per worker, and
+    # the estimator fits a batch in blocks of rows; every state must come out
+    # bit for bit the same whichever way it is split
+    import timetomo.estimator as estimator
+
     rng = np.random.default_rng(5)
     states = np.array([_random_state(rng, dim) for _ in range(9)])
     _, sharp, smeared = setting_operators(PARAMS, JitterModel(0.07), IC_POVM_INSTANTS, dim)
@@ -276,6 +303,9 @@ def test_batch_split_does_not_change_estimates(dim):
             assert np.array_equal(field, np.concatenate(joined))
     assert whole.converged.all()
     assert len(set(whole.iterations.tolist())) > 1  # the states finish at different passes
+    monkeypatch.setattr(estimator, "_BLOCK_ROWS", 4)
+    for field, blocked in zip(whole, estimate_states(sharp, measured, 50.0, cfg)):
+        assert np.array_equal(field, blocked)
 
 
 def test_failing_batch_entries_are_named(monkeypatch):
@@ -302,6 +332,29 @@ def test_failing_batch_entries_are_named(monkeypatch):
         estimate_states(stack, measured, 1000.0, EstimatorConfig())
     assert info.value.index == 2
     assert "estimate has negative eigenvalue" in str(info.value.__cause__)
+
+    # in blocks of two rows, entry 2 of a 5-row batch is the first of the
+    # second block; errors still name rows of the whole batch
+    monkeypatch.setattr(estimator, "_BLOCK_ROWS", 2)
+    calls = []
+
+    def unphysical_second_block(*args):
+        fits = real(*args)
+        calls.append(len(fits.rho))
+        if len(calls) == 2:
+            fits.rho[0] = np.diag([1.2, -0.2])
+        return fits
+
+    monkeypatch.setattr(estimator, "_accelerated_descent", unphysical_second_block)
+    measured = np.tile(row, (5, 1))
+    with pytest.raises(StateError) as info:
+        estimate_states(stack, measured, 1000.0, EstimatorConfig())
+    assert (info.value.index, calls) == (2, [2, 2])
+    corrupt = measured.copy()
+    corrupt[3, 0] = np.nan
+    with pytest.raises(StateError) as info:
+        estimate_states(stack, corrupt, 1000.0, EstimatorConfig())
+    assert info.value.index == 3
 
 
 def _serial_descent(evaluate, rho, cfg, mean_photons):

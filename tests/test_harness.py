@@ -10,12 +10,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import timetomo
 import timetomo.harness as harness_module
 from timetomo.cli import main
 from timetomo.core import StateError
 from timetomo.counts import MAX_MEAN_PHOTONS
+from timetomo.dynamics import DynamicsParams
 from timetomo.harness import (
     CSV_HEADER,
     MODES,
@@ -32,6 +35,7 @@ from timetomo.harness import (
     write_manifest,
     write_sweep_csv,
 )
+from timetomo.measurement import IC_POVM_INSTANTS, JitterModel, setting_operators
 
 TINY_QUBIT = {
     "mode": "qubit-pure",
@@ -69,6 +73,31 @@ def test_config_rejects_informationally_incomplete_periods():
             load_config({**doc, "periods": list(periods)})
     for periods in ((4.0, 1.0, 2.0), (3.7, 1.3, 2.9)):
         assert load_config({**doc, "periods": list(periods)}).periods == periods
+
+
+def _dynamics_accepts(periods) -> bool:
+    try:
+        DynamicsParams(*periods)
+    except ValueError:
+        return False
+    return True
+
+
+_PERIOD = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(periods=st.tuples(_PERIOD, _PERIOD, _PERIOD).filter(_dynamics_accepts))
+def test_accepted_periods_give_informationally_complete_operators(periods):
+    # a sweep config either takes the periods, and then the six sharp
+    # operators span the 2x2 Hermitian matrices, or names the rank it found
+    try:
+        cfg = ExperimentConfig(mode="qubit-pure", sigma_list=(0.0,), photon_list=(10.0,), periods=periods)
+    except ValueError as exc:
+        assert re.search(r"informationally incomplete \(rank [0-3] of 4\)", str(exc))
+        return
+    _, sharp, _ = setting_operators(cfg.dynamics, JitterModel(0.0), IC_POVM_INSTANTS, 2)
+    assert np.linalg.matrix_rank(sharp.reshape(-1, 4)) == 4
 
 
 @pytest.mark.parametrize("periods", [[3, 1], [4, 1, 2, 1]], ids=["two", "four"])
