@@ -55,7 +55,12 @@ def build_parser() -> argparse.ArgumentParser:
                 action="store_true",
                 help="use the full-size state samples instead of the desk-scale defaults",
             )
-            cmd.add_argument("--workers", type=_workers_type, default=1, help="parallel worker processes")
+            cmd.add_argument(
+                "--workers",
+                type=_workers_type,
+                default=1,
+                help="at most this many processes fit; small sweeps run in one process",
+            )
             cmd.add_argument("--dump-counts", action="store_true", help="write raw counts per cell")
             cmd.add_argument("--state-log", action="store_true", help="write per-state estimate log")
     return parser

@@ -9,20 +9,19 @@ share one sweep loop, ``run_sweep``; the ``MODES`` table holds what differs
 between them.  The only randomness is the photon number of each count, a
 Philox draw keyed by (run seed, state index, setting index), and every stage
 treats each state on its own, so results are byte-identical for a given
-config and seed no matter how the work is split between processes.  Cells
-that differ only in jitter width see the same photon numbers.
+config and seed no matter how the work is split between processes.  A sweep
+is split only when it is large enough for a process pool to pay for itself.
+Cells that differ only in jitter width see the same photon numbers.
 """
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import functools
 import json
 import math
 import platform
 from collections.abc import Iterable
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -54,6 +53,13 @@ TRAJECTORY_HEADER = "t_over_T,x,y,z,purity"
 # Fraction of non-converged estimates above which a cell gets flagged.
 CONVERGENCE_WARN_FRACTION = 0.1
 
+# A sweep is split across processes only into chunks that each hold at least
+# this much work, counted as fits x sharp-operator entries (24 for a qubit fit,
+# 576 for a pair; the two kinds of fit differ in cost by about that ratio).
+# On a 2-core host one process beat two up to 86k entries in all, and two
+# won from 98k on, for qubit and pair sweeps alike (BENCH_split-floor.json).
+_MIN_WORK_PER_WORKER = 45_000
+
 # Singular values of the six sharp operators (entries at most 1) below this
 # count as zero; a true rank loss leaves about 1e-15.
 _COMPLETENESS_TOL = 1e-10
@@ -64,6 +70,14 @@ def _reals(values, key: str) -> tuple[float, ...]:
     if isinstance(values, (str, bytes)) or not isinstance(values, Iterable):
         raise ValueError(f"{key} must be a list of numbers, got {values!r}")
     return tuple(require_real(v, f"{key} entry") for v in values)
+
+
+def _seed(seed) -> int:
+    """``seed`` as an int in 0..``MAX_SEED``, the range the counts' Philox key takes."""
+    seed = require_integer(seed, "seed")
+    if not (0 <= seed <= MAX_SEED):
+        raise ValueError("seed must fit in an unsigned 64-bit integer")
+    return seed
 
 
 def _periods(periods) -> tuple[float, float, float]:
@@ -109,9 +123,7 @@ class ExperimentConfig:
             raise ValueError("photon_list must be nonempty with positive entries")
         if max(photons) > MAX_MEAN_PHOTONS:
             raise ValueError(f"photon_list entries must be at most MAX_MEAN_PHOTONS = {MAX_MEAN_PHOTONS:g}")
-        seed = require_integer(self.seed, "seed")
-        if not (0 <= seed <= MAX_SEED):
-            raise ValueError("seed must fit in an unsigned 64-bit integer")
+        seed = _seed(self.seed)
         sample = self.sample if self.sample is not None else MODES[self.mode].desk
         sizes = {}
         for key in MODES[self.mode].sample_keys:
@@ -167,7 +179,7 @@ class TrajectoryConfig:
         if not (math.isfinite(t_max) and t_max > 0):
             raise ValueError("t_max_over_T must be positive")
         object.__setattr__(self, "points", points)
-        object.__setattr__(self, "seed", require_integer(self.seed, "seed"))
+        object.__setattr__(self, "seed", _seed(self.seed))
         object.__setattr__(self, "periods", _periods(self.periods))
 
     @property
@@ -396,28 +408,39 @@ def run_sweep(
 
     The whole sweep is one batch: the counts of every cell are drawn, and
     all of them are fitted in one ``estimate_states`` call, since every cell
-    fits against the same sharp operators.  With ``workers`` > 1 the state
-    sample is split into that many contiguous chunks; the calling process
-    fits the first, and a process pool of ``workers`` - 1 fits the rest, each
-    over every cell.  Then, cell by cell, the mode's metric rows follow and,
-    when too many estimates did not converge, a warning row.
+    fits against the same sharp operators.  ``workers`` is an upper bound on
+    the processes that fit: the state sample is split into at most that many
+    contiguous chunks, each holding at least ``_MIN_WORK_PER_WORKER`` of work
+    (fits x sharp-operator entries), so a small sweep runs in this process
+    alone and never imports ``multiprocessing``.  When it splits, the calling
+    process fits the first chunk and a process pool fits the rest, each over
+    every cell.  Then, cell by cell, the mode's metric rows follow and, when
+    too many estimates did not converge, a warning row.
     """
     mode = MODES[cfg.mode]
     states = state_stack(mode.sample(cfg.sample))
     dim = states.shape[1]
     artifacts = _CellArtifacts(artifact_dir, dump_counts, state_log)
-    offsets = sorted({len(states) * w // workers for w in range(workers)})
-    chunks = [states[lo:hi] for lo, hi in zip(offsets, offsets[1:] + [len(states)])]
     # the settings and the sharp operators do not depend on the jitter width
     settings, sharp, _ = setting_operators(cfg.dynamics, JitterModel(0.0), IC_POVM_INSTANTS, dim)
     smeared = {
         sigma: setting_operators(cfg.dynamics, JitterModel(sigma), IC_POVM_INSTANTS, dim)[2] for sigma in cfg.sigma_list
     }
     cells = [(sigma, n_photons) for sigma in cfg.sigma_list for n_photons in cfg.photon_list]
+    work = len(states) * len(cells) * sharp.size
+    n_chunks = min(workers, max(1, work // _MIN_WORK_PER_WORKER))
+    offsets = sorted({len(states) * w // n_chunks for w in range(n_chunks)})
+    chunks = [states[lo:hi] for lo, hi in zip(offsets, offsets[1:] + [len(states)])]
     fit = functools.partial(_fit_chunk, cfg, cells, sharp, smeared)
-    with ProcessPoolExecutor(len(chunks) - 1) if len(chunks) > 1 else contextlib.nullcontext() as pool:
-        pending = [pool.submit(fit, chunk, offset) for chunk, offset in zip(chunks[1:], offsets[1:])]
-        parts = [fit(chunks[0], offsets[0])] + [future.result() for future in pending]
+    if len(chunks) == 1:
+        parts = [fit(states, 0)]
+    else:
+        # imported only here: multiprocessing adds about 20 ms to every start-up
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(len(chunks) - 1) as pool:
+            pending = [pool.submit(fit, chunk, offset) for chunk, offset in zip(chunks[1:], offsets[1:])]
+            parts = [fit(chunks[0], offsets[0])] + [future.result() for future in pending]
     expected, measured, *fields = (np.concatenate(field, axis=1) for field in zip(*parts))
     rows = []
     for cell, (sigma, n_photons) in enumerate(cells):

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from oracles import horizontal_closed_form
+from timetomo import harness
 from timetomo.core import DensityMatrix, max_abs
 from timetomo.counts import NoiseConfig, count_rows
 from timetomo.dynamics import DynamicsParams
@@ -264,7 +265,9 @@ def test_criterion_09_small_sample_spread(mixed_cells, pure_cells, entangled_cel
     assert ok, failures
 
 
-def test_criterion_10_determinism(tmp_path):
+def test_criterion_10_determinism(tmp_path, monkeypatch):
+    # a floor of 1 makes these small sweeps really split across two processes
+    monkeypatch.setattr(harness, "_MIN_WORK_PER_WORKER", 1)
     qubit_cfg = ExperimentConfig(
         mode="qubit-pure",
         sigma_list=(0.1,),

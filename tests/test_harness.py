@@ -17,7 +17,7 @@ import timetomo
 import timetomo.harness as harness_module
 from timetomo.cli import main
 from timetomo.core import StateError
-from timetomo.counts import MAX_MEAN_PHOTONS
+from timetomo.counts import MAX_MEAN_PHOTONS, MAX_SEED
 from timetomo.dynamics import DynamicsParams
 from timetomo.harness import (
     CSV_HEADER,
@@ -201,6 +201,10 @@ def test_trajectory_config_validation():
         TrajectoryConfig(points=1)
     with pytest.raises(ValueError):
         TrajectoryConfig(t_max_over_T=0.0)
+    assert TrajectoryConfig(seed=MAX_SEED).seed == MAX_SEED
+    for seed in (-5, MAX_SEED + 1, 2**70):
+        with pytest.raises(ValueError, match="unsigned 64-bit"):
+            TrajectoryConfig(seed=seed)
 
 
 def test_load_config_sweep_roundtrip(tmp_path):
@@ -265,7 +269,9 @@ def test_sweep_csv_format():
     assert lines[1] == "0.05,1000,fidelity,0.987654321,0.01,0.001,100"
 
 
-def test_qubit_sweep_rows_and_determinism(tmp_path):
+def test_qubit_sweep_rows_and_determinism(tmp_path, monkeypatch):
+    # a floor of 1 lets even this tiny sweep split, so workers=2 really forks
+    monkeypatch.setattr(harness_module, "_MIN_WORK_PER_WORKER", 1)
     cfg = load_config(TINY_QUBIT)
     rows_serial = run_sweep(cfg, workers=1)
     # one fidelity row per (sigma, N) cell
@@ -356,6 +362,7 @@ def test_non_finite_count_row_names_its_state(monkeypatch, workers):
     # still map back to its own cell
     import timetomo.harness as harness
 
+    monkeypatch.setattr(harness, "_MIN_WORK_PER_WORKER", 1)
     real = harness.count_rows
     corrupted = {}
 
@@ -381,9 +388,11 @@ def test_non_finite_count_row_names_its_state(monkeypatch, workers):
 
 
 @pytest.mark.parametrize("mode", ["qubit-mixed", "entangled"])
-def test_grid_outputs_do_not_depend_on_workers(tmp_path, mode):
+def test_grid_outputs_do_not_depend_on_workers(tmp_path, monkeypatch, mode):
     # the sweep fits every cell in one batch split into chunks; the CSV, the
-    # counts and the state logs must be the same bytes for any split
+    # counts and the state logs must be the same bytes for any split.  A floor
+    # of 1 makes this small sweep split into as many chunks as workers.
+    monkeypatch.setattr(harness_module, "_MIN_WORK_PER_WORKER", 1)
     doc = {
         "mode": mode,
         "sigma_list": [0.0, 0.1],
@@ -401,6 +410,43 @@ def test_grid_outputs_do_not_depend_on_workers(tmp_path, mode):
         outputs.append({p.name: p.read_bytes() for p in out_dir.iterdir() if p.name != "manifest.json"})
     assert len(outputs[0]) == 1 + 2 * 4  # results.csv, then counts and a state log per cell
     assert outputs[0] == outputs[1] == outputs[2]
+
+
+@pytest.mark.parametrize(
+    ("extra_states", "workers", "pool_size"),
+    [(-1, 2, None), (0, 2, 1), (0, 3, 1)],
+)
+def test_sweep_splits_only_into_chunks_above_the_work_floor(monkeypatch, extra_states, workers, pool_size):
+    # a pair fit is 576 operator entries of work; a one-cell sweep with two
+    # floors of work splits in two, with a pool of one beside the calling
+    # process, even when --workers allows more; one state fewer does not split
+    import concurrent.futures
+
+    pools = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    n_states = math.ceil(2 * harness_module._MIN_WORK_PER_WORKER / 576) + extra_states
+    cfg = ExperimentConfig(
+        mode="entangled", sigma_list=(0.1,), photon_list=(1000.0,), sample=SampleSizes(n_states=n_states)
+    )
+    rows = run_sweep(cfg, workers=workers)
+    assert pools == ([] if pool_size is None else [pool_size])
+    assert rows[0].metric == "concurrence" and rows[0].n == n_states
 
 
 def test_trajectory_csv_matches_row_wise_formatting(tmp_path, monkeypatch):
@@ -531,18 +577,27 @@ def test_cli_dump_counts_writes_artifacts(tmp_path):
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_cli_sweep_leaves_numpy_random_unimported(tmp_path, workers):
     # the counts draw from their own Philox; importing numpy.random would cost
-    # every interpreter and every pool worker tens of milliseconds
+    # every interpreter and every pool worker tens of milliseconds.  A sweep of
+    # 192 qubit fits is too small to split, so it must not import the process
+    # pool either, whatever --workers allows.
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"mode": "qubit-pure", "sigma_list": [0.1], "photon_list": [100]}))
+    doc = {
+        "mode": "qubit-mixed",
+        "sigma_list": [0.0, 0.2],
+        "photon_list": [1000],
+        "sample": {"n_r": 8, "n_theta": 3, "n_phi": 4},
+    }
+    cfg_path.write_text(json.dumps(doc))
     script = (
         "import sys\n"
         "from timetomo.cli import main\n"
         f"code = main(['qubit-sweep', '--config', {str(cfg_path)!r}, '--out', {str(tmp_path / 'run')!r},"
         f" '--workers', {workers!r}])\n"
-        "print(code, 'numpy.random' in sys.modules)\n"
+        "print(code, *(name in sys.modules for name in "
+        "('numpy.random', 'concurrent.futures.process', 'multiprocessing')))\n"
     )
     src = str(Path(timetomo.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split()[-2:] == ["0", "False"]
+    assert done.stdout.split()[-4:] == ["0", "False", "False", "False"]
