@@ -4,8 +4,7 @@ reconstruct the input states by maximum likelihood."""
 
 __version__ = "0.1.0"
 
-from .core import DensityMatrix, max_abs, psd_sqrt
-from .counts import NoiseConfig, count_rows
+from .counts import count_rows
 from .dynamics import DynamicsParams
 from .estimator import EstimatorConfig, StateEstimates, estimate_states
 from .harness import (
@@ -21,7 +20,6 @@ from .harness import (
 )
 from .measurement import (
     IC_POVM_INSTANTS,
-    JitterModel,
     bloch_trajectory,
     polarization_projector,
     setting_operators,
@@ -33,14 +31,11 @@ from .metrics import (
     chsh_guarantee,
     concurrences,
     fidelities,
-    fidelity,
     trace_distances,
 )
 from .states import (
     BellParams,
     BlochParams,
-    bell_state,
-    bloch_state,
     orthogonal_pairs,
     sample_bell_states,
     sample_mixed_qubits,

@@ -6,7 +6,6 @@ import argparse
 import sys
 from pathlib import Path
 
-from .counts import MAX_SEED
 from .harness import (
     MODES,
     TrajectoryConfig,
@@ -17,13 +16,6 @@ from .harness import (
     write_manifest,
     write_sweep_csv,
 )
-
-
-def _seed_type(text: str) -> int:
-    value = int(text)
-    if not (0 <= value <= MAX_SEED):
-        raise argparse.ArgumentTypeError("seed must fit in an unsigned 64-bit integer")
-    return value
 
 
 def _workers_type(text: str) -> int:
@@ -47,7 +39,7 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", required=True, help="path to the JSON config")
-        cmd.add_argument("--seed", type=_seed_type, default=None, help="override the config seed")
+        cmd.add_argument("--seed", type=int, default=None, help="override the config seed")
         cmd.add_argument("--out", default=None, help="override the config output directory")
         if name != "trajectory":
             cmd.add_argument(
@@ -68,9 +60,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    cfg = load_config(
-        args.config, seed=args.seed, out_dir=args.out, paper_scale=getattr(args, "paper_scale", False)
-    )
+    try:
+        cfg = load_config(
+            args.config, seed=args.seed, out_dir=args.out, paper_scale=getattr(args, "paper_scale", False)
+        )
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     commands = {"trajectory": "trajectory", **{name: m.command for name, m in MODES.items()}}
     expected_modes = tuple(mode for mode, command in commands.items() if command == args.command)
     mode = "trajectory" if isinstance(cfg, TrajectoryConfig) else cfg.mode

@@ -1,14 +1,15 @@
-"""Small complex-matrix primitives and the physical density-matrix type.
+"""Small complex-matrix primitives, the config value checks and the physicality check.
 
-Everything downstream works with 2x2 (single qubit) and 4x4 (photon pair)
-matrices, so the routines here favour clarity over asymptotic cleverness.
-Numerical tolerances are module constants, and no call overrides them.
+Everything downstream works with (B, d, d) stacks of 2x2 (single qubit) and
+4x4 (photon pair) matrices, so the routines here favour clarity over
+asymptotic cleverness.  ``first_unphysical`` is the one test of a state
+stack: finite, Hermitian, unit trace and PSD.  Numerical tolerances are
+module constants, and no call overrides them.
 """
 
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,13 +50,6 @@ def require_real(value, key: str) -> float:
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{key} must be a number, got {value!r}")
     return float(value)
-
-
-def require_square(m, name: str = "matrix") -> np.ndarray:
-    out = require_finite(m, name)
-    if out.ndim != 2 or out.shape[0] != out.shape[1]:
-        raise ValueError(f"{name} must be square, got shape {out.shape}")
-    return out
 
 
 def hermiticity_defect(m: np.ndarray) -> float:
@@ -129,31 +123,3 @@ def first_unphysical(stack, name: str = "density matrix") -> tuple[int, str] | N
         return int(i), f"{name} has negative eigenvalue {smallest[i]:.3e}"
     return None
 
-
-@dataclass(frozen=True)
-class DensityMatrix:
-    """A physical quantum state: Hermitian, unit trace, PSD, dim 2 or 4.
-
-    The wrapped array is validated and frozen at construction, so any
-    ``DensityMatrix`` in flight can be trusted without re-checking.
-    """
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = require_square(self.matrix, "density matrix")
-        if m.shape[0] not in (2, 4):
-            raise ValueError(f"only dimensions 2 and 4 are supported, got {m.shape[0]}")
-        problem = first_unphysical(m[None])
-        if problem is not None:
-            raise ValueError(problem[1])
-        m = m.copy()
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    def purity(self) -> float:
-        return float(np.real(np.trace(self.matrix @ self.matrix)))

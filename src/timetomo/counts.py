@@ -18,11 +18,8 @@ is therefore a pure function of (run seed, state, setting).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
-
-from .core import require_integer, require_real
 
 MAX_SEED = 2**64 - 1
 
@@ -39,26 +36,6 @@ _LOW32 = 0xFFFFFFFF
 # Each tail the Poisson table leaves out holds less than exp(-_TAIL_LOG) =
 # 2^-54, so together they hold less than 2^-53, the spacing of the uniforms.
 _TAIL_LOG = 54.0 * math.log(2.0)
-
-
-@dataclass(frozen=True)
-class NoiseConfig:
-    """Source intensity and noise switches for one simulated experiment."""
-
-    mean_photons: float
-    seed: int = 0
-    poisson_enabled: bool = True
-
-    def __post_init__(self):
-        mean = require_real(self.mean_photons, "mean_photons")
-        if not (math.isfinite(mean) and mean > 0):
-            raise ValueError(f"mean_photons must be positive, got {self.mean_photons}")
-        if mean > MAX_MEAN_PHOTONS:
-            raise ValueError(f"mean_photons must be at most MAX_MEAN_PHOTONS = {MAX_MEAN_PHOTONS:g}, got {mean:g}")
-        seed = require_integer(self.seed, "seed")
-        if not (0 <= seed <= MAX_SEED):
-            raise ValueError("seed must fit in an unsigned 64-bit integer")
-        object.__setattr__(self, "seed", seed)
 
 
 def _uniforms(key, counter: np.ndarray) -> np.ndarray:
@@ -109,17 +86,21 @@ def _poisson_table(mean: float) -> tuple[int, np.ndarray]:
     return lowest, cdf / cdf[-1]
 
 
-def count_rows(states: np.ndarray, sharp: np.ndarray, smeared: np.ndarray, cfg: NoiseConfig, first_index=0):
+def count_rows(states: np.ndarray, sharp: np.ndarray, smeared: np.ndarray, mean_photons: float, seed: int, first_index=0):
     """Expected and measured counts of a batch of states, each of shape (B, K).
 
     ``states`` is (B, d, d) and the operator stacks are (K, d, d), one entry
-    per setting.  Counts are drawn from ``smeared`` and booked against
-    ``sharp``.  Batch entry b is sample state ``first_index + b``, and the
-    photon number of its setting k inverts the Poisson CDF at the Philox
-    uniform of counter (first_index + b, k, 0, 0), so a sample gives the same
-    counts whether it is counted whole or in any split, and the same photon
-    numbers at every jitter width.  Without Poisson noise every setting gets
-    the mean photon number.
+    per setting.  Counts are drawn from ``smeared`` at Poisson photon numbers
+    about ``mean_photons`` and booked against ``sharp`` at ``mean_photons``
+    itself, so passing the smeared stack as ``sharp`` gives the noiseless
+    counts in the expected column.  Batch entry b is sample state
+    ``first_index + b``, and the photon number of its setting k inverts the
+    Poisson CDF at the Philox uniform of key (``seed``, 0) and counter
+    (first_index + b, k, 0, 0), so a sample gives the same counts whether it
+    is counted whole or in any split, and the same photon numbers at every
+    jitter width.  ``mean_photons`` and ``seed`` arrive checked by the
+    sweep config: positive and at most ``MAX_MEAN_PHOTONS``, and in
+    0..``MAX_SEED``.
     """
     batch, dim = states.shape[0], states.shape[1]
     count = sharp.shape[0]
@@ -129,11 +110,8 @@ def count_rows(states: np.ndarray, sharp: np.ndarray, smeared: np.ndarray, cfg: 
         np.einsum("kx,bx->bk", np.swapaxes(stack, 1, 2).reshape(count, dim * dim), flat).real
         for stack in (sharp, smeared)
     )
-    if cfg.poisson_enabled:
-        index = np.arange(first_index, first_index + batch, dtype=np.uint64)[:, None]
-        counter = np.stack(np.broadcast_arrays(index, np.arange(count, dtype=np.uint64), np.uint64(0), np.uint64(0)))
-        lowest, cdf = _poisson_table(cfg.mean_photons)
-        photons = lowest + np.searchsorted(cdf, _uniforms((cfg.seed, 0), counter), side="right").astype(float)
-    else:
-        photons = cfg.mean_photons
-    return cfg.mean_photons * sharp_overlaps, photons * smeared_overlaps
+    index = np.arange(first_index, first_index + batch, dtype=np.uint64)[:, None]
+    counter = np.stack(np.broadcast_arrays(index, np.arange(count, dtype=np.uint64), np.uint64(0), np.uint64(0)))
+    lowest, cdf = _poisson_table(mean_photons)
+    photons = lowest + np.searchsorted(cdf, _uniforms((seed, 0), counter), side="right").astype(float)
+    return mean_photons * sharp_overlaps, photons * smeared_overlaps

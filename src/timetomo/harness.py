@@ -30,21 +30,14 @@ import numpy as np
 
 from . import __version__
 from .core import StateError, require_integer, require_real
-from .counts import MAX_MEAN_PHOTONS, MAX_SEED, NoiseConfig, count_rows
+from .counts import MAX_MEAN_PHOTONS, MAX_SEED, count_rows
 from .dynamics import DynamicsParams
 from .estimator import EstimatorConfig, StateEstimates, estimate_states
-from .measurement import (
-    IC_POVM_INSTANTS,
-    JitterModel,
-    bloch_trajectory,
-    evolved_matrices,
-    polarization_projector,
-    setting_operators,
-)
+from .measurement import IC_POVM_INSTANTS, POLARIZATION_KETS, bloch_trajectory, jittered_matrices, setting_operators
 from .metrics import MetricsSummary, aggregate, chsh_guarantee, concurrences, fidelities, trace_distances
 from .states import orthogonal_pairs, sample_bell_states, sample_mixed_qubits, sample_pure_qubits, state_stack
 
-TRAJECTORY_OPERATORS = ("H", "V", "D", "A", "R", "L")
+TRAJECTORY_OPERATORS = tuple(POLARIZATION_KETS)
 
 CSV_HEADER = "sigma_over_T,n_photons,metric,mean,sd,stderr,n_states"
 COUNTS_HEADER = "state_id,t_i_over_T,t_j_over_T,expected,measured"
@@ -141,7 +134,7 @@ class ExperimentConfig:
         object.__setattr__(self, "sample", dataclasses.replace(sample, **sizes))
         object.__setattr__(self, "periods", _periods(self.periods))
         # the fits invert the six sharp operators, so they must span the 2x2 Hermitian matrices
-        sharp = evolved_matrices(polarization_projector("H"), self.dynamics, IC_POVM_INSTANTS)
+        sharp = jittered_matrices("H", self.dynamics, 0.0, IC_POVM_INSTANTS)
         rank = np.linalg.matrix_rank(sharp.reshape(-1, 4), tol=_COMPLETENESS_TOL)
         if rank < 4:
             raise ValueError(
@@ -199,6 +192,8 @@ class SweepRow:
 
 
 def _reject_unknown(mapping: dict, allowed, where: str):
+    if not isinstance(mapping, dict):
+        raise ValueError(f"{where} must be a JSON object, got {mapping!r}")
     unknown = sorted(set(mapping) - set(allowed))
     if unknown:
         raise ValueError(f"unknown {where} keys: {', '.join(unknown)}")
@@ -228,6 +223,8 @@ def load_config(source, *, seed=None, out_dir=None, paper_scale=False):
     mode = raw.get("mode")
     if mode is None:
         raise ValueError("config is missing the required 'mode' key")
+    if not isinstance(mode, str):
+        raise ValueError(f"mode must be a string, got {mode!r}")
 
     if mode == "trajectory":
         allowed = ("mode", "operator", "sigma_over_T", "points", "t_max_over_T", "seed", "out_dir", "periods")
@@ -284,7 +281,7 @@ def _fit_chunk(cfg: ExperimentConfig, cells, sharp, smeared, states: np.ndarray,
     ``StateEstimates`` fields, each shaped (cells, chunk, ...).
     """
     counted = [
-        count_rows(states, sharp, smeared[sigma], NoiseConfig(mean_photons=n_photons, seed=cfg.seed), offset)
+        count_rows(states, sharp, smeared[sigma], n_photons, cfg.seed, offset)
         for sigma, n_photons in cells
     ]
     expected, measured = (np.stack(part) for part in zip(*counted))
@@ -422,10 +419,8 @@ def run_sweep(
     dim = states.shape[1]
     artifacts = _CellArtifacts(artifact_dir, dump_counts, state_log)
     # the settings and the sharp operators do not depend on the jitter width
-    settings, sharp, _ = setting_operators(cfg.dynamics, JitterModel(0.0), IC_POVM_INSTANTS, dim)
-    smeared = {
-        sigma: setting_operators(cfg.dynamics, JitterModel(sigma), IC_POVM_INSTANTS, dim)[2] for sigma in cfg.sigma_list
-    }
+    settings, sharp, _ = setting_operators(cfg.dynamics, 0.0, IC_POVM_INSTANTS, dim)
+    smeared = {sigma: setting_operators(cfg.dynamics, sigma, IC_POVM_INSTANTS, dim)[2] for sigma in cfg.sigma_list}
     cells = [(sigma, n_photons) for sigma in cfg.sigma_list for n_photons in cfg.photon_list]
     work = len(states) * len(cells) * sharp.size
     n_chunks = min(workers, max(1, work // _MIN_WORK_PER_WORKER))
@@ -457,14 +452,16 @@ def run_sweep(
     return rows
 
 
-def emit_trajectory(cfg: TrajectoryConfig, out_dir=None) -> Path:
-    """Write the Bloch-trajectory CSV and return its path."""
-    directory = Path(out_dir if out_dir is not None else cfg.out_dir)
+def emit_trajectory(cfg: TrajectoryConfig) -> Path:
+    """Write the Bloch-trajectory CSV into ``cfg.out_dir`` and return its path.
+
+    A trajectory draws no random numbers: ``cfg.seed`` is only recorded in
+    the run manifest.
+    """
+    directory = Path(cfg.out_dir)
     directory.mkdir(parents=True, exist_ok=True)
     grid = np.linspace(0.0, cfg.t_max_over_T, cfg.points)
-    table = bloch_trajectory(
-        polarization_projector(cfg.operator), cfg.dynamics, JitterModel(cfg.sigma_over_T), grid
-    )
+    table = bloch_trajectory(cfg.operator, cfg.dynamics, cfg.sigma_over_T, grid)
     path = directory / "trajectory.csv"
     # '%.6g' % x and f"{x:.6g}" agree, so this writes the bytes of per-value formatting
     np.savetxt(path, table, fmt="%.6g", delimiter=",", header=TRAJECTORY_HEADER, comments="")

@@ -13,16 +13,9 @@ sharp ideal operators.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    HERMITIAN_ATOL,
-    PSD_FLOOR,
-    hermiticity_defect,
-    require_square,
-)
 from .dynamics import DynamicsParams, evolution_spectrum
 
 _SQRT2 = math.sqrt(2.0)
@@ -47,17 +40,6 @@ def polarization_projector(label: str) -> np.ndarray:
     return np.outer(ket, ket.conj())
 
 
-def _require_psd_operator(m0, name: str = "operator") -> np.ndarray:
-    m0 = require_square(m0, name)
-    defect = hermiticity_defect(m0)
-    if defect > HERMITIAN_ATOL:
-        raise ValueError(f"{name} not Hermitian: defect {defect:.3e}")
-    smallest = np.linalg.eigvalsh(0.5 * (m0 + m0.conj().T)).min()
-    if smallest < PSD_FLOOR:
-        raise ValueError(f"{name} not positive semidefinite: min eigenvalue {smallest:.3e}")
-    return m0
-
-
 # The six instants, in base-period units, whose operators form an
 # informationally complete set.  At the default periods (4, 1, 2), one third
 # of the sum of the six operators is the identity and the six operators pair
@@ -68,42 +50,26 @@ def _require_psd_operator(m0, name: str = "operator") -> np.ndarray:
 IC_POVM_INSTANTS = (0.0, 0.25, 0.5, 0.75, 1.25, 1.75)
 
 
-@dataclass(frozen=True)
-class JitterModel:
-    """Gaussian timing jitter of width ``sigma``, in base-period units.
-
-    Convolving with the kernel exp(-t^2 / 2 sigma^2) / sqrt(2 pi sigma^2)
-    multiplies each harmonic exp(i Omega t) by exp(-sigma^2 Omega^2 / 2).
-    """
-
-    sigma: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.sigma) and self.sigma >= 0):
-            raise ValueError(f"sigma must be nonnegative and finite, got {self.sigma}")
-
-
-def jittered_matrices(m0, params: DynamicsParams, jitter: JitterModel, times) -> np.ndarray:
-    """Gaussian-smeared operators at many instants; shape (len(times), 2, 2).
+def jittered_matrices(label: str, params: DynamicsParams, sigma: float, times) -> np.ndarray:
+    """Operators of the ``label`` projector M0 smeared by Gaussian timing jitter
+    of width ``sigma``, at many instants; shape (len(times), 2, 2).
 
     With U(t) = sum_s exp(-i h_s t) A_s (``evolution_spectrum``), the evolved
     operator is a sum of harmonics,
 
         M(t) = sum_{s, s'} exp(i Omega t) A_s^dag M0 A_s',   Omega = h_s - h_s',
 
-    and the jitter kernel damps each by exp(-sigma^2 Omega^2 / 2), exactly.
+    and convolving with the kernel exp(-t^2 / 2 sigma^2) / sqrt(2 pi sigma^2)
+    damps each by exp(-sigma^2 Omega^2 / 2), exactly.  At sigma 0 these are
+    the sharp operators U(t)^dag M0 U(t).
     """
-    m0 = _require_psd_operator(m0, "seed operator")
-    if m0.shape[0] != 2:
-        raise ValueError("time evolution is defined for 2x2 seed operators")
+    m0 = polarization_projector(label)
     times = np.asarray(times, dtype=float).ravel()
-    if not np.isfinite(times).all():
-        raise ValueError("times contains non-finite entries")
     rates, mats = evolution_spectrum(params)
     # terms[s, s'] = A_s^dag M0 A_s', from one (16, 2) @ (2, 16) product
     left = (np.swapaxes(mats.conj(), 1, 2) @ m0).reshape(-1, 2)
     terms = (left @ np.swapaxes(mats, 0, 1).reshape(2, -1)).reshape(8, 2, 8, 2).swapaxes(1, 2)
-    damping = np.exp(-0.5 * (jitter.sigma * np.subtract.outer(rates, rates)) ** 2)
+    damping = np.exp(-0.5 * (sigma * np.subtract.outer(rates, rates)) ** 2)
     phases = np.exp(-1j * np.multiply.outer(times, rates))
     harmonics = (phases.conj()[:, :, None] * phases[:, None, :]).reshape(times.size, -1)
     # einsum rather than a BLAS product: BLAS worker threads left spinning
@@ -114,21 +80,13 @@ def jittered_matrices(m0, params: DynamicsParams, jitter: JitterModel, times) ->
     return 0.5 * (stack + np.conj(np.swapaxes(stack, -1, -2)))
 
 
-def evolved_matrices(m0, params: DynamicsParams, times) -> np.ndarray:
-    """U(t)^dag M0 U(t) for an array of instants; shape (len(times), 2, 2).
-
-    The sharp operators are the smeared ones at zero width.
-    """
-    return jittered_matrices(m0, params, JitterModel(0.0), times)
-
-
 def kron_pairs(first: np.ndarray, second: np.ndarray) -> np.ndarray:
     """Batched Kronecker product of 2x2 stacks: entry k is first[k] kron second[k]."""
     # (a kron b)[2i + k, 2j + l] = a[i, j] b[k, l]
     return (first[:, :, None, :, None] * second[:, None, :, None, :]).reshape(len(first), 4, 4)
 
 
-def setting_operators(params: DynamicsParams, jitter: JitterModel, times, dim: int):
+def setting_operators(params: DynamicsParams, sigma: float, times, dim: int):
     """Instants and operators of every measurement setting of one detector arm.
 
     A qubit setting is one instant.  A pair setting is an ordered instant
@@ -137,8 +95,7 @@ def setting_operators(params: DynamicsParams, jitter: JitterModel, times, dim: i
     smeared)`` with the H-projector stacks of shape (K, d, d): counts are
     drawn from the smeared operators and booked against the sharp ones.
     """
-    proj = polarization_projector("H")
-    sharp, smeared = evolved_matrices(proj, params, times), jittered_matrices(proj, params, jitter, times)
+    sharp, smeared = jittered_matrices("H", params, 0.0, times), jittered_matrices("H", params, sigma, times)
     if dim == 2:
         return [(t,) for t in times], sharp, smeared
     first, second = np.divmod(np.arange(len(times) ** 2), len(times))
@@ -146,8 +103,8 @@ def setting_operators(params: DynamicsParams, jitter: JitterModel, times, dim: i
     return settings, kron_pairs(sharp[first], sharp[second]), kron_pairs(smeared[first], smeared[second])
 
 
-def bloch_trajectory(m0, params: DynamicsParams, jitter: JitterModel, time_grid) -> np.ndarray:
-    """Bloch-vector path traced by the (possibly smeared) operator.
+def bloch_trajectory(label: str, params: DynamicsParams, sigma: float, time_grid) -> np.ndarray:
+    """Bloch-vector path traced by the ``label`` projector, smeared by jitter of width ``sigma``.
 
     Returns an array with columns (t, x, y, z, purity) where the Bloch
     components are tr(M sigma_i) and purity is tr(M^2).  For a projector
@@ -155,7 +112,7 @@ def bloch_trajectory(m0, params: DynamicsParams, jitter: JitterModel, time_grid)
     toward the centre.
     """
     times = np.asarray(time_grid, dtype=float)
-    mats = jittered_matrices(m0, params, jitter, times)
+    mats = jittered_matrices(label, params, sigma, times)
     x = 2.0 * mats[:, 0, 1].real
     y = -2.0 * mats[:, 0, 1].imag
     z = (mats[:, 0, 0] - mats[:, 1, 1]).real

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DensityMatrix, ascending_eigenvalues, psd_sqrt
+from .core import ascending_eigenvalues, psd_sqrt
 
 # Pauli sigma_y tensored with itself; fixed matrix used by the concurrence.
 _SIGMA_Y = np.array([[0.0, -1j], [1j, 0.0]])
@@ -54,17 +54,6 @@ def concurrences(rho: np.ndarray) -> np.ndarray:
     # nonnegative up to rounding; |.| guards the square roots.
     roots = np.sqrt(np.sort(np.abs(np.linalg.eigvals(product)), axis=1))
     return np.maximum(0.0, roots[:, 3] - roots[:, 2] - roots[:, 1] - roots[:, 0])
-
-
-def fidelity(a: DensityMatrix, b: DensityMatrix) -> float:
-    """Uhlmann fidelity (tr sqrt(sqrt(a) b sqrt(a)))^2 of two states, clipped to [0, 1].
-
-    The reference that the closed-form qubit branch of ``fidelities`` is
-    checked against.
-    """
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    return float(_uhlmann(a.matrix[None], b.matrix[None])[0])
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DensityMatrix, first_unphysical
+from .core import first_unphysical
 
 TWO_PI = 2.0 * math.pi
 
@@ -57,18 +57,14 @@ def _bell_matrix(b: BellParams) -> np.ndarray:
     return np.outer(ket, ket.conj())
 
 
-def bloch_state(b: BlochParams) -> DensityMatrix:
-    """Density matrix with Bloch vector r (sin t cos p, sin t sin p, cos t)."""
-    return DensityMatrix(_bloch_matrix(b))
-
-
-def bell_state(b: BellParams) -> DensityMatrix:
-    """Projector onto (|00> + e^{i alpha} |11>)/sqrt(2)."""
-    return DensityMatrix(_bell_matrix(b))
-
-
 def state_stack(sample: list[BlochParams] | list[BellParams]) -> np.ndarray:
-    """``bloch_state`` or ``bell_state`` of each sample entry, stacked (B, d, d) and validated once."""
+    """Density matrices of a sample, stacked (B, d, d) and checked once by ``first_unphysical``.
+
+    A ``BlochParams`` entry gives the qubit state with Bloch vector
+    r (sin theta cos phi, sin theta sin phi, cos theta); a ``BellParams``
+    entry the projector onto (|00> + e^{i alpha} |11>)/sqrt(2).  Every entry
+    must be of the first entry's kind.
+    """
     build = _bloch_matrix if isinstance(sample[0], BlochParams) else _bell_matrix
     stack = np.array([build(b) for b in sample])
     problem = first_unphysical(stack)

@@ -3,6 +3,8 @@
 ``evolution_unitaries`` evaluates the ZYZ product U(t) factor by factor, and
 ``horizontal_closed_form`` is the evolved H projector worked out by hand, so
 neither depends on the spectral form that the package smears with.
+``uhlmann_fidelity`` is the fidelity of two states from its definition, the
+reference for the closed form that ``metrics.fidelities`` uses on qubits.
 ``qubit_stacks`` generates the 2x2 Hermitian stacks that the closed-form
 qubit spectra are checked on.
 """
@@ -40,7 +42,7 @@ def evolution_unitaries(params: DynamicsParams, times) -> np.ndarray:
 def horizontal_closed_form(t: float) -> np.ndarray:
     """Closed form of the evolved H projector under the default periods.
 
-    Useful as an independent cross-check of ``evolved_matrices``; valid only
+    Useful as an independent cross-check of the sharp operators; valid only
     for ``DynamicsParams()`` defaults.
     """
     t = float(t)
@@ -51,6 +53,14 @@ def horizontal_closed_form(t: float) -> np.ndarray:
             [np.conj(off), math.sin(math.pi * t) ** 2],
         ]
     )
+
+
+def uhlmann_fidelity(a, b) -> float:
+    """(tr sqrt(sqrt(a) b sqrt(a)))^2 of two density matrices, from ``numpy.linalg.eigh`` alone."""
+    values, vectors = np.linalg.eigh(a)
+    root = (vectors * np.sqrt(np.clip(values, 0.0, None))) @ vectors.conj().T
+    inner = np.linalg.eigh(root @ b @ root)[0]
+    return float(np.sqrt(np.clip(inner, 0.0, None)).sum() ** 2)
 
 
 def _qubit_matrix(centre, radius, theta, phi, skew):

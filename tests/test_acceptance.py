@@ -17,8 +17,8 @@ import pytest
 
 from oracles import horizontal_closed_form
 from timetomo import harness
-from timetomo.core import DensityMatrix, max_abs
-from timetomo.counts import NoiseConfig, count_rows
+from timetomo.core import first_unphysical, max_abs
+from timetomo.counts import count_rows
 from timetomo.dynamics import DynamicsParams
 from timetomo.estimator import EstimatorConfig, estimate_states
 from timetomo.harness import (
@@ -27,16 +27,9 @@ from timetomo.harness import (
     run_sweep,
     write_sweep_csv,
 )
-from timetomo.measurement import (
-    IC_POVM_INSTANTS,
-    JitterModel,
-    evolved_matrices,
-    jittered_matrices,
-    polarization_projector,
-    setting_operators,
-)
-from timetomo.metrics import fidelity
-from timetomo.states import BellParams, BlochParams, bell_state, bloch_state, sample_bell_states
+from timetomo.measurement import IC_POVM_INSTANTS, jittered_matrices, setting_operators
+from timetomo.metrics import fidelities
+from timetomo.states import BlochParams, sample_bell_states, state_stack
 
 PARAMS = DynamicsParams()
 
@@ -98,9 +91,7 @@ def entangled_cells():
 
 
 def test_criterion_01_schedule_completeness():
-    stack = evolved_matrices(
-        polarization_projector("H"), PARAMS, IC_POVM_INSTANTS
-    )
+    stack = jittered_matrices("H", PARAMS, 0.0, IC_POVM_INSTANTS)
     defect = max_abs(stack.sum(axis=0) / 3.0 - np.eye(2))
     ok = defect <= 1e-10
     _verdict(1, "measurement schedule completeness", ok, f"defect {defect:.3e}, tol 1e-10")
@@ -108,10 +99,9 @@ def test_criterion_01_schedule_completeness():
 
 
 def test_criterion_02_closed_form_agreement():
-    proj = polarization_projector("H")
     worst = 0.0
     for t in np.linspace(0.0, 2.0, 1000):
-        op = evolved_matrices(proj, PARAMS, [float(t)])[0]
+        op = jittered_matrices("H", PARAMS, 0.0, [float(t)])[0]
         worst = max(worst, max_abs(op - horizontal_closed_form(float(t))))
     ok = worst <= 1e-10
     _verdict(2, "closed-form operator agreement", ok, f"max error {worst:.3e} over 1000 points, tol 1e-10")
@@ -119,11 +109,10 @@ def test_criterion_02_closed_form_agreement():
 
 
 def test_criterion_03_jitter_damping_oracle():
-    proj = polarization_projector("H")
     times = np.linspace(0.0, 2.0, 201)
     worst = 0.0
     for sigma in (0.1, 0.3, 0.5):
-        smeared = jittered_matrices(proj, PARAMS, JitterModel(sigma), times)
+        smeared = jittered_matrices("H", PARAMS, sigma, times)
         damp = math.exp(-2.0 * (math.pi * sigma) ** 2)
         analytic = 0.5 + 0.5 * damp * np.cos(2.0 * math.pi * times)
         worst = max(worst, float(np.abs(smeared[:, 0, 0].real - analytic).max()))
@@ -134,16 +123,16 @@ def test_criterion_03_jitter_damping_oracle():
 
 def test_criterion_04_noiseless_recovery():
     est_cfg = EstimatorConfig()
-    noise = NoiseConfig(mean_photons=1000.0, poisson_enabled=False)
-    sharp = JitterModel(0.0)
     rng = np.random.default_rng(0)
 
-    def worst_fidelity(states):
-        _, ideal, smeared = setting_operators(PARAMS, sharp, IC_POVM_INSTANTS, states[0].dim)
-        stack = np.array([rho.matrix for rho in states])
-        _, measured = count_rows(stack, ideal, smeared, noise, first_index=0)
+    def worst_fidelity(sample):
+        states = state_stack(sample)
+        _, ideal, smeared = setting_operators(PARAMS, 0.0, IC_POVM_INSTANTS, states.shape[1])
+        # booked against the smeared stack, the expected column is the noiseless count row
+        measured, _ = count_rows(states, smeared, smeared, 1000.0, 0)
         fits = estimate_states(ideal, measured, 1000.0, est_cfg)
-        return min(fidelity(rho, DensityMatrix(est)) for rho, est in zip(states, fits.rho))
+        assert first_unphysical(fits.rho) is None
+        return fidelities(states, fits.rho).min()
 
     qubits = []
     for _ in range(50):
@@ -152,9 +141,9 @@ def test_criterion_04_noiseless_recovery():
             rng.uniform(0.0, math.pi),
             rng.uniform(0.0, 2.0 * math.pi),
         )
-        qubits.append(bloch_state(b))
+        qubits.append(b)
     worst_qubit = worst_fidelity(qubits)
-    worst_bell = worst_fidelity([bell_state(b) for b in sample_bell_states(20)])
+    worst_bell = worst_fidelity(sample_bell_states(20))
     ok = worst_qubit >= 0.999 and worst_bell >= 0.999
     _verdict(
         4,

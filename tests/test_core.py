@@ -1,4 +1,4 @@
-"""Shared matrix utilities and the validated density-matrix container."""
+"""Shared matrix utilities and the physicality check of state stacks."""
 
 import numpy as np
 import pytest
@@ -7,13 +7,12 @@ from hypothesis import strategies as st
 
 from oracles import qubit_stacks
 from timetomo.core import (
-    DensityMatrix,
     ascending_eigenvalues,
+    first_unphysical,
     hermiticity_defect,
     max_abs,
     psd_sqrt,
     require_finite,
-    require_square,
 )
 
 
@@ -28,14 +27,6 @@ def test_require_finite_rejects_nan_and_inf():
         require_finite(np.array([[np.nan, 0.0], [0.0, 1.0]]))
     with pytest.raises(ValueError):
         require_finite(np.array([[np.inf, 0.0], [0.0, 1.0]]))
-
-
-def test_require_square_rejects_rectangular_and_vector_input():
-    require_square(np.eye(3))
-    with pytest.raises(ValueError):
-        require_square(np.ones((2, 3)))
-    with pytest.raises(ValueError):
-        require_square(np.ones(4))
 
 
 def test_hermiticity_defect_zero_for_hermitian():
@@ -85,37 +76,37 @@ def test_psd_sqrt_rejects_clearly_indefinite_input():
         psd_sqrt(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def _with_entry_2(bad):
+    """A stack of maximally mixed states of ``bad``'s size, with ``bad`` at index 2."""
+    dim = len(bad)
+    stack = np.repeat(np.eye(dim, dtype=complex)[None] / dim, 4, axis=0)
+    stack[2] = bad
+    return stack
+
+
 def test_density_matrix_accepts_valid_states():
-    rho = DensityMatrix(np.eye(2) / 2)
-    assert rho.dim == 2
-    assert rho.purity() == pytest.approx(0.5)
+    assert first_unphysical(_with_entry_2(np.diag([1.0, 0.0]))) is None
     bell = np.zeros((4, 4))
     bell[0, 0] = bell[0, 3] = bell[3, 0] = bell[3, 3] = 0.5
-    assert DensityMatrix(bell).purity() == pytest.approx(1.0)
+    assert first_unphysical(_with_entry_2(bell)) is None
 
 
 def test_density_matrix_rejects_bad_trace():
-    with pytest.raises(ValueError):
-        DensityMatrix(np.eye(2))
+    assert first_unphysical(_with_entry_2(np.eye(2))) == (2, "density matrix trace off by 1.000e+00")
 
 
 def test_density_matrix_rejects_non_hermitian():
-    m = np.array([[0.5, 0.1], [0.3, 0.5]])
-    with pytest.raises(ValueError):
-        DensityMatrix(m)
+    index, message = first_unphysical(_with_entry_2(np.array([[0.5, 0.1], [0.3, 0.5]])))
+    assert (index, message) == (2, "density matrix not Hermitian: defect 2.000e-01")
 
 
 def test_density_matrix_rejects_negative_eigenvalues():
-    with pytest.raises(ValueError):
-        DensityMatrix(np.diag([1.2, -0.2]))
+    index, message = first_unphysical(_with_entry_2(np.diag([1.2, -0.2])), "sample state")
+    assert (index, message) == (2, "sample state has negative eigenvalue -2.000e-01")
 
 
-def test_density_matrix_rejects_unsupported_dimension():
-    with pytest.raises(ValueError):
-        DensityMatrix(np.eye(3) / 3)
-
-
-def test_density_matrix_array_is_frozen():
-    rho = DensityMatrix(np.eye(2) / 2)
-    with pytest.raises(ValueError):
-        rho.matrix[0, 0] = 1.0
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_density_matrix_rejects_non_finite_entries(bad):
+    state = np.diag([1.0, 0.0]).astype(complex)
+    state[0, 1] = bad
+    assert first_unphysical(_with_entry_2(state)) == (2, "density matrix contains non-finite entries")

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import qubit_stacks
-from timetomo.core import DensityMatrix, StateError, max_abs
-from timetomo.counts import NoiseConfig, count_rows
+from oracles import qubit_stacks, uhlmann_fidelity
+from timetomo.core import StateError, first_unphysical, max_abs
+from timetomo.counts import count_rows
 from timetomo.dynamics import DynamicsParams
 from timetomo.estimator import (
     EstimatorConfig,
@@ -18,13 +18,10 @@ from timetomo.estimator import (
     _warm_start,
     estimate_states,
 )
-from timetomo.measurement import IC_POVM_INSTANTS, JitterModel, setting_operators
-from timetomo.metrics import fidelity
+from timetomo.measurement import IC_POVM_INSTANTS, setting_operators
 from timetomo.states import (
     BellParams,
     BlochParams,
-    bell_state,
-    bloch_state,
     sample_bell_states,
     sample_mixed_qubits,
     state_stack,
@@ -55,19 +52,32 @@ def _random_state(rng, dim):
     return gram / gram.trace().real
 
 
+def _state(params):
+    return state_stack([params])[0]
+
+
+def _purity(rho):
+    return np.trace(rho @ rho).real
+
+
 def _records(rho, sigma=0.0, n=1000.0, poisson=True, seed=0, state_index=0):
-    """The sharp operator stack and the count row of one state, as a sweep makes them."""
-    cfg = NoiseConfig(mean_photons=n, seed=seed, poisson_enabled=poisson)
-    _, sharp, smeared = setting_operators(PARAMS, JitterModel(sigma), IC_POVM_INSTANTS, rho.dim)
-    _, measured = count_rows(rho.matrix[None], sharp, smeared, cfg, state_index)
-    return sharp, measured[0]
+    """The sharp operator stack and the count row of one state, as a sweep makes them.
+
+    Without ``poisson`` the row is the noiseless one: booked against the
+    smeared stack, a row's expected column is ``n`` times the smeared overlaps.
+    """
+    _, sharp, smeared = setting_operators(PARAMS, sigma, IC_POVM_INSTANTS, len(rho))
+    if poisson:
+        return sharp, count_rows(rho[None], sharp, smeared, n, seed, state_index)[1][0]
+    return sharp, count_rows(rho[None], smeared, smeared, n, seed, state_index)[0][0]
 
 
 def _estimate(records, mean_photons, cfg=EstimatorConfig()):
     """``estimate_states`` on one count row: (estimate, objective, converged, trial steps)."""
     sharp, row = records
     fit = estimate_states(sharp, row[None], mean_photons, cfg)
-    return DensityMatrix(fit.rho[0]), float(fit.objective[0]), bool(fit.converged[0]), int(fit.iterations[0])
+    assert first_unphysical(fit.rho) is None
+    return fit.rho[0], float(fit.objective[0]), bool(fit.converged[0]), int(fit.iterations[0])
 
 
 def test_estimator_config_validation():
@@ -79,9 +89,9 @@ def test_estimator_config_validation():
 
 
 def test_likelihood_matches_direct_formula():
-    rho = bloch_state(BlochParams(0.8, 1.0, 0.5))
+    rho = _state(BlochParams(0.8, 1.0, 0.5))
     records = _records(rho, sigma=0.1, n=500.0)
-    cand = bloch_state(BlochParams(0.6, 0.9, 2.0)).matrix
+    cand = _state(BlochParams(0.6, 0.9, 2.0))
     got = _objective(records, 500.0)(cand)[0]
     stack, row = records
     total = 0.0
@@ -93,7 +103,7 @@ def test_likelihood_matches_direct_formula():
 
 def test_likelihood_floors_vanishing_model_counts():
     # candidate orthogonal to the measured state: floor keeps it finite
-    rho = bloch_state(BlochParams(1.0, 0.0, 0.0))
+    rho = _state(BlochParams(1.0, 0.0, 0.0))
     records = _records(rho, poisson=False)
     objective = _objective(records, 1000.0)
     val = objective(np.diag([0.0, 1.0]).astype(complex))[0]
@@ -103,7 +113,7 @@ def test_likelihood_floors_vanishing_model_counts():
 
 def test_qubit_and_pair_objectives_agree_on_shared_formula():
     # one objective serves both dimensions; the pair stack meets the same formula
-    rho = bell_state(BellParams(0.7))
+    rho = _state(BellParams(0.7))
     records = _records(rho, sigma=0.05, n=800.0)
     rng = np.random.default_rng(2)
     objective = _objective(records, 800.0)
@@ -122,9 +132,9 @@ def test_gradient_matches_finite_differences():
     # R = N sum_k (1 - n_k^2 / mu_k^2) M_k is the derivative of f along any
     # Hermitian direction D: f(rho + h D) - f(rho - h D) = 2 h tr(R D) + O(h^3)
     rng = np.random.default_rng(3)
-    for rho_in, n in ((bloch_state(BlochParams(0.7, 0.4, 1.0)), 300.0), (bell_state(BellParams(1.1)), 50.0)):
+    for rho_in, n in ((_state(BlochParams(0.7, 0.4, 1.0)), 300.0), (_state(BellParams(1.1)), 50.0)):
         objective = _objective(_records(rho_in, sigma=0.1, n=n), n)
-        rho = _random_state(rng, rho_in.dim)
+        rho = _random_state(rng, len(rho_in))
         grad = objective(rho)[1]
         step = rng.normal(size=rho.shape) + 1j * rng.normal(size=rho.shape)
         step = 0.5 * (step + step.conj().T)
@@ -138,10 +148,10 @@ def test_projection_is_physical_and_fixes_states():
     for dim in (2, 4):
         for _ in range(20):
             h = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-            DensityMatrix(_project_to_states(h + h.conj().T))
+            assert first_unphysical(_project_to_states(h + h.conj().T)[None]) is None
             state = _random_state(rng, dim)
             assert max_abs(_project_to_states(state) - state) < 1e-12
-    bell = bell_state(BellParams(0.0)).matrix
+    bell = _state(BellParams(0.0))
     assert max_abs(_project_to_states(bell) - bell) < 1e-12
     # the spectrum (1.5, 0.2) lands on the simplex vertex (1, 0)
     assert max_abs(_project_to_states(np.diag([1.5, 0.2]).astype(complex)) - np.diag([1.0, 0.0])) < 1e-15
@@ -171,23 +181,23 @@ def test_qubit_projection_matches_eigh_and_simplex(h):
 
 
 def test_noiseless_qubit_reconstruction_is_exact():
-    rho = bloch_state(BlochParams(1.0, 1.2, 0.4))
+    rho = _state(BlochParams(1.0, 1.2, 0.4))
     rho_out, _, converged, _ = _estimate(_records(rho, poisson=False), 1000.0)
     assert converged
-    assert fidelity(rho_out, rho) > 0.9999
-    assert max_abs(rho_out.matrix - rho.matrix) < 5e-3
+    assert uhlmann_fidelity(rho_out, rho) > 0.9999
+    assert max_abs(rho_out - rho) < 5e-3
 
 
 def test_noiseless_pair_reconstruction_is_exact():
-    rho = bell_state(BellParams(2.0))
+    rho = _state(BellParams(2.0))
     rho_out, _, converged, _ = _estimate(_records(rho, poisson=False), 1000.0)
     assert converged
-    assert fidelity(rho_out, rho) > 0.999
+    assert uhlmann_fidelity(rho_out, rho) > 0.999
 
 
 @pytest.mark.parametrize(
     "rho",
-    [bloch_state(BlochParams(1.0, 1.2, 0.4)), bell_state(BellParams(2.0))],
+    [_state(BlochParams(1.0, 1.2, 0.4)), _state(BellParams(2.0))],
     ids=["qubit", "pair"],
 )
 def test_noiseless_estimate_does_not_depend_on_photon_number(rho):
@@ -198,27 +208,27 @@ def test_noiseless_estimate_does_not_depend_on_photon_number(rho):
     for n in (10.0, 1000.0):
         rho_out, _, converged, _ = _estimate(_records(rho, sigma=0.07, n=n, poisson=False), n)
         assert converged
-        estimates.append(rho_out.matrix)
+        estimates.append(rho_out)
     assert max_abs(estimates[0] - estimates[1]) < 1e-3
 
 
 def test_mixed_state_reconstruction():
-    rho = bloch_state(BlochParams(0.4, 2.0, 3.0))
+    rho = _state(BlochParams(0.4, 2.0, 3.0))
     rho_out = _estimate(_records(rho, poisson=False), 1000.0)[0]
-    assert fidelity(rho_out, rho) > 0.9999
+    assert uhlmann_fidelity(rho_out, rho) > 0.9999
 
 
 def test_reconstruction_is_deterministic_given_rng_seed():
-    rho = bloch_state(BlochParams(0.9, 0.8, 1.5))
+    rho = _state(BlochParams(0.9, 0.8, 1.5))
     records = _records(rho, sigma=0.05, n=100.0, seed=3)
     a_rho, a_objective, _, _ = _estimate(records, 100.0)
     b_rho, b_objective, _, _ = _estimate(records, 100.0)
-    assert np.array_equal(a_rho.matrix, b_rho.matrix)
+    assert np.array_equal(a_rho, b_rho)
     assert a_objective == b_objective
 
 
 def test_estimate_state_validates_arguments():
-    records = _records(bloch_state(BlochParams(0.0, 0.0, 0.0)))
+    records = _records(_state(BlochParams(0.0, 0.0, 0.0)))
     with pytest.raises(ValueError):
         _estimate(records, 0.0)
     stack, row = records
@@ -233,17 +243,17 @@ def test_estimate_state_validates_arguments():
 def test_estimator_is_blind_to_jitter_by_design():
     # fitting blurred counts with sharp models drags the estimate inward;
     # the pull toward the maximally mixed state is the effect under study
-    rho = bloch_state(BlochParams(1.0, 0.5 * math.pi, 0.0))
+    rho = _state(BlochParams(1.0, 0.5 * math.pi, 0.0))
     sharp = _estimate(_records(rho, sigma=0.0, poisson=False), 1000.0)[0]
     blurred = _estimate(_records(rho, sigma=0.25, poisson=False), 1000.0)[0]
-    assert sharp.purity() > 0.999
-    assert blurred.purity() < sharp.purity() - 0.1
+    assert _purity(sharp) > 0.999
+    assert _purity(blurred) < _purity(sharp) - 0.1
 
 
 def test_convergence_is_certified_within_the_iteration_budget():
     # a noisy, jitter-blurred Bell fit: certified at the default budget,
     # not after two trial steps
-    records = _records(bell_state(BellParams(0.9)), sigma=0.07, n=10.0, seed=4)
+    records = _records(_state(BellParams(0.9)), sigma=0.07, n=10.0, seed=4)
     _, full_objective, full_converged, full_iterations = _estimate(records, 10.0)
     assert full_converged
     assert full_iterations <= EstimatorConfig().max_iterations
@@ -273,15 +283,14 @@ _BELL = st.builds(BellParams, st.floats(0.0, 2.0 * math.pi, exclude_max=True))
 def test_estimate_is_physical_and_no_worse_than_the_input_state(params, sigma, n, seed):
     # the minimum lies at or below the objective of every state, the true
     # input included, and the estimate is within the certified gap of it
-    rho_in = bloch_state(params) if isinstance(params, BlochParams) else bell_state(params)
+    rho_in = _state(params)
     records = _records(rho_in, sigma=sigma, n=n, seed=seed)
     cfg = EstimatorConfig()
     rho_out, value, converged, _ = _estimate(records, n, cfg)
     assert converged
-    DensityMatrix(rho_out.matrix)
     objective = _objective(records, n)
-    assert objective(rho_out.matrix)[0] == pytest.approx(value, rel=1e-12)
-    assert value <= objective(rho_in.matrix)[0] + cfg.convergence_tol
+    assert objective(rho_out)[0] == pytest.approx(value, rel=1e-12)
+    assert value <= objective(rho_in)[0] + cfg.convergence_tol
 
 
 @pytest.mark.parametrize("dim", [2, 4], ids=["qubit", "pair"])
@@ -293,8 +302,8 @@ def test_batch_split_does_not_change_estimates(dim, monkeypatch):
 
     rng = np.random.default_rng(5)
     states = np.array([_random_state(rng, dim) for _ in range(9)])
-    _, sharp, smeared = setting_operators(PARAMS, JitterModel(0.07), IC_POVM_INSTANTS, dim)
-    _, measured = count_rows(states, sharp, smeared, NoiseConfig(mean_photons=50.0, seed=11))
+    _, sharp, smeared = setting_operators(PARAMS, 0.07, IC_POVM_INSTANTS, dim)
+    _, measured = count_rows(states, sharp, smeared, 50.0, 11)
     cfg = EstimatorConfig()
     whole = estimate_states(sharp, measured, 50.0, cfg)
     for bounds in ((0, 4, 9), (0, 1, 2, 6, 9), tuple(range(10))):
@@ -311,7 +320,7 @@ def test_batch_split_does_not_change_estimates(dim, monkeypatch):
 def test_failing_batch_entries_are_named(monkeypatch):
     import timetomo.estimator as estimator
 
-    stack, row = _records(bloch_state(BlochParams(0.5, 1.0, 1.0)))
+    stack, row = _records(_state(BlochParams(0.5, 1.0, 1.0)))
     measured = np.tile(row, (3, 1))
     corrupt = measured.copy()
     corrupt[1, 2] = np.inf
@@ -403,8 +412,8 @@ def test_batched_descent_follows_each_state_alone(sample, sigma, n, seed, max_it
     # that the one-state loop takes from the same warm start; at these seeds
     # both samples hold states whose momentum overshoots
     states = state_stack(sample)
-    _, sharp, smeared = setting_operators(PARAMS, JitterModel(sigma), IC_POVM_INSTANTS, states.shape[1])
-    _, measured = count_rows(states, sharp, smeared, NoiseConfig(mean_photons=n, seed=seed))
+    _, sharp, smeared = setting_operators(PARAMS, sigma, IC_POVM_INSTANTS, states.shape[1])
+    _, measured = count_rows(states, sharp, smeared, n, seed)
     cfg = EstimatorConfig(max_iterations=max_iterations)
     fits = estimate_states(sharp, measured, n, cfg)
     starts = _warm_start(sharp, measured, np.full(len(measured), n))
@@ -425,9 +434,9 @@ def test_per_row_photon_numbers_match_scalar_calls(dim):
     # photon number; every row must come out as a call at that number alone
     rng = np.random.default_rng(12)
     states = np.array([_random_state(rng, dim) for _ in range(5)])
-    _, sharp, smeared = setting_operators(PARAMS, JitterModel(0.07), IC_POVM_INSTANTS, dim)
+    _, sharp, smeared = setting_operators(PARAMS, 0.07, IC_POVM_INSTANTS, dim)
     groups = (10.0, 100.0, 1000.0)
-    rows = [count_rows(states, sharp, smeared, NoiseConfig(mean_photons=n, seed=4))[1] for n in groups]
+    rows = [count_rows(states, sharp, smeared, n, 4)[1] for n in groups]
     photons = np.repeat(groups, len(states))
     joint = estimate_states(sharp, np.concatenate(rows), photons, EstimatorConfig())
     alone = [estimate_states(sharp, measured, n, EstimatorConfig()) for n, measured in zip(groups, rows)]

@@ -17,7 +17,7 @@ import timetomo
 import timetomo.harness as harness_module
 from timetomo.cli import main
 from timetomo.core import StateError
-from timetomo.counts import MAX_MEAN_PHOTONS, MAX_SEED
+from timetomo.counts import MAX_MEAN_PHOTONS, MAX_SEED, _poisson_table
 from timetomo.dynamics import DynamicsParams
 from timetomo.harness import (
     CSV_HEADER,
@@ -35,7 +35,7 @@ from timetomo.harness import (
     write_manifest,
     write_sweep_csv,
 )
-from timetomo.measurement import IC_POVM_INSTANTS, JitterModel, setting_operators
+from timetomo.measurement import IC_POVM_INSTANTS, setting_operators
 
 TINY_QUBIT = {
     "mode": "qubit-pure",
@@ -53,8 +53,11 @@ def test_experiment_config_validation():
         ExperimentConfig(mode="qubit-pure", sigma_list=(), photon_list=(10.0,))
     with pytest.raises(ValueError):
         ExperimentConfig(mode="qubit-pure", sigma_list=(-0.1,), photon_list=(10.0,))
-    with pytest.raises(ValueError):
-        ExperimentConfig(mode="qubit-pure", sigma_list=(0.0,), photon_list=(0.0,))
+    for photons in (0.0, math.inf):
+        with pytest.raises(ValueError):
+            ExperimentConfig(mode="qubit-pure", sigma_list=(0.0,), photon_list=(photons,))
+    with pytest.raises(ValueError, match="unsigned 64-bit"):
+        ExperimentConfig(mode="qubit-pure", sigma_list=(0.0,), photon_list=(10.0,), seed=-1)
     with pytest.raises(ValueError):
         ExperimentConfig(
             mode="entangled",
@@ -96,7 +99,7 @@ def test_accepted_periods_give_informationally_complete_operators(periods):
     except ValueError as exc:
         assert re.search(r"informationally incomplete \(rank [0-3] of 4\)", str(exc))
         return
-    _, sharp, _ = setting_operators(cfg.dynamics, JitterModel(0.0), IC_POVM_INSTANTS, 2)
+    _, sharp, _ = setting_operators(cfg.dynamics, 0.0, IC_POVM_INSTANTS, 2)
     assert np.linalg.matrix_rank(sharp.reshape(-1, 4)) == 4
 
 
@@ -149,6 +152,12 @@ def test_integer_fields_reject_fractions_and_booleans(doc, key):
         ({**TINY_QUBIT, "estimator": {"convergence_tol": True}}, "convergence_tol must be a number"),
         ({**TINY_QUBIT, "estimator": {"epsilon_floor": "1e-9"}}, "epsilon_floor must be a number"),
         ({**TINY_QUBIT, "estimator": {"epsilon_floor": True}}, "epsilon_floor must be a number"),
+        ({**TINY_QUBIT, "estimator": None}, "estimator must be a JSON object"),
+        ({**TINY_QUBIT, "estimator": [1]}, "estimator must be a JSON object"),
+        ({**TINY_QUBIT, "sample": 5}, "sample (qubit-pure) must be a JSON object"),
+        ({**TINY_QUBIT, "sample": None}, "sample (qubit-pure) must be a JSON object"),
+        ({**TINY_QUBIT, "sample": "ab"}, "sample (qubit-pure) must be a JSON object"),
+        ({**TINY_QUBIT, "mode": ["qubit-mixed"]}, "mode must be a string"),
     ],
 )
 def test_config_type_errors_name_the_key(doc, key):
@@ -159,6 +168,7 @@ def test_config_type_errors_name_the_key(doc, key):
 def test_photon_list_is_capped():
     # the Poisson table of a count call grows as sqrt(N); past the ceiling a
     # config is rejected before any state is counted
+    assert _poisson_table(MAX_MEAN_PHOTONS)[1].size < 600_000
     assert load_config({**TINY_QUBIT, "photon_list": [MAX_MEAN_PHOTONS]}).photon_list == (MAX_MEAN_PHOTONS,)
     with pytest.raises(ValueError, match=re.escape("at most MAX_MEAN_PHOTONS = 1e+09")):
         load_config({**TINY_QUBIT, "photon_list": [100, 1e10]})
@@ -366,9 +376,9 @@ def test_non_finite_count_row_names_its_state(monkeypatch, workers):
     real = harness.count_rows
     corrupted = {}
 
-    def corrupt(states, sharp, smeared, cfg, first_index=0):
-        expected, measured = real(states, sharp, smeared, cfg, first_index)
-        if corrupted["cell"](not np.array_equal(smeared, sharp), cfg.mean_photons):
+    def corrupt(states, sharp, smeared, mean_photons, seed, first_index=0):
+        expected, measured = real(states, sharp, smeared, mean_photons, seed, first_index)
+        if corrupted["cell"](not np.array_equal(smeared, sharp), mean_photons):
             measured[np.arange(first_index, first_index + len(states)) == 3, 0] = np.nan
         return expected, measured
 
@@ -531,6 +541,29 @@ def test_cli_rejects_mode_subcommand_mismatch(tmp_path, capsys):
     code = main(["entangled-sweep", "--config", str(cfg_path), "--out", str(tmp_path)])
     assert code == 2
     assert "does not fit subcommand" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "config_text, extra, message",
+    [
+        ('{"mode": "qubit-pure",', [], "error: Expecting"),
+        (None, [], "error: [Errno 2] No such file or directory"),
+        (json.dumps({**TINY_QUBIT, "sigma_list": [-1]}), [], "error: sigma_list must be nonempty with nonnegative"),
+        (json.dumps(TINY_QUBIT), ["--seed", "-1"], "error: seed must fit in an unsigned 64-bit integer"),
+        (json.dumps(TINY_QUBIT), ["--seed", str(MAX_SEED + 1)], "error: seed must fit in an unsigned 64-bit integer"),
+    ],
+    ids=["bad-json", "missing-file", "negative-sigma", "negative-seed", "seed-over-64-bits"],
+)
+def test_cli_reports_a_bad_config_in_one_line(tmp_path, capsys, config_text, extra, message):
+    cfg_path = tmp_path / "cfg.json"
+    if config_text is not None:
+        cfg_path.write_text(config_text)
+    code = main(["qubit-sweep", "--config", str(cfg_path), "--out", str(tmp_path / "run"), *extra])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(message) and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("workers", ["0", "-3"])

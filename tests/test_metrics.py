@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from timetomo.core import DensityMatrix
+from oracles import uhlmann_fidelity
 from timetomo.metrics import (
     CHSH_THRESHOLD,
     MetricsSummary,
@@ -15,81 +15,88 @@ from timetomo.metrics import (
     chsh_guarantee,
     concurrences,
     fidelities,
-    fidelity,
     trace_distances,
 )
-from timetomo.states import BellParams, BlochParams, bell_state, bloch_state
+from timetomo.states import BellParams, BlochParams, state_stack
 
 
-def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
+def _state(params):
+    return state_stack([params])[0]
+
+
+def fidelity(a, b) -> float:
+    """``fidelities`` of one pair of states."""
+    return float(fidelities(a[None], b[None])[0])
+
+
+def trace_distance(a, b) -> float:
     """``trace_distances`` of one pair of states."""
-    return float(trace_distances(a.matrix[None], b.matrix[None])[0])
+    return float(trace_distances(a[None], b[None])[0])
 
 
-def concurrence(rho: DensityMatrix) -> float:
+def concurrence(rho) -> float:
     """``concurrences`` of one two-qubit state."""
-    return float(concurrences(rho.matrix[None])[0])
+    return float(concurrences(rho[None])[0])
 
 
-def _werner(p: float) -> DensityMatrix:
-    pure = bell_state(BellParams(0.0)).matrix
-    return DensityMatrix(p * pure + (1.0 - p) * np.eye(4) / 4.0)
+def _werner(p: float) -> np.ndarray:
+    pure = _state(BellParams(0.0))
+    return p * pure + (1.0 - p) * np.eye(4) / 4.0
 
 
 def test_fidelity_limits():
-    a = bloch_state(BlochParams(1.0, 0.3, 0.8))
-    assert fidelity(a, a) == pytest.approx(1.0)
-    opposite = bloch_state(BlochParams(1.0, math.pi - 0.3, (0.8 + math.pi) % (2 * math.pi)))
-    assert fidelity(a, opposite) == pytest.approx(0.0, abs=1e-12)
+    a = _state(BlochParams(1.0, 0.3, 0.8))
+    bell = _state(BellParams(0.0))
+    opposite = _state(BlochParams(1.0, math.pi - 0.3, (0.8 + math.pi) % (2 * math.pi)))
+    for f in (fidelity, uhlmann_fidelity):
+        assert f(a, a) == pytest.approx(1.0)
+        assert f(a, opposite) == pytest.approx(0.0, abs=1e-12)
+        assert f(bell, bell) == pytest.approx(1.0)
     with pytest.raises(ValueError):
-        fidelity(a, bell_state(BellParams(0.0)))
+        fidelity(a, bell)
 
 
 def test_fidelity_pure_mixed_closed_form():
     # F(pure, rho) = <psi| rho |psi>; against I/2 that is 1/2
-    a = bloch_state(BlochParams(1.0, 1.1, 2.2))
-    mixed = bloch_state(BlochParams(0.0, 0.0, 0.0))
-    assert fidelity(a, mixed) == pytest.approx(0.5)
-    assert fidelity(mixed, a) == pytest.approx(0.5)
+    a = _state(BlochParams(1.0, 1.1, 2.2))
+    mixed = _state(BlochParams(0.0, 0.0, 0.0))
+    for f in (fidelity, uhlmann_fidelity):
+        assert f(a, mixed) == pytest.approx(0.5)
+        assert f(mixed, a) == pytest.approx(0.5)
 
 
 def test_fidelity_qubit_closed_form_random_pairs():
-    # F = tr(ab) + 2 sqrt(det a det b) for qubits
+    # F = tr(ab) + 2 sqrt(det a det b) for qubits, the Uhlmann fidelity in closed form
     rng = np.random.default_rng(8)
     for _ in range(20):
-        a = bloch_state(
-            BlochParams(rng.uniform(0, 1), rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
-        )
-        b = bloch_state(
-            BlochParams(rng.uniform(0, 1), rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
-        )
-        want = np.trace(a.matrix @ b.matrix).real + 2.0 * math.sqrt(
-            max(0.0, np.linalg.det(a.matrix).real * np.linalg.det(b.matrix).real)
-        )
+        a = _state(BlochParams(rng.uniform(0, 1), rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi)))
+        b = _state(BlochParams(rng.uniform(0, 1), rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi)))
+        want = np.trace(a @ b).real + 2.0 * math.sqrt(max(0.0, np.linalg.det(a).real * np.linalg.det(b).real))
+        assert uhlmann_fidelity(a, b) == pytest.approx(want, abs=1e-10)
         assert fidelity(a, b) == pytest.approx(want, abs=1e-10)
 
 
 def test_trace_distance_is_half_bloch_vector_gap():
     # for qubits T = |r1 - r2| / 2
-    a = bloch_state(BlochParams(0.9, 0.4, 1.0))
-    b = bloch_state(BlochParams(0.3, 0.4, 1.0))
+    a = _state(BlochParams(0.9, 0.4, 1.0))
+    b = _state(BlochParams(0.3, 0.4, 1.0))
     assert trace_distance(a, b) == pytest.approx(0.3)
-    c = bloch_state(BlochParams(1.0, 0.0, 0.0))
-    d = bloch_state(BlochParams(1.0, math.pi, 0.0))
+    c = _state(BlochParams(1.0, 0.0, 0.0))
+    d = _state(BlochParams(1.0, math.pi, 0.0))
     assert trace_distance(c, d) == pytest.approx(1.0)
     assert trace_distance(a, a) == pytest.approx(0.0, abs=1e-14)
     with pytest.raises(ValueError):
-        trace_distance(a, bell_state(BellParams(0.0)))
+        trace_distance(a, _state(BellParams(0.0)))
 
 
 def test_concurrence_of_entangled_phase_family_is_one():
     for alpha in (0.0, 1.0, math.pi, 5.0):
-        assert concurrence(bell_state(BellParams(alpha))) == pytest.approx(1.0)
+        assert concurrence(_state(BellParams(alpha))) == pytest.approx(1.0)
 
 
 def test_concurrence_of_product_state_is_zero():
-    qubit = bloch_state(BlochParams(1.0, 0.7, 0.3)).matrix
-    product = DensityMatrix(np.kron(qubit, qubit))
+    qubit = _state(BlochParams(1.0, 0.7, 0.3))
+    product = np.kron(qubit, qubit)
     assert concurrence(product) == pytest.approx(0.0, abs=1e-12)
 
 
@@ -128,13 +135,9 @@ def test_chsh_guarantee_band_logic():
     assert chsh_guarantee(above)
 
 
-def _qubit(r, theta, phi):
-    return bloch_state(BlochParams(r, theta, phi)).matrix
-
-
 # radius 1 gives pure, rank-deficient states; radius 0 the maximally mixed one
 _QUBIT = st.builds(
-    _qubit,
+    lambda r, theta, phi: _state(BlochParams(r, theta, phi)),
     st.one_of(st.just(1.0), st.just(0.0), st.floats(0.0, 1.0)),
     st.floats(0.0, math.pi),
     st.floats(0.0, 2.0 * math.pi, exclude_max=True),
@@ -144,17 +147,17 @@ _QUBIT = st.builds(
 @settings(max_examples=200, deadline=None)
 @given(a=_QUBIT, b=_QUBIT)
 def test_closed_form_qubit_fidelity_equals_uhlmann(a, b):
-    closed = fidelities(a[None], b[None])[0]
+    closed = fidelity(a, b)
     # square roots of rank-deficient matrices carry rounding of order 1e-8
-    assert closed == pytest.approx(fidelity(DensityMatrix(a), DensityMatrix(b)), abs=1e-7)
+    assert closed == pytest.approx(uhlmann_fidelity(a, b), abs=1e-7)
     assert 0.0 <= closed <= 1.0
 
 
 @settings(max_examples=100, deadline=None)
 @given(a=_QUBIT, b=_QUBIT)
 def test_trace_distance_is_symmetric_and_bounded(a, b):
-    forward = trace_distance(DensityMatrix(a), DensityMatrix(b))
-    assert forward == trace_distance(DensityMatrix(b), DensityMatrix(a))
+    forward = trace_distance(a, b)
+    assert forward == trace_distance(b, a)
     assert 0.0 <= forward <= 1.0 + 1e-12
     assert np.array_equal(trace_distances(np.stack([a, b]), np.stack([b, a])), [forward, forward])
 
@@ -162,7 +165,7 @@ def test_trace_distance_is_symmetric_and_bounded(a, b):
 @settings(max_examples=100, deadline=None)
 @given(alpha=st.floats(0.0, 2.0 * math.pi, exclude_max=True))
 def test_concurrence_is_one_on_every_bell_phase(alpha):
-    rho = bell_state(BellParams(alpha))
+    rho = _state(BellParams(alpha))
     # the square roots of three rounding-level eigenvalues come off the first
     assert concurrence(rho) == pytest.approx(1.0, abs=1e-7)
-    assert concurrences(np.repeat(rho.matrix[None], 2, axis=0)).tolist() == [concurrence(rho)] * 2
+    assert concurrences(np.repeat(rho[None], 2, axis=0)).tolist() == [concurrence(rho)] * 2

@@ -14,10 +14,10 @@ import math
 import numpy as np
 import pytest
 
-from timetomo.counts import NoiseConfig, count_rows
+from timetomo.counts import count_rows
 from timetomo.dynamics import DynamicsParams
 from timetomo.estimator import EstimatorConfig, estimate_states
-from timetomo.measurement import IC_POVM_INSTANTS, JitterModel, setting_operators
+from timetomo.measurement import IC_POVM_INSTANTS, setting_operators
 from timetomo.metrics import concurrences
 from timetomo.states import sample_bell_states, state_stack
 
@@ -30,8 +30,9 @@ def noiseless_concurrence():
     states = state_stack(sample_bell_states(16))
     table = []
     for sigma in SIGMAS:
-        _, sharp, smeared = setting_operators(DynamicsParams(), JitterModel(sigma), IC_POVM_INSTANTS, 4)
-        _, measured = count_rows(states, sharp, smeared, NoiseConfig(mean_photons=1000.0, poisson_enabled=False))
+        _, sharp, smeared = setting_operators(DynamicsParams(), sigma, IC_POVM_INSTANTS, 4)
+        # booked against the smeared stack, the expected column is the noiseless count row
+        measured, _ = count_rows(states, smeared, smeared, 1000.0, 0)
         fits = estimate_states(sharp, measured, 1000.0, EstimatorConfig())
         assert fits.converged.all()
         table.append(concurrences(fits.rho))
@@ -55,13 +56,13 @@ def test_cell_means_approach_the_noiseless_limit_as_photon_number_grows():
     # largest N sits closest, and every gap is within 0.1 / sqrt(N) (seeds
     # 0-19 stay within 0.051 / sqrt(N))
     states = state_stack(sample_bell_states(200))
-    _, sharp, smeared = setting_operators(DynamicsParams(), JitterModel(0.1), IC_POVM_INSTANTS, 4)
-    _, noiseless = count_rows(states, sharp, smeared, NoiseConfig(mean_photons=1000.0, poisson_enabled=False))
+    _, sharp, smeared = setting_operators(DynamicsParams(), 0.1, IC_POVM_INSTANTS, 4)
+    noiseless, _ = count_rows(states, smeared, smeared, 1000.0, 0)
     limit = concurrences(estimate_states(sharp, noiseless, 1000.0, EstimatorConfig()).rho).mean()
     photon_numbers = (100.0, 1000.0, 10000.0)
     gaps = []
     for n_photons in photon_numbers:
-        _, measured = count_rows(states, sharp, smeared, NoiseConfig(mean_photons=n_photons, seed=0))
+        _, measured = count_rows(states, sharp, smeared, n_photons, 0)
         fits = estimate_states(sharp, measured, n_photons, EstimatorConfig())
         assert fits.converged.all()
         gaps.append(abs(concurrences(fits.rho).mean() - limit))

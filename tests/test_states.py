@@ -10,12 +10,11 @@ from timetomo.estimator import _project_to_states
 from timetomo.states import (
     BellParams,
     BlochParams,
-    bell_state,
-    bloch_state,
     orthogonal_pairs,
     sample_bell_states,
     sample_mixed_qubits,
     sample_pure_qubits,
+    state_stack,
 )
 
 PAULI = {
@@ -23,6 +22,14 @@ PAULI = {
     "y": np.array([[0.0, -1j], [1j, 0.0]]),
     "z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
 }
+
+
+def _state(params):
+    return state_stack([params])[0]
+
+
+def _purity(rho):
+    return np.trace(rho @ rho).real
 
 
 def test_bloch_params_validation():
@@ -49,7 +56,7 @@ def test_bloch_state_reproduces_its_coordinates():
         r = rng.uniform(0.0, 1.0)
         theta = rng.uniform(0.0, math.pi)
         phi = rng.uniform(0.0, 2.0 * math.pi)
-        rho = bloch_state(BlochParams(r, theta, phi)).matrix
+        rho = _state(BlochParams(r, theta, phi))
         vec = np.array(
             [
                 r * math.sin(theta) * math.cos(phi),
@@ -62,15 +69,15 @@ def test_bloch_state_reproduces_its_coordinates():
 
 
 def test_bloch_state_purity_tracks_radius():
-    assert bloch_state(BlochParams(0.0, 0.0, 0.0)).purity() == pytest.approx(0.5)
-    assert bloch_state(BlochParams(1.0, 1.2, 3.4)).purity() == pytest.approx(1.0)
-    assert bloch_state(BlochParams(0.6, 1.2, 3.4)).purity() == pytest.approx(
+    assert _purity(_state(BlochParams(0.0, 0.0, 0.0))) == pytest.approx(0.5)
+    assert _purity(_state(BlochParams(1.0, 1.2, 3.4))) == pytest.approx(1.0)
+    assert _purity(_state(BlochParams(0.6, 1.2, 3.4))) == pytest.approx(
         0.5 * (1.0 + 0.36)
     )
 
 
 def test_bell_state_structure():
-    rho = bell_state(BellParams(math.pi / 3)).matrix
+    rho = _state(BellParams(math.pi / 3))
     assert rho.shape == (4, 4)
     assert rho[0, 0] == pytest.approx(0.5)
     assert rho[3, 3] == pytest.approx(0.5)
@@ -84,7 +91,7 @@ def test_pair_parametrization_spans_entangled_states():
     # the estimator searches the density matrices themselves; the projection
     # that keeps it there leaves a Bell state fixed and lands on it exactly
     # from a nearby matrix with negative eigenvalues
-    target = bell_state(BellParams(0.0)).matrix
+    target = _state(BellParams(0.0))
     assert max_abs(_project_to_states(target) - target) < 1e-12
     near = 0.999999 * target + (1e-6 / 4.0) * np.eye(4)
     grown = _project_to_states(near + 1e-3 * (target - np.eye(4) / 4.0))
@@ -110,7 +117,7 @@ def test_pure_grid_and_validation():
 def test_orthogonal_partner_is_antipodal():
     b = BlochParams(1.0, 0.7, 1.3)
     mate = BlochParams(1.0, math.pi - b.theta, (b.phi + math.pi) % (2.0 * math.pi))
-    overlap = bloch_state(b).matrix @ bloch_state(mate).matrix
+    overlap = _state(b) @ _state(mate)
     assert max_abs(overlap) < 1e-14
 
 
@@ -119,7 +126,7 @@ def test_orthogonal_pairs_cover_grid_once():
     assert len(pairs) == 10
     seen = set()
     for a, b in pairs:
-        overlap = bloch_state(a).matrix @ bloch_state(b).matrix
+        overlap = _state(a) @ _state(b)
         assert max_abs(overlap) < 1e-12
         seen.add((round(a.theta, 12), round(a.phi, 12)))
         seen.add((round(b.theta, 12), round(b.phi, 12)))
