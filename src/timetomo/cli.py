@@ -79,7 +79,11 @@ def main(argv=None) -> int:
         return 2
 
     out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"error: cannot create output directory: {exc}", file=sys.stderr)
+        return 2
     if args.command == "trajectory":
         path = emit_trajectory(cfg)
         write_manifest(out / "manifest.json", run_manifest(args.command, cfg))

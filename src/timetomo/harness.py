@@ -53,6 +53,11 @@ CONVERGENCE_WARN_FRACTION = 0.1
 # won from 98k on, for qubit and pair sweeps alike (BENCH_split-floor.json).
 _MIN_WORK_PER_WORKER = 45_000
 
+# Rows of the trajectory table formatted by one %-format each.  Python floats
+# format several times faster than numpy scalars, and a block bounds the size
+# of the string held at once.
+_TRAJECTORY_BLOCK_ROWS = 1024
+
 # Singular values of the six sharp operators (entries at most 1) below this
 # count as zero; a true rank loss leaves about 1e-15.
 _COMPLETENESS_TOL = 1e-10
@@ -463,8 +468,16 @@ def emit_trajectory(cfg: TrajectoryConfig) -> Path:
     grid = np.linspace(0.0, cfg.t_max_over_T, cfg.points)
     table = bloch_trajectory(cfg.operator, cfg.dynamics, cfg.sigma_over_T, grid)
     path = directory / "trajectory.csv"
-    # '%.6g' % x and f"{x:.6g}" agree, so this writes the bytes of per-value formatting
-    np.savetxt(path, table, fmt="%.6g", delimiter=",", header=TRAJECTORY_HEADER, comments="")
+    width = table.shape[1]
+    row = ",".join(["%.6g"] * width) + "\n"
+    values = table.ravel().tolist()
+    step = width * _TRAJECTORY_BLOCK_ROWS
+    with path.open("w") as fh:
+        fh.write(TRAJECTORY_HEADER + "\n")
+        for start in range(0, len(values), step):
+            block = values[start : start + step]
+            # '%.6g' % x and f"{x:.6g}" agree, so this writes the bytes of per-value formatting
+            fh.write((row * (len(block) // width)) % tuple(block))
     return path
 
 

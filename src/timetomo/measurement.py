@@ -4,10 +4,12 @@ A fixed polarization projector M0, watched from the rotating frame of the
 qubit evolution, becomes a time-dependent operator M(t) = U(t)^dag M0 U(t).
 Sampling M(t) at six chosen instants yields an informationally complete set
 equivalent to the usual six-state polarization scheme.  Finite detector
-timing resolution smears M(t) with a Gaussian kernel in time, which damps
-each harmonic of M(t) by a closed-form factor; the smeared operator is what
-the simulated counts are drawn from, while reconstruction keeps using the
-sharp ideal operators.
+timing resolution smears M(t) with a Gaussian kernel in time.  In Bloch
+coordinates M(t) = (I + m(t) . sigma) / 2, and m(t) is a constant plus
+harmonics in 13 frequencies k . w; the kernel damps each harmonic by a
+closed-form factor, so one real kernel gives the sharp and the smeared
+operators.  The smeared operator is what the simulated counts are drawn
+from, while reconstruction keeps using the sharp ideal operators.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import math
 
 import numpy as np
 
-from .dynamics import DynamicsParams, evolution_spectrum
+from .dynamics import DynamicsParams, rotation_harmonics
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -50,34 +52,50 @@ def polarization_projector(label: str) -> np.ndarray:
 IC_POVM_INSTANTS = (0.0, 0.25, 0.5, 0.75, 1.25, 1.75)
 
 
-def jittered_matrices(label: str, params: DynamicsParams, sigma: float, times) -> np.ndarray:
-    """Operators of the ``label`` projector M0 smeared by Gaussian timing jitter
-    of width ``sigma``, at many instants; shape (len(times), 2, 2).
+def smeared_bloch_vectors(label: str, params: DynamicsParams, sigma: float, times) -> np.ndarray:
+    """Bloch vectors m_i = tr(M sigma_i) of the ``label`` projector M0 smeared
+    by Gaussian timing jitter of width ``sigma``, at many instants; shape
+    (len(times), 3).
 
-    With U(t) = sum_s exp(-i h_s t) A_s (``evolution_spectrum``), the evolved
-    operator is a sum of harmonics,
-
-        M(t) = sum_{s, s'} exp(i Omega t) A_s^dag M0 A_s',   Omega = h_s - h_s',
-
-    and convolving with the kernel exp(-t^2 / 2 sigma^2) / sqrt(2 pi sigma^2)
-    damps each by exp(-sigma^2 Omega^2 / 2), exactly.  At sigma 0 these are
-    the sharp operators U(t)^dag M0 U(t).
+    With M0 = (I + n . sigma) / 2, the evolved operator U(t)^dag M0 U(t) has
+    the Bloch vector R(t) n, a constant plus one cosine and one sine for each
+    of the 13 frequencies Omega_k = k . w (``rotation_harmonics``).
+    Convolving with the kernel exp(-t^2 / 2 sigma^2) / sqrt(2 pi sigma^2)
+    damps each harmonic by exp(-sigma^2 Omega_k^2 / 2), exactly.  At sigma 0
+    these are the Bloch vectors of the sharp operators U(t)^dag M0 U(t).
     """
     m0 = polarization_projector(label)
+    n = np.array([2.0 * m0[0, 1].real, -2.0 * m0[0, 1].imag, (m0[0, 0] - m0[1, 1]).real])
     times = np.asarray(times, dtype=float).ravel()
-    rates, mats = evolution_spectrum(params)
-    # terms[s, s'] = A_s^dag M0 A_s', from one (16, 2) @ (2, 16) product
-    left = (np.swapaxes(mats.conj(), 1, 2) @ m0).reshape(-1, 2)
-    terms = (left @ np.swapaxes(mats, 0, 1).reshape(2, -1)).reshape(8, 2, 8, 2).swapaxes(1, 2)
-    damping = np.exp(-0.5 * (sigma * np.subtract.outer(rates, rates)) ** 2)
-    phases = np.exp(-1j * np.multiply.outer(times, rates))
-    harmonics = (phases.conj()[:, :, None] * phases[:, None, :]).reshape(times.size, -1)
+    omegas, terms = rotation_harmonics(params)
+    coefficients = np.einsum("kij,j->ki", terms, n)
+    coefficients[1:] *= np.tile(np.exp(-0.5 * (sigma * omegas) ** 2), 2)[:, None]
+    # basis rows 1, cos(Omega_k t), sin(Omega_k t), filled in place
+    basis = np.empty((len(terms), times.size))
+    basis[0] = 1.0
+    phases = np.multiply.outer(omegas, times)
+    np.cos(phases, out=basis[1 : 1 + len(omegas)])
+    np.sin(phases, out=basis[1 + len(omegas) :])
     # einsum rather than a BLAS product: BLAS worker threads left spinning
     # after a long product slow the single-threaded work that follows
-    stack = np.einsum("tk,kij->tij", harmonics, (damping[:, :, None, None] * terms).reshape(-1, 2, 2))
-    # the (s, s') and (s', s) terms are each other's adjoints; symmetrise
-    # away the rounding that the summation order leaves
-    return 0.5 * (stack + np.conj(np.swapaxes(stack, -1, -2)))
+    return np.einsum("kj,kt->jt", coefficients, basis).T
+
+
+def jittered_matrices(label: str, params: DynamicsParams, sigma: float, times) -> np.ndarray:
+    """Operators (I + m . sigma) / 2 of the ``label`` projector smeared by
+    Gaussian timing jitter of width ``sigma``, with m from
+    ``smeared_bloch_vectors``, at many instants; shape (len(times), 2, 2).
+
+    Each operator is exactly Hermitian, with trace 1 up to rounding.  At
+    sigma 0 these are the sharp operators U(t)^dag M0 U(t).
+    """
+    x, y, z = smeared_bloch_vectors(label, params, sigma, times).T
+    stack = np.empty((x.size, 2, 2), dtype=complex)
+    stack[:, 0, 0] = 0.5 * (1.0 + z)
+    stack[:, 1, 1] = 0.5 * (1.0 - z)
+    stack[:, 1, 0] = 0.5 * (x + 1j * y)
+    stack[:, 0, 1] = stack[:, 1, 0].conj()
+    return stack
 
 
 def kron_pairs(first: np.ndarray, second: np.ndarray) -> np.ndarray:
@@ -107,14 +125,11 @@ def bloch_trajectory(label: str, params: DynamicsParams, sigma: float, time_grid
     """Bloch-vector path traced by the ``label`` projector, smeared by jitter of width ``sigma``.
 
     Returns an array with columns (t, x, y, z, purity) where the Bloch
-    components are tr(M sigma_i) and purity is tr(M^2).  For a projector
-    with no jitter the path stays on the unit sphere; jitter contracts it
-    toward the centre.
+    components are tr(M sigma_i) and purity is tr(M^2) = (1 + |m|^2) / 2.
+    For a projector with no jitter the path stays on the unit sphere; jitter
+    contracts it toward the centre.
     """
     times = np.asarray(time_grid, dtype=float)
-    mats = jittered_matrices(label, params, sigma, times)
-    x = 2.0 * mats[:, 0, 1].real
-    y = -2.0 * mats[:, 0, 1].imag
-    z = (mats[:, 0, 0] - mats[:, 1, 1]).real
-    purity = np.einsum("nij,nji->n", mats, mats).real
-    return np.column_stack([times, x, y, z, purity])
+    bloch = smeared_bloch_vectors(label, params, sigma, times)
+    purity = 0.5 * (1.0 + np.einsum("ti,ti->t", bloch, bloch))
+    return np.column_stack([times, bloch, purity])

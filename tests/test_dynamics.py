@@ -7,7 +7,7 @@ import pytest
 
 from oracles import evolution_unitaries
 from timetomo.core import max_abs
-from timetomo.dynamics import DynamicsParams, evolution_spectrum
+from timetomo.dynamics import DynamicsParams, rotation_harmonics
 
 
 def test_params_require_positive_periods():
@@ -73,16 +73,27 @@ def test_composition_structure_against_direct_product():
 
 
 def test_spectral_form_reproduces_the_unitaries():
-    # U(t) = sum_s exp(-i h_s t) A_s, with the A_s summing to U(0) = I
+    # R(t)_ij = tr(sigma_i U^dag sigma_j U) / 2 from the factor-by-factor
+    # unitaries equals R_0 + sum_k (C_k cos + S_k sin)(k . w t), and R(0) = I
+    paulis = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
     for periods in ((4.0, 1.0, 2.0), (3.7, 1.3, 2.9)):
         params = DynamicsParams(*periods)
-        rates, mats = evolution_spectrum(params)
-        assert rates.shape == (8,) and mats.shape == (8, 2, 2)
-        assert max_abs(mats.sum(axis=0) - np.eye(2)) < 1e-15
+        omegas, terms = rotation_harmonics(params)
+        assert omegas.shape == (13,) and terms.shape == (27, 3, 3)
         w1, w2, w3 = params.angular_frequencies
-        assert sorted(rates) == pytest.approx(
-            sorted(0.5 * (a * w1 + b * w2 + c * w3) for a in (1, -1) for b in (1, -1) for c in (1, -1))
+        assert sorted(omegas) == pytest.approx(
+            sorted(
+                a * w1 + b * w2 + c * w3
+                for a in (-1, 0, 1)
+                for b in (-1, 0, 1)
+                for c in (-1, 0, 1)
+                if (a, b, c) > (0, 0, 0)
+            )
         )
+        assert max_abs(terms[:14].sum(axis=0) - np.eye(3)) < 1e-15
         times = np.linspace(-2.0, 3.0, 61)
-        expansion = np.einsum("ts,sij->tij", np.exp(-1j * np.multiply.outer(times, rates)), mats)
-        assert max_abs(expansion - evolution_unitaries(params, times)) < 1e-14
+        u = evolution_unitaries(params, times)
+        rotation = 0.5 * np.einsum("iab,tcb,jcd,tda->tij", paulis, u.conj(), paulis, u).real
+        phases = np.multiply.outer(times, omegas)
+        basis = np.concatenate([np.ones((times.size, 1)), np.cos(phases), np.sin(phases)], axis=1)
+        assert max_abs(np.einsum("tk,kij->tij", basis, terms) - rotation) < 1e-14

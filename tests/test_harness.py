@@ -460,17 +460,20 @@ def test_sweep_splits_only_into_chunks_above_the_work_floor(monkeypatch, extra_s
 
 
 def test_trajectory_csv_matches_row_wise_formatting(tmp_path, monkeypatch):
-    # the table is written with one %-format; it must give the bytes of
-    # formatting each value with f"{x:.6g}", on values where the two could part
+    # the table is written a block of rows at a time, one %-format per block;
+    # the file must hold the bytes of formatting each value with f"{x:.6g}",
+    # on values where the two could part, for the 2-point minimum and for
+    # more than two blocks with a partial last one
     tricky = [-0.0, 0.0, 1e-5, -1e-5, 9.999995e-6, 1.0000049e-5, 1.23456789e-4, 123456.5, 1234567.0, 1e16]
     rng = np.random.default_rng(3)
-    table = rng.choice(tricky, size=(60, 5)) * rng.choice([1.0, -1.0, 1.0 + 1e-12], size=(60, 5))
-    assert (np.signbit(table) & (table == 0.0)).any()
-    monkeypatch.setattr(harness_module, "bloch_trajectory", lambda *args: table)
-    rows = [",".join(f"{v:.6g}" for v in row) for row in table]
-    reference = "\n".join(["t_over_T,x,y,z,purity", *rows]) + "\n"
-    path = emit_trajectory(TrajectoryConfig(points=60, out_dir=str(tmp_path)))
-    assert path.read_bytes() == reference.encode()
+    for points in (2, 2 * harness_module._TRAJECTORY_BLOCK_ROWS + 37):
+        table = rng.choice(tricky, size=(points, 5)) * rng.choice([1.0, -1.0, 1.0 + 1e-12], size=(points, 5))
+        table[0, 0] = -0.0
+        monkeypatch.setattr(harness_module, "bloch_trajectory", lambda *args: table)
+        rows = [",".join(f"{v:.6g}" for v in row) for row in table]
+        reference = "\n".join(["t_over_T,x,y,z,purity", *rows]) + "\n"
+        path = emit_trajectory(TrajectoryConfig(points=points, out_dir=str(tmp_path / str(points))))
+        assert path.read_bytes() == reference.encode()
 
 
 def test_emit_trajectory_file(tmp_path):
@@ -564,6 +567,21 @@ def test_cli_reports_a_bad_config_in_one_line(tmp_path, capsys, config_text, ext
     assert err.startswith(message) and err.count("\n") == 1
     assert "Traceback" not in err
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command", ["trajectory", "qubit-sweep"])
+@pytest.mark.parametrize("out", ["afile", "afile/run"])
+def test_cli_reports_an_unusable_out_in_one_line(tmp_path, capsys, command, out):
+    # --out naming an existing file, or a path below one, cannot be a directory
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"mode": "trajectory", "points": 4} if command == "trajectory" else TINY_QUBIT))
+    (tmp_path / "afile").write_text("kept")
+    code = main([command, "--config", str(cfg_path), "--out", str(tmp_path / out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: cannot create output directory") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert (tmp_path / "afile").read_text() == "kept"
 
 
 @pytest.mark.parametrize("workers", ["0", "-3"])

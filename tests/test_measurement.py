@@ -18,6 +18,7 @@ from timetomo.measurement import (
     jittered_matrices,
     polarization_projector,
     setting_operators,
+    smeared_bloch_vectors,
 )
 from timetomo.states import BellParams, state_stack
 
@@ -141,6 +142,35 @@ def test_smearing_preserves_trace_and_positivity():
         assert np.linalg.eigvalsh(m).min() > -1e-12
 
 
+def _bloch(mats):
+    """Bloch vectors tr(M sigma_i) of a (n, 2, 2) stack."""
+    return np.stack(
+        [2.0 * mats[:, 0, 1].real, -2.0 * mats[:, 0, 1].imag, (mats[:, 0, 0] - mats[:, 1, 1]).real], axis=1
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    periods=st.tuples(*[st.floats(0.5, 5.0)] * 3),
+    # the kernel and the oracle each round a phase k . w t to about
+    # |k . w t| eps, so times stay within 100 base periods (phases up to 4e3)
+    times=st.lists(st.one_of(st.floats(-3.0, 3.0), st.floats(-100.0, 100.0)), min_size=1, max_size=8),
+    label=st.sampled_from(sorted(POLARIZATION_KETS)),
+)
+def test_sharp_bloch_vectors_match_the_evolved_projector(periods, times, label):
+    # the oracle multiplies out U(t)^dag M0 U(t) factor by factor, with no harmonics
+    params = DynamicsParams(*periods)
+    u = evolution_unitaries(params, times)
+    evolved = np.conj(np.swapaxes(u, 1, 2)) @ polarization_projector(label) @ u
+    bloch = smeared_bloch_vectors(label, params, 0.0, times)
+    assert np.abs(bloch - _bloch(evolved)).max() < 1e-12
+    assert np.linalg.norm(bloch, axis=1).max() <= 1.0 + 1e-12
+    sharp = jittered_matrices(label, params, 0.0, times)
+    assert max_abs(sharp - np.conj(np.swapaxes(sharp, 1, 2))) == 0.0
+    assert np.abs(np.einsum("nii->n", sharp) - 1.0).max() <= 2.0**-52
+    assert max_abs(sharp - evolved) < 1e-12
+
+
 def _trapezoid_reference(m0, params, sigma, times):
     # the convolution done directly: a trapezoid rule with step sigma / 40 on
     # U(t)^dag M0 U(t) over a +-8 sigma window, normalised analytically
@@ -164,13 +194,13 @@ def test_smeared_stack_is_physical_and_matches_direct_convolution(periods, sigma
     times = np.array(times)
     smeared = jittered_matrices(label, params, sigma, times)
     assert max_abs(smeared - np.conj(np.swapaxes(smeared, 1, 2))) == 0.0
-    assert np.abs(np.einsum("nii->n", smeared) - 1.0).max() < 1e-12
-    bloch = np.stack(
-        [2.0 * smeared[:, 0, 1].real, -2.0 * smeared[:, 0, 1].imag, (smeared[:, 0, 0] - smeared[:, 1, 1]).real]
-    )
-    assert np.linalg.norm(bloch, axis=0).max() <= 1.0 + 1e-12
+    assert np.abs(np.einsum("nii->n", smeared) - 1.0).max() <= 2.0**-52
+    bloch = smeared_bloch_vectors(label, params, sigma, times)
+    assert np.linalg.norm(bloch, axis=1).max() <= 1.0 + 1e-12
     assert np.linalg.eigvalsh(smeared).min() >= -1e-12
-    assert max_abs(smeared - _trapezoid_reference(polarization_projector(label), params, sigma, times)) < 1e-12
+    reference = _trapezoid_reference(polarization_projector(label), params, sigma, times)
+    assert np.abs(bloch - _bloch(reference)).max() < 1e-12
+    assert max_abs(smeared - reference) < 1e-12
 
 
 def test_extreme_jitter_flattens_to_half_identity():
