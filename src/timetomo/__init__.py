@@ -34,11 +34,10 @@ from .metrics import (
     trace_distances,
 )
 from .states import (
-    BellParams,
-    BlochParams,
+    bell_states,
     orthogonal_pairs,
+    qubit_states,
     sample_bell_states,
     sample_mixed_qubits,
     sample_pure_qubits,
-    state_stack,
 )

@@ -105,9 +105,10 @@ def count_rows(states: np.ndarray, sharp: np.ndarray, smeared: np.ndarray, mean_
     batch, dim = states.shape[0], states.shape[1]
     count = sharp.shape[0]
     flat = states.reshape(batch, dim * dim)
-    # tr(M rho) = vec(M^T) . vec(rho); an einsum sums each entry alike whatever the batch size
+    # tr(M rho) = vec(M^T) . vec(rho); an einsum sums each entry alike whatever the batch size.
+    # Both factors are PSD, so an overlap below 0 is rounding and is clipped.
     sharp_overlaps, smeared_overlaps = (
-        np.einsum("kx,bx->bk", np.swapaxes(stack, 1, 2).reshape(count, dim * dim), flat).real
+        np.maximum(np.einsum("kx,bx->bk", np.swapaxes(stack, 1, 2).reshape(count, dim * dim), flat).real, 0.0)
         for stack in (sharp, smeared)
     )
     index = np.arange(first_index, first_index + batch, dtype=np.uint64)[:, None]

@@ -33,9 +33,10 @@ class DynamicsParams:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be positive and finite, got {value}")
-        # the evolution's half-frequencies reach (w1 + w2 + w3) / 2
-        if not math.isfinite(sum(self.angular_frequencies)):
-            raise ValueError("periods are too short: the angular frequencies 2 pi / period overflow")
+        # the rotation's phases (w1 + w2 + w3) t must stay finite up to t = 2,
+        # past the six measurement instants
+        if not math.isfinite(2.0 * sum(self.angular_frequencies)):
+            raise ValueError("periods are too short: the phases 2 pi t / period overflow by t = 2")
 
     @property
     def angular_frequencies(self) -> tuple[float, float, float]:

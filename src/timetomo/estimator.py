@@ -6,7 +6,7 @@ Munro & White, PRA 64, 052312 (2001),
     f(rho) = sum_k (n_meas_k - n_model_k)^2 / n_model_k,
     n_model_k = N tr(M_k rho),
 
-with each model count floored at ``epsilon_floor``.  It is homogeneous of
+with each model count floored at ``_EPSILON_FLOOR``.  It is homogeneous of
 degree one in (n_meas, n_model), so for noiseless counts the minimiser does
 not depend on the photon number.  The model counts come from the sharp
 ideal operators: the fitter is deliberately blind to detector jitter, which
@@ -45,6 +45,9 @@ from .core import StateError, ascending_eigenvalues, first_unphysical, require_i
 # lifts every model count to at least N * _WARM_START_MIX / d.
 _WARM_START_MIX = 5e-2
 
+# Floor of the model counts in the objective, which divides by them.
+_EPSILON_FLOOR = 1e-9
+
 # Rows fitted and validated together.  The solver holds about fifteen
 # (rows, d, d) temporaries, so blocks bound its memory on sweeps of any size;
 # each row's arithmetic does not depend on the block it shares.
@@ -53,7 +56,7 @@ _BLOCK_ROWS = 8192
 
 @dataclass(frozen=True)
 class EstimatorConfig:
-    """Stopping rules and count floor for the likelihood search.
+    """Stopping rules for the likelihood search.
 
     ``convergence_tol`` is the largest accepted Frank-Wolfe gap, an upper
     bound on how far the objective (in chi-squared units) lies above its
@@ -63,18 +66,16 @@ class EstimatorConfig:
 
     max_iterations: int = 20000
     convergence_tol: float = 1e-3
-    epsilon_floor: float = 1e-9
 
     def __post_init__(self):
         max_iterations = require_integer(self.max_iterations, "max_iterations")
         if max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
         object.__setattr__(self, "max_iterations", max_iterations)
-        for key in ("convergence_tol", "epsilon_floor"):
-            value = require_real(getattr(self, key), key)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{key} must be positive and finite, got {value!r}")
-            object.__setattr__(self, key, value)
+        tol = require_real(self.convergence_tol, "convergence_tol")
+        if not (math.isfinite(tol) and tol > 0):
+            raise ValueError(f"convergence_tol must be positive and finite, got {tol!r}")
+        object.__setattr__(self, "convergence_tol", tol)
 
 
 class StateEstimates(NamedTuple):
@@ -86,7 +87,7 @@ class StateEstimates(NamedTuple):
     iterations: np.ndarray  # (B,) trial steps
 
 
-def _objective_from_stack(model_stack, measured, mean_photons, epsilon_floor):
+def _objective_from_stack(model_stack, measured, mean_photons):
     """Objective and gradient of candidates (b, d, d), each scored against the count row ``rows`` picks.
 
     ``mean_photons`` holds the photon number of each count row, (B,).  Model
@@ -101,7 +102,7 @@ def _objective_from_stack(model_stack, measured, mean_photons, epsilon_floor):
     def evaluate(rho, rows):
         photons = mean_photons[rows, None]
         model = photons * np.einsum("kx,bx->bk", flat_transposed, rho.reshape(len(rho), dim * dim)).real
-        np.maximum(model, epsilon_floor, out=model)
+        np.maximum(model, _EPSILON_FLOOR, out=model)
         resid = measured[rows] - model
         value = np.sum(resid * resid / model, axis=1)
         weights = photons * (1.0 - measured_sq[rows] / (model * model))
@@ -241,7 +242,7 @@ def estimate_states(stack, measured, mean_photons, cfg: EstimatorConfig) -> Stat
     # at least one block, so that an empty batch returns empty fields
     for start in range(0, max(len(measured), 1), _BLOCK_ROWS):
         rows, photons = measured[start : start + _BLOCK_ROWS], mean_photons[start : start + _BLOCK_ROWS]
-        evaluate = _objective_from_stack(stack, rows, photons, cfg.epsilon_floor)
+        evaluate = _objective_from_stack(stack, rows, photons)
         block = _accelerated_descent(evaluate, _warm_start(stack, rows, photons), cfg, photons)
         problem = first_unphysical(block.rho, "estimate")
         if problem is not None:

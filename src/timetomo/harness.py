@@ -35,7 +35,7 @@ from .dynamics import DynamicsParams
 from .estimator import EstimatorConfig, StateEstimates, estimate_states
 from .measurement import IC_POVM_INSTANTS, POLARIZATION_KETS, bloch_trajectory, jittered_matrices, setting_operators
 from .metrics import MetricsSummary, aggregate, chsh_guarantee, concurrences, fidelities, trace_distances
-from .states import orthogonal_pairs, sample_bell_states, sample_mixed_qubits, sample_pure_qubits, state_stack
+from .states import orthogonal_pairs, sample_bell_states, sample_mixed_qubits, sample_pure_qubits
 
 TRAJECTORY_OPERATORS = tuple(POLARIZATION_KETS)
 
@@ -76,6 +76,13 @@ def _seed(seed) -> int:
     if not (0 <= seed <= MAX_SEED):
         raise ValueError("seed must fit in an unsigned 64-bit integer")
     return seed
+
+
+def _out_dir(out_dir) -> str:
+    """``out_dir`` unchanged; anything but a string raises, naming the key."""
+    if not isinstance(out_dir, str):
+        raise ValueError(f"out_dir must be a string, got {out_dir!r}")
+    return out_dir
 
 
 def _periods(periods) -> tuple[float, float, float]:
@@ -136,6 +143,7 @@ class ExperimentConfig:
         object.__setattr__(self, "sigma_list", sigmas)
         object.__setattr__(self, "photon_list", photons)
         object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "out_dir", _out_dir(self.out_dir))
         object.__setattr__(self, "sample", dataclasses.replace(sample, **sizes))
         object.__setattr__(self, "periods", _periods(self.periods))
         # the fits invert the six sharp operators, so they must span the 2x2 Hermitian matrices
@@ -178,6 +186,7 @@ class TrajectoryConfig:
             raise ValueError("t_max_over_T must be positive")
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "seed", _seed(self.seed))
+        object.__setattr__(self, "out_dir", _out_dir(self.out_dir))
         object.__setattr__(self, "periods", _periods(self.periods))
 
     @property
@@ -235,35 +244,23 @@ def load_config(source, *, seed=None, out_dir=None, paper_scale=False):
         allowed = ("mode", "operator", "sigma_over_T", "points", "t_max_over_T", "seed", "out_dir", "periods")
         _reject_unknown(raw, allowed, "config")
         cfg = TrajectoryConfig(**{k: raw[k] for k in allowed[1:] if k in raw})
-        if seed is not None:
-            cfg = dataclasses.replace(cfg, seed=seed)
-        if out_dir is not None:
-            cfg = dataclasses.replace(cfg, out_dir=str(out_dir))
-        return cfg
-
-    if mode not in MODES:
+    elif mode not in MODES:
         raise ValueError(f"mode must be 'trajectory' or one of {tuple(MODES)}, got {mode!r}")
-    allowed = ("mode", "sigma_list", "photon_list", "seed", "out_dir", "sample", "estimator", "periods")
-    _reject_unknown(raw, allowed, "config")
-    for key in ("sigma_list", "photon_list"):
-        if key not in raw:
-            raise ValueError(f"config is missing the required {key!r} key")
-    est_raw = raw.get("estimator", {})
-    est_fields = tuple(f.name for f in dataclasses.fields(EstimatorConfig))
-    _reject_unknown(est_raw, est_fields, "estimator")
-    sample = _build_sample(mode, raw.get("sample", {})) if "sample" in raw else None
-    cfg = ExperimentConfig(
-        mode=mode,
-        sigma_list=raw["sigma_list"],
-        photon_list=raw["photon_list"],
-        seed=raw.get("seed", 0),
-        out_dir=str(raw.get("out_dir", "results")),
-        sample=sample,
-        estimator=EstimatorConfig(**est_raw),
-        periods=raw.get("periods", (4.0, 1.0, 2.0)),
-    )
-    if paper_scale:
-        cfg = dataclasses.replace(cfg, sample=MODES[mode].paper)
+    else:
+        allowed = ("mode", "sigma_list", "photon_list", "seed", "out_dir", "sample", "estimator", "periods")
+        _reject_unknown(raw, allowed, "config")
+        for key in ("sigma_list", "photon_list"):
+            if key not in raw:
+                raise ValueError(f"config is missing the required {key!r} key")
+        fields = {k: raw[k] for k in allowed if k in raw}
+        if "estimator" in fields:
+            _reject_unknown(fields["estimator"], [f.name for f in dataclasses.fields(EstimatorConfig)], "estimator")
+            fields["estimator"] = EstimatorConfig(**fields["estimator"])
+        if "sample" in fields:
+            fields["sample"] = _build_sample(mode, fields["sample"])
+        cfg = ExperimentConfig(**fields)
+        if paper_scale:
+            cfg = dataclasses.replace(cfg, sample=MODES[mode].paper)
     if seed is not None:
         cfg = dataclasses.replace(cfg, seed=seed)
     if out_dir is not None:
@@ -322,15 +319,16 @@ def _entanglement_metrics(fits: StateEstimates, fidelity):
 class SweepMode:
     """What one sweep mode adds to the shared cell loop.
 
-    ``sample`` lists the mode's input-state parameters and ``metrics``
-    summarises a cell's estimates and fidelities as its CSV rows, in order.
-    A mode uses the sample fields that its desk-scale default sets.
+    ``sample`` builds the mode's input states as a (B, d, d) stack and
+    ``metrics`` summarises a cell's estimates and fidelities as its CSV
+    rows, in order.  A mode uses the sample fields that its desk-scale
+    default sets.
     """
 
     command: str
     desk: SampleSizes
     paper: SampleSizes
-    sample: Callable[[SampleSizes], list]
+    sample: Callable[[SampleSizes], np.ndarray]
     metrics: Callable[[StateEstimates, np.ndarray], list[MetricsSummary]]
 
     @property
@@ -352,8 +350,7 @@ MODES = {
     ),
     "qubit-orthogonal-pairs": SweepMode(
         "ortho-sweep", SampleSizes(n_theta=8, n_phi=8), SampleSizes(n_theta=21, n_phi=20),
-        lambda s: [state for pair in orthogonal_pairs(s.n_theta, s.n_phi) for state in pair],
-        _orthogonality_metrics,
+        lambda s: orthogonal_pairs(s.n_theta, s.n_phi), _orthogonality_metrics,
     ),
     "entangled": SweepMode(
         "entangled-sweep", SampleSizes(n_states=50), SampleSizes(n_states=200),
@@ -420,7 +417,7 @@ def run_sweep(
     too many estimates did not converge, a warning row.
     """
     mode = MODES[cfg.mode]
-    states = state_stack(mode.sample(cfg.sample))
+    states = mode.sample(cfg.sample)
     dim = states.shape[1]
     artifacts = _CellArtifacts(artifact_dir, dump_counts, state_log)
     # the settings and the sharp operators do not depend on the jitter width

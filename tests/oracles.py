@@ -6,7 +6,8 @@ neither depends on the spectral form that the package smears with.
 ``uhlmann_fidelity`` is the fidelity of two states from its definition, the
 reference for the closed form that ``metrics.fidelities`` uses on qubits.
 ``qubit_stacks`` generates the 2x2 Hermitian stacks that the closed-form
-qubit spectra are checked on.
+qubit spectra are checked on.  ``bloch_matrix`` and ``bell_matrix`` build one
+input state at a time, the reference for the vectorised sample grids.
 """
 
 import math
@@ -61,6 +62,21 @@ def uhlmann_fidelity(a, b) -> float:
     root = (vectors * np.sqrt(np.clip(values, 0.0, None))) @ vectors.conj().T
     inner = np.linalg.eigh(root @ b @ root)[0]
     return float(np.sqrt(np.clip(inner, 0.0, None)).sum() ** 2)
+
+
+def bloch_matrix(r: float, theta: float, phi: float) -> np.ndarray:
+    """Qubit state with Bloch vector r (sin theta cos phi, sin theta sin phi, cos theta)."""
+    rz = r * math.cos(theta)
+    cross = r * (math.sin(theta) * math.cos(phi) - 1j * math.sin(theta) * math.sin(phi))
+    return 0.5 * np.array([[1.0 + rz, cross], [np.conj(cross), 1.0 - rz]])
+
+
+def bell_matrix(alpha: float) -> np.ndarray:
+    """Projector onto (|00> + e^{i alpha} |11>)/sqrt(2)."""
+    ket = np.zeros(4, dtype=complex)
+    ket[0] = 1.0 / math.sqrt(2.0)
+    ket[3] = np.exp(1j * alpha) / math.sqrt(2.0)
+    return np.outer(ket, ket.conj())
 
 
 def _qubit_matrix(centre, radius, theta, phi, skew):

@@ -29,7 +29,7 @@ from timetomo.harness import (
 )
 from timetomo.measurement import IC_POVM_INSTANTS, jittered_matrices, setting_operators
 from timetomo.metrics import fidelities
-from timetomo.states import BlochParams, sample_bell_states, state_stack
+from timetomo.states import qubit_states, sample_bell_states
 
 PARAMS = DynamicsParams()
 
@@ -125,8 +125,7 @@ def test_criterion_04_noiseless_recovery():
     est_cfg = EstimatorConfig()
     rng = np.random.default_rng(0)
 
-    def worst_fidelity(sample):
-        states = state_stack(sample)
+    def worst_fidelity(states):
         _, ideal, smeared = setting_operators(PARAMS, 0.0, IC_POVM_INSTANTS, states.shape[1])
         # booked against the smeared stack, the expected column is the noiseless count row
         measured, _ = count_rows(states, smeared, smeared, 1000.0, 0)
@@ -134,15 +133,11 @@ def test_criterion_04_noiseless_recovery():
         assert first_unphysical(fits.rho) is None
         return fidelities(states, fits.rho).min()
 
-    qubits = []
-    for _ in range(50):
-        b = BlochParams(
-            rng.uniform(0.0, 1.0),
-            rng.uniform(0.0, math.pi),
-            rng.uniform(0.0, 2.0 * math.pi),
-        )
-        qubits.append(b)
-    worst_qubit = worst_fidelity(qubits)
+    qubits = [
+        (rng.uniform(0.0, 1.0), rng.uniform(0.0, math.pi), rng.uniform(0.0, 2.0 * math.pi))
+        for _ in range(50)
+    ]
+    worst_qubit = worst_fidelity(qubit_states(*np.transpose(qubits)))
     worst_bell = worst_fidelity(sample_bell_states(20))
     ok = worst_qubit >= 0.999 and worst_bell >= 0.999
     _verdict(

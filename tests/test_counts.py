@@ -8,7 +8,7 @@ import pytest
 from timetomo.counts import MAX_SEED, _poisson_table, _uniforms, count_rows
 from timetomo.dynamics import DynamicsParams
 from timetomo.measurement import IC_POVM_INSTANTS, jittered_matrices, setting_operators
-from timetomo.states import BellParams, BlochParams, sample_bell_states, sample_mixed_qubits, state_stack
+from timetomo.states import bell_states, qubit_states, sample_bell_states, sample_mixed_qubits
 
 PARAMS = DynamicsParams()
 
@@ -49,10 +49,6 @@ def _photons(seed, state_index, setting_index, mean_photons):
         if cdf > uniform:
             return float(n)
     raise AssertionError("uniform beyond the summed CDF")
-
-
-def _state(params):
-    return state_stack([params])[0]
 
 
 def _rows(rho, sigma, n, seed=0, state_index=0):
@@ -132,9 +128,8 @@ def test_poisson_window_leaves_out_less_than_the_uniform_spacing(mean):
     assert np.abs(cdf - reference).max() < 1e-12 + 2.0**-50 * mean * max(1.0, math.log(mean))
 
 
-@pytest.mark.parametrize("sample", [sample_mixed_qubits(3, 2, 2), sample_bell_states(12)], ids=["qubit", "pair"])
-def test_count_rows_do_not_depend_on_the_split(sample):
-    states = state_stack(sample)
+@pytest.mark.parametrize("states", [sample_mixed_qubits(3, 2, 2), sample_bell_states(12)], ids=["qubit", "pair"])
+def test_count_rows_do_not_depend_on_the_split(states):
     _, sharp, smeared = setting_operators(PARAMS, 0.1, IC_POVM_INSTANTS, states.shape[1])
     whole = count_rows(states, sharp, smeared, 100.0, 5, first_index=7)
     for size in (1, 2, 3, 5):
@@ -148,7 +143,7 @@ def test_photon_numbers_do_not_depend_on_sigma():
     # so a sigma comparison is paired
     # so a sigma comparison is paired; a count over its noiseless value is the
     # photon number over N wherever the overlap is not near zero
-    states = state_stack(sample_mixed_qubits(2, 3, 3))
+    states = sample_mixed_qubits(2, 3, 3)
     photons, kept = [], True
     for sigma in (0.0, 0.1, 0.3):
         _, sharp, smeared = setting_operators(PARAMS, sigma, IC_POVM_INSTANTS, 2)
@@ -175,24 +170,29 @@ def test_counting_rng_streams_are_independent_and_stable():
 def test_expected_count_is_intensity_times_overlap():
     # the bookkeeping column is N tr(M rho) with the sharp operator, whatever
     # photon number the setting drew; t = 0 and t = 0.25 give overlaps 1 and 1/2
-    rho = _state(BlochParams(1.0, 0.0, 0.0))
+    rho = qubit_states(1.0, 0.0, 0.0)[0]
     settings, expected, _ = _rows(rho, 0.0, 500.0, seed=1)
     assert settings[0] == (0.0,) and settings[1] == (0.25,)
     assert expected[0] == pytest.approx(500.0)
     assert expected[1] == pytest.approx(250.0)
+    # overlaps that are exactly zero for Bell states at sigma 0 come out
+    # of the contraction as -3e-17 and are clipped, so no count is negative
+    _, sharp, smeared = setting_operators(PARAMS, 0.0, IC_POVM_INSTANTS, 4)
+    for column in count_rows(sample_bell_states(50), sharp, smeared, 1000.0, 3):
+        assert column.min() >= 0.0
 
 
 def test_measured_count_uses_fresh_photon_number():
     # setting 0 (t = 0) has overlap 1 with H, so its count is the photon
     # number drawn from that setting's own stream
-    rho = _state(BlochParams(1.0, 0.0, 0.0))
+    rho = qubit_states(1.0, 0.0, 0.0)[0]
     _, _, measured = _rows(rho, 0.0, 1000.0, seed=3, state_index=4)
     assert measured[0] == _photons(3, 4, 0, 1000.0)
 
 
 def test_qubit_set_noiseless_matches_closed_form():
     # sharp detector, no Poisson spread: counts are N (1 + cos 2 pi t) / 2
-    rho = _state(BlochParams(1.0, 0.0, 0.0))
+    rho = qubit_states(1.0, 0.0, 0.0)[0]
     settings, expected, measured = _noiseless_rows(rho, 0.0, 1000.0)
     assert len(settings) == 6
     for (t,), e, m in zip(settings, expected, measured):
@@ -204,7 +204,7 @@ def test_qubit_set_noiseless_matches_closed_form():
 def test_qubit_set_expected_column_ignores_jitter():
     # bookkeeping column always reflects the sharp detector; both widths draw
     # the same photon numbers, so the measured columns differ by the smearing alone
-    rho = _state(BlochParams(1.0, 0.6, 1.1))
+    rho = qubit_states(1.0, 0.6, 1.1)[0]
     _, sharp_expected, sharp_measured = _rows(rho, 0.0, 1000.0)
     _, blurred_expected, blurred_measured = _rows(rho, 0.2, 1000.0)
     assert blurred_expected == pytest.approx(sharp_expected)
@@ -212,7 +212,7 @@ def test_qubit_set_expected_column_ignores_jitter():
 
 
 def test_qubit_set_is_deterministic_per_seed_and_state():
-    rho = _state(BlochParams(0.7, 1.0, 2.0))
+    rho = qubit_states(0.7, 1.0, 2.0)[0]
     first = _rows(rho, 0.1, 100.0, seed=42, state_index=5)[2]
     second = _rows(rho, 0.1, 100.0, seed=42, state_index=5)[2]
     other = _rows(rho, 0.1, 100.0, seed=42, state_index=6)[2]
@@ -221,7 +221,7 @@ def test_qubit_set_is_deterministic_per_seed_and_state():
 
 
 def test_qubit_set_settings_draw_independent_photon_numbers():
-    rho = _state(BlochParams(0.0, 0.0, 0.0))  # flat overlap 1/2 everywhere
+    rho = qubit_states(0.0, 0.0, 0.0)[0]  # flat overlap 1/2 everywhere
     _, _, measured = _rows(rho, 0.0, 1000.0)
     photons = {round(2.0 * m) for m in measured}
     assert len(photons) > 1
@@ -230,7 +230,7 @@ def test_qubit_set_settings_draw_independent_photon_numbers():
 def test_qubit_set_accepts_precomputed_stacks():
     # a sweep counts a whole batch; state b of a batch starting at sample
     # index 5 is state 5 + b counted on its own
-    states = state_stack([BlochParams(0.9, 0.4, 5.0), BlochParams(0.2, 2.0, 1.0)])
+    states = qubit_states([0.9, 0.2], [0.4, 2.0], [5.0, 1.0])
     _, sharp, smeared = setting_operators(PARAMS, 0.15, IC_POVM_INSTANTS, 2)
     expected, measured = count_rows(states, sharp, smeared, 200.0, 9, 5)
     for b, rho in enumerate(states):
@@ -240,7 +240,7 @@ def test_qubit_set_accepts_precomputed_stacks():
 
 
 def test_coincidence_set_layout_and_normalization():
-    rho = _state(BellParams(0.0))
+    rho = bell_states(0.0)[0]
     settings, _, measured = _noiseless_rows(rho, 0.0, 1000.0)
     assert len(settings) == 36
     instants = IC_POVM_INSTANTS
@@ -254,19 +254,19 @@ def test_coincidence_set_layout_and_normalization():
 def test_coincidence_correlations_follow_the_pair_phase():
     # phase 0: perfectly correlated in the first basis, and the cross-basis
     # coincidence at (0.25, 1.25) is N (1 + sin alpha) / 4 by direct algebra
-    settings, _, measured = _noiseless_rows(_state(BellParams(0.0)), 0.0, 1000.0)
+    settings, _, measured = _noiseless_rows(bell_states(0.0)[0], 0.0, 1000.0)
     by_times = dict(zip(settings, measured))
     assert by_times[(0.0, 0.0)] == pytest.approx(500.0)
     assert by_times[(0.5, 0.5)] == pytest.approx(500.0)
     assert by_times[(0.0, 0.5)] == pytest.approx(0.0, abs=1e-9)
     assert by_times[(0.25, 1.25)] == pytest.approx(250.0)
-    settings, _, measured = _noiseless_rows(_state(BellParams(1.5 * math.pi)), 0.0, 1000.0)
+    settings, _, measured = _noiseless_rows(bell_states(1.5 * math.pi)[0], 0.0, 1000.0)
     quarter = dict(zip(settings, measured))
     assert quarter[(0.25, 1.25)] == pytest.approx(0.0, abs=1e-9)
 
 
 def test_coincidence_setting_streams_match_flat_index():
-    rho = _state(BellParams(1.0))
+    rho = bell_states(1.0)[0]
     settings, expected, measured = _rows(rho, 0.1, 500.0, seed=7, state_index=2)
     # rebuild every setting by hand, each from its own rng stream
     times = np.asarray(IC_POVM_INSTANTS)

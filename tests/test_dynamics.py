@@ -15,8 +15,9 @@ def test_params_require_positive_periods():
     for bad in ((0.0, 1.0, 2.0), (4.0, -1.0, 2.0), (4.0, 1.0, math.nan)):
         with pytest.raises(ValueError):
             DynamicsParams(*bad)
-    # 2 pi / 5e-324 is infinite; three frequencies of 1.6e308 sum past the largest float
-    for bad in ((5e-324, 1.0, 2.0), (4e-308, 4e-308, 4e-308)):
+    # 2 pi / 5e-324 is infinite; three frequencies of 1.6e308 sum past the largest float;
+    # frequencies summing to 1.7e308 give infinite phases at the instant t = 1.25
+    for bad in ((5e-324, 1.0, 2.0), (4e-308, 4e-308, 4e-308), (1.0, 1.0, 3.724618113308335e-308)):
         with pytest.raises(ValueError, match="overflow"):
             DynamicsParams(*bad)
 

@@ -19,13 +19,7 @@ from timetomo.estimator import (
     estimate_states,
 )
 from timetomo.measurement import IC_POVM_INSTANTS, setting_operators
-from timetomo.states import (
-    BellParams,
-    BlochParams,
-    sample_bell_states,
-    sample_mixed_qubits,
-    state_stack,
-)
+from timetomo.states import bell_states, qubit_states, sample_bell_states, sample_mixed_qubits
 
 PARAMS = DynamicsParams()
 MIXED_QUBIT = 0.5 * np.eye(2, dtype=complex)
@@ -33,7 +27,7 @@ MIXED_QUBIT = 0.5 * np.eye(2, dtype=complex)
 
 def _row_objective(stack, row, mean_photons):
     """The batched objective on one count row, as a map rho -> (f, R)."""
-    evaluate = _objective_from_stack(stack, np.array([row], dtype=float), np.array([mean_photons]), 1e-9)
+    evaluate = _objective_from_stack(stack, np.array([row], dtype=float), np.array([mean_photons]))
 
     def single(rho):
         value, grad = evaluate(np.asarray(rho, dtype=complex)[None], np.array([0]))
@@ -50,10 +44,6 @@ def _random_state(rng, dim):
     factor = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     gram = factor @ factor.conj().T
     return gram / gram.trace().real
-
-
-def _state(params):
-    return state_stack([params])[0]
 
 
 def _purity(rho):
@@ -89,9 +79,9 @@ def test_estimator_config_validation():
 
 
 def test_likelihood_matches_direct_formula():
-    rho = _state(BlochParams(0.8, 1.0, 0.5))
+    rho = qubit_states(0.8, 1.0, 0.5)[0]
     records = _records(rho, sigma=0.1, n=500.0)
-    cand = _state(BlochParams(0.6, 0.9, 2.0))
+    cand = qubit_states(0.6, 0.9, 2.0)[0]
     got = _objective(records, 500.0)(cand)[0]
     stack, row = records
     total = 0.0
@@ -103,7 +93,7 @@ def test_likelihood_matches_direct_formula():
 
 def test_likelihood_floors_vanishing_model_counts():
     # candidate orthogonal to the measured state: floor keeps it finite
-    rho = _state(BlochParams(1.0, 0.0, 0.0))
+    rho = qubit_states(1.0, 0.0, 0.0)[0]
     records = _records(rho, poisson=False)
     objective = _objective(records, 1000.0)
     val = objective(np.diag([0.0, 1.0]).astype(complex))[0]
@@ -113,7 +103,7 @@ def test_likelihood_floors_vanishing_model_counts():
 
 def test_qubit_and_pair_objectives_agree_on_shared_formula():
     # one objective serves both dimensions; the pair stack meets the same formula
-    rho = _state(BellParams(0.7))
+    rho = bell_states(0.7)[0]
     records = _records(rho, sigma=0.05, n=800.0)
     rng = np.random.default_rng(2)
     objective = _objective(records, 800.0)
@@ -132,7 +122,7 @@ def test_gradient_matches_finite_differences():
     # R = N sum_k (1 - n_k^2 / mu_k^2) M_k is the derivative of f along any
     # Hermitian direction D: f(rho + h D) - f(rho - h D) = 2 h tr(R D) + O(h^3)
     rng = np.random.default_rng(3)
-    for rho_in, n in ((_state(BlochParams(0.7, 0.4, 1.0)), 300.0), (_state(BellParams(1.1)), 50.0)):
+    for rho_in, n in ((qubit_states(0.7, 0.4, 1.0)[0], 300.0), (bell_states(1.1)[0], 50.0)):
         objective = _objective(_records(rho_in, sigma=0.1, n=n), n)
         rho = _random_state(rng, len(rho_in))
         grad = objective(rho)[1]
@@ -151,7 +141,7 @@ def test_projection_is_physical_and_fixes_states():
             assert first_unphysical(_project_to_states(h + h.conj().T)[None]) is None
             state = _random_state(rng, dim)
             assert max_abs(_project_to_states(state) - state) < 1e-12
-    bell = _state(BellParams(0.0))
+    bell = bell_states(0.0)[0]
     assert max_abs(_project_to_states(bell) - bell) < 1e-12
     # the spectrum (1.5, 0.2) lands on the simplex vertex (1, 0)
     assert max_abs(_project_to_states(np.diag([1.5, 0.2]).astype(complex)) - np.diag([1.0, 0.0])) < 1e-15
@@ -181,7 +171,7 @@ def test_qubit_projection_matches_eigh_and_simplex(h):
 
 
 def test_noiseless_qubit_reconstruction_is_exact():
-    rho = _state(BlochParams(1.0, 1.2, 0.4))
+    rho = qubit_states(1.0, 1.2, 0.4)[0]
     rho_out, _, converged, _ = _estimate(_records(rho, poisson=False), 1000.0)
     assert converged
     assert uhlmann_fidelity(rho_out, rho) > 0.9999
@@ -189,7 +179,7 @@ def test_noiseless_qubit_reconstruction_is_exact():
 
 
 def test_noiseless_pair_reconstruction_is_exact():
-    rho = _state(BellParams(2.0))
+    rho = bell_states(2.0)[0]
     rho_out, _, converged, _ = _estimate(_records(rho, poisson=False), 1000.0)
     assert converged
     assert uhlmann_fidelity(rho_out, rho) > 0.999
@@ -197,7 +187,7 @@ def test_noiseless_pair_reconstruction_is_exact():
 
 @pytest.mark.parametrize(
     "rho",
-    [_state(BlochParams(1.0, 1.2, 0.4)), _state(BellParams(2.0))],
+    [qubit_states(1.0, 1.2, 0.4)[0], bell_states(2.0)[0]],
     ids=["qubit", "pair"],
 )
 def test_noiseless_estimate_does_not_depend_on_photon_number(rho):
@@ -213,13 +203,13 @@ def test_noiseless_estimate_does_not_depend_on_photon_number(rho):
 
 
 def test_mixed_state_reconstruction():
-    rho = _state(BlochParams(0.4, 2.0, 3.0))
+    rho = qubit_states(0.4, 2.0, 3.0)[0]
     rho_out = _estimate(_records(rho, poisson=False), 1000.0)[0]
     assert uhlmann_fidelity(rho_out, rho) > 0.9999
 
 
 def test_reconstruction_is_deterministic_given_rng_seed():
-    rho = _state(BlochParams(0.9, 0.8, 1.5))
+    rho = qubit_states(0.9, 0.8, 1.5)[0]
     records = _records(rho, sigma=0.05, n=100.0, seed=3)
     a_rho, a_objective, _, _ = _estimate(records, 100.0)
     b_rho, b_objective, _, _ = _estimate(records, 100.0)
@@ -228,7 +218,7 @@ def test_reconstruction_is_deterministic_given_rng_seed():
 
 
 def test_estimate_state_validates_arguments():
-    records = _records(_state(BlochParams(0.0, 0.0, 0.0)))
+    records = _records(qubit_states(0.0, 0.0, 0.0)[0])
     with pytest.raises(ValueError):
         _estimate(records, 0.0)
     stack, row = records
@@ -243,7 +233,7 @@ def test_estimate_state_validates_arguments():
 def test_estimator_is_blind_to_jitter_by_design():
     # fitting blurred counts with sharp models drags the estimate inward;
     # the pull toward the maximally mixed state is the effect under study
-    rho = _state(BlochParams(1.0, 0.5 * math.pi, 0.0))
+    rho = qubit_states(1.0, 0.5 * math.pi, 0.0)[0]
     sharp = _estimate(_records(rho, sigma=0.0, poisson=False), 1000.0)[0]
     blurred = _estimate(_records(rho, sigma=0.25, poisson=False), 1000.0)[0]
     assert _purity(sharp) > 0.999
@@ -253,7 +243,7 @@ def test_estimator_is_blind_to_jitter_by_design():
 def test_convergence_is_certified_within_the_iteration_budget():
     # a noisy, jitter-blurred Bell fit: certified at the default budget,
     # not after two trial steps
-    records = _records(_state(BellParams(0.9)), sigma=0.07, n=10.0, seed=4)
+    records = _records(bell_states(0.9)[0], sigma=0.07, n=10.0, seed=4)
     _, full_objective, full_converged, full_iterations = _estimate(records, 10.0)
     assert full_converged
     assert full_iterations <= EstimatorConfig().max_iterations
@@ -265,25 +255,24 @@ def test_convergence_is_certified_within_the_iteration_budget():
 
 
 _BLOCH = st.builds(
-    BlochParams,
+    lambda r, theta, phi: qubit_states(r, theta, phi)[0],
     st.floats(0.0, 1.0),
     st.floats(0.0, math.pi),
     st.floats(0.0, 2.0 * math.pi, exclude_max=True),
 )
-_BELL = st.builds(BellParams, st.floats(0.0, 2.0 * math.pi, exclude_max=True))
+_BELL = st.builds(lambda alpha: bell_states(alpha)[0], st.floats(0.0, 2.0 * math.pi, exclude_max=True))
 
 
 @settings(max_examples=40, deadline=None)
 @given(
-    params=st.one_of(_BLOCH, _BELL),
+    rho_in=st.one_of(_BLOCH, _BELL),
     sigma=st.floats(0.0, 0.3),
     n=st.sampled_from([10.0, 1000.0]),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_estimate_is_physical_and_no_worse_than_the_input_state(params, sigma, n, seed):
+def test_estimate_is_physical_and_no_worse_than_the_input_state(rho_in, sigma, n, seed):
     # the minimum lies at or below the objective of every state, the true
     # input included, and the estimate is within the certified gap of it
-    rho_in = _state(params)
     records = _records(rho_in, sigma=sigma, n=n, seed=seed)
     cfg = EstimatorConfig()
     rho_out, value, converged, _ = _estimate(records, n, cfg)
@@ -320,7 +309,7 @@ def test_batch_split_does_not_change_estimates(dim, monkeypatch):
 def test_failing_batch_entries_are_named(monkeypatch):
     import timetomo.estimator as estimator
 
-    stack, row = _records(_state(BlochParams(0.5, 1.0, 1.0)))
+    stack, row = _records(qubit_states(0.5, 1.0, 1.0)[0])
     measured = np.tile(row, (3, 1))
     corrupt = measured.copy()
     corrupt[1, 2] = np.inf
@@ -402,16 +391,15 @@ def _serial_descent(evaluate, rho, cfg, mean_photons):
 
 
 @pytest.mark.parametrize(
-    "sample, sigma, n, seed",
+    "states, sigma, n, seed",
     [(sample_mixed_qubits(8, 8, 8), 0.0, 1000.0, 7), (sample_bell_states(50), 0.07, 10.0, 3)],
     ids=["qubit", "pair"],
 )
 @pytest.mark.parametrize("max_iterations", [20000, 7])
-def test_batched_descent_follows_each_state_alone(sample, sigma, n, seed, max_iterations):
+def test_batched_descent_follows_each_state_alone(states, sigma, n, seed, max_iterations):
     # every state of a batch takes the trial steps, restarts and budget cut
     # that the one-state loop takes from the same warm start; at these seeds
     # both samples hold states whose momentum overshoots
-    states = state_stack(sample)
     _, sharp, smeared = setting_operators(PARAMS, sigma, IC_POVM_INSTANTS, states.shape[1])
     _, measured = count_rows(states, sharp, smeared, n, seed)
     cfg = EstimatorConfig(max_iterations=max_iterations)

@@ -150,8 +150,8 @@ def test_integer_fields_reject_fractions_and_booleans(doc, key):
         ({"mode": "trajectory", "t_max_over_T": "2"}, "t_max_over_T must be a number"),
         ({**TINY_QUBIT, "estimator": {"convergence_tol": "1e-3"}}, "convergence_tol must be a number"),
         ({**TINY_QUBIT, "estimator": {"convergence_tol": True}}, "convergence_tol must be a number"),
-        ({**TINY_QUBIT, "estimator": {"epsilon_floor": "1e-9"}}, "epsilon_floor must be a number"),
-        ({**TINY_QUBIT, "estimator": {"epsilon_floor": True}}, "epsilon_floor must be a number"),
+        ({"mode": "trajectory", "out_dir": 5}, "out_dir must be a string"),
+        ({**TINY_QUBIT, "out_dir": None}, "out_dir must be a string"),
         ({**TINY_QUBIT, "estimator": None}, "estimator must be a JSON object"),
         ({**TINY_QUBIT, "estimator": [1]}, "estimator must be a JSON object"),
         ({**TINY_QUBIT, "sample": 5}, "sample (qubit-pure) must be a JSON object"),
@@ -242,8 +242,9 @@ def test_load_config_rejects_unknown_keys():
         load_config({**TINY_QUBIT, "sample": {"n_theta": 2, "bogus": 3}})
     with pytest.raises(ValueError):
         load_config({**TINY_QUBIT, "estimator": {"bogus": 3}})
-    # the switches of the removed multi-restart search are unknown keys
-    for key, value in (("optimizer", "simplex"), ("restarts", 5)):
+    # the switches of the removed multi-restart search and the count floor,
+    # now a constant, are unknown keys
+    for key, value in (("optimizer", "simplex"), ("restarts", 5), ("epsilon_floor", 1e-9)):
         with pytest.raises(ValueError, match=f"unknown estimator keys: {key}"):
             load_config({**TINY_QUBIT, "estimator": {key: value}})
     with pytest.raises(ValueError):

@@ -20,7 +20,7 @@ from timetomo.measurement import (
     setting_operators,
     smeared_bloch_vectors,
 )
-from timetomo.states import BellParams, state_stack
+from timetomo.states import bell_states
 
 PARAMS = DynamicsParams()
 
@@ -211,7 +211,7 @@ def test_extreme_jitter_flattens_to_half_identity():
 def test_two_qubit_operator_is_smeared_tensor_product():
     # each arm is smeared on its own before the product: a noiseless
     # coincidence count is N tr((M_a (x) M_b) rho) with smeared arm operators
-    rho = state_stack([BellParams(0.4)])[0]
+    rho = bell_states(0.4)[0]
     settings, _, smeared = setting_operators(PARAMS, 0.15, IC_POVM_INSTANTS, 4)
     # booked against the smeared stack, the expected column is the noiseless count row
     by_times = dict(zip(settings, count_rows(rho[None], smeared, smeared, 1000.0, 0)[0][0]))

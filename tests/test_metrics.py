@@ -17,11 +17,7 @@ from timetomo.metrics import (
     fidelities,
     trace_distances,
 )
-from timetomo.states import BellParams, BlochParams, state_stack
-
-
-def _state(params):
-    return state_stack([params])[0]
+from timetomo.states import bell_states, qubit_states
 
 
 def fidelity(a, b) -> float:
@@ -40,14 +36,14 @@ def concurrence(rho) -> float:
 
 
 def _werner(p: float) -> np.ndarray:
-    pure = _state(BellParams(0.0))
+    pure = bell_states(0.0)[0]
     return p * pure + (1.0 - p) * np.eye(4) / 4.0
 
 
 def test_fidelity_limits():
-    a = _state(BlochParams(1.0, 0.3, 0.8))
-    bell = _state(BellParams(0.0))
-    opposite = _state(BlochParams(1.0, math.pi - 0.3, (0.8 + math.pi) % (2 * math.pi)))
+    a = qubit_states(1.0, 0.3, 0.8)[0]
+    bell = bell_states(0.0)[0]
+    opposite = qubit_states(1.0, math.pi - 0.3, (0.8 + math.pi) % (2 * math.pi))[0]
     for f in (fidelity, uhlmann_fidelity):
         assert f(a, a) == pytest.approx(1.0)
         assert f(a, opposite) == pytest.approx(0.0, abs=1e-12)
@@ -58,8 +54,8 @@ def test_fidelity_limits():
 
 def test_fidelity_pure_mixed_closed_form():
     # F(pure, rho) = <psi| rho |psi>; against I/2 that is 1/2
-    a = _state(BlochParams(1.0, 1.1, 2.2))
-    mixed = _state(BlochParams(0.0, 0.0, 0.0))
+    a = qubit_states(1.0, 1.1, 2.2)[0]
+    mixed = qubit_states(0.0, 0.0, 0.0)[0]
     for f in (fidelity, uhlmann_fidelity):
         assert f(a, mixed) == pytest.approx(0.5)
         assert f(mixed, a) == pytest.approx(0.5)
@@ -69,8 +65,8 @@ def test_fidelity_qubit_closed_form_random_pairs():
     # F = tr(ab) + 2 sqrt(det a det b) for qubits, the Uhlmann fidelity in closed form
     rng = np.random.default_rng(8)
     for _ in range(20):
-        a = _state(BlochParams(rng.uniform(0, 1), rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi)))
-        b = _state(BlochParams(rng.uniform(0, 1), rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi)))
+        a = qubit_states(rng.uniform(0, 1), rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))[0]
+        b = qubit_states(rng.uniform(0, 1), rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))[0]
         want = np.trace(a @ b).real + 2.0 * math.sqrt(max(0.0, np.linalg.det(a).real * np.linalg.det(b).real))
         assert uhlmann_fidelity(a, b) == pytest.approx(want, abs=1e-10)
         assert fidelity(a, b) == pytest.approx(want, abs=1e-10)
@@ -78,24 +74,24 @@ def test_fidelity_qubit_closed_form_random_pairs():
 
 def test_trace_distance_is_half_bloch_vector_gap():
     # for qubits T = |r1 - r2| / 2
-    a = _state(BlochParams(0.9, 0.4, 1.0))
-    b = _state(BlochParams(0.3, 0.4, 1.0))
+    a = qubit_states(0.9, 0.4, 1.0)[0]
+    b = qubit_states(0.3, 0.4, 1.0)[0]
     assert trace_distance(a, b) == pytest.approx(0.3)
-    c = _state(BlochParams(1.0, 0.0, 0.0))
-    d = _state(BlochParams(1.0, math.pi, 0.0))
+    c = qubit_states(1.0, 0.0, 0.0)[0]
+    d = qubit_states(1.0, math.pi, 0.0)[0]
     assert trace_distance(c, d) == pytest.approx(1.0)
     assert trace_distance(a, a) == pytest.approx(0.0, abs=1e-14)
     with pytest.raises(ValueError):
-        trace_distance(a, _state(BellParams(0.0)))
+        trace_distance(a, bell_states(0.0)[0])
 
 
 def test_concurrence_of_entangled_phase_family_is_one():
     for alpha in (0.0, 1.0, math.pi, 5.0):
-        assert concurrence(_state(BellParams(alpha))) == pytest.approx(1.0)
+        assert concurrence(bell_states(alpha)[0]) == pytest.approx(1.0)
 
 
 def test_concurrence_of_product_state_is_zero():
-    qubit = _state(BlochParams(1.0, 0.7, 0.3))
+    qubit = qubit_states(1.0, 0.7, 0.3)[0]
     product = np.kron(qubit, qubit)
     assert concurrence(product) == pytest.approx(0.0, abs=1e-12)
 
@@ -137,7 +133,7 @@ def test_chsh_guarantee_band_logic():
 
 # radius 1 gives pure, rank-deficient states; radius 0 the maximally mixed one
 _QUBIT = st.builds(
-    lambda r, theta, phi: _state(BlochParams(r, theta, phi)),
+    lambda r, theta, phi: qubit_states(r, theta, phi)[0],
     st.one_of(st.just(1.0), st.just(0.0), st.floats(0.0, 1.0)),
     st.floats(0.0, math.pi),
     st.floats(0.0, 2.0 * math.pi, exclude_max=True),
@@ -165,7 +161,7 @@ def test_trace_distance_is_symmetric_and_bounded(a, b):
 @settings(max_examples=100, deadline=None)
 @given(alpha=st.floats(0.0, 2.0 * math.pi, exclude_max=True))
 def test_concurrence_is_one_on_every_bell_phase(alpha):
-    rho = _state(BellParams(alpha))
+    rho = bell_states(alpha)[0]
     # the square roots of three rounding-level eigenvalues come off the first
     assert concurrence(rho) == pytest.approx(1.0, abs=1e-7)
     assert concurrences(np.repeat(rho[None], 2, axis=0)).tolist() == [concurrence(rho)] * 2

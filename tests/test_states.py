@@ -1,20 +1,22 @@
-"""State constructors and sample grids."""
+"""State builders and sample grids."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import bell_matrix, bloch_matrix
 
-from timetomo.core import max_abs
+from timetomo.core import first_unphysical, max_abs
 from timetomo.estimator import _project_to_states
 from timetomo.states import (
-    BellParams,
-    BlochParams,
+    bell_states,
     orthogonal_pairs,
+    qubit_states,
     sample_bell_states,
     sample_mixed_qubits,
     sample_pure_qubits,
-    state_stack,
 )
 
 PAULI = {
@@ -24,30 +26,12 @@ PAULI = {
 }
 
 
-def _state(params):
-    return state_stack([params])[0]
-
-
 def _purity(rho):
     return np.trace(rho @ rho).real
 
 
-def test_bloch_params_validation():
-    BlochParams(0.5, 1.0, 2.0)
-    with pytest.raises(ValueError):
-        BlochParams(1.1, 1.0, 2.0)
-    with pytest.raises(ValueError):
-        BlochParams(0.5, -0.1, 2.0)
-    with pytest.raises(ValueError):
-        BlochParams(0.5, 1.0, 2.0 * math.pi)
-
-
-def test_bell_params_validation():
-    BellParams(0.0)
-    with pytest.raises(ValueError):
-        BellParams(-0.1)
-    with pytest.raises(ValueError):
-        BellParams(2.0 * math.pi)
+def _bloch_radii(stack):
+    return np.hypot((stack[:, 0, 0] - stack[:, 1, 1]).real, 2.0 * np.abs(stack[:, 1, 0]))
 
 
 def test_bloch_state_reproduces_its_coordinates():
@@ -56,7 +40,7 @@ def test_bloch_state_reproduces_its_coordinates():
         r = rng.uniform(0.0, 1.0)
         theta = rng.uniform(0.0, math.pi)
         phi = rng.uniform(0.0, 2.0 * math.pi)
-        rho = _state(BlochParams(r, theta, phi))
+        rho = qubit_states(r, theta, phi)[0]
         vec = np.array(
             [
                 r * math.sin(theta) * math.cos(phi),
@@ -69,15 +53,18 @@ def test_bloch_state_reproduces_its_coordinates():
 
 
 def test_bloch_state_purity_tracks_radius():
-    assert _purity(_state(BlochParams(0.0, 0.0, 0.0))) == pytest.approx(0.5)
-    assert _purity(_state(BlochParams(1.0, 1.2, 3.4))) == pytest.approx(1.0)
-    assert _purity(_state(BlochParams(0.6, 1.2, 3.4))) == pytest.approx(
+    assert _purity(qubit_states(0.0, 0.0, 0.0)[0]) == pytest.approx(0.5)
+    assert _purity(qubit_states(1.0, 1.2, 3.4)[0]) == pytest.approx(1.0)
+    assert _purity(qubit_states(0.6, 1.2, 3.4)[0]) == pytest.approx(
         0.5 * (1.0 + 0.36)
     )
+    # outside the Bloch ball one eigenvalue is negative
+    with pytest.raises(ValueError, match="sample state 1: .*negative eigenvalue"):
+        qubit_states([1.0, 1.1], 1.0, 2.0)
 
 
 def test_bell_state_structure():
-    rho = _state(BellParams(math.pi / 3))
+    rho = bell_states(math.pi / 3)[0]
     assert rho.shape == (4, 4)
     assert rho[0, 0] == pytest.approx(0.5)
     assert rho[3, 3] == pytest.approx(0.5)
@@ -91,7 +78,7 @@ def test_pair_parametrization_spans_entangled_states():
     # the estimator searches the density matrices themselves; the projection
     # that keeps it there leaves a Bell state fixed and lands on it exactly
     # from a nearby matrix with negative eigenvalues
-    target = _state(BellParams(0.0))
+    target = bell_states(0.0)[0]
     assert max_abs(_project_to_states(target) - target) < 1e-12
     near = 0.999999 * target + (1e-6 / 4.0) * np.eye(4)
     grown = _project_to_states(near + 1e-3 * (target - np.eye(4) / 4.0))
@@ -100,45 +87,80 @@ def test_pair_parametrization_spans_entangled_states():
 
 def test_mixed_grid_size_and_coverage():
     grid = sample_mixed_qubits(3, 3, 4)
-    assert len(grid) == 36
-    assert {b.r for b in grid} == {0.0, 0.5, 1.0}
-    default = sample_mixed_qubits()
-    assert len(default) == 21 * 21 * 20
+    assert grid.shape == (36, 2, 2)
+    assert np.round(_bloch_radii(grid), 12).tolist() == [0.0] * 12 + [0.5] * 12 + [1.0] * 12
+    assert len(sample_mixed_qubits(21, 21, 20)) == 21 * 21 * 20
 
 
 def test_pure_grid_and_validation():
     grid = sample_pure_qubits(5, 4)
-    assert len(grid) == 20
-    assert all(b.r == 1.0 for b in grid)
-    with pytest.raises(ValueError):
-        sample_mixed_qubits(0, 3, 4)
+    assert grid.shape == (20, 2, 2)
+    assert np.abs(_bloch_radii(grid) - 1.0).max() < 1e-15
 
 
 def test_orthogonal_partner_is_antipodal():
-    b = BlochParams(1.0, 0.7, 1.3)
-    mate = BlochParams(1.0, math.pi - b.theta, (b.phi + math.pi) % (2.0 * math.pi))
-    overlap = _state(b) @ _state(mate)
-    assert max_abs(overlap) < 1e-14
+    mate = qubit_states(1.0, math.pi - 0.7, (1.3 + math.pi) % (2.0 * math.pi))[0]
+    assert max_abs(qubit_states(1.0, 0.7, 1.3)[0] @ mate) < 1e-14
 
 
 def test_orthogonal_pairs_cover_grid_once():
     pairs = orthogonal_pairs(5, 4)
-    assert len(pairs) == 10
-    seen = set()
-    for a, b in pairs:
-        overlap = _state(a) @ _state(b)
-        assert max_abs(overlap) < 1e-12
-        seen.add((round(a.theta, 12), round(a.phi, 12)))
-        seen.add((round(b.theta, 12), round(b.phi, 12)))
-    assert len(seen) == 20
-    with pytest.raises(ValueError):
-        orthogonal_pairs(5, 3)
+    assert pairs.shape == (20, 2, 2)
+    assert max_abs(pairs[::2] @ pairs[1::2]) < 1e-12
+    # away from the poles every grid state is distinct, and each appears once
+    grid = sample_pure_qubits(5, 4)[4:-4]
+    matches = (np.abs(pairs[:, None] - grid[None]).max(axis=(2, 3)) < 1e-15).sum(axis=0)
+    assert matches.tolist() == [1] * 12
 
 
 def test_bell_sample_is_even_phase_grid():
     sample = sample_bell_states(8)
-    assert [b.alpha for b in sample] == pytest.approx(
+    # entry (3, 0) is e^{i alpha} / 2
+    assert np.mod(np.angle(sample[:, 3, 0]), 2.0 * math.pi) == pytest.approx(
         [2.0 * math.pi * k / 8 for k in range(8)]
     )
-    with pytest.raises(ValueError):
-        sample_bell_states(0)
+
+
+def _polar(n, stop):
+    return [stop * j / (n - 1) for j in range(n)] if n > 1 else [0.0]
+
+
+def _azimuth(n):
+    return [2.0 * math.pi * k / n for k in range(n)]
+
+
+def _reference_pairs(n_theta, n_phi):
+    """Grid indices (j, k) of the antipodal couples, first points in (theta, phi) order."""
+    pairs = []
+    for j in range(n_theta):
+        for k in range(n_phi):
+            mate = (n_theta - 1 - j, (k + n_phi // 2) % n_phi)
+            if (j, k) < mate:
+                pairs += [(j, k), mate]
+    return pairs
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_r=st.integers(1, 6), n_theta=st.integers(1, 6), n_phi=st.integers(1, 6), half_phi=st.integers(1, 3))
+def test_samplers_match_the_pointwise_reference(n_r, n_theta, n_phi, half_phi):
+    # each sampler against the per-state formulas, point by point in grid order
+    radii, thetas, phis = _polar(n_r, 1.0), _polar(n_theta, math.pi), _azimuth(n_phi)
+    mixed = [bloch_matrix(r, t, p) for r in radii for t in thetas for p in phis]
+    samples = [
+        (sample_mixed_qubits(n_r, n_theta, n_phi), mixed),
+        (sample_pure_qubits(n_theta, n_phi), [bloch_matrix(1.0, t, p) for t in thetas for p in phis]),
+        (sample_bell_states(n_phi), [bell_matrix(a) for a in phis]),
+    ]
+    # a pair needs two polar rows: with one, the grid is a single point, the pole
+    pair_theta, pair_phi = max(n_theta, 2), 2 * half_phi
+    couples = _reference_pairs(pair_theta, pair_phi)
+    assert sorted(couples) == [(j, k) for j in range(pair_theta) for k in range(pair_phi)]
+    pair_thetas, pair_phis = _polar(pair_theta, math.pi), _azimuth(pair_phi)
+    pairs = orthogonal_pairs(pair_theta, pair_phi)
+    samples.append((pairs, [bloch_matrix(1.0, pair_thetas[j], pair_phis[k]) for j, k in couples]))
+    for stack, reference in samples:
+        assert stack.shape == np.shape(reference)
+        assert max_abs(stack - np.array(reference)) < 1e-15
+        assert first_unphysical(stack) is None
+    overlaps = np.einsum("bij,bji->b", pairs[::2], pairs[1::2])
+    assert np.abs(overlaps).max() < 1e-14
