@@ -12,20 +12,33 @@ not depend on the photon number.  The model counts come from the sharp
 ideal operators: the fitter is deliberately blind to detector jitter, which
 is the effect under study.
 
-f is convex in rho, with gradient R = N sum_k (1 - n_meas_k^2 / n_model_k^2) M_k,
-so the search runs on the density matrix itself: a warm start from linear
-inversion projected onto the density matrices (Smolin, Gambetta & Smith,
-PRL 108, 070502 (2012)), then accelerated projected gradient (Shang, Zhang
-& Ng, PRA 95, 062336 (2017)).  Convexity also bounds the distance to the
-minimum: f(rho) - min f <= tr(R rho) - lambda_min(R), the Frank-Wolfe gap,
-which is what ``converged`` certifies.  ``estimate_states`` fits a whole
-batch of states at once, each step acting on (B, d, d) stacks (Bolduc, Knee,
-Gauger & Leach, npj Quantum Inf. 3, 44 (2017)).
+The search runs on real coordinates.  In the orthonormal Hermitian basis
+E_j of ``_BASES`` (the identity first, then the Pauli matrices for d = 2 or
+the Pauli products for d = 4, scaled so that tr(E_i E_j) = delta_ij), a
+d x d Hermitian matrix is a real d^2 vector h_j = tr(H E_j), and the
+Frobenius inner product is the dot product.  The sharp stack becomes one
+real (K, d^2) design A_kj = tr(M_k E_j), so n_model = N A rho, and the
+gradient R = N sum_k (1 - n_meas_k^2 / n_model_k^2) M_k has coordinates
+N A^T (1 - n_meas^2 / n_model^2).
 
-A qubit matrix a I + b . sigma has eigenvalues a -/+ |b|, so qubit fits use
-closed forms and no eigensolver: the projection shrinks the Bloch vector
-onto the Bloch ball, and lambda_min(R) is a - |b|.  Photon pairs use
-``eigh`` and ``eigvalsh``.
+f is convex, so the search is a warm start from linear inversion projected
+onto the density matrices (Smolin, Gambetta & Smith, PRL 108, 070502
+(2012)), then accelerated projected gradient (Shang, Zhang & Ng, PRA 95,
+062336 (2017)).  Convexity also bounds the distance to the minimum:
+f(rho) - min f <= tr(R rho) - lambda_min(R), the Frank-Wolfe gap, which is
+what ``converged`` certifies.  ``estimate_states`` fits a whole batch of
+states at once, each step acting on (B, d^2) coordinate arrays (Bolduc,
+Knee, Gauger & Leach, npj Quantum Inf. 3, 44 (2017)).
+
+A qubit state has coordinates (1/sqrt 2, r / sqrt 2) for its Bloch vector
+r, so qubit fits need no matrix at all: the projection fixes the trace
+coordinate and shrinks the rest onto the ball of radius 1/sqrt 2, and a
+gradient g has lambda_min = (g_0 - |g_1..3|) / sqrt 2.  Photon pairs build
+the 4 x 4 matrix from its coordinates for ``eigh`` and ``eigvalsh`` only.
+The (B, d, d) estimates are built once, at the end of each block.  Every
+contraction is an ``np.einsum`` without path optimisation, whose sums do
+not depend on how many rows share a call; a BLAS matrix product may round
+a row differently in a batch of another size.
 """
 
 from __future__ import annotations
@@ -36,7 +49,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import StateError, ascending_eigenvalues, first_unphysical, require_integer, require_real
+from .core import StateError, first_unphysical, require_integer, require_real
 
 # Weight of the maximally mixed state in the warm start.  The projected
 # linear inversion is often rank-deficient, and where a model count nears
@@ -49,9 +62,26 @@ _WARM_START_MIX = 5e-2
 _EPSILON_FLOOR = 1e-9
 
 # Rows fitted and validated together.  The solver holds about fifteen
-# (rows, d, d) temporaries, so blocks bound its memory on sweeps of any size;
+# (rows, d^2) temporaries, so blocks bound its memory on sweeps of any size;
 # each row's arithmetic does not depend on the block it shares.
 _BLOCK_ROWS = 8192
+
+_PAULI = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+
+# Orthonormal Hermitian bases (d^2, d, d), the identity first: Pauli
+# matrices / sqrt 2 for a qubit, Pauli products sigma_i (x) sigma_j / 2 for a pair.
+_BASES = {
+    2: _PAULI / math.sqrt(2.0),
+    4: np.einsum("iab,jcd->ijacbd", _PAULI, _PAULI).reshape(16, 4, 4) / 2.0,
+}
+
+# Each basis as a real (d^2, 2 d^2) matrix W, row j holding the entries of
+# E_j as (real, imaginary) pairs.  A complex (B, d, d) stack viewed as real
+# (B, 2 d^2) meets W in real einsums both ways: coordinates h give the
+# entries h W of sum_j h_j E_j, and entries m give the coordinates
+# m W^T = Re tr(m E_j) = tr(H E_j) of the Hermitian part H of m, since each
+# E_j is Hermitian.
+_ENTRIES = {dim: basis.reshape(dim * dim, dim * dim).view(float) for dim, basis in _BASES.items()}
 
 
 @dataclass(frozen=True)
@@ -87,80 +117,94 @@ class StateEstimates(NamedTuple):
     iterations: np.ndarray  # (B,) trial steps
 
 
-def _objective_from_stack(model_stack, measured, mean_photons):
-    """Objective and gradient of candidates (b, d, d), each scored against the count row ``rows`` picks.
+def _coordinates(matrices: np.ndarray) -> np.ndarray:
+    """Coordinates tr(H E_j) of the Hermitian parts H of matrices (B, d, d), as (B, d^2)."""
+    count, dim = matrices.shape[0], matrices.shape[-1]
+    entries = np.ascontiguousarray(matrices, dtype=complex).reshape(count, dim * dim).view(float)
+    return np.einsum("bz,jz->bj", entries, _ENTRIES[dim])
 
-    ``mean_photons`` holds the photon number of each count row, (B,).  Model
-    counts use tr(M rho) = vec(M^T) . vec(rho).  The contractions are
-    einsums, whose sums do not depend on how many candidates share a call.
-    """
-    count, dim = model_stack.shape[0], model_stack.shape[1]
-    flat = model_stack.reshape(count, dim * dim)
-    flat_transposed = np.ascontiguousarray(np.swapaxes(model_stack, 1, 2).reshape(count, dim * dim))
-    measured_sq = measured * measured
 
-    def evaluate(rho, rows):
-        photons = mean_photons[rows, None]
-        model = photons * np.einsum("kx,bx->bk", flat_transposed, rho.reshape(len(rho), dim * dim)).real
-        np.maximum(model, _EPSILON_FLOOR, out=model)
-        resid = measured[rows] - model
-        value = np.sum(resid * resid / model, axis=1)
-        weights = photons * (1.0 - measured_sq[rows] / (model * model))
-        return value, np.einsum("bk,kx->bx", weights, flat).reshape(len(rho), dim, dim)
+def _matrices(coords: np.ndarray) -> np.ndarray:
+    """The Hermitian matrices sum_j h_j E_j (B, d, d) of coordinates (B, d^2)."""
+    dim = math.isqrt(coords.shape[-1])
+    return np.einsum("bj,jz->bz", coords, _ENTRIES[dim]).view(complex).reshape(-1, dim, dim)
 
-    return evaluate
+
+def _inner(a, b) -> np.ndarray:
+    """Frobenius inner products tr(a_b b_b) of Hermitian matrices over a batch, from coordinates."""
+    return np.einsum("bj,bj->b", a, b)
+
+
+def _bloch_length(coords: np.ndarray) -> np.ndarray:
+    """|h_1..3| of qubit coordinates (B, 4)."""
+    bloch = coords[:, 1:]
+    return np.sqrt(np.einsum("bj,bj->b", bloch, bloch))
+
+
+def _smallest_eigenvalue(coords: np.ndarray) -> np.ndarray:
+    """lambda_min of each Hermitian matrix given by its coordinates (B, d^2)."""
+    if coords.shape[-1] == 4:  # a qubit
+        return (coords[:, 0] - _bloch_length(coords)) / math.sqrt(2.0)
+    return np.linalg.eigvalsh(_matrices(coords))[:, 0]
 
 
 def _project_to_states(h: np.ndarray) -> np.ndarray:
-    """Nearest unit-trace PSD matrices to Hermitian ``h`` (..., d, d) in Frobenius norm.
+    """Coordinates of the nearest unit-trace PSD matrices, in Frobenius norm, to coordinates ``h`` (B, d^2).
 
     Projects each spectrum onto the probability simplex and keeps the
-    eigenvectors (Smolin, Gambetta & Smith 2012).  For qubits the Hermitian
-    part of h is a I + b . sigma with spectrum a -/+ |b|, whose projection is
-    (1/2 -/+ |b| min(1, 1 / (2|b|))): the Bloch vector b is shrunk onto the
-    ball |b| <= 1/2, and no eigenvectors are needed.
+    eigenvectors (Smolin, Gambetta & Smith 2012).  A qubit matrix a I + b . sigma
+    has spectrum a -/+ |b|, which projects to 1/2 -/+ min(|b|, 1/2): in
+    coordinates, h_0 becomes 1/sqrt 2 and h_1..3 is shrunk onto the ball of
+    radius 1/sqrt 2, with no eigenvectors needed.
     """
-    if h.shape[-1] == 2:
-        half_split = 0.5 * (h[..., 0, 0].real - h[..., 1, 1].real)
-        lower = 0.5 * (h[..., 1, 0] + np.conj(h[..., 0, 1]))
-        shrink = 1.0 / np.maximum(1.0, 2.0 * np.hypot(half_split, np.abs(lower)))
-        rho = np.empty(h.shape, dtype=complex)
-        rho[..., 0, 0] = 0.5 + shrink * half_split
-        rho[..., 1, 1] = 0.5 - shrink * half_split
-        rho[..., 1, 0] = shrink * lower
-        rho[..., 0, 1] = np.conj(rho[..., 1, 0])
+    if h.shape[-1] == 4:  # a qubit
+        rho = h / np.maximum(1.0, math.sqrt(2.0) * _bloch_length(h))[:, None]
+        rho[:, 0] = 1.0 / math.sqrt(2.0)
         return rho
-    values, vectors = np.linalg.eigh(h)
+    values, vectors = np.linalg.eigh(_matrices(h))
     dim = values.shape[-1]
     ordered = values[..., ::-1]
     shifts = (np.cumsum(ordered, axis=-1) - 1.0) / np.arange(1, dim + 1)
     # the last index where the sorted spectrum still exceeds its shift
     active = dim - 1 - np.argmax((ordered > shifts)[..., ::-1], axis=-1)
     values = np.maximum(values - np.take_along_axis(shifts, active[..., None], axis=-1), 0.0)
-    rho = np.einsum("...ij,...j,...kj->...ik", vectors, values, vectors.conj())
-    return 0.5 * (rho + np.conj(np.swapaxes(rho, -1, -2)))
+    return _coordinates(np.einsum("bij,bj,bkj->bik", vectors, values, vectors.conj()))
 
 
-def _inner(a, b) -> np.ndarray:
-    """Real part of the Frobenius inner products tr(a_b^dag b_b) over a batch."""
-    return np.einsum("bij,bij->b", a.conj(), b).real
-
-
-def _warm_start(model_stack, measured, mean_photons):
-    """Least-squares linear inversion of every count row, projected onto the states and mixed.
+def _objective_from_design(design, measured, mean_photons):
+    """Objective and gradient of candidates (b, d^2), each scored against the count row ``rows`` picks.
 
     ``mean_photons`` holds the photon number of each count row, (B,).
     """
-    count, dim = model_stack.shape[0], model_stack.shape[1]
-    design = np.swapaxes(model_stack, 1, 2).reshape(count, dim * dim)
+    measured_sq = measured * measured
+
+    def evaluate(rho, rows):
+        photons = mean_photons[rows, None]
+        model = photons * np.einsum("kj,bj->bk", design, rho)
+        np.maximum(model, _EPSILON_FLOOR, out=model)
+        resid = measured[rows] - model
+        value = np.add.reduce(resid * resid / model, axis=1)
+        weights = photons * (1.0 - measured_sq[rows] / (model * model))
+        return value, np.einsum("bk,kj->bj", weights, design)
+
+    return evaluate
+
+
+def _warm_start(design, measured, mean_photons):
+    """Least-squares linear inversion of every count row, projected onto the states and mixed.
+
+    ``mean_photons`` holds the photon number of each count row, (B,).
+    Returns coordinates (B, d^2).
+    """
     rates = measured / mean_photons[:, None]
-    inverted = np.einsum("xk,bk->bx", np.linalg.pinv(design), rates).reshape(-1, dim, dim)
-    rho = _project_to_states(0.5 * (inverted + np.conj(np.swapaxes(inverted, 1, 2))))
-    return (1.0 - _WARM_START_MIX) * rho + (_WARM_START_MIX / dim) * np.eye(dim)
+    rho = (1.0 - _WARM_START_MIX) * _project_to_states(np.einsum("jk,bk->bj", np.linalg.pinv(design), rates))
+    # the maximally mixed state I / d has coordinates (1 / sqrt d, 0, ...)
+    rho[:, 0] += _WARM_START_MIX / math.sqrt(math.isqrt(design.shape[1]))
+    return rho
 
 
 def _accelerated_descent(evaluate, rho, cfg: EstimatorConfig, mean_photons: np.ndarray) -> StateEstimates:
-    """FISTA on the density matrices with backtracking and adaptive restart, for a batch.
+    """FISTA on the state coordinates (B, d^2) with backtracking and adaptive restart, for a batch.
 
     The step is 1 / L for a curvature estimate L that starts at the state's
     photon number in ``mean_photons`` (B,) (f scales with it), shrinks by 10%
@@ -170,7 +214,7 @@ def _accelerated_descent(evaluate, rho, cfg: EstimatorConfig, mean_photons: np.n
     and step count, and every pass takes one trial step for each unfinished
     state, so each follows the path it would follow alone.  ``stepping``
     marks the states that have passed their gap check and are inside their
-    backtracking loop.
+    backtracking loop.  The returned ``rho`` holds coordinates.
     """
     batch = len(rho)
     value, grad = evaluate(rho, np.arange(batch))
@@ -180,16 +224,18 @@ def _accelerated_descent(evaluate, rho, cfg: EstimatorConfig, mean_photons: np.n
     converged, stepping, finished = (np.zeros(batch, dtype=bool) for _ in range(3))
 
     def drop_momentum(rows):
-        ahead[rows], ahead_value[rows], ahead_grad[rows] = rho[rows], value[rows], grad[rows]
-        momentum[rows] = 1.0
+        if rows.size:
+            ahead[rows], ahead_value[rows], ahead_grad[rows] = rho[rows], value[rows], grad[rows]
+            momentum[rows] = 1.0
 
     while True:
         head = np.flatnonzero(~stepping & ~finished)
         # Frank-Wolfe gap tr(R rho) - lambda_min(R), an upper bound on f(rho) - min f
-        done = _inner(grad[head], rho[head]) - ascending_eigenvalues(grad[head])[:, 0] <= cfg.convergence_tol
+        done = _inner(grad[head], rho[head]) - _smallest_eigenvalue(grad[head]) <= cfg.convergence_tol
         converged[head[done]] = finished[head[done]] = True
-        lipschitz[head[~done]] *= 0.9
-        stepping[head[~done]] = True
+        head = head[~done]
+        lipschitz[head] *= 0.9
+        stepping[head] = True
         spent = stepping & (steps >= cfg.max_iterations)
         finished |= spent
         stepping &= ~spent
@@ -197,7 +243,7 @@ def _accelerated_descent(evaluate, rho, cfg: EstimatorConfig, mean_photons: np.n
         if not live.size:
             return StateEstimates(rho, value, converged, steps)
         steps[live] += 1
-        trial = _project_to_states(ahead[live] - ahead_grad[live] / lipschitz[live, None, None])
+        trial = _project_to_states(ahead[live] - ahead_grad[live] / lipschitz[live, None])
         trial_value, trial_grad = evaluate(trial, live)
         move = trial - ahead[live]
         bound = ahead_value[live] + _inner(ahead_grad[live], move)
@@ -209,7 +255,7 @@ def _accelerated_descent(evaluate, rho, cfg: EstimatorConfig, mean_photons: np.n
         moved = accepted & (trial_value <= value[live])
         live, trial, trial_value, trial_grad = (a[moved] for a in (live, trial, trial_value, trial_grad))
         next_momentum = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * momentum[live] * momentum[live]))
-        ahead[live] = trial + ((momentum[live] - 1.0) / next_momentum)[:, None, None] * (trial - rho[live])
+        ahead[live] = trial + ((momentum[live] - 1.0) / next_momentum)[:, None] * (trial - rho[live])
         rho[live], value[live], grad[live], momentum[live] = trial, trial_value, trial_grad, next_momentum
         ahead_value[live], ahead_grad[live] = evaluate(ahead[live], live)
         # the extrapolated point is already worse: drop the momentum
@@ -238,15 +284,16 @@ def estimate_states(stack, measured, mean_photons, cfg: EstimatorConfig) -> Stat
     bad = np.flatnonzero(~np.isfinite(measured).all(axis=1))
     if bad.size:
         raise StateError(int(bad[0])) from FloatingPointError("count row has non-finite entries")
+    design = _coordinates(stack)
     blocks = []
     # at least one block, so that an empty batch returns empty fields
     for start in range(0, max(len(measured), 1), _BLOCK_ROWS):
         rows, photons = measured[start : start + _BLOCK_ROWS], mean_photons[start : start + _BLOCK_ROWS]
-        evaluate = _objective_from_stack(stack, rows, photons)
-        block = _accelerated_descent(evaluate, _warm_start(stack, rows, photons), cfg, photons)
-        problem = first_unphysical(block.rho, "estimate")
+        start_rho = _warm_start(design, rows, photons)
+        fits = _accelerated_descent(_objective_from_design(design, rows, photons), start_rho, cfg, photons)
+        rho = _matrices(fits.rho)
+        problem = first_unphysical(rho, "estimate")
         if problem is not None:
             raise StateError(start + problem[0]) from ValueError(problem[1])
-        blocks.append(block)
+        blocks.append(fits._replace(rho=rho))
     return StateEstimates(*(np.concatenate(field) for field in zip(*blocks)))
-

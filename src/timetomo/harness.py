@@ -136,10 +136,16 @@ class ExperimentConfig:
             sizes[key] = require_integer(value, f"sample.{key}") if value is not None else 0
             if sizes[key] < 1:
                 raise ValueError(f"sample.{key} must be a positive integer for mode {self.mode}")
-        if self.mode == "qubit-orthogonal-pairs" and sizes["n_phi"] % 2:
-            raise ValueError(
-                "sample.n_phi must be even for mode qubit-orthogonal-pairs so antipodes stay on the grid"
-            )
+        if self.mode == "qubit-orthogonal-pairs":
+            if sizes["n_phi"] % 2:
+                raise ValueError(
+                    "sample.n_phi must be even for mode qubit-orthogonal-pairs so antipodes stay on the grid"
+                )
+            # a one-point polar grid is the north pole alone, which would be paired with itself
+            if sizes["n_theta"] < 2:
+                raise ValueError(
+                    "sample.n_theta must be at least 2 for mode qubit-orthogonal-pairs so both poles are on the grid"
+                )
         object.__setattr__(self, "sigma_list", sigmas)
         object.__setattr__(self, "photon_list", photons)
         object.__setattr__(self, "seed", seed)

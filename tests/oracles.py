@@ -6,8 +6,16 @@ neither depends on the spectral form that the package smears with.
 ``uhlmann_fidelity`` is the fidelity of two states from its definition, the
 reference for the closed form that ``metrics.fidelities`` uses on qubits.
 ``qubit_stacks`` generates the 2x2 Hermitian stacks that the closed-form
-qubit spectra are checked on.  ``bloch_matrix`` and ``bell_matrix`` build one
-input state at a time, the reference for the vectorised sample grids.
+qubit spectra are checked on, and ``hermitian_stacks`` stacks of either size.
+``bloch_matrix`` and ``bell_matrix`` build one input state at a time, the
+reference for the vectorised sample grids.
+
+``likelihood``, ``project_to_states`` and ``serial_descent`` are the
+estimator in matrix form, one state at a time: the objective and its
+gradient R as matrices, the projection onto the states (closed form for
+qubits, ``eigh`` and the simplex for pairs), and the one-state FISTA loop.
+They are the reference for the batched solver, which works on real
+coordinates.
 """
 
 import math
@@ -17,6 +25,7 @@ from hypothesis import strategies as st
 
 from timetomo.core import require_finite
 from timetomo.dynamics import DynamicsParams
+from timetomo.estimator import _EPSILON_FLOOR
 
 
 def evolution_unitaries(params: DynamicsParams, times) -> np.ndarray:
@@ -112,3 +121,95 @@ qubit_stacks = st.lists(
     min_size=1,
     max_size=6,
 ).map(np.array)
+
+
+def _hermitian_matrix(dim, entries):
+    """The Hermitian part of the matrix whose real and imaginary parts read ``entries``."""
+    parts = np.reshape(entries, (2, dim, dim))
+    h = parts[0] + 1j * parts[1]
+    return 0.5 * (h + h.conj().T)
+
+
+def hermitian_stacks(dim):
+    """Stacks (1-6, dim, dim) of Hermitian matrices with entries up to 3 in size."""
+    size = 2 * dim * dim
+    matrix = st.lists(st.floats(-3.0, 3.0), min_size=size, max_size=size).map(lambda e: _hermitian_matrix(dim, e))
+    return st.lists(matrix, min_size=1, max_size=6).map(np.array)
+
+
+def likelihood(stack, row, mean_photons):
+    """The objective on one count row as a map rho -> (f, R), with R a matrix."""
+    row = np.asarray(row, dtype=float)
+
+    def evaluate(rho):
+        model = np.maximum(mean_photons * np.einsum("kxy,yx->k", stack, rho).real, _EPSILON_FLOOR)
+        weights = mean_photons * (1.0 - row * row / (model * model))
+        return float(np.sum((row - model) ** 2 / model)), np.einsum("k,kxy->xy", weights, stack)
+
+    return evaluate
+
+
+def project_to_states(h: np.ndarray) -> np.ndarray:
+    """Nearest unit-trace PSD matrices to Hermitian ``h`` (..., d, d) in Frobenius norm.
+
+    Projects each spectrum onto the probability simplex and keeps the
+    eigenvectors (Smolin, Gambetta & Smith 2012).  For qubits the Hermitian
+    part of h is a I + b . sigma with spectrum a -/+ |b|, whose projection is
+    (1/2 -/+ |b| min(1, 1 / (2|b|))): the Bloch vector b is shrunk onto the
+    ball |b| <= 1/2, and no eigenvectors are needed.
+    """
+    if h.shape[-1] == 2:
+        half_split = 0.5 * (h[..., 0, 0].real - h[..., 1, 1].real)
+        lower = 0.5 * (h[..., 1, 0] + np.conj(h[..., 0, 1]))
+        shrink = 1.0 / np.maximum(1.0, 2.0 * np.hypot(half_split, np.abs(lower)))
+        rho = np.empty(h.shape, dtype=complex)
+        rho[..., 0, 0] = 0.5 + shrink * half_split
+        rho[..., 1, 1] = 0.5 - shrink * half_split
+        rho[..., 1, 0] = shrink * lower
+        rho[..., 0, 1] = np.conj(rho[..., 1, 0])
+        return rho
+    values, vectors = np.linalg.eigh(h)
+    dim = values.shape[-1]
+    ordered = values[..., ::-1]
+    shifts = (np.cumsum(ordered, axis=-1) - 1.0) / np.arange(1, dim + 1)
+    # the last index where the sorted spectrum still exceeds its shift
+    active = dim - 1 - np.argmax((ordered > shifts)[..., ::-1], axis=-1)
+    values = np.maximum(values - np.take_along_axis(shifts, active[..., None], axis=-1), 0.0)
+    rho = np.einsum("...ij,...j,...kj->...ik", vectors, values, vectors.conj())
+    return 0.5 * (rho + np.conj(np.swapaxes(rho, -1, -2)))
+
+
+def serial_descent(evaluate, rho, cfg, mean_photons):
+    """FISTA with backtracking and adaptive restart on one density matrix.
+
+    ``evaluate`` maps a matrix to (f, R), as ``likelihood`` does.  Returns
+    (rho, converged, trial steps, overshoot restarts).
+    """
+    value, grad = evaluate(rho)
+    ahead, ahead_value, ahead_grad = rho, value, grad
+    momentum, lipschitz, steps, restarts = 1.0, mean_photons, 0, 0
+    while True:
+        if np.vdot(grad, rho).real - np.linalg.eigvalsh(grad)[0] <= cfg.convergence_tol:
+            return rho, True, steps, restarts
+        lipschitz *= 0.9
+        while steps < cfg.max_iterations:
+            steps += 1
+            trial = project_to_states(ahead - ahead_grad / lipschitz)
+            trial_value, trial_grad = evaluate(trial)
+            move = trial - ahead
+            bound = ahead_value + np.vdot(ahead_grad, move).real
+            if trial_value <= bound + 0.5 * lipschitz * np.vdot(move, move).real:
+                break
+            lipschitz *= 2.0
+        else:
+            return rho, False, steps, restarts
+        if trial_value > value:
+            ahead, ahead_value, ahead_grad, momentum = rho, value, grad, 1.0
+            restarts += 1
+            continue
+        next_momentum = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * momentum * momentum))
+        ahead = trial + ((momentum - 1.0) / next_momentum) * (trial - rho)
+        rho, value, grad, momentum = trial, trial_value, trial_grad, next_momentum
+        ahead_value, ahead_grad = evaluate(ahead)
+        if ahead_value > value:
+            ahead, ahead_value, ahead_grad, momentum = rho, value, grad, 1.0

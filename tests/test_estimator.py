@@ -7,13 +7,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import qubit_stacks, uhlmann_fidelity
+from oracles import (
+    hermitian_stacks,
+    likelihood,
+    project_to_states,
+    qubit_stacks,
+    serial_descent,
+    uhlmann_fidelity,
+)
 from timetomo.core import StateError, first_unphysical, max_abs
 from timetomo.counts import count_rows
 from timetomo.dynamics import DynamicsParams
 from timetomo.estimator import (
+    _BASES,
     EstimatorConfig,
-    _objective_from_stack,
+    _coordinates,
+    _matrices,
+    _objective_from_design,
     _project_to_states,
     _warm_start,
     estimate_states,
@@ -26,14 +36,19 @@ MIXED_QUBIT = 0.5 * np.eye(2, dtype=complex)
 
 
 def _row_objective(stack, row, mean_photons):
-    """The batched objective on one count row, as a map rho -> (f, R)."""
-    evaluate = _objective_from_stack(stack, np.array([row], dtype=float), np.array([mean_photons]))
+    """The batched objective on one count row, as a map rho -> (f, R) on matrices."""
+    evaluate = _objective_from_design(_coordinates(stack), np.array([row], dtype=float), np.array([mean_photons]))
 
     def single(rho):
-        value, grad = evaluate(np.asarray(rho, dtype=complex)[None], np.array([0]))
-        return float(value[0]), grad[0]
+        value, grad = evaluate(_coordinates(np.asarray(rho, dtype=complex)[None]), np.array([0]))
+        return float(value[0]), _matrices(grad)[0]
 
     return single
+
+
+def _project(h):
+    """The solver's projection applied to a stack of matrices (B, d, d)."""
+    return _matrices(_project_to_states(_coordinates(h)))
 
 
 def _objective(records, mean_photons):
@@ -138,13 +153,13 @@ def test_projection_is_physical_and_fixes_states():
     for dim in (2, 4):
         for _ in range(20):
             h = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-            assert first_unphysical(_project_to_states(h + h.conj().T)[None]) is None
+            assert first_unphysical(_project((h + h.conj().T)[None])) is None
             state = _random_state(rng, dim)
-            assert max_abs(_project_to_states(state) - state) < 1e-12
-    bell = bell_states(0.0)[0]
-    assert max_abs(_project_to_states(bell) - bell) < 1e-12
+            assert max_abs(_project(state[None])[0] - state) < 1e-12
+    bell = bell_states(0.0)
+    assert max_abs(_project(bell) - bell) < 1e-12
     # the spectrum (1.5, 0.2) lands on the simplex vertex (1, 0)
-    assert max_abs(_project_to_states(np.diag([1.5, 0.2]).astype(complex)) - np.diag([1.0, 0.0])) < 1e-15
+    assert max_abs(_project(np.diag([1.5, 0.2])[None])[0] - np.diag([1.0, 0.0])) < 1e-15
 
 
 def _simplex_projection(h):
@@ -159,15 +174,59 @@ def _simplex_projection(h):
     return (vectors * np.maximum(values - shift, 0.0)) @ vectors.conj().T
 
 
-@settings(max_examples=150, deadline=None)
-@given(h=qubit_stacks)
-def test_qubit_projection_matches_eigh_and_simplex(h):
-    rho = _project_to_states(h)
+def _check_projection(h, rounding):
+    # the projection on coordinates against eigh and the simplex, matrix by
+    # matrix, and against the matrix-form projection
+    coords = _project_to_states(_coordinates(h))
+    rho = _matrices(coords)
     assert max_abs(rho - np.array([_simplex_projection(m) for m in h])) < 1e-12
+    assert max_abs(rho - project_to_states(0.5 * (h + np.conj(np.swapaxes(h, 1, 2))))) < 1e-12
     assert np.array_equal(rho, np.conj(np.swapaxes(rho, 1, 2)))
-    assert np.abs(np.trace(rho, axis1=1, axis2=2) - 1.0).max() < 1e-15
-    assert np.linalg.eigvalsh(rho).min() > -1e-15
-    assert max_abs(_project_to_states(rho) - rho) < 1e-15
+    assert np.abs(np.trace(rho, axis1=1, axis2=2) - 1.0).max() < rounding
+    assert np.linalg.eigvalsh(rho).min() > -rounding
+    assert max_abs(_project_to_states(coords) - coords) < rounding
+
+
+@settings(max_examples=150, deadline=None)
+@given(h=st.one_of(qubit_stacks, hermitian_stacks(2)))
+def test_qubit_projection_matches_eigh_and_simplex(h):
+    _check_projection(h, 1e-15)
+
+
+@settings(max_examples=100, deadline=None)
+@given(h=hermitian_stacks(4))
+def test_pair_projection_matches_eigh_and_simplex(h):
+    # eigh and the way back to coordinates keep a few more roundings
+    _check_projection(h, 1e-14)
+
+
+@pytest.mark.parametrize("dim", [2, 4])
+def test_basis_is_hermitian_orthonormal_with_identity_first(dim):
+    basis = _BASES[dim]
+    assert basis.shape == (dim * dim, dim, dim)
+    assert np.array_equal(basis, np.conj(np.swapaxes(basis, 1, 2)))
+    assert max_abs(np.einsum("ixy,jyx->ij", basis, basis) - np.eye(dim * dim)) < 1e-15
+    assert max_abs(basis[0] - np.eye(dim) / math.sqrt(dim)) < 1e-16
+
+
+@settings(max_examples=60, deadline=None)
+@given(h=st.one_of(hermitian_stacks(2), hermitian_stacks(4)))
+def test_coordinates_are_traces_against_the_basis(h):
+    # h_j = tr(H E_j), and sum_j h_j E_j gives H back
+    coords = _coordinates(h)
+    assert max_abs(coords - np.einsum("bxy,jyx->bj", h, _BASES[h.shape[-1]]).real) < 1e-14
+    assert max_abs(_matrices(coords) - h) < 1e-14
+    assert np.array_equal(_matrices(coords), np.conj(np.swapaxes(_matrices(coords), 1, 2)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(dim=st.sampled_from([2, 4]), sigma=st.floats(0.0, 0.3), seed=st.integers(0, 2**32 - 1))
+def test_design_reproduces_the_operator_traces(dim, sigma, seed):
+    # the real design A_kj = tr(M_k E_j) gives tr(M_k rho) as A . coordinates(rho)
+    rho = _random_state(np.random.default_rng(seed), dim)
+    for stack in setting_operators(PARAMS, sigma, IC_POVM_INSTANTS, dim)[1:]:
+        direct = np.einsum("kxy,yx->k", stack, rho).real
+        assert max_abs(np.einsum("kj,j->k", _coordinates(stack), _coordinates(rho[None])[0]) - direct) < 1e-14
 
 
 def test_noiseless_qubit_reconstruction_is_exact():
@@ -282,28 +341,31 @@ def test_estimate_is_physical_and_no_worse_than_the_input_state(rho_in, sigma, n
     assert value <= objective(rho_in)[0] + cfg.convergence_tol
 
 
-@pytest.mark.parametrize("dim", [2, 4], ids=["qubit", "pair"])
-def test_batch_split_does_not_change_estimates(dim, monkeypatch):
+@pytest.mark.parametrize("dim, count", [(2, 300), (4, 64)], ids=["qubit", "pair"])
+def test_batch_split_does_not_change_estimates(dim, count, monkeypatch):
     # a sweep fits a cell whole, or in one contiguous chunk per worker, and
     # the estimator fits a batch in blocks of rows; every state must come out
-    # bit for bit the same whichever way it is split
+    # bit for bit the same whichever way it is split.  The batches are large
+    # enough that a contraction dispatched by batch size would show.
     import timetomo.estimator as estimator
 
     rng = np.random.default_rng(5)
-    states = np.array([_random_state(rng, dim) for _ in range(9)])
+    states = np.array([_random_state(rng, dim) for _ in range(count)])
     _, sharp, smeared = setting_operators(PARAMS, 0.07, IC_POVM_INSTANTS, dim)
     _, measured = count_rows(states, sharp, smeared, 50.0, 11)
     cfg = EstimatorConfig()
     whole = estimate_states(sharp, measured, 50.0, cfg)
-    for bounds in ((0, 4, 9), (0, 1, 2, 6, 9), tuple(range(10))):
+    cuts = np.sort(rng.choice(np.arange(3, count), size=7, replace=False))
+    for bounds in ((0, count // 2 - 1, count), (0, 1, 2, *cuts, count)):
         chunks = [estimate_states(sharp, measured[a:b], 50.0, cfg) for a, b in zip(bounds, bounds[1:])]
         for field, joined in zip(whole, zip(*chunks)):
             assert np.array_equal(field, np.concatenate(joined))
     assert whole.converged.all()
     assert len(set(whole.iterations.tolist())) > 1  # the states finish at different passes
-    monkeypatch.setattr(estimator, "_BLOCK_ROWS", 4)
-    for field, blocked in zip(whole, estimate_states(sharp, measured, 50.0, cfg)):
-        assert np.array_equal(field, blocked)
+    for rows in (3, 17):
+        monkeypatch.setattr(estimator, "_BLOCK_ROWS", rows)
+        for field, blocked in zip(whole, estimate_states(sharp, measured, 50.0, cfg)):
+            assert np.array_equal(field, blocked)
 
 
 def test_failing_batch_entries_are_named(monkeypatch):
@@ -320,9 +382,11 @@ def test_failing_batch_entries_are_named(monkeypatch):
 
     real = estimator._accelerated_descent
 
+    negative = _coordinates(np.diag([1.2, -0.2])[None])[0]
+
     def unphysical(*args):
         fits = real(*args)
-        fits.rho[2] = np.diag([1.2, -0.2])
+        fits.rho[2] = negative
         return fits
 
     monkeypatch.setattr(estimator, "_accelerated_descent", unphysical)
@@ -340,7 +404,7 @@ def test_failing_batch_entries_are_named(monkeypatch):
         fits = real(*args)
         calls.append(len(fits.rho))
         if len(calls) == 2:
-            fits.rho[0] = np.diag([1.2, -0.2])
+            fits.rho[0] = negative
         return fits
 
     monkeypatch.setattr(estimator, "_accelerated_descent", unphysical_second_block)
@@ -353,41 +417,6 @@ def test_failing_batch_entries_are_named(monkeypatch):
     with pytest.raises(StateError) as info:
         estimate_states(stack, corrupt, 1000.0, EstimatorConfig())
     assert info.value.index == 3
-
-
-def _serial_descent(evaluate, rho, cfg, mean_photons):
-    """The one-state FISTA loop that the batched solver replaced, kept as its reference.
-
-    Returns (rho, converged, trial steps, overshoot restarts).
-    """
-    value, grad = evaluate(rho)
-    ahead, ahead_value, ahead_grad = rho, value, grad
-    momentum, lipschitz, steps, restarts = 1.0, mean_photons, 0, 0
-    while True:
-        if np.vdot(grad, rho).real - np.linalg.eigvalsh(grad)[0] <= cfg.convergence_tol:
-            return rho, True, steps, restarts
-        lipschitz *= 0.9
-        while steps < cfg.max_iterations:
-            steps += 1
-            trial = _project_to_states(ahead - ahead_grad / lipschitz)
-            trial_value, trial_grad = evaluate(trial)
-            move = trial - ahead
-            bound = ahead_value + np.vdot(ahead_grad, move).real
-            if trial_value <= bound + 0.5 * lipschitz * np.vdot(move, move).real:
-                break
-            lipschitz *= 2.0
-        else:
-            return rho, False, steps, restarts
-        if trial_value > value:
-            ahead, ahead_value, ahead_grad, momentum = rho, value, grad, 1.0
-            restarts += 1
-            continue
-        next_momentum = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * momentum * momentum))
-        ahead = trial + ((momentum - 1.0) / next_momentum) * (trial - rho)
-        rho, value, grad, momentum = trial, trial_value, trial_grad, next_momentum
-        ahead_value, ahead_grad = evaluate(ahead)
-        if ahead_value > value:
-            ahead, ahead_value, ahead_grad, momentum = rho, value, grad, 1.0
 
 
 @pytest.mark.parametrize(
@@ -404,11 +433,10 @@ def test_batched_descent_follows_each_state_alone(states, sigma, n, seed, max_it
     _, measured = count_rows(states, sharp, smeared, n, seed)
     cfg = EstimatorConfig(max_iterations=max_iterations)
     fits = estimate_states(sharp, measured, n, cfg)
-    starts = _warm_start(sharp, measured, np.full(len(measured), n))
+    starts = _matrices(_warm_start(_coordinates(sharp), measured, np.full(len(measured), n)))
     restarts = 0
     for b in range(len(states)):
-        evaluate = _row_objective(sharp, measured[b], n)
-        rho, converged, steps, overshoots = _serial_descent(evaluate, starts[b], cfg, n)
+        rho, converged, steps, overshoots = serial_descent(likelihood(sharp, measured[b], n), starts[b], cfg, n)
         assert (steps, converged) == (fits.iterations[b], fits.converged[b])
         assert max_abs(rho - fits.rho[b]) < 1e-12
         restarts += overshoots

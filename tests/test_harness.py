@@ -195,6 +195,24 @@ def test_orthogonal_pairs_reject_odd_n_phi():
     ExperimentConfig(mode="qubit-pure", sigma_list=(0.0,), photon_list=(10.0,), sample=sample)
 
 
+def test_orthogonal_pairs_reject_a_single_polar_angle():
+    # with n_theta = 1 the grid is the north pole alone, and every "pair"
+    # would be one state twice, at trace distance about 0 instead of 1
+    sample = SampleSizes(n_theta=1, n_phi=4)
+    with pytest.raises(ValueError, match="sample.n_theta must be at least 2"):
+        ExperimentConfig(
+            mode="qubit-orthogonal-pairs", sigma_list=(0.0,), photon_list=(1000.0,), sample=sample
+        )
+    doc = {"mode": "qubit-orthogonal-pairs", "sigma_list": [0.0], "photon_list": [1000]}
+    with pytest.raises(ValueError, match="sample.n_theta must be at least 2"):
+        load_config({**doc, "sample": {"n_theta": 1, "n_phi": 4}})
+    ExperimentConfig(mode="qubit-pure", sigma_list=(0.0,), photon_list=(10.0,), sample=sample)
+    sample = SampleSizes(n_theta=2, n_phi=4)
+    cfg = ExperimentConfig(mode="qubit-orthogonal-pairs", sigma_list=(0.0,), photon_list=(1000.0,), sample=sample)
+    (row,) = run_sweep(cfg)
+    assert row.metric == "trace_distance" and row.mean > 0.9
+
+
 def test_default_samples_fill_in_per_mode():
     cfg = ExperimentConfig(mode="entangled", sigma_list=(0.0,), photon_list=(10.0,))
     assert cfg.sample == MODES["entangled"].desk

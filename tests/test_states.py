@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from oracles import bell_matrix, bloch_matrix
 
 from timetomo.core import first_unphysical, max_abs
-from timetomo.estimator import _project_to_states
+from timetomo.estimator import _coordinates, _matrices, _project_to_states
 from timetomo.states import (
     bell_states,
     orthogonal_pairs,
@@ -78,10 +78,13 @@ def test_pair_parametrization_spans_entangled_states():
     # the estimator searches the density matrices themselves; the projection
     # that keeps it there leaves a Bell state fixed and lands on it exactly
     # from a nearby matrix with negative eigenvalues
-    target = bell_states(0.0)[0]
-    assert max_abs(_project_to_states(target) - target) < 1e-12
+    def project(h):
+        return _matrices(_project_to_states(_coordinates(h)))
+
+    target = bell_states(0.0)
+    assert max_abs(project(target) - target) < 1e-12
     near = 0.999999 * target + (1e-6 / 4.0) * np.eye(4)
-    grown = _project_to_states(near + 1e-3 * (target - np.eye(4) / 4.0))
+    grown = project(near + 1e-3 * (target - np.eye(4) / 4.0))
     assert max_abs(grown - target) < 1e-5
 
 
