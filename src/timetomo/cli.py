@@ -19,7 +19,10 @@ from .harness import (
 
 
 def _workers_type(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"workers must be an integer, got {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError("workers must be at least 1")
     return value

@@ -325,7 +325,8 @@ def _entanglement_metrics(fits: StateEstimates, fidelity):
 class SweepMode:
     """What one sweep mode adds to the shared cell loop.
 
-    ``sample`` builds the mode's input states as a (B, d, d) stack and
+    ``sample`` builds the mode's input states as a (B, d, d) stack, with
+    the (B,) flag of the states built pure that ``fidelities`` takes, and
     ``metrics`` summarises a cell's estimates and fidelities as its CSV
     rows, in order.  A mode uses the sample fields that its desk-scale
     default sets.
@@ -334,7 +335,7 @@ class SweepMode:
     command: str
     desk: SampleSizes
     paper: SampleSizes
-    sample: Callable[[SampleSizes], np.ndarray]
+    sample: Callable[[SampleSizes], tuple[np.ndarray, np.ndarray]]
     metrics: Callable[[StateEstimates, np.ndarray], list[MetricsSummary]]
 
     @property
@@ -423,7 +424,7 @@ def run_sweep(
     too many estimates did not converge, a warning row.
     """
     mode = MODES[cfg.mode]
-    states = mode.sample(cfg.sample)
+    states, pure = mode.sample(cfg.sample)
     dim = states.shape[1]
     artifacts = _CellArtifacts(artifact_dir, dump_counts, state_log)
     # the settings and the sharp operators do not depend on the jitter width
@@ -448,7 +449,7 @@ def run_sweep(
     rows = []
     for cell, (sigma, n_photons) in enumerate(cells):
         fits = StateEstimates(*(field[cell] for field in fields))
-        fidelity = fidelities(states, fits.rho)
+        fidelity = fidelities(states, fits.rho, pure)
         rows += [
             SweepRow(sigma, n_photons, m.metric_name, m.mean, m.sd, m.stderr, m.n)
             for m in mode.metrics(fits, fidelity)

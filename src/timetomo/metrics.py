@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ascending_eigenvalues, psd_sqrt
+from .core import ascending_eigenvalues
 
 # Pauli sigma_y tensored with itself; fixed matrix used by the concurrence.
 _SIGMA_Y = np.array([[0.0, -1j], [1j, 0.0]])
@@ -16,26 +16,26 @@ _SPIN_FLIP = np.kron(_SIGMA_Y, _SIGMA_Y)
 CHSH_THRESHOLD = 1.0 / math.sqrt(2.0)
 
 
-def fidelities(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Fidelity of each pair of states in two (B, d, d) stacks, clipped to [0, 1].
+def fidelities(truth: np.ndarray, estimate: np.ndarray, pure: np.ndarray) -> np.ndarray:
+    """Fidelity of each estimate to its truth, in two (B, d, d) stacks, clipped to [0, 1].
 
-    Qubits use the closed form tr(ab) + 2 sqrt(det a det b) (Hubner, Phys.
-    Lett. A 163, 239, 1992); photon pairs the Uhlmann formula.
+    F = tr(ab) + 2 sqrt(det a det b) for qubits (Hubner, Phys. Lett. A 163,
+    239, 1992), with det a exactly 0 where the (B,) ``pure`` flags, which the
+    samplers of ``states`` return, mark the truth a as pure: there F =
+    <psi|b|psi> = tr(ab) (Jozsa, J. Mod. Opt. 41, 2315, 1994), with no square
+    root of rounding.  Pair truths must all be pure; the first pair row not
+    flagged raises ``ValueError``.
     """
-    if a.shape[-1] != 2:
-        return _uhlmann(a, b)
-    overlap = np.einsum("bij,bji->b", a, b).real
-    det_a, det_b = (np.maximum((m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0]).real, 0.0) for m in (a, b))
-    return np.clip(overlap + 2.0 * np.sqrt(det_a * det_b), 0.0, 1.0)
-
-
-def _uhlmann(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(tr sqrt(sqrt(a) b sqrt(a)))^2 for each pair in two stacks of states."""
-    root = psd_sqrt(a)
-    inner = root @ b @ root
-    values = np.linalg.eigvalsh(0.5 * (inner + np.conj(np.swapaxes(inner, 1, 2))))
-    total = np.sqrt(np.clip(values, 0.0, None)).sum(axis=1)
-    return np.clip(total * total, 0.0, 1.0)
+    overlap = np.einsum("bij,bji->b", truth, estimate).real
+    mixed = ~np.asarray(pure, dtype=bool)
+    if truth.shape[-1] != 2:
+        if mixed.any():
+            raise ValueError(f"pair truth {np.argmax(mixed)} is not flagged pure; pair fidelities need pure truths")
+        return np.clip(overlap, 0.0, 1.0)
+    det_a, det_b = (
+        np.maximum((m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0]).real, 0.0) for m in (truth, estimate)
+    )
+    return np.clip(overlap + 2.0 * np.sqrt(np.where(mixed, det_a, 0.0) * det_b), 0.0, 1.0)
 
 
 def trace_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -76,7 +76,7 @@ class MetricsSummary:
 
 def aggregate(values, metric_name: str = "metric") -> MetricsSummary:
     """Summarise metric values: mean plus (n-1)-normalised standard deviation."""
-    arr = np.asarray(list(values), dtype=float)
+    arr = np.asarray(values, dtype=float)
     if arr.size == 0:
         raise ValueError("cannot aggregate an empty value list")
     if not np.all(np.isfinite(arr)):

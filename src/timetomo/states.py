@@ -2,8 +2,10 @@
 
 Single qubits are given by Bloch coordinates (r, theta, phi) and photon
 pairs by the relative phase of a maximally entangled superposition.  Each
-builder and sampler returns a (B, d, d) stack, checked once by
-``first_unphysical``; the grid sizes arrive checked by the sweep config.
+builder returns a (B, d, d) stack, checked once by ``first_unphysical``; the
+grid sizes arrive checked by the sweep config.  Each sampler also returns a
+(B,) flag of the states it built pure, which ``metrics.fidelities`` needs:
+every Bell state and every qubit at r = 1.
 """
 
 from __future__ import annotations
@@ -54,32 +56,43 @@ def _azimuth_grid(n: int) -> np.ndarray:
     return TWO_PI * np.arange(n) / n
 
 
-def sample_mixed_qubits(n_r: int, n_theta: int, n_phi: int) -> np.ndarray:
-    """Bloch-ball grid, r and theta inclusive and phi periodic, in (r, theta, phi) order."""
+def _all_pure(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    return stack, np.ones(len(stack), dtype=bool)
+
+
+def sample_mixed_qubits(n_r: int, n_theta: int, n_phi: int) -> tuple[np.ndarray, np.ndarray]:
+    """Bloch-ball grid, r and theta inclusive and phi periodic, in (r, theta, phi) order.
+
+    The outer shell is flagged pure: the last radius of the grid is exactly
+    1.0, unless ``n_r`` is 1 and the only radius is 0.
+    """
     axes = _polar_grid(n_r, 1.0), _polar_grid(n_theta, math.pi), _azimuth_grid(n_phi)
-    return qubit_states(*np.meshgrid(*axes, indexing="ij"))
+    r, theta, phi = np.meshgrid(*axes, indexing="ij")
+    return qubit_states(r, theta, phi), r.ravel() == 1.0
 
 
-def sample_pure_qubits(n_theta: int, n_phi: int) -> np.ndarray:
-    """Bloch-sphere surface grid (r = 1), in (theta, phi) order."""
-    return qubit_states(1.0, *np.meshgrid(_polar_grid(n_theta, math.pi), _azimuth_grid(n_phi), indexing="ij"))
+def sample_pure_qubits(n_theta: int, n_phi: int) -> tuple[np.ndarray, np.ndarray]:
+    """Bloch-sphere surface grid (r = 1), in (theta, phi) order, every state flagged pure."""
+    theta, phi = np.meshgrid(_polar_grid(n_theta, math.pi), _azimuth_grid(n_phi), indexing="ij")
+    return _all_pure(qubit_states(1.0, theta, phi))
 
 
-def orthogonal_pairs(n_theta: int, n_phi: int) -> np.ndarray:
+def orthogonal_pairs(n_theta: int, n_phi: int) -> tuple[np.ndarray, np.ndarray]:
     """The pure-state grid paired into antipodal (orthogonal) couples, pair i at entries 2i and 2i + 1.
 
     ``n_phi`` must be even, so that every antipode lands back on the grid.
     Point (j, k) is paired with (n_theta - 1 - j, k + n_phi / 2 mod n_phi);
-    the pairs follow the first point in (theta, phi) order.
+    the pairs follow the first point in (theta, phi) order.  Every state is
+    flagged pure.
     """
     j, k = np.meshgrid(np.arange(n_theta), np.arange(n_phi), indexing="ij")
     j_mate, half = n_theta - 1 - j, n_phi // 2
     first = (j < j_mate) | ((j == j_mate) & (k < half))
     j = np.stack([j[first], j_mate[first]], axis=1)
     k = np.stack([k[first], (k[first] + half) % n_phi], axis=1)
-    return qubit_states(1.0, _polar_grid(n_theta, math.pi)[j], _azimuth_grid(n_phi)[k])
+    return _all_pure(qubit_states(1.0, _polar_grid(n_theta, math.pi)[j], _azimuth_grid(n_phi)[k]))
 
 
-def sample_bell_states(n: int) -> np.ndarray:
-    """Evenly spaced entangled phases alpha = 2 pi k / n."""
-    return bell_states(_azimuth_grid(n))
+def sample_bell_states(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Evenly spaced entangled phases alpha = 2 pi k / n, every state flagged pure."""
+    return _all_pure(bell_states(_azimuth_grid(n)))

@@ -1,10 +1,14 @@
-"""Independent references and generated inputs, used only by tests.
+"""Independent references, generated inputs and helpers, used only by tests.
+
+``max_abs`` is the largest entry magnitude, the norm that the tests'
+tolerances are stated in.
 
 ``evolution_unitaries`` evaluates the ZYZ product U(t) factor by factor, and
 ``horizontal_closed_form`` is the evolved H projector worked out by hand, so
 neither depends on the spectral form that the package smears with.
 ``uhlmann_fidelity`` is the fidelity of two states from its definition, the
-reference for the closed form that ``metrics.fidelities`` uses on qubits.
+reference for ``metrics.fidelities``: its closed form on mixed qubit truths
+and its overlap on pure truths of either size.
 ``qubit_stacks`` generates the 2x2 Hermitian stacks that the closed-form
 qubit spectra are checked on, and ``hermitian_stacks`` stacks of either size.
 ``bloch_matrix`` and ``bell_matrix`` build one input state at a time, the
@@ -23,9 +27,14 @@ import math
 import numpy as np
 from hypothesis import strategies as st
 
-from timetomo.core import require_finite
 from timetomo.dynamics import DynamicsParams
 from timetomo.estimator import _EPSILON_FLOOR
+
+
+def max_abs(m) -> float:
+    """Largest entry magnitude of ``m``, 0 for an empty array."""
+    m = np.asarray(m)
+    return float(np.max(np.abs(m))) if m.size else 0.0
 
 
 def evolution_unitaries(params: DynamicsParams, times) -> np.ndarray:
@@ -35,7 +44,8 @@ def evolution_unitaries(params: DynamicsParams, times) -> np.ndarray:
     legitimate inputs.
     """
     times = np.asarray(times, dtype=float)
-    require_finite(times, "times")
+    if not np.isfinite(times).all():
+        raise ValueError("times contains non-finite entries")
     w1, w2, w3 = params.angular_frequencies
     z1 = np.exp(-0.5j * w1 * times)
     z3 = np.exp(-0.5j * w3 * times)

@@ -15,9 +15,9 @@ import math
 import numpy as np
 import pytest
 
-from oracles import horizontal_closed_form
+from oracles import horizontal_closed_form, max_abs
 from timetomo import harness
-from timetomo.core import first_unphysical, max_abs
+from timetomo.core import first_unphysical
 from timetomo.counts import count_rows
 from timetomo.dynamics import DynamicsParams
 from timetomo.estimator import EstimatorConfig, estimate_states
@@ -125,20 +125,20 @@ def test_criterion_04_noiseless_recovery():
     est_cfg = EstimatorConfig()
     rng = np.random.default_rng(0)
 
-    def worst_fidelity(states):
+    def worst_fidelity(states, pure):
         _, ideal, smeared = setting_operators(PARAMS, 0.0, IC_POVM_INSTANTS, states.shape[1])
         # booked against the smeared stack, the expected column is the noiseless count row
         measured, _ = count_rows(states, smeared, smeared, 1000.0, 0)
         fits = estimate_states(ideal, measured, 1000.0, est_cfg)
         assert first_unphysical(fits.rho) is None
-        return fidelities(states, fits.rho).min()
+        return fidelities(states, fits.rho, pure).min()
 
     qubits = [
         (rng.uniform(0.0, 1.0), rng.uniform(0.0, math.pi), rng.uniform(0.0, 2.0 * math.pi))
         for _ in range(50)
     ]
-    worst_qubit = worst_fidelity(qubit_states(*np.transpose(qubits)))
-    worst_bell = worst_fidelity(sample_bell_states(20))
+    worst_qubit = worst_fidelity(qubit_states(*np.transpose(qubits)), np.zeros(len(qubits), dtype=bool))
+    worst_bell = worst_fidelity(*sample_bell_states(20))
     ok = worst_qubit >= 0.999 and worst_bell >= 0.999
     _verdict(
         4,

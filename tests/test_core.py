@@ -1,38 +1,17 @@
-"""Shared matrix utilities and the physicality check of state stacks."""
+"""The Hermitian spectra and the physicality check of state stacks, and the tests' entry norm."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import qubit_stacks
-from timetomo.core import (
-    ascending_eigenvalues,
-    first_unphysical,
-    hermiticity_defect,
-    max_abs,
-    psd_sqrt,
-    require_finite,
-)
+from oracles import max_abs, qubit_stacks
+from timetomo.core import ascending_eigenvalues, first_unphysical
 
 
 def test_max_abs_picks_largest_entry_magnitude():
     m = np.array([[1.0, -3.5], [2.0 + 2.0j, 0.0]])
     assert max_abs(m) == pytest.approx(3.5)
-
-
-def test_require_finite_rejects_nan_and_inf():
-    require_finite(np.eye(2))
-    with pytest.raises(ValueError):
-        require_finite(np.array([[np.nan, 0.0], [0.0, 1.0]]))
-    with pytest.raises(ValueError):
-        require_finite(np.array([[np.inf, 0.0], [0.0, 1.0]]))
-
-
-def test_hermiticity_defect_zero_for_hermitian():
-    m = np.array([[1.0, 2.0 - 1.0j], [2.0 + 1.0j, -3.0]])
-    assert hermiticity_defect(m) == 0.0
-    assert hermiticity_defect(m + np.array([[0, 1e-3], [0, 0]])) > 1e-4
 
 
 @settings(max_examples=150, deadline=None)
@@ -51,29 +30,6 @@ def test_eigenvalues_of_larger_matrices_come_from_eigvalsh():
     h = rng.normal(size=(3, 4, 4)) + 1j * rng.normal(size=(3, 4, 4))
     h = h + np.conj(np.swapaxes(h, 1, 2))
     assert np.array_equal(ascending_eigenvalues(h), np.linalg.eigvalsh(h))
-
-
-def test_psd_sqrt_squares_back():
-    rng = np.random.default_rng(7)
-    for dim in (2, 4):
-        for _ in range(25):
-            a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-            p = a @ a.conj().T
-            root = psd_sqrt(p)
-            assert max_abs(root @ root - p) < 1e-9 * max(1.0, max_abs(p))
-
-
-def test_psd_sqrt_clamps_small_negative_eigenvalues():
-    # slightly indefinite inputs are treated as rounding noise
-    root = psd_sqrt(np.diag([1.0, -1e-12]))
-    assert max_abs(root @ root - np.diag([1.0, 0.0])) < 1e-10
-
-
-def test_psd_sqrt_rejects_clearly_indefinite_input():
-    with pytest.raises(ValueError):
-        psd_sqrt(np.diag([1.0, -1e-3]))
-    with pytest.raises(ValueError, match="not Hermitian"):
-        psd_sqrt(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def _with_entry_2(bad):

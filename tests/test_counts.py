@@ -128,7 +128,7 @@ def test_poisson_window_leaves_out_less_than_the_uniform_spacing(mean):
     assert np.abs(cdf - reference).max() < 1e-12 + 2.0**-50 * mean * max(1.0, math.log(mean))
 
 
-@pytest.mark.parametrize("states", [sample_mixed_qubits(3, 2, 2), sample_bell_states(12)], ids=["qubit", "pair"])
+@pytest.mark.parametrize("states", [sample_mixed_qubits(3, 2, 2)[0], sample_bell_states(12)[0]], ids=["qubit", "pair"])
 def test_count_rows_do_not_depend_on_the_split(states):
     _, sharp, smeared = setting_operators(PARAMS, 0.1, IC_POVM_INSTANTS, states.shape[1])
     whole = count_rows(states, sharp, smeared, 100.0, 5, first_index=7)
@@ -143,7 +143,7 @@ def test_photon_numbers_do_not_depend_on_sigma():
     # so a sigma comparison is paired
     # so a sigma comparison is paired; a count over its noiseless value is the
     # photon number over N wherever the overlap is not near zero
-    states = sample_mixed_qubits(2, 3, 3)
+    states, _ = sample_mixed_qubits(2, 3, 3)
     photons, kept = [], True
     for sigma in (0.0, 0.1, 0.3):
         _, sharp, smeared = setting_operators(PARAMS, sigma, IC_POVM_INSTANTS, 2)
@@ -178,7 +178,7 @@ def test_expected_count_is_intensity_times_overlap():
     # overlaps that are exactly zero for Bell states at sigma 0 come out
     # of the contraction as -3e-17 and are clipped, so no count is negative
     _, sharp, smeared = setting_operators(PARAMS, 0.0, IC_POVM_INSTANTS, 4)
-    for column in count_rows(sample_bell_states(50), sharp, smeared, 1000.0, 3):
+    for column in count_rows(sample_bell_states(50)[0], sharp, smeared, 1000.0, 3):
         assert column.min() >= 0.0
 
 

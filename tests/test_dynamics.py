@@ -5,8 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import evolution_unitaries
-from timetomo.core import max_abs
+from oracles import evolution_unitaries, max_abs
 from timetomo.dynamics import DynamicsParams, rotation_harmonics
 
 

@@ -10,12 +10,13 @@ from hypothesis import strategies as st
 from oracles import (
     hermitian_stacks,
     likelihood,
+    max_abs,
     project_to_states,
     qubit_stacks,
     serial_descent,
     uhlmann_fidelity,
 )
-from timetomo.core import StateError, first_unphysical, max_abs
+from timetomo.core import StateError, first_unphysical
 from timetomo.counts import count_rows
 from timetomo.dynamics import DynamicsParams
 from timetomo.estimator import (
@@ -421,7 +422,7 @@ def test_failing_batch_entries_are_named(monkeypatch):
 
 @pytest.mark.parametrize(
     "states, sigma, n, seed",
-    [(sample_mixed_qubits(8, 8, 8), 0.0, 1000.0, 7), (sample_bell_states(50), 0.07, 10.0, 3)],
+    [(sample_mixed_qubits(8, 8, 8)[0], 0.0, 1000.0, 7), (sample_bell_states(50)[0], 0.07, 10.0, 3)],
     ids=["qubit", "pair"],
 )
 @pytest.mark.parametrize("max_iterations", [20000, 7])

@@ -603,14 +603,25 @@ def test_cli_reports_an_unusable_out_in_one_line(tmp_path, capsys, command, out)
     assert (tmp_path / "afile").read_text() == "kept"
 
 
-@pytest.mark.parametrize("workers", ["0", "-3"])
+_WORKERS_ERRORS = {
+    "0": "workers must be at least 1",
+    "-3": "workers must be at least 1",
+    "abc": "workers must be an integer, got 'abc'",
+    "1.5": "workers must be an integer, got '1.5'",
+}
+
+
+@pytest.mark.parametrize("workers", list(_WORKERS_ERRORS))
 def test_cli_rejects_workers_below_one(tmp_path, capsys, workers):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(TINY_QUBIT))
     with pytest.raises(SystemExit) as info:
         main(["qubit-sweep", "--config", str(cfg_path), "--out", str(tmp_path), "--workers", workers])
     assert info.value.code == 2
-    assert "workers must be at least 1" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert _WORKERS_ERRORS[workers] in err
+    # the error names the option, never the private function behind it
+    assert "_workers_type" not in err
 
 
 def test_cli_seed_changes_results(tmp_path):

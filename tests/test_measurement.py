@@ -7,8 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import evolution_unitaries, horizontal_closed_form
-from timetomo.core import max_abs
+from oracles import evolution_unitaries, horizontal_closed_form, max_abs
 from timetomo.counts import count_rows
 from timetomo.dynamics import DynamicsParams
 from timetomo.measurement import (

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import uhlmann_fidelity
@@ -17,12 +17,12 @@ from timetomo.metrics import (
     fidelities,
     trace_distances,
 )
-from timetomo.states import bell_states, qubit_states
+from timetomo.states import bell_states, qubit_states, sample_bell_states
 
 
-def fidelity(a, b) -> float:
-    """``fidelities`` of one pair of states."""
-    return float(fidelities(a[None], b[None])[0])
+def fidelity(a, b, pure: bool) -> float:
+    """``fidelities`` of one pair of states, the truth ``a`` flagged ``pure`` or not."""
+    return float(fidelities(a[None], b[None], np.array([pure]))[0])
 
 
 def trace_distance(a, b) -> float:
@@ -44,21 +44,22 @@ def test_fidelity_limits():
     a = qubit_states(1.0, 0.3, 0.8)[0]
     bell = bell_states(0.0)[0]
     opposite = qubit_states(1.0, math.pi - 0.3, (0.8 + math.pi) % (2 * math.pi))[0]
-    for f in (fidelity, uhlmann_fidelity):
+    for f in (lambda x, y: fidelity(x, y, True), uhlmann_fidelity):
         assert f(a, a) == pytest.approx(1.0)
         assert f(a, opposite) == pytest.approx(0.0, abs=1e-12)
         assert f(bell, bell) == pytest.approx(1.0)
     with pytest.raises(ValueError):
-        fidelity(a, bell)
+        fidelity(a, bell, True)
 
 
 def test_fidelity_pure_mixed_closed_form():
     # F(pure, rho) = <psi| rho |psi>; against I/2 that is 1/2
     a = qubit_states(1.0, 1.1, 2.2)[0]
     mixed = qubit_states(0.0, 0.0, 0.0)[0]
-    for f in (fidelity, uhlmann_fidelity):
-        assert f(a, mixed) == pytest.approx(0.5)
-        assert f(mixed, a) == pytest.approx(0.5)
+    assert fidelity(a, mixed, True) == pytest.approx(0.5)
+    assert fidelity(mixed, a, False) == pytest.approx(0.5)
+    assert uhlmann_fidelity(a, mixed) == pytest.approx(0.5)
+    assert uhlmann_fidelity(mixed, a) == pytest.approx(0.5)
 
 
 def test_fidelity_qubit_closed_form_random_pairs():
@@ -69,7 +70,7 @@ def test_fidelity_qubit_closed_form_random_pairs():
         b = qubit_states(rng.uniform(0, 1), rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))[0]
         want = np.trace(a @ b).real + 2.0 * math.sqrt(max(0.0, np.linalg.det(a).real * np.linalg.det(b).real))
         assert uhlmann_fidelity(a, b) == pytest.approx(want, abs=1e-10)
-        assert fidelity(a, b) == pytest.approx(want, abs=1e-10)
+        assert fidelity(a, b, False) == pytest.approx(want, abs=1e-10)
 
 
 def test_trace_distance_is_half_bloch_vector_gap():
@@ -143,10 +144,64 @@ _QUBIT = st.builds(
 @settings(max_examples=200, deadline=None)
 @given(a=_QUBIT, b=_QUBIT)
 def test_closed_form_qubit_fidelity_equals_uhlmann(a, b):
-    closed = fidelity(a, b)
+    closed = fidelity(a, b, False)
     # square roots of rank-deficient matrices carry rounding of order 1e-8
     assert closed == pytest.approx(uhlmann_fidelity(a, b), abs=1e-7)
     assert 0.0 <= closed <= 1.0
+
+
+def _qubit_ket(theta, phi):
+    return np.array([math.cos(0.5 * theta), np.exp(1j * phi) * math.sin(0.5 * theta)])
+
+
+def _bell_ket(alpha):
+    return np.array([1.0, 0.0, 0.0, np.exp(1j * alpha)]) / math.sqrt(2.0)
+
+
+_ANGLE = st.floats(0.0, 2.0 * math.pi, exclude_max=True)
+
+# (truth, ket): qubits on the sphere r = 1 and Bell states, as the samplers build them
+_PURE_TRUTH = st.one_of(
+    st.builds(lambda t, p: (qubit_states(1.0, t, p)[0], _qubit_ket(t, p)), st.floats(0.0, math.pi), _ANGLE),
+    st.builds(lambda a: (bell_states(a)[0], _bell_ket(a)), _ANGLE),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(truth=_PURE_TRUTH, entries=st.lists(st.floats(-1.0, 1.0), min_size=32, max_size=32))
+def test_fidelity_to_a_pure_truth_is_the_overlap(truth, entries):
+    # F(psi, rho) = <psi| rho |psi> (Jozsa 1994), for any state rho
+    a, ket = truth
+    dim = len(ket)
+    parts = np.reshape(entries[: 2 * dim * dim], (2, dim, dim))
+    g = parts[0] + 1j * parts[1]
+    weight = np.vdot(g, g).real
+    assume(weight > 1e-6)
+    rho = g @ g.conj().T / weight
+    exact = fidelity(a, rho, True)
+    assert abs(exact - np.vdot(ket, rho @ ket).real) <= 1e-14
+    # square roots of rank-deficient matrices carry rounding of order 1e-8
+    assert exact == pytest.approx(uhlmann_fidelity(a, rho), abs=1e-7)
+
+
+@pytest.mark.parametrize("p", [1e-3, 0.05, 0.3, 0.9])
+@pytest.mark.parametrize(
+    "truth", [qubit_states(1.0, 0.3, 0.8)[0], qubit_states(1.0, 1.1, 2.2)[0], bell_states(0.7)[0], bell_states(3.0)[0]]
+)
+def test_fidelity_to_a_depolarised_pure_truth_is_exact(truth, p):
+    # F(a, (1 - p) a + p I/d) = 1 - (d - 1) p / d for pure a, to rounding:
+    # no square root of a rounding-level det a or eigenvalue enters (these
+    # qubits have det a = 2e-17 and 3e-17 as built, which would add up to 5e-9)
+    dim = len(truth)
+    noisy = (1.0 - p) * truth + p * np.eye(dim) / dim
+    assert abs(fidelity(truth, noisy, True) - (1.0 - (dim - 1) * p / dim)) <= 1e-14
+
+
+def test_pair_truth_not_flagged_pure_is_refused():
+    truths, pure = sample_bell_states(4)
+    pure[2] = False
+    with pytest.raises(ValueError, match="pair truth 2 is not flagged pure"):
+        fidelities(truths, truths, pure)
 
 
 @settings(max_examples=100, deadline=None)

@@ -27,7 +27,7 @@ SIGMAS = (0.065, 0.07, 0.072, 0.1, 0.25)
 @pytest.fixture(scope="module")
 def noiseless_concurrence():
     """Concurrence of the noiseless fit of 16 Bell phases, (sigma, phase)."""
-    states = sample_bell_states(16)
+    states, _ = sample_bell_states(16)
     table = []
     for sigma in SIGMAS:
         _, sharp, smeared = setting_operators(DynamicsParams(), sigma, IC_POVM_INSTANTS, 4)
@@ -55,7 +55,7 @@ def test_cell_means_approach_the_noiseless_limit_as_photon_number_grows():
     # seeds, between 100 and 1000, so only magnitudes are compared: the
     # largest N sits closest, and every gap is within 0.1 / sqrt(N) (seeds
     # 0-19 stay within 0.051 / sqrt(N))
-    states = sample_bell_states(200)
+    states, _ = sample_bell_states(200)
     _, sharp, smeared = setting_operators(DynamicsParams(), 0.1, IC_POVM_INSTANTS, 4)
     noiseless, _ = count_rows(states, smeared, smeared, 1000.0, 0)
     limit = concurrences(estimate_states(sharp, noiseless, 1000.0, EstimatorConfig()).rho).mean()

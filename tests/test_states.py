@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import bell_matrix, bloch_matrix
+from oracles import bell_matrix, bloch_matrix, max_abs
 
-from timetomo.core import first_unphysical, max_abs
+from timetomo.core import first_unphysical
 from timetomo.estimator import _coordinates, _matrices, _project_to_states
 from timetomo.states import (
     bell_states,
@@ -89,14 +89,14 @@ def test_pair_parametrization_spans_entangled_states():
 
 
 def test_mixed_grid_size_and_coverage():
-    grid = sample_mixed_qubits(3, 3, 4)
+    grid, _ = sample_mixed_qubits(3, 3, 4)
     assert grid.shape == (36, 2, 2)
     assert np.round(_bloch_radii(grid), 12).tolist() == [0.0] * 12 + [0.5] * 12 + [1.0] * 12
-    assert len(sample_mixed_qubits(21, 21, 20)) == 21 * 21 * 20
+    assert len(sample_mixed_qubits(21, 21, 20)[0]) == 21 * 21 * 20
 
 
 def test_pure_grid_and_validation():
-    grid = sample_pure_qubits(5, 4)
+    grid, _ = sample_pure_qubits(5, 4)
     assert grid.shape == (20, 2, 2)
     assert np.abs(_bloch_radii(grid) - 1.0).max() < 1e-15
 
@@ -107,17 +107,17 @@ def test_orthogonal_partner_is_antipodal():
 
 
 def test_orthogonal_pairs_cover_grid_once():
-    pairs = orthogonal_pairs(5, 4)
+    pairs, _ = orthogonal_pairs(5, 4)
     assert pairs.shape == (20, 2, 2)
     assert max_abs(pairs[::2] @ pairs[1::2]) < 1e-12
     # away from the poles every grid state is distinct, and each appears once
-    grid = sample_pure_qubits(5, 4)[4:-4]
+    grid = sample_pure_qubits(5, 4)[0][4:-4]
     matches = (np.abs(pairs[:, None] - grid[None]).max(axis=(2, 3)) < 1e-15).sum(axis=0)
     assert matches.tolist() == [1] * 12
 
 
 def test_bell_sample_is_even_phase_grid():
-    sample = sample_bell_states(8)
+    sample, _ = sample_bell_states(8)
     # entry (3, 0) is e^{i alpha} / 2
     assert np.mod(np.angle(sample[:, 3, 0]), 2.0 * math.pi) == pytest.approx(
         [2.0 * math.pi * k / 8 for k in range(8)]
@@ -150,16 +150,16 @@ def test_samplers_match_the_pointwise_reference(n_r, n_theta, n_phi, half_phi):
     radii, thetas, phis = _polar(n_r, 1.0), _polar(n_theta, math.pi), _azimuth(n_phi)
     mixed = [bloch_matrix(r, t, p) for r in radii for t in thetas for p in phis]
     samples = [
-        (sample_mixed_qubits(n_r, n_theta, n_phi), mixed),
-        (sample_pure_qubits(n_theta, n_phi), [bloch_matrix(1.0, t, p) for t in thetas for p in phis]),
-        (sample_bell_states(n_phi), [bell_matrix(a) for a in phis]),
+        (sample_mixed_qubits(n_r, n_theta, n_phi)[0], mixed),
+        (sample_pure_qubits(n_theta, n_phi)[0], [bloch_matrix(1.0, t, p) for t in thetas for p in phis]),
+        (sample_bell_states(n_phi)[0], [bell_matrix(a) for a in phis]),
     ]
     # a pair needs two polar rows: with one, the grid is a single point, the pole
     pair_theta, pair_phi = max(n_theta, 2), 2 * half_phi
     couples = _reference_pairs(pair_theta, pair_phi)
     assert sorted(couples) == [(j, k) for j in range(pair_theta) for k in range(pair_phi)]
     pair_thetas, pair_phis = _polar(pair_theta, math.pi), _azimuth(pair_phi)
-    pairs = orthogonal_pairs(pair_theta, pair_phi)
+    pairs, _ = orthogonal_pairs(pair_theta, pair_phi)
     samples.append((pairs, [bloch_matrix(1.0, pair_thetas[j], pair_phis[k]) for j, k in couples]))
     for stack, reference in samples:
         assert stack.shape == np.shape(reference)
@@ -167,3 +167,18 @@ def test_samplers_match_the_pointwise_reference(n_r, n_theta, n_phi, half_phi):
         assert first_unphysical(stack) is None
     overlaps = np.einsum("bij,bji->b", pairs[::2], pairs[1::2])
     assert np.abs(overlaps).max() < 1e-14
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_r=st.integers(1, 6), n_theta=st.integers(2, 6), n_phi=st.integers(1, 6), half_phi=st.integers(1, 3))
+def test_samplers_flag_exactly_the_pure_states(n_r, n_theta, n_phi, half_phi):
+    # the mixed grid flags its outer shell, the last n_theta * n_phi rows;
+    # with one radius, r = 0, it flags none
+    mixed = sample_mixed_qubits(n_r, n_theta, n_phi)
+    shell = n_theta * n_phi if n_r > 1 else 0
+    assert mixed[1].dtype == bool and mixed[1].tolist() == [False] * (len(mixed[0]) - shell) + [True] * shell
+    all_pure = [sample_pure_qubits(n_theta, n_phi), orthogonal_pairs(n_theta, 2 * half_phi), sample_bell_states(n_phi)]
+    for stack, pure in all_pure:
+        assert pure.dtype == bool and pure.shape == (len(stack),) and pure.all()
+    for stack, pure in [mixed, *all_pure]:
+        assert np.abs(np.einsum("bij,bji->b", stack[pure], stack[pure]) - 1.0).max(initial=0.0) <= 1e-15
