@@ -28,18 +28,32 @@ def _workers_type(text: str) -> int:
     return value
 
 
-def build_parser() -> argparse.ArgumentParser:
+_COMMANDS = {
+    "trajectory": "emit the Bloch trajectory of a measurement operator",
+    "qubit-sweep": "fidelity sweep over a single-qubit state grid",
+    "ortho-sweep": "trace-distance sweep over orthogonal state pairs",
+    "entangled-sweep": "concurrence and fidelity sweep over entangled pairs",
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The command-line parser, with only the subparser of ``command`` when it names a subcommand.
+
+    ``main`` passes its first argument, so a call builds one subparser
+    instead of four.  A trimmed parser spells out every subcommand in its
+    usage line, as the full one does by default, so the help and the errors
+    read the same either way.
+    """
+    trimmed = command in _COMMANDS
     parser = argparse.ArgumentParser(
         prog="timetomo",
         description="Simulate time-domain photonic tomography and reconstruct states from noisy counts.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("trajectory", "emit the Bloch trajectory of a measurement operator"),
-        ("qubit-sweep", "fidelity sweep over a single-qubit state grid"),
-        ("ortho-sweep", "trace-distance sweep over orthogonal state pairs"),
-        ("entangled-sweep", "concurrence and fidelity sweep over entangled pairs"),
-    ):
+    every = "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=every if trimmed else None)
+    for name, help_text in _COMMANDS.items():
+        if trimmed and name != command:
+            continue
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", required=True, help="path to the JSON config")
         cmd.add_argument("--seed", type=int, default=None, help="override the config seed")
@@ -62,7 +76,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         cfg = load_config(
             args.config, seed=args.seed, out_dir=args.out, paper_scale=getattr(args, "paper_scale", False)

@@ -28,7 +28,13 @@ onto the density matrices (Smolin, Gambetta & Smith, PRL 108, 070502
 f(rho) - min f <= tr(R rho) - lambda_min(R), the Frank-Wolfe gap, which is
 what ``converged`` certifies.  ``estimate_states`` fits a whole batch of
 states at once, each step acting on (B, d^2) coordinate arrays (Bolduc,
-Knee, Gauger & Leach, npj Quantum Inf. 3, 44 (2017)).
+Knee, Gauger & Leach, npj Quantum Inf. 3, 44 (2017)).  The loop keeps the
+unfinished rows as one contiguous working set: a pass in which rows finish
+writes them out and compacts the rest, every per-row decision is one
+``np.where`` over the set, and each pass scores its trial and extrapolated
+points in one objective call on the two stacked.  So a pass costs a fixed
+number of numpy calls, with no per-row index to gather or scatter, and
+each row's arithmetic is the same as if it were fitted alone.
 
 A qubit state has coordinates (1/sqrt 2, r / sqrt 2) for its Bloch vector
 r, so qubit fits need no matrix at all: the projection fixes the trace
@@ -82,6 +88,9 @@ _BASES = {
 # m W^T = Re tr(m E_j) = tr(H E_j) of the Hermitian part H of m, since each
 # E_j is Hermitian.
 _ENTRIES = {dim: basis.reshape(dim * dim, dim * dim).view(float) for dim, basis in _BASES.items()}
+
+# The ranks 1..d that divide the cumulative sums of a sorted spectrum in the simplex projection.
+_RANKS = {dim: np.arange(1, dim + 1) for dim in _BASES}
 
 
 @dataclass(frozen=True)
@@ -141,11 +150,18 @@ def _bloch_length(coords: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("bj,bj->b", bloch, bloch))
 
 
-def _smallest_eigenvalue(coords: np.ndarray) -> np.ndarray:
-    """lambda_min of each Hermitian matrix given by its coordinates (B, d^2)."""
+def _smallest_eigenvalue(coords: np.ndarray, wanted: np.ndarray) -> np.ndarray:
+    """lambda_min of the Hermitian matrices given by coordinates (B, d^2), at the rows ``wanted`` (B,) marks.
+
+    A qubit's closed form costs less for every row than a selection does,
+    so other qubit rows hold their lambda_min too; ``eigvalsh`` runs on the
+    wanted pair rows alone, and the others read +inf.
+    """
     if coords.shape[-1] == 4:  # a qubit
         return (coords[:, 0] - _bloch_length(coords)) / math.sqrt(2.0)
-    return np.linalg.eigvalsh(_matrices(coords))[:, 0]
+    least = np.full(len(coords), np.inf)
+    least[wanted] = np.linalg.eigvalsh(_matrices(coords[wanted]))[:, 0]
+    return least
 
 
 def _project_to_states(h: np.ndarray) -> np.ndarray:
@@ -162,29 +178,39 @@ def _project_to_states(h: np.ndarray) -> np.ndarray:
         rho[:, 0] = 1.0 / math.sqrt(2.0)
         return rho
     values, vectors = np.linalg.eigh(_matrices(h))
-    dim = values.shape[-1]
-    ordered = values[..., ::-1]
-    shifts = (np.cumsum(ordered, axis=-1) - 1.0) / np.arange(1, dim + 1)
+    count, dim = values.shape
+    ordered = values[:, ::-1]
+    shifts = (np.cumsum(ordered, axis=-1) - 1.0) / _RANKS[dim]
     # the last index where the sorted spectrum still exceeds its shift
-    active = dim - 1 - np.argmax((ordered > shifts)[..., ::-1], axis=-1)
-    values = np.maximum(values - np.take_along_axis(shifts, active[..., None], axis=-1), 0.0)
+    active = dim - 1 - np.argmax((ordered > shifts)[:, ::-1], axis=-1)
+    values = np.maximum(values - shifts[np.arange(count), active][:, None], 0.0)
     return _coordinates(np.einsum("bij,bj,bkj->bik", vectors, values, vectors.conj()))
 
 
 def _objective_from_design(design, measured, mean_photons):
-    """Objective and gradient of candidates (b, d^2), each scored against the count row ``rows`` picks.
+    """Objective and gradient of candidates (b, d^2), candidate i scored against count row i.
 
-    ``mean_photons`` holds the photon number of each count row, (B,).
+    ``measured`` holds the count rows (b, K) and ``mean_photons`` the photon
+    number of each, (b,).
     """
     measured_sq = measured * measured
+    photons = mean_photons[:, None]
 
-    def evaluate(rho, rows):
-        photons = mean_photons[rows, None]
-        model = photons * np.einsum("kj,bj->bk", design, rho)
+    # Each step reuses a temporary where it can: on batches of thousands of
+    # rows, fresh (b, K) temporaries cost about a quarter of the call.
+    def evaluate(rho):
+        model = np.einsum("kj,bj->bk", design, rho)
+        model *= photons
         np.maximum(model, _EPSILON_FLOOR, out=model)
-        resid = measured[rows] - model
-        value = np.add.reduce(resid * resid / model, axis=1)
-        weights = photons * (1.0 - measured_sq[rows] / (model * model))
+        terms = measured - model
+        terms *= terms
+        terms /= model
+        value = np.add.reduce(terms, axis=1)
+        # the gradient weights N (1 - n_meas^2 / n_model^2)
+        model *= model
+        weights = np.divide(measured_sq, model, out=model)
+        np.subtract(1.0, weights, out=weights)
+        weights *= photons
         return value, np.einsum("bk,kj->bj", weights, design)
 
     return evaluate
@@ -203,63 +229,88 @@ def _warm_start(design, measured, mean_photons):
     return rho
 
 
-def _accelerated_descent(evaluate, rho, cfg: EstimatorConfig, mean_photons: np.ndarray) -> StateEstimates:
+def _accelerated_descent(design, measured, mean_photons, rho, cfg: EstimatorConfig) -> StateEstimates:
     """FISTA on the state coordinates (B, d^2) with backtracking and adaptive restart, for a batch.
 
-    The step is 1 / L for a curvature estimate L that starts at the state's
-    photon number in ``mean_photons`` (B,) (f scales with it), shrinks by 10%
-    before each step and doubles whenever a trial step fails the
-    sufficient-decrease test.  Every trial step, accepted or rejected, counts
-    against ``cfg.max_iterations``.  Each state keeps its own L, momentum
-    and step count, and every pass takes one trial step for each unfinished
-    state, so each follows the path it would follow alone.  ``stepping``
-    marks the states that have passed their gap check and are inside their
-    backtracking loop.  The returned ``rho`` holds coordinates.
+    Row b starts at ``rho[b]`` and is scored against count row
+    ``measured[b]`` at photon number ``mean_photons[b]``.  The step is 1 / L
+    for a curvature estimate L that starts at the photon number (f scales
+    with it), shrinks by 10% before each step and doubles whenever a trial
+    step fails the sufficient-decrease test.  Every trial step, accepted or
+    rejected, counts against ``cfg.max_iterations``.  Each state keeps its
+    own L, momentum and step count, and every pass takes one trial step for
+    each unfinished state, so each follows the path it would follow alone.
+
+    The passes work on a contiguous working set of the W unfinished rows,
+    with no per-row index.  A pass in which some rows finish writes their
+    results to the output and compacts the rest with one boolean gather per
+    array; every other per-row decision is an ``np.where`` over the whole
+    set.  ``backtracking`` marks the rows whose last trial step was rejected:
+    they are inside their backtracking loop, so the gap decides only the
+    others.  (A qubit's gap is cheaper to take for every row; a pair's
+    ``eigvalsh`` runs on the others alone.)  The extrapolated point depends
+    only on the trial point, the incumbent and the momentum, so it is built
+    for every row and kept where the step moved: each pass scores the trial
+    and extrapolated points in one objective call on the stacked (2W, d^2)
+    array, against the working set's count rows stacked twice at each
+    compaction.  The returned ``rho`` holds coordinates.
     """
     batch = len(rho)
-    value, grad = evaluate(rho, np.arange(batch))
-    ahead, ahead_value, ahead_grad = rho.copy(), value.copy(), grad.copy()
-    momentum, lipschitz = np.ones(batch), mean_photons.copy()
-    steps = np.zeros(batch, dtype=int)
-    converged, stepping, finished = (np.zeros(batch, dtype=bool) for _ in range(3))
-
-    def drop_momentum(rows):
-        if rows.size:
-            ahead[rows], ahead_value[rows], ahead_grad[rows] = rho[rows], value[rows], grad[rows]
-            momentum[rows] = 1.0
-
+    fits = StateEstimates(np.empty_like(rho), np.empty(batch), np.zeros(batch, dtype=bool), np.zeros(batch, dtype=int))
+    value, grad = _objective_from_design(design, measured, mean_photons)(rho)
+    ahead, ahead_value, ahead_grad = rho, value, grad
+    momentum, lipschitz = np.ones(batch), mean_photons
+    steps, index = np.zeros(batch, dtype=int), np.arange(batch)
+    backtracking = np.zeros(batch, dtype=bool)
+    evaluate = None  # the objective on the working set's count rows stacked twice
     while True:
-        head = np.flatnonzero(~stepping & ~finished)
         # Frank-Wolfe gap tr(R rho) - lambda_min(R), an upper bound on f(rho) - min f
-        done = _inner(grad[head], rho[head]) - _smallest_eigenvalue(grad[head]) <= cfg.convergence_tol
-        converged[head[done]] = finished[head[done]] = True
-        head = head[~done]
-        lipschitz[head] *= 0.9
-        stepping[head] = True
-        spent = stepping & (steps >= cfg.max_iterations)
-        finished |= spent
-        stepping &= ~spent
-        live = np.flatnonzero(stepping)
-        if not live.size:
-            return StateEstimates(rho, value, converged, steps)
-        steps[live] += 1
-        trial = _project_to_states(ahead[live] - ahead_grad[live] / lipschitz[live, None])
-        trial_value, trial_grad = evaluate(trial, live)
-        move = trial - ahead[live]
-        bound = ahead_value[live] + _inner(ahead_grad[live], move)
-        accepted = trial_value <= bound + 0.5 * lipschitz[live] * _inner(move, move)
-        lipschitz[live[~accepted]] *= 2.0
-        stepping[live[accepted]] = False
-        # momentum overshot: restart from the incumbent without it
-        drop_momentum(live[accepted & (trial_value > value[live])])
-        moved = accepted & (trial_value <= value[live])
-        live, trial, trial_value, trial_grad = (a[moved] for a in (live, trial, trial_value, trial_grad))
-        next_momentum = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * momentum[live] * momentum[live]))
-        ahead[live] = trial + ((momentum[live] - 1.0) / next_momentum)[:, None] * (trial - rho[live])
-        rho[live], value[live], grad[live], momentum[live] = trial, trial_value, trial_grad, next_momentum
-        ahead_value[live], ahead_grad[live] = evaluate(ahead[live], live)
-        # the extrapolated point is already worse: drop the momentum
-        drop_momentum(live[ahead_value[live] > value[live]])
+        gap = _inner(grad, rho) - _smallest_eigenvalue(grad, ~backtracking)
+        converged = ~backtracking & (gap <= cfg.convergence_tol)
+        lipschitz = np.where(backtracking | converged, lipschitz, 0.9 * lipschitz)
+        finished = converged | (steps >= cfg.max_iterations)
+        if finished.any():
+            done = index[finished]
+            fits.rho[done], fits.objective[done] = rho[finished], value[finished]
+            fits.converged[done], fits.iterations[done] = converged[finished], steps[finished]
+            keep = ~finished
+            rho, value, grad, ahead, ahead_value, ahead_grad = (
+                a[keep] for a in (rho, value, grad, ahead, ahead_value, ahead_grad)
+            )
+            momentum, lipschitz, steps, index, measured, mean_photons = (
+                a[keep] for a in (momentum, lipschitz, steps, index, measured, mean_photons)
+            )
+            evaluate = None
+        if not index.size:
+            return fits
+        if evaluate is None:
+            evaluate = _objective_from_design(
+                design, np.concatenate((measured, measured)), np.concatenate((mean_photons, mean_photons))
+            )
+        steps = steps + 1
+        trial = _project_to_states(ahead - ahead_grad / lipschitz[:, None])
+        next_momentum = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * momentum * momentum))
+        extrapolated = trial + ((momentum - 1.0) / next_momentum)[:, None] * (trial - rho)
+        values, grads = evaluate(np.concatenate((trial, extrapolated)))
+        width = len(trial)
+        trial_value, trial_grad = values[:width], grads[:width]
+        extrapolated_value, extrapolated_grad = values[width:], grads[width:]
+        move = trial - ahead
+        bound = ahead_value + _inner(ahead_grad, move)
+        accepted = trial_value <= bound + 0.5 * lipschitz * _inner(move, move)
+        lipschitz = np.where(accepted, lipschitz, 2.0 * lipschitz)
+        backtracking = ~accepted
+        moved = accepted & (trial_value <= value)
+        # restart from the incumbent without momentum where the momentum overshot (the
+        # accepted trial is worse than the incumbent) or the extrapolated point is worse
+        restart = (accepted & (trial_value > value)) | (moved & (extrapolated_value > trial_value))
+        column, reset = moved[:, None], restart[:, None]
+        rho, grad = np.where(column, trial, rho), np.where(column, trial_grad, grad)
+        value = np.where(moved, trial_value, value)
+        momentum = np.where(restart, 1.0, np.where(moved, next_momentum, momentum))
+        ahead = np.where(reset, rho, np.where(column, extrapolated, ahead))
+        ahead_value = np.where(restart, value, np.where(moved, extrapolated_value, ahead_value))
+        ahead_grad = np.where(reset, grad, np.where(column, extrapolated_grad, ahead_grad))
 
 
 def estimate_states(stack, measured, mean_photons, cfg: EstimatorConfig) -> StateEstimates:
@@ -289,8 +340,7 @@ def estimate_states(stack, measured, mean_photons, cfg: EstimatorConfig) -> Stat
     # at least one block, so that an empty batch returns empty fields
     for start in range(0, max(len(measured), 1), _BLOCK_ROWS):
         rows, photons = measured[start : start + _BLOCK_ROWS], mean_photons[start : start + _BLOCK_ROWS]
-        start_rho = _warm_start(design, rows, photons)
-        fits = _accelerated_descent(_objective_from_design(design, rows, photons), start_rho, cfg, photons)
+        fits = _accelerated_descent(design, rows, photons, _warm_start(design, rows, photons), cfg)
         rho = _matrices(fits.rho)
         problem = first_unphysical(rho, "estimate")
         if problem is not None:

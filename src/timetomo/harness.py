@@ -374,6 +374,24 @@ def _warning_row(sigma, n_photons, converged_flags) -> SweepRow | None:
     return None
 
 
+def _json_float(x: float) -> str:
+    """``x`` as ``json.dumps`` writes it: its repr, or NaN, Infinity or -Infinity."""
+    if math.isfinite(x):
+        return float.__repr__(x)
+    return "NaN" if x != x else ("Infinity" if x > 0 else "-Infinity")
+
+
+def _state_log(objective, iterations, converged, fidelity) -> str:
+    """One JSON line per state, the bytes of ``json.dumps(..., sort_keys=True)`` written directly."""
+    columns = zip(objective.tolist(), iterations.tolist(), converged.tolist(), fidelity.tolist())
+    lines = [
+        f'{{"converged": {"true" if flag else "false"}, "fidelity": {_json_float(fid)}, '
+        f'"iterations": {steps}, "objective": {_json_float(value)}, "state_id": {index}}}'
+        for index, (value, steps, flag, fid) in enumerate(columns)
+    ]
+    return "\n".join(lines) + "\n"
+
+
 class _CellArtifacts:
     """Optional per-cell side outputs: raw counts CSV and estimate log."""
 
@@ -393,13 +411,8 @@ class _CellArtifacts:
             ]
             (self.directory / f"counts_{tag}.csv").write_text("\n".join(lines) + "\n")
         if self.state_log:
-            keys = ("objective", "iterations", "converged", "fidelity")
-            columns = zip(*(c.tolist() for c in (fits.objective, fits.iterations, fits.converged, fidelity)))
-            lines = [
-                json.dumps({"state_id": index, **dict(zip(keys, entry))}, sort_keys=True)
-                for index, entry in enumerate(columns)
-            ]
-            (self.directory / f"estimates_{tag}.jsonl").write_text("\n".join(lines) + "\n")
+            text = _state_log(fits.objective, fits.iterations, fits.converged, fidelity)
+            (self.directory / f"estimates_{tag}.jsonl").write_text(text)
 
 
 def run_sweep(

@@ -20,6 +20,13 @@ gradient R as matrices, the projection onto the states (closed form for
 qubits, ``eigh`` and the simplex for pairs), and the one-state FISTA loop.
 They are the reference for the batched solver, which works on real
 coordinates.
+
+``gathered_objective`` and ``gathered_descent`` are the batched solver
+with per-row indices: every pass fancy-indexes the unfinished rows out of
+the full (B, d^2) arrays and scatters the results back, and scores trial
+and extrapolated points in two objective calls.  Each row takes the same
+arithmetic as in ``estimator._accelerated_descent``, which works on a
+compacted working set, so they are its byte-for-byte reference.
 """
 
 import math
@@ -28,7 +35,13 @@ import numpy as np
 from hypothesis import strategies as st
 
 from timetomo.dynamics import DynamicsParams
-from timetomo.estimator import _EPSILON_FLOOR
+from timetomo.estimator import (
+    _EPSILON_FLOOR,
+    StateEstimates,
+    _inner,
+    _project_to_states,
+    _smallest_eigenvalue,
+)
 
 
 def max_abs(m) -> float:
@@ -223,3 +236,76 @@ def serial_descent(evaluate, rho, cfg, mean_photons):
         ahead_value, ahead_grad = evaluate(ahead)
         if ahead_value > value:
             ahead, ahead_value, ahead_grad, momentum = rho, value, grad, 1.0
+
+
+def gathered_objective(design, measured, mean_photons):
+    """Objective and gradient of candidates (b, d^2), each scored against the count row ``rows`` picks.
+
+    ``mean_photons`` holds the photon number of each count row, (B,).
+    """
+    measured_sq = measured * measured
+
+    def evaluate(rho, rows):
+        photons = mean_photons[rows, None]
+        model = photons * np.einsum("kj,bj->bk", design, rho)
+        np.maximum(model, _EPSILON_FLOOR, out=model)
+        resid = measured[rows] - model
+        value = np.add.reduce(resid * resid / model, axis=1)
+        weights = photons * (1.0 - measured_sq[rows] / (model * model))
+        return value, np.einsum("bk,kj->bj", weights, design)
+
+    return evaluate
+
+
+def gathered_descent(evaluate, rho, cfg, mean_photons):
+    """The batched FISTA loop with a gather and a scatter of the unfinished rows for every decision.
+
+    ``evaluate`` is a ``gathered_objective``.  Returns the ``StateEstimates``
+    (``rho`` as coordinates) and the number of momentum restarts.
+    """
+    rho = rho.copy()
+    batch = len(rho)
+    value, grad = evaluate(rho, np.arange(batch))
+    ahead, ahead_value, ahead_grad = rho.copy(), value.copy(), grad.copy()
+    momentum, lipschitz = np.ones(batch), mean_photons.copy()
+    steps = np.zeros(batch, dtype=int)
+    converged, stepping, finished = (np.zeros(batch, dtype=bool) for _ in range(3))
+    restarts = 0
+
+    def drop_momentum(rows):
+        nonlocal restarts
+        restarts += rows.size
+        if rows.size:
+            ahead[rows], ahead_value[rows], ahead_grad[rows] = rho[rows], value[rows], grad[rows]
+            momentum[rows] = 1.0
+
+    while True:
+        head = np.flatnonzero(~stepping & ~finished)
+        least = _smallest_eigenvalue(grad[head], np.ones(head.size, dtype=bool))
+        done = _inner(grad[head], rho[head]) - least <= cfg.convergence_tol
+        converged[head[done]] = finished[head[done]] = True
+        head = head[~done]
+        lipschitz[head] *= 0.9
+        stepping[head] = True
+        spent = stepping & (steps >= cfg.max_iterations)
+        finished |= spent
+        stepping &= ~spent
+        live = np.flatnonzero(stepping)
+        if not live.size:
+            return StateEstimates(rho, value, converged, steps), restarts
+        steps[live] += 1
+        trial = _project_to_states(ahead[live] - ahead_grad[live] / lipschitz[live, None])
+        trial_value, trial_grad = evaluate(trial, live)
+        move = trial - ahead[live]
+        bound = ahead_value[live] + _inner(ahead_grad[live], move)
+        accepted = trial_value <= bound + 0.5 * lipschitz[live] * _inner(move, move)
+        lipschitz[live[~accepted]] *= 2.0
+        stepping[live[accepted]] = False
+        drop_momentum(live[accepted & (trial_value > value[live])])
+        moved = accepted & (trial_value <= value[live])
+        live, trial, trial_value, trial_grad = (a[moved] for a in (live, trial, trial_value, trial_grad))
+        next_momentum = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * momentum[live] * momentum[live]))
+        ahead[live] = trial + ((momentum[live] - 1.0) / next_momentum)[:, None] * (trial - rho[live])
+        rho[live], value[live], grad[live], momentum[live] = trial, trial_value, trial_grad, next_momentum
+        ahead_value[live], ahead_grad[live] = evaluate(ahead[live], live)
+        drop_momentum(live[ahead_value[live] > value[live]])

@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    gathered_descent,
+    gathered_objective,
     hermitian_stacks,
     likelihood,
     max_abs,
@@ -22,6 +24,7 @@ from timetomo.dynamics import DynamicsParams
 from timetomo.estimator import (
     _BASES,
     EstimatorConfig,
+    _accelerated_descent,
     _coordinates,
     _matrices,
     _objective_from_design,
@@ -41,7 +44,7 @@ def _row_objective(stack, row, mean_photons):
     evaluate = _objective_from_design(_coordinates(stack), np.array([row], dtype=float), np.array([mean_photons]))
 
     def single(rho):
-        value, grad = evaluate(_coordinates(np.asarray(rho, dtype=complex)[None]), np.array([0]))
+        value, grad = evaluate(_coordinates(np.asarray(rho, dtype=complex)[None]))
         return float(value[0]), _matrices(grad)[0]
 
     return single
@@ -461,3 +464,72 @@ def test_per_row_photon_numbers_match_scalar_calls(dim):
         assert np.array_equal(field, np.concatenate(parts))
     assert len(set(joint.iterations.tolist())) > 1
 
+
+def _check_against_gathered_loop(sharp, measured, photons, cfg):
+    """Run the working-set loop and the gathered reference from the same warm starts.
+
+    Every ``StateEstimates`` field must match byte for byte.  Returns the
+    fits and the number of momentum restarts that the reference took.
+    """
+    design = _coordinates(sharp)
+    start = _warm_start(design, measured, photons)
+    fits = _accelerated_descent(design, measured, photons, start, cfg)
+    reference, restarts = gathered_descent(gathered_objective(design, measured, photons), start, cfg, photons)
+    for field, expected in zip(fits, reference):
+        assert (field.dtype, field.shape) == (expected.dtype, expected.shape)
+        assert field.tobytes() == expected.tobytes()
+    return fits, restarts
+
+
+@st.composite
+def _count_batches(draw):
+    """The sharp stack and count rows of 1-10 qubits or pairs, each row at its own photon number.
+
+    Pair states are Bell states mixed with white noise, qubits any point of
+    the Bloch ball; the pure ones lie on the boundary, where fits take the
+    most steps.
+    """
+    if draw(st.booleans()):
+        dim, state = 2, _BLOCH
+    else:
+        dim = 4
+        mixes = st.sampled_from([0.0, 0.3])
+        state = st.builds(lambda bell, mix: (1.0 - mix) * bell + mix * np.eye(4) / 4.0, _BELL, mixes)
+    states = np.array(draw(st.lists(state, min_size=1, max_size=10)))
+    numbers = st.sampled_from([10.0, 100.0, 1000.0])
+    photons = np.array(draw(st.lists(numbers, min_size=len(states), max_size=len(states))))
+    sigma, seed = draw(st.sampled_from([0.0, 0.07, 0.2])), draw(st.integers(0, 2**32 - 1))
+    _, sharp, smeared = setting_operators(PARAMS, sigma, IC_POVM_INSTANTS, dim)
+    measured = np.array(
+        [count_rows(states[b : b + 1], sharp, smeared, n, seed, b)[1][0] for b, n in enumerate(photons)]
+    )
+    return sharp, measured, photons
+
+
+@settings(max_examples=100, deadline=None)
+@given(batch=_count_batches(), max_iterations=st.sampled_from([1, 2, 7, 20000]))
+def test_working_set_loop_matches_the_gathered_loop(batch, max_iterations):
+    # compacting the unfinished rows, selecting with np.where and scoring
+    # trial and extrapolated points in one stacked call change no byte
+    _check_against_gathered_loop(*batch, EstimatorConfig(max_iterations=max_iterations))
+
+
+@pytest.mark.parametrize(
+    "states, sigma, seed",
+    [(sample_mixed_qubits(8, 8, 8)[0], 0.0, 7), (sample_bell_states(50)[0], 0.07, 3)],
+    ids=["qubit", "pair"],
+)
+@pytest.mark.parametrize("max_iterations", [1, 2, 7, 20000])
+def test_working_set_loop_matches_the_gathered_loop_on_sweep_rows(states, sigma, seed, max_iterations):
+    # sweep-sized batches at three photon numbers, where rows finish in many
+    # different passes and the momentum restarts
+    dim = states.shape[1]
+    _, sharp, smeared = setting_operators(PARAMS, sigma, IC_POVM_INSTANTS, dim)
+    groups = (10.0, 100.0, 1000.0)
+    measured = np.concatenate([count_rows(states, sharp, smeared, n, seed)[1] for n in groups])
+    photons = np.repeat(groups, len(states))
+    cfg = EstimatorConfig(max_iterations=max_iterations)
+    fits, restarts = _check_against_gathered_loop(sharp, measured, photons, cfg)
+    if max_iterations > 7:
+        assert len(set(fits.iterations.tolist())) > 10
+        assert restarts > 0

@@ -1,5 +1,7 @@
 """Sweep configs, drivers, output documents, and the CLI front end."""
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -15,7 +17,7 @@ from hypothesis import strategies as st
 
 import timetomo
 import timetomo.harness as harness_module
-from timetomo.cli import main
+from timetomo.cli import build_parser, main
 from timetomo.core import StateError
 from timetomo.counts import MAX_MEAN_PHOTONS, MAX_SEED, _poisson_table
 from timetomo.dynamics import DynamicsParams
@@ -328,6 +330,25 @@ def test_qubit_sweep_artifacts(tmp_path):
     assert set(entry) == {"state_id", "objective", "iterations", "converged", "fidelity"}
 
 
+_LOG_FLOATS = st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, -0.0]), st.floats())
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    entries=st.lists(
+        st.tuples(_LOG_FLOATS, st.integers(0, 20000), st.booleans(), _LOG_FLOATS),
+        max_size=6,
+    )
+)
+def test_state_log_lines_are_the_bytes_of_json_dumps(entries):
+    # the state log formats its lines directly; they must read as json.dumps
+    # writes them, non-finite objectives and fidelities included
+    keys = ("objective", "iterations", "converged", "fidelity")
+    lines = [json.dumps({"state_id": i, **dict(zip(keys, entry))}, sort_keys=True) for i, entry in enumerate(entries)]
+    columns = [np.array([entry[k] for entry in entries], dtype=t) for k, t in enumerate((float, int, bool, float))]
+    assert harness_module._state_log(*columns) == "\n".join(lines) + "\n"
+
+
 def test_orthogonality_sweep_rows():
     cfg = load_config(
         {
@@ -622,6 +643,42 @@ def test_cli_rejects_workers_below_one(tmp_path, capsys, workers):
     assert _WORKERS_ERRORS[workers] in err
     # the error names the option, never the private function behind it
     assert "_workers_type" not in err
+
+
+def _parse(parser, argv):
+    """What ``parser.parse_args(argv)`` prints and returns: (exit status, stdout, stderr, namespace)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue(), None
+    return 0, out.getvalue(), err.getvalue(), vars(args)
+
+
+@pytest.mark.parametrize("command", ["trajectory", "qubit-sweep", "ortho-sweep", "entangled-sweep"])
+def test_cli_parser_for_one_subcommand_reads_as_the_full_one(command):
+    # main builds only the subparser its first argument names; the help,
+    # the exit statuses, the errors and the parsed arguments must not show it
+    cases = [
+        ["--help"],
+        [],
+        ["--config", "c.json"],
+        ["--config", "c.json", "--seed", "4", "--out", "o"],
+        ["--config", "c.json", "--paper-scale", "--dump-counts", "--state-log"],
+        ["--config", "c.json", "--seed", "x"],
+        ["--config", "c.json", "extra"],
+        *(["--config", "c.json", "--workers", workers] for workers in _WORKERS_ERRORS),
+    ]
+    for case in cases:
+        argv = [command, *case]
+        trimmed, full = _parse(build_parser(command), argv), _parse(build_parser(), argv)
+        assert trimmed == full, argv
+    status, out, _, _ = _parse(build_parser(command), [command, "--help"])
+    assert status == 0 and out.startswith(f"usage: timetomo {command} [-h]")
+    # an argument left over is reported under the top-level usage, which lists every subcommand
+    status, _, err, _ = _parse(build_parser(command), [command, "--config", "c.json", "extra"])
+    assert status == 2 and err.startswith("usage: timetomo [-h] {trajectory,qubit-sweep,ortho-sweep,entangled-sweep}")
 
 
 def test_cli_seed_changes_results(tmp_path):
