@@ -19,28 +19,41 @@ d x d Hermitian matrix is a real d^2 vector h_j = tr(H E_j), and the
 Frobenius inner product is the dot product.  The sharp stack becomes one
 real (K, d^2) design A_kj = tr(M_k E_j), so n_model = N A rho, and the
 gradient R = N sum_k (1 - n_meas_k^2 / n_model_k^2) M_k has coordinates
-N A^T (1 - n_meas^2 / n_model^2).
+N A^T (1 - n_meas^2 / n_model^2).  Its Hessian is sum_k c_k a_k a_k^T, with
+a_k row k of the design and curvature weights c_k = 2 N^2 n_meas_k^2 /
+n_model_k^3.
 
 f is convex, so the search is a warm start from linear inversion projected
 onto the density matrices (Smolin, Gambetta & Smith, PRL 108, 070502
 (2012)), then accelerated projected gradient (Shang, Zhang & Ng, PRA 95,
-062336 (2017)).  Convexity also bounds the distance to the minimum:
+062336 (2017)) with a projected Newton candidate in every pass (Bertsekas,
+SIAM J. Control Optim. 20, 221 (1982)).  The candidate is the incumbent's
+Newton point on the trace plane, projected onto the states; a fit takes it
+only where it scores strictly below the incumbent after the gradient step,
+so the gradient step safeguards it.  Where the minimum is interior, as for
+most jitter-blurred counts, the candidate wins and a fit finishes in a few
+passes; where it lies on the boundary of the states, the candidate keeps
+losing, and after ``_NEWTON_PATIENCE`` losses in a row the fit goes on by
+gradient steps alone.  Convexity also bounds the distance to the minimum:
 f(rho) - min f <= tr(R rho) - lambda_min(R), the Frank-Wolfe gap, which is
 what ``converged`` certifies.  ``estimate_states`` fits a whole batch of
 states at once, each step acting on (B, d^2) coordinate arrays (Bolduc,
 Knee, Gauger & Leach, npj Quantum Inf. 3, 44 (2017)).  The loop keeps the
 unfinished rows as one contiguous working set: a pass in which rows finish
 writes them out and compacts the rest, every per-row decision is one
-``np.where`` over the set, and each pass scores its trial and extrapolated
-points in one objective call on the two stacked.  So a pass costs a fixed
-number of numpy calls, with no per-row index to gather or scatter, and
-each row's arithmetic is the same as if it were fitted alone.
+``np.where`` over the set, one projection takes the trial and Newton
+points, and one objective call scores the trial, extrapolated and Newton
+points stacked.  So a pass costs a fixed number of numpy calls, with no
+per-row index to gather or scatter, and each row's arithmetic is the same
+as if it were fitted alone.
 
 A qubit state has coordinates (1/sqrt 2, r / sqrt 2) for its Bloch vector
 r, so qubit fits need no matrix at all: the projection fixes the trace
 coordinate and shrinks the rest onto the ball of radius 1/sqrt 2, and a
-gradient g has lambda_min = (g_0 - |g_1..3|) / sqrt 2.  Photon pairs build
-the 4 x 4 matrix from its coordinates for ``eigh`` and ``eigvalsh`` only.
+gradient g has lambda_min = (g_0 - |g_1..3|) / sqrt 2, and the 3 x 3 Newton
+system is solved by its adjugate.  Photon pairs build the 4 x 4 matrix from
+its coordinates for ``eigh`` and ``eigvalsh`` only, and solve their 15 x 15
+Newton systems with ``np.linalg.solve``.
 The (B, d, d) estimates are built once, at the end of each block.  Every
 contraction is an ``np.einsum`` without path optimisation, whose sums do
 not depend on how many rows share a call; a BLAS matrix product may round
@@ -72,6 +85,12 @@ _EPSILON_FLOOR = 1e-9
 # each row's arithmetic does not depend on the block it shares.
 _BLOCK_ROWS = 8192
 
+# Passes in a row that a fit's Newton candidate may lose before the fit stops
+# proposing one.  Interior fits take their candidate within a few passes; a
+# fit whose minimum lies on the boundary of the states keeps losing, and
+# would otherwise build and solve its Hessian on every pass of a long tail.
+_NEWTON_PATIENCE = 10
+
 _PAULI = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 
 # Orthonormal Hermitian bases (d^2, d, d), the identity first: Pauli
@@ -88,6 +107,13 @@ _BASES = {
 # m W^T = Re tr(m E_j) = tr(H E_j) of the Hermitian part H of m, since each
 # E_j is Hermitian.
 _ENTRIES = {dim: basis.reshape(dim * dim, dim * dim).view(float) for dim, basis in _BASES.items()}
+
+# Entry (i, j) of the adjugate of a symmetric 3 x 3 matrix H, flattened as
+# 3 i + j, is H[i+1, j+1] H[i+2, j+2] - H[i+1, j+2] H[i+2, j+1] (indices mod 3):
+# the four rows hold the flat indices of those four factors.
+_COFACTORS = np.array(
+    [[3 * ((i + a) % 3) + (j + b) % 3 for i in range(3) for j in range(3)] for a, b in ((1, 1), (2, 2), (1, 2), (2, 1))]
+)
 
 # The ranks 1..d that divide the cumulative sums of a sorted spectrum in the simplex projection.
 _RANKS = {dim: np.arange(1, dim + 1) for dim in _BASES}
@@ -188,13 +214,16 @@ def _project_to_states(h: np.ndarray) -> np.ndarray:
 
 
 def _objective_from_design(design, measured, mean_photons):
-    """Objective and gradient of candidates (b, d^2), candidate i scored against count row i.
+    """Objective, gradient and curvature weights of candidates (b, d^2), candidate i scored against count row i.
 
     ``measured`` holds the count rows (b, K) and ``mean_photons`` the photon
-    number of each, (b,).
+    number of each, (b,).  The curvature weights c_k = 2 N^2 n_k^2 / mu_k^3,
+    (b, K), give the Hessian sum_k c_k a_k a_k^T of f, with a_k row k of
+    the design and mu_k = N a_k . rho the model count.
     """
     measured_sq = measured * measured
     photons = mean_photons[:, None]
+    twice_photons_sq = 2.0 * photons * photons
 
     # Each step reuses a temporary where it can: on batches of thousands of
     # rows, fresh (b, K) temporaries cost about a quarter of the call.
@@ -206,14 +235,62 @@ def _objective_from_design(design, measured, mean_photons):
         terms *= terms
         terms /= model
         value = np.add.reduce(terms, axis=1)
-        # the gradient weights N (1 - n_meas^2 / n_model^2)
-        model *= model
-        weights = np.divide(measured_sq, model, out=model)
+        # n_meas^2 / n_model^2, then the gradient weights N (1 - n_meas^2 / n_model^2)
+        weights = np.multiply(model, model, out=terms)
+        np.divide(measured_sq, weights, out=weights)
+        curvature = weights / model
+        curvature *= twice_photons_sq
         np.subtract(1.0, weights, out=weights)
         weights *= photons
-        return value, np.einsum("bk,kj->bj", weights, design)
+        return value, np.einsum("bk,kj->bj", weights, design), curvature
 
     return evaluate
+
+
+def _traceless_outer(design) -> np.ndarray:
+    """The outer products a'_k a'_k^T of the design's traceless columns, flattened to (K, (d^2 - 1)^2)."""
+    traceless = design[:, 1:]
+    return np.einsum("ki,kj->kij", traceless, traceless).reshape(len(design), -1)
+
+
+def _newton_points(rho, grad, curvature, outer) -> np.ndarray:
+    """Newton points rho - [0, H'^-1 g'] on the trace plane of coordinates ``rho`` (b, d^2), unprojected.
+
+    H' = sum_k c_k a'_k a'_k^T and g' are the Hessian and the gradient
+    ``grad`` restricted to the d^2 - 1 traceless coordinates, with the
+    curvature weights c_k of ``curvature`` (b, K) and the products of
+    ``outer`` (``_traceless_outer``).  A row whose H' is singular comes back
+    non-finite.  A qubit's 3 x 3 system is solved by Cramer's rule, with the
+    adjugate from ``_COFACTORS``; a pair's goes to ``np.linalg.solve``,
+    matrix by matrix if the batch holds a singular one.
+    """
+    hessian = np.einsum("bk,kz->bz", curvature, outer)
+    tangent = grad[:, 1:]
+    size = tangent.shape[1]
+    if size == 3:  # a qubit
+        first, second, third, fourth = (hessian[:, factor] for factor in _COFACTORS)
+        adjugate = (first * second - third * fourth).reshape(-1, 3, 3)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            # the determinant is row 0 of H' against row 0 of its (symmetric) adjugate
+            determinant = np.einsum("bj,bj->b", hessian[:, :3], adjugate[:, 0])
+            step = np.einsum("bij,bj->bi", adjugate, tangent) / determinant[:, None]
+    else:
+        hessian = hessian.reshape(-1, size, size)
+        try:
+            step = np.linalg.solve(hessian, tangent[:, :, None])[:, :, 0]
+        except np.linalg.LinAlgError:
+            step = np.array([_solve_or_nan(h, g) for h, g in zip(hessian, tangent)])
+    points = rho.copy()
+    points[:, 1:] -= step
+    return points
+
+
+def _solve_or_nan(matrix, vector) -> np.ndarray:
+    """matrix^-1 vector, or NaN where the matrix is singular."""
+    try:
+        return np.linalg.solve(matrix, vector[:, None])[:, 0]
+    except np.linalg.LinAlgError:
+        return np.full(len(vector), np.nan)
 
 
 def _warm_start(design, measured, mean_photons):
@@ -230,39 +307,53 @@ def _warm_start(design, measured, mean_photons):
 
 
 def _accelerated_descent(design, measured, mean_photons, rho, cfg: EstimatorConfig) -> StateEstimates:
-    """FISTA on the state coordinates (B, d^2) with backtracking and adaptive restart, for a batch.
+    """FISTA on the state coordinates (B, d^2) with backtracking, adaptive restart and Newton candidates, for a batch.
 
     Row b starts at ``rho[b]`` and is scored against count row
     ``measured[b]`` at photon number ``mean_photons[b]``.  The step is 1 / L
     for a curvature estimate L that starts at the photon number (f scales
     with it), shrinks by 10% before each step and doubles whenever a trial
-    step fails the sufficient-decrease test.  Every trial step, accepted or
-    rejected, counts against ``cfg.max_iterations``.  Each state keeps its
-    own L, momentum and step count, and every pass takes one trial step for
-    each unfinished state, so each follows the path it would follow alone.
+    step fails the sufficient-decrease test.  Every pass takes one trial
+    step for each unfinished state and counts one step against
+    ``cfg.max_iterations``, rejected backtracking steps included.  Each state
+    keeps its own L, momentum, step count and Newton patience, so each
+    follows the path it would follow alone.
+
+    Each pass also proposes, for every row still within its patience, the
+    projected Newton point of its incumbent on the trace plane (Bertsekas,
+    SIAM J. Control Optim. 20, 221 (1982)), safeguarded by the FISTA step:
+    the row takes the candidate only where its objective is strictly below
+    the incumbent's after the FISTA update, and restarts its momentum from
+    it.  A candidate that comes out non-finite, because the row's Hessian is
+    singular, is dropped and counts as a loss, and a row whose candidate
+    loses ``_NEWTON_PATIENCE`` passes in a row stops proposing.
 
     The passes work on a contiguous working set of the W unfinished rows,
     with no per-row index.  A pass in which some rows finish writes their
     results to the output and compacts the rest with one boolean gather per
-    array; every other per-row decision is an ``np.where`` over the whole
-    set.  ``backtracking`` marks the rows whose last trial step was rejected:
+    array; every other FISTA decision is an ``np.where`` over the whole set.
+    ``backtracking`` marks the rows whose last trial step was rejected:
     they are inside their backtracking loop, so the gap decides only the
     others.  (A qubit's gap is cheaper to take for every row; a pair's
     ``eigvalsh`` runs on the others alone.)  The extrapolated point depends
     only on the trial point, the incumbent and the momentum, so it is built
-    for every row and kept where the step moved: each pass scores the trial
-    and extrapolated points in one objective call on the stacked (2W, d^2)
-    array, against the working set's count rows stacked twice at each
-    compaction.  The returned ``rho`` holds coordinates.
+    for every row and kept where the step moved.  Each pass projects the
+    trial points and Newton points in one call and scores the trial,
+    extrapolated and Newton points in one objective call, against the
+    working set's count rows stacked twice and then those of the proposing
+    rows, restacked whenever that set changes.  The returned ``rho`` holds
+    coordinates.
     """
     batch = len(rho)
     fits = StateEstimates(np.empty_like(rho), np.empty(batch), np.zeros(batch, dtype=bool), np.zeros(batch, dtype=int))
-    value, grad = _objective_from_design(design, measured, mean_photons)(rho)
+    value, grad, curvature = _objective_from_design(design, measured, mean_photons)(rho)
     ahead, ahead_value, ahead_grad = rho, value, grad
     momentum, lipschitz = np.ones(batch), mean_photons
     steps, index = np.zeros(batch, dtype=int), np.arange(batch)
+    losses = np.zeros(batch, dtype=int)  # passes in a row that the Newton candidate lost
     backtracking = np.zeros(batch, dtype=bool)
-    evaluate = None  # the objective on the working set's count rows stacked twice
+    outer = _traceless_outer(design)
+    evaluate, scored = None, None  # the objective on the stacked count rows, and the proposing rows it holds
     while True:
         # Frank-Wolfe gap tr(R rho) - lambda_min(R), an upper bound on f(rho) - min f
         gap = _inner(grad, rho) - _smallest_eigenvalue(grad, ~backtracking)
@@ -274,27 +365,38 @@ def _accelerated_descent(design, measured, mean_photons, rho, cfg: EstimatorConf
             fits.rho[done], fits.objective[done] = rho[finished], value[finished]
             fits.converged[done], fits.iterations[done] = converged[finished], steps[finished]
             keep = ~finished
-            rho, value, grad, ahead, ahead_value, ahead_grad = (
-                a[keep] for a in (rho, value, grad, ahead, ahead_value, ahead_grad)
+            rho, value, grad, curvature, ahead, ahead_value, ahead_grad = (
+                a[keep] for a in (rho, value, grad, curvature, ahead, ahead_value, ahead_grad)
             )
-            momentum, lipschitz, steps, index, measured, mean_photons = (
-                a[keep] for a in (momentum, lipschitz, steps, index, measured, mean_photons)
+            momentum, lipschitz, steps, losses, index, measured, mean_photons = (
+                a[keep] for a in (momentum, lipschitz, steps, losses, index, measured, mean_photons)
             )
             evaluate = None
         if not index.size:
             return fits
-        if evaluate is None:
-            evaluate = _objective_from_design(
-                design, np.concatenate((measured, measured)), np.concatenate((mean_photons, mean_photons))
-            )
         steps = steps + 1
-        trial = _project_to_states(ahead - ahead_grad / lipschitz[:, None])
+        width = len(rho)
+        proposing = np.flatnonzero(losses < _NEWTON_PATIENCE)
+        losses[proposing] += 1  # and back to 0 where the candidate wins
+        points = ahead - ahead_grad / lipschitz[:, None]
+        if proposing.size:
+            newton = _newton_points(rho[proposing], grad[proposing], curvature[proposing], outer)
+            finite = np.isfinite(newton).all(axis=1)
+            proposing = proposing[finite]
+            points = np.concatenate((points, newton[finite]))
+        projected = _project_to_states(points)
+        trial, candidate = projected[:width], projected[width:]
+        if evaluate is None or not np.array_equal(proposing, scored):
+            evaluate, scored = _objective_from_design(
+                design,
+                np.concatenate((measured, measured, measured[proposing])),
+                np.concatenate((mean_photons, mean_photons, mean_photons[proposing])),
+            ), proposing
         next_momentum = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * momentum * momentum))
         extrapolated = trial + ((momentum - 1.0) / next_momentum)[:, None] * (trial - rho)
-        values, grads = evaluate(np.concatenate((trial, extrapolated)))
-        width = len(trial)
-        trial_value, trial_grad = values[:width], grads[:width]
-        extrapolated_value, extrapolated_grad = values[width:], grads[width:]
+        values, grads, curvatures = evaluate(np.concatenate((trial, extrapolated, candidate)))
+        trial_value, trial_grad, trial_curvature = values[:width], grads[:width], curvatures[:width]
+        extrapolated_value, extrapolated_grad = values[width : 2 * width], grads[width : 2 * width]
         move = trial - ahead
         bound = ahead_value + _inner(ahead_grad, move)
         accepted = trial_value <= bound + 0.5 * lipschitz * _inner(move, move)
@@ -306,11 +408,22 @@ def _accelerated_descent(design, measured, mean_photons, rho, cfg: EstimatorConf
         restart = (accepted & (trial_value > value)) | (moved & (extrapolated_value > trial_value))
         column, reset = moved[:, None], restart[:, None]
         rho, grad = np.where(column, trial, rho), np.where(column, trial_grad, grad)
+        curvature = np.where(column, trial_curvature, curvature)
         value = np.where(moved, trial_value, value)
         momentum = np.where(restart, 1.0, np.where(moved, next_momentum, momentum))
         ahead = np.where(reset, rho, np.where(column, extrapolated, ahead))
         ahead_value = np.where(restart, value, np.where(moved, extrapolated_value, ahead_value))
         ahead_grad = np.where(reset, grad, np.where(column, extrapolated_grad, ahead_grad))
+        if proposing.size:
+            # a Newton candidate strictly below the updated incumbent replaces it and restarts the momentum
+            wins = values[2 * width :] < value[proposing]
+            taken = proposing[wins]
+            losses[taken] = 0
+            rho[taken] = ahead[taken] = candidate[wins]
+            value[taken] = ahead_value[taken] = values[2 * width :][wins]
+            grad[taken] = ahead_grad[taken] = grads[2 * width :][wins]
+            curvature[taken] = curvatures[2 * width :][wins]
+            momentum[taken], backtracking[taken] = 1.0, False
 
 
 def estimate_states(stack, measured, mean_photons, cfg: EstimatorConfig) -> StateEstimates:

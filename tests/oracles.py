@@ -14,19 +14,21 @@ qubit spectra are checked on, and ``hermitian_stacks`` stacks of either size.
 ``bloch_matrix`` and ``bell_matrix`` build one input state at a time, the
 reference for the vectorised sample grids.
 
-``likelihood``, ``project_to_states`` and ``serial_descent`` are the
-estimator in matrix form, one state at a time: the objective and its
-gradient R as matrices, the projection onto the states (closed form for
-qubits, ``eigh`` and the simplex for pairs), and the one-state FISTA loop.
-They are the reference for the batched solver, which works on real
-coordinates.
+``likelihood``, ``project_to_states``, ``newton_point`` and
+``serial_descent`` are the estimator in matrix form, one state at a time:
+the objective, its gradient R as a matrix and its curvature weights, the
+projection onto the states (closed form for qubits, ``eigh`` and the
+simplex for pairs), the Newton point on the unit-trace plane (a KKT system
+in the elementary Hermitian matrices, with a Lagrange multiplier for the
+trace), and the one-state FISTA loop with Newton candidates.  They are the
+reference for the batched solver, which works on real coordinates.
 
 ``gathered_objective`` and ``gathered_descent`` are the batched solver
 with per-row indices: every pass fancy-indexes the unfinished rows out of
-the full (B, d^2) arrays and scatters the results back, and scores trial
-and extrapolated points in two objective calls.  Each row takes the same
-arithmetic as in ``estimator._accelerated_descent``, which works on a
-compacted working set, so they are its byte-for-byte reference.
+the full (B, d^2) arrays and scatters the results back, and scores the
+Newton, trial and extrapolated points in three objective calls.  Each row
+takes the same arithmetic as in ``estimator._accelerated_descent``, which
+works on a compacted working set, so they are its byte-for-byte reference.
 """
 
 import math
@@ -37,10 +39,13 @@ from hypothesis import strategies as st
 from timetomo.dynamics import DynamicsParams
 from timetomo.estimator import (
     _EPSILON_FLOOR,
+    _NEWTON_PATIENCE,
     StateEstimates,
     _inner,
+    _newton_points,
     _project_to_states,
     _smallest_eigenvalue,
+    _traceless_outer,
 )
 
 
@@ -161,15 +166,52 @@ def hermitian_stacks(dim):
 
 
 def likelihood(stack, row, mean_photons):
-    """The objective on one count row as a map rho -> (f, R), with R a matrix."""
+    """The objective on one count row as a map rho -> (f, R, c): R a matrix, c the curvature weights 2 N^2 n_k^2 / mu_k^3."""
     row = np.asarray(row, dtype=float)
 
     def evaluate(rho):
         model = np.maximum(mean_photons * np.einsum("kxy,yx->k", stack, rho).real, _EPSILON_FLOOR)
         weights = mean_photons * (1.0 - row * row / (model * model))
-        return float(np.sum((row - model) ** 2 / model)), np.einsum("k,kxy->xy", weights, stack)
+        curvature = 2.0 * mean_photons**2 * row * row / model**3
+        return float(np.sum((row - model) ** 2 / model)), np.einsum("k,kxy->xy", weights, stack), curvature
 
     return evaluate
+
+
+def _hermitian_units(dim):
+    """The d^2 elementary Hermitian matrices: unit diagonal entries, then for each i < j the pair
+    E_ij + E_ji and -i E_ij + i E_ji."""
+    units = []
+    for i in range(dim):
+        for j in range(i, dim):
+            for entry in (1.0, -1j) if i < j else (1.0,):
+                unit = np.zeros((dim, dim), dtype=complex)
+                unit[i, j], unit[j, i] = entry, np.conj(entry)
+                units.append(unit)
+    return np.array(units)
+
+
+def newton_point(stack, rho, grad, curvature):
+    """rho + D for the Hermitian D that minimises tr(R D) + sum_k c_k tr(M_k D)^2 / 2 under tr D = 0.
+
+    D is solved in the elementary Hermitian matrices F_m, with a Lagrange
+    multiplier for the trace: [[B^T diag(c) B, t], [t^T, 0]] (y, lambda) =
+    (-r, 0), with B_km = tr(M_k F_m), r_m = tr(R F_m) and t_m = tr F_m.
+    Returns None where that system is singular or D is not finite.
+    """
+    units = _hermitian_units(len(rho))
+    design = np.einsum("kxy,myx->km", stack, units).real
+    size = len(units)
+    system = np.zeros((size + 1, size + 1))
+    system[:size, :size] = np.einsum("km,k,kn->mn", design, curvature, design)
+    system[:size, size] = system[size, :size] = np.einsum("mxx->m", units).real
+    target = np.append(-np.einsum("xy,myx->m", grad, units).real, 0.0)
+    try:
+        solution = np.linalg.solve(system, target)
+    except np.linalg.LinAlgError:
+        return None
+    step = np.einsum("m,mxy->xy", solution[:size], units)
+    return rho + step if np.isfinite(step).all() else None
 
 
 def project_to_states(h: np.ndarray) -> np.ndarray:
@@ -202,44 +244,65 @@ def project_to_states(h: np.ndarray) -> np.ndarray:
     return 0.5 * (rho + np.conj(np.swapaxes(rho, -1, -2)))
 
 
-def serial_descent(evaluate, rho, cfg, mean_photons):
-    """FISTA with backtracking and adaptive restart on one density matrix.
+def serial_descent(stack, row, rho, cfg, mean_photons):
+    """FISTA with backtracking, adaptive restart and Newton candidates on one density matrix.
 
-    ``evaluate`` maps a matrix to (f, R), as ``likelihood`` does.  Returns
-    (rho, converged, trial steps, overshoot restarts).
+    Scores rho against count ``row`` through ``likelihood``.  Each pass
+    takes one trial step, and, while the fit is within its patience, scores
+    the projected ``newton_point`` of the incumbent as well; the candidate
+    replaces the incumbent, with no momentum, where it scores strictly
+    lower after the FISTA update.  Returns (rho, converged, trial steps,
+    momentum restarts), counting the restarts that FISTA takes where the
+    momentum overshoots or the extrapolated point is worse, as
+    ``gathered_descent`` does, and not the Newton candidates taken.
     """
-    value, grad = evaluate(rho)
+    evaluate = likelihood(stack, row, mean_photons)
+    value, grad, curvature = evaluate(rho)
     ahead, ahead_value, ahead_grad = rho, value, grad
-    momentum, lipschitz, steps, restarts = 1.0, mean_photons, 0, 0
+    momentum, lipschitz, steps, restarts, losses = 1.0, mean_photons, 0, 0, 0
+    backtracking = False
     while True:
-        if np.vdot(grad, rho).real - np.linalg.eigvalsh(grad)[0] <= cfg.convergence_tol:
-            return rho, True, steps, restarts
-        lipschitz *= 0.9
-        while steps < cfg.max_iterations:
-            steps += 1
-            trial = project_to_states(ahead - ahead_grad / lipschitz)
-            trial_value, trial_grad = evaluate(trial)
-            move = trial - ahead
-            bound = ahead_value + np.vdot(ahead_grad, move).real
-            if trial_value <= bound + 0.5 * lipschitz * np.vdot(move, move).real:
-                break
-            lipschitz *= 2.0
-        else:
+        if not backtracking:
+            if np.vdot(grad, rho).real - np.linalg.eigvalsh(grad)[0] <= cfg.convergence_tol:
+                return rho, True, steps, restarts
+            lipschitz *= 0.9
+        if steps >= cfg.max_iterations:
             return rho, False, steps, restarts
-        if trial_value > value:
+        steps += 1
+        candidate = None
+        if losses < _NEWTON_PATIENCE:
+            candidate = newton_point(stack, rho, grad, curvature)
+            losses += 1
+        trial = project_to_states(ahead - ahead_grad / lipschitz)
+        trial_value, trial_grad, trial_curvature = evaluate(trial)
+        move = trial - ahead
+        bound = ahead_value + np.vdot(ahead_grad, move).real
+        backtracking = trial_value > bound + 0.5 * lipschitz * np.vdot(move, move).real
+        if backtracking:
+            lipschitz *= 2.0
+        elif trial_value > value:
             ahead, ahead_value, ahead_grad, momentum = rho, value, grad, 1.0
             restarts += 1
-            continue
-        next_momentum = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * momentum * momentum))
-        ahead = trial + ((momentum - 1.0) / next_momentum) * (trial - rho)
-        rho, value, grad, momentum = trial, trial_value, trial_grad, next_momentum
-        ahead_value, ahead_grad = evaluate(ahead)
-        if ahead_value > value:
-            ahead, ahead_value, ahead_grad, momentum = rho, value, grad, 1.0
+        else:
+            next_momentum = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * momentum * momentum))
+            ahead = trial + ((momentum - 1.0) / next_momentum) * (trial - rho)
+            rho, value, grad, curvature, momentum = trial, trial_value, trial_grad, trial_curvature, next_momentum
+            ahead_value, ahead_grad, _ = evaluate(ahead)
+            if ahead_value > value:
+                ahead, ahead_value, ahead_grad, momentum = rho, value, grad, 1.0
+                restarts += 1
+        if candidate is not None:
+            candidate = project_to_states(candidate)
+            candidate_value, candidate_grad, candidate_curvature = evaluate(candidate)
+            if candidate_value < value:
+                rho = ahead = candidate
+                value = ahead_value = candidate_value
+                grad = ahead_grad = candidate_grad
+                curvature, momentum, backtracking, losses = candidate_curvature, 1.0, False, 0
 
 
 def gathered_objective(design, measured, mean_photons):
-    """Objective and gradient of candidates (b, d^2), each scored against the count row ``rows`` picks.
+    """Objective, gradient and curvature weights of candidates (b, d^2), each scored against the count row ``rows`` picks.
 
     ``mean_photons`` holds the photon number of each count row, (B,).
     """
@@ -251,24 +314,30 @@ def gathered_objective(design, measured, mean_photons):
         np.maximum(model, _EPSILON_FLOOR, out=model)
         resid = measured[rows] - model
         value = np.add.reduce(resid * resid / model, axis=1)
-        weights = photons * (1.0 - measured_sq[rows] / (model * model))
-        return value, np.einsum("bk,kj->bj", weights, design)
+        ratio = measured_sq[rows] / (model * model)
+        curvature = ratio / model * (2.0 * photons * photons)
+        return value, np.einsum("bk,kj->bj", photons * (1.0 - ratio), design), curvature
 
     return evaluate
 
 
-def gathered_descent(evaluate, rho, cfg, mean_photons):
-    """The batched FISTA loop with a gather and a scatter of the unfinished rows for every decision.
+def gathered_descent(design, measured, rho, cfg, mean_photons):
+    """The batched loop with a gather and a scatter of the unfinished rows for every decision.
 
-    ``evaluate`` is a ``gathered_objective``.  Returns the ``StateEstimates``
-    (``rho`` as coordinates) and the number of momentum restarts.
+    Scores rows through a ``gathered_objective``, in three calls a pass (the
+    trial, the extrapolated and the Newton points), and builds the Newton
+    points with the solver's own ``_newton_points``.  Returns the
+    ``StateEstimates`` (``rho`` as coordinates) and the number of momentum
+    restarts that FISTA took.
     """
+    evaluate = gathered_objective(design, measured, mean_photons)
+    outer = _traceless_outer(design)
     rho = rho.copy()
     batch = len(rho)
-    value, grad = evaluate(rho, np.arange(batch))
+    value, grad, curvature = evaluate(rho, np.arange(batch))
     ahead, ahead_value, ahead_grad = rho.copy(), value.copy(), grad.copy()
     momentum, lipschitz = np.ones(batch), mean_photons.copy()
-    steps = np.zeros(batch, dtype=int)
+    steps, losses = np.zeros(batch, dtype=int), np.zeros(batch, dtype=int)
     converged, stepping, finished = (np.zeros(batch, dtype=bool) for _ in range(3))
     restarts = 0
 
@@ -294,8 +363,14 @@ def gathered_descent(evaluate, rho, cfg, mean_photons):
         if not live.size:
             return StateEstimates(rho, value, converged, steps), restarts
         steps[live] += 1
+        proposing = live[losses[live] < _NEWTON_PATIENCE]
+        losses[proposing] += 1
+        points = _newton_points(rho[proposing], grad[proposing], curvature[proposing], outer)
+        finite = np.isfinite(points).all(axis=1)
+        proposing, candidate = proposing[finite], _project_to_states(points[finite])
+        candidate_value, candidate_grad, candidate_curvature = evaluate(candidate, proposing)
         trial = _project_to_states(ahead[live] - ahead_grad[live] / lipschitz[live, None])
-        trial_value, trial_grad = evaluate(trial, live)
+        trial_value, trial_grad, trial_curvature = evaluate(trial, live)
         move = trial - ahead[live]
         bound = ahead_value[live] + _inner(ahead_grad[live], move)
         accepted = trial_value <= bound + 0.5 * lipschitz[live] * _inner(move, move)
@@ -303,9 +378,19 @@ def gathered_descent(evaluate, rho, cfg, mean_photons):
         stepping[live[accepted]] = False
         drop_momentum(live[accepted & (trial_value > value[live])])
         moved = accepted & (trial_value <= value[live])
-        live, trial, trial_value, trial_grad = (a[moved] for a in (live, trial, trial_value, trial_grad))
+        live, trial, trial_value, trial_grad, trial_curvature = (
+            a[moved] for a in (live, trial, trial_value, trial_grad, trial_curvature)
+        )
         next_momentum = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * momentum[live] * momentum[live]))
         ahead[live] = trial + ((momentum[live] - 1.0) / next_momentum)[:, None] * (trial - rho[live])
         rho[live], value[live], grad[live], momentum[live] = trial, trial_value, trial_grad, next_momentum
-        ahead_value[live], ahead_grad[live] = evaluate(ahead[live], live)
+        curvature[live] = trial_curvature
+        ahead_value[live], ahead_grad[live], _ = evaluate(ahead[live], live)
         drop_momentum(live[ahead_value[live] > value[live]])
+        wins = candidate_value < value[proposing]
+        taken = proposing[wins]
+        losses[taken] = 0
+        rho[taken], ahead[taken] = candidate[wins], candidate[wins]
+        value[taken], ahead_value[taken] = candidate_value[wins], candidate_value[wins]
+        grad[taken], ahead_grad[taken] = candidate_grad[wins], candidate_grad[wins]
+        curvature[taken], momentum[taken], stepping[taken] = candidate_curvature[wins], 1.0, False
