@@ -34,9 +34,11 @@ so the gradient step safeguards it.  Where the minimum is interior, as for
 most jitter-blurred counts, the candidate wins and a fit finishes in a few
 passes; where it lies on the boundary of the states, the candidate keeps
 losing, and after ``_NEWTON_PATIENCE`` losses in a row the fit goes on by
-gradient steps alone.  Convexity also bounds the distance to the minimum:
-f(rho) - min f <= tr(R rho) - lambda_min(R), the Frank-Wolfe gap, which is
-what ``converged`` certifies.  ``estimate_states`` fits a whole batch of
+gradient steps alone.  The momentum also restarts where the extrapolated
+point takes a model count below the floor on a setting counted above it,
+as tiny counts on nearly pure truths make it do.  Convexity also bounds
+the distance to the minimum: f(rho) - min f <= tr(R rho) - lambda_min(R),
+the Frank-Wolfe gap, which is what ``converged`` certifies.  ``estimate_states`` fits a whole batch of
 states at once, each step acting on (B, d^2) coordinate arrays (Bolduc,
 Knee, Gauger & Leach, npj Quantum Inf. 3, 44 (2017)).  The loop keeps the
 unfinished rows as one contiguous working set: a pass in which rows finish
@@ -317,7 +319,12 @@ def _accelerated_descent(design, measured, mean_photons, rho, cfg: EstimatorConf
     step for each unfinished state and counts one step against
     ``cfg.max_iterations``, rejected backtracking steps included.  Each state
     keeps its own L, momentum, step count and Newton patience, so each
-    follows the path it would follow alone.
+    follows the path it would follow alone.  The momentum restarts from the
+    incumbent where an accepted trial is worse than it (an overshoot), or
+    where the extrapolated point is worse than the trial or leaves the
+    objective's domain: a model count below the floor on a setting counted
+    above it.  There the floored objective's gradient is no guide, and a
+    step from the point could drive L up by many orders of magnitude.
 
     Each pass also proposes, for every row still within its patience, the
     projected Newton point of its incumbent on the trace plane (Bertsekas,
@@ -326,7 +333,10 @@ def _accelerated_descent(design, measured, mean_photons, rho, cfg: EstimatorConf
     the incumbent's after the FISTA update, and restarts its momentum from
     it.  A candidate that comes out non-finite, because the row's Hessian is
     singular, is dropped and counts as a loss, and a row whose candidate
-    loses ``_NEWTON_PATIENCE`` passes in a row stops proposing.
+    loses ``_NEWTON_PATIENCE`` passes in a row stops proposing.  A row is
+    ``settled`` while its last candidate lost and its incumbent has not moved
+    since: its next candidate would be the same point, sure to lose again,
+    so the pass counts the loss without building it.
 
     The passes work on a contiguous working set of the W unfinished rows,
     with no per-row index.  A pass in which some rows finish writes their
@@ -351,7 +361,17 @@ def _accelerated_descent(design, measured, mean_photons, rho, cfg: EstimatorConf
     momentum, lipschitz = np.ones(batch), mean_photons
     steps, index = np.zeros(batch, dtype=int), np.arange(batch)
     losses = np.zeros(batch, dtype=int)  # passes in a row that the Newton candidate lost
+    settled = np.zeros(batch, dtype=bool)  # the last candidate lost and the incumbent has not moved since
     backtracking = np.zeros(batch, dtype=bool)
+    # Below a_k . rho = floor / N the floor stands in for the model count of setting k, and a
+    # point scores at least (n_k - floor)^2 / floor.  No incumbent scores above the start, so
+    # where that is over twice the start's objective, an extrapolated point there is worse than
+    # any trial and restarts anyway.  floor_line watches the other settings counted above the
+    # floor and is -inf elsewhere; while no row has one, no point is checked.
+    low = (measured - _EPSILON_FLOOR) ** 2 <= 2.0 * _EPSILON_FLOOR * value[:, None]
+    watched = (measured > _EPSILON_FLOOR) & low
+    floor_line = np.where(watched, _EPSILON_FLOOR / mean_photons[:, None], -np.inf)
+    watching = watched.any()
     outer = _traceless_outer(design)
     evaluate, scored = None, None  # the objective on the stacked count rows, and the proposing rows it holds
     while True:
@@ -365,19 +385,22 @@ def _accelerated_descent(design, measured, mean_photons, rho, cfg: EstimatorConf
             fits.rho[done], fits.objective[done] = rho[finished], value[finished]
             fits.converged[done], fits.iterations[done] = converged[finished], steps[finished]
             keep = ~finished
-            rho, value, grad, curvature, ahead, ahead_value, ahead_grad = (
-                a[keep] for a in (rho, value, grad, curvature, ahead, ahead_value, ahead_grad)
+            rho, value, grad, curvature, ahead, ahead_value, ahead_grad, settled = (
+                a[keep] for a in (rho, value, grad, curvature, ahead, ahead_value, ahead_grad, settled)
             )
-            momentum, lipschitz, steps, losses, index, measured, mean_photons = (
-                a[keep] for a in (momentum, lipschitz, steps, losses, index, measured, mean_photons)
+            momentum, lipschitz, steps, losses, index, measured, mean_photons, floor_line = (
+                a[keep] for a in (momentum, lipschitz, steps, losses, index, measured, mean_photons, floor_line)
             )
+            watching = watching and np.isfinite(floor_line).any()
             evaluate = None
         if not index.size:
             return fits
         steps = steps + 1
         width = len(rho)
-        proposing = np.flatnonzero(losses < _NEWTON_PATIENCE)
-        losses[proposing] += 1  # and back to 0 where the candidate wins
+        eligible = losses < _NEWTON_PATIENCE
+        losses += eligible  # and back to 0 where the candidate wins
+        # a settled row's candidate would be its last one again, sure to lose: the loss counts, nothing is built
+        proposing = np.flatnonzero(eligible & ~settled)
         points = ahead - ahead_grad / lipschitz[:, None]
         if proposing.size:
             newton = _newton_points(rho[proposing], grad[proposing], curvature[proposing], outer)
@@ -404,8 +427,12 @@ def _accelerated_descent(design, measured, mean_photons, rho, cfg: EstimatorConf
         backtracking = ~accepted
         moved = accepted & (trial_value <= value)
         # restart from the incumbent without momentum where the momentum overshot (the
-        # accepted trial is worse than the incumbent) or the extrapolated point is worse
-        restart = (accepted & (trial_value > value)) | (moved & (extrapolated_value > trial_value))
+        # accepted trial is worse than the incumbent), or where the extrapolated point is
+        # worse or leaves the objective's domain
+        astray = extrapolated_value > trial_value
+        if watching:
+            astray |= (np.einsum("kj,bj->bk", design, extrapolated) < floor_line).any(axis=1)
+        restart = (accepted & (trial_value > value)) | (moved & astray)
         column, reset = moved[:, None], restart[:, None]
         rho, grad = np.where(column, trial, rho), np.where(column, trial_grad, grad)
         curvature = np.where(column, trial_curvature, curvature)
@@ -414,11 +441,12 @@ def _accelerated_descent(design, measured, mean_photons, rho, cfg: EstimatorConf
         ahead = np.where(reset, rho, np.where(column, extrapolated, ahead))
         ahead_value = np.where(restart, value, np.where(moved, extrapolated_value, ahead_value))
         ahead_grad = np.where(reset, grad, np.where(column, extrapolated_grad, ahead_grad))
+        settled = eligible & ~moved
         if proposing.size:
             # a Newton candidate strictly below the updated incumbent replaces it and restarts the momentum
             wins = values[2 * width :] < value[proposing]
             taken = proposing[wins]
-            losses[taken] = 0
+            losses[taken], settled[taken] = 0, False
             rho[taken] = ahead[taken] = candidate[wins]
             value[taken] = ahead_value[taken] = values[2 * width :][wins]
             grad[taken] = ahead_grad[taken] = grads[2 * width :][wins]

@@ -251,16 +251,21 @@ def serial_descent(stack, row, rho, cfg, mean_photons):
     takes one trial step, and, while the fit is within its patience, scores
     the projected ``newton_point`` of the incumbent as well; the candidate
     replaces the incumbent, with no momentum, where it scores strictly
-    lower after the FISTA update.  Returns (rho, converged, trial steps,
-    momentum restarts), counting the restarts that FISTA takes where the
-    momentum overshoots or the extrapolated point is worse, as
-    ``gathered_descent`` does, and not the Newton candidates taken.
+    lower after the FISTA update.  A fit whose candidate lost and whose
+    incumbent has not moved since counts the next pass as a loss without
+    building the same candidate again.  FISTA restarts its momentum where an
+    accepted trial is worse than the incumbent (an overshoot), or where the
+    extrapolated point is worse than the trial or takes a model count below
+    the floor on a setting counted above it.  Returns (rho, converged, trial
+    steps, overshoot restarts).
     """
     evaluate = likelihood(stack, row, mean_photons)
+    counted = np.asarray(row) > _EPSILON_FLOOR
+    floor_line = _EPSILON_FLOOR / mean_photons
     value, grad, curvature = evaluate(rho)
     ahead, ahead_value, ahead_grad = rho, value, grad
     momentum, lipschitz, steps, restarts, losses = 1.0, mean_photons, 0, 0, 0
-    backtracking = False
+    backtracking, settled = False, False
     while True:
         if not backtracking:
             if np.vdot(grad, rho).real - np.linalg.eigvalsh(grad)[0] <= cfg.convergence_tol:
@@ -269,9 +274,10 @@ def serial_descent(stack, row, rho, cfg, mean_photons):
         if steps >= cfg.max_iterations:
             return rho, False, steps, restarts
         steps += 1
-        candidate = None
-        if losses < _NEWTON_PATIENCE:
-            candidate = newton_point(stack, rho, grad, curvature)
+        candidate, eligible, moved = None, losses < _NEWTON_PATIENCE, False
+        if eligible:
+            if not settled:
+                candidate = newton_point(stack, rho, grad, curvature)
             losses += 1
         trial = project_to_states(ahead - ahead_grad / lipschitz)
         trial_value, trial_grad, trial_curvature = evaluate(trial)
@@ -287,10 +293,12 @@ def serial_descent(stack, row, rho, cfg, mean_photons):
             next_momentum = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * momentum * momentum))
             ahead = trial + ((momentum - 1.0) / next_momentum) * (trial - rho)
             rho, value, grad, curvature, momentum = trial, trial_value, trial_grad, trial_curvature, next_momentum
+            moved = True
             ahead_value, ahead_grad, _ = evaluate(ahead)
-            if ahead_value > value:
+            floored = (np.einsum("kxy,yx->k", stack, ahead).real < floor_line) & counted
+            if ahead_value > value or floored.any():
                 ahead, ahead_value, ahead_grad, momentum = rho, value, grad, 1.0
-                restarts += 1
+        settled = eligible and not moved
         if candidate is not None:
             candidate = project_to_states(candidate)
             candidate_value, candidate_grad, candidate_curvature = evaluate(candidate)
@@ -298,7 +306,8 @@ def serial_descent(stack, row, rho, cfg, mean_photons):
                 rho = ahead = candidate
                 value = ahead_value = candidate_value
                 grad = ahead_grad = candidate_grad
-                curvature, momentum, backtracking, losses = candidate_curvature, 1.0, False, 0
+                curvature, momentum, backtracking = candidate_curvature, 1.0, False
+                losses, settled = 0, False
 
 
 def gathered_objective(design, measured, mean_photons):
@@ -326,9 +335,10 @@ def gathered_descent(design, measured, rho, cfg, mean_photons):
 
     Scores rows through a ``gathered_objective``, in three calls a pass (the
     trial, the extrapolated and the Newton points), and builds the Newton
-    points with the solver's own ``_newton_points``.  Returns the
-    ``StateEstimates`` (``rho`` as coordinates) and the number of momentum
-    restarts that FISTA took.
+    points with the solver's own ``_newton_points`` for every row within its
+    patience, also where the solver skips a candidate sure to lose.  Returns
+    the ``StateEstimates`` (``rho`` as coordinates) and the number of
+    momentum restarts that FISTA took.
     """
     evaluate = gathered_objective(design, measured, mean_photons)
     outer = _traceless_outer(design)
@@ -386,7 +396,10 @@ def gathered_descent(design, measured, rho, cfg, mean_photons):
         rho[live], value[live], grad[live], momentum[live] = trial, trial_value, trial_grad, next_momentum
         curvature[live] = trial_curvature
         ahead_value[live], ahead_grad[live], _ = evaluate(ahead[live], live)
-        drop_momentum(live[ahead_value[live] > value[live]])
+        overlaps = np.einsum("kj,bj->bk", design, ahead[live])
+        counted = measured[live] > _EPSILON_FLOOR
+        floored = ((overlaps < _EPSILON_FLOOR / mean_photons[live, None]) & counted).any(axis=1)
+        drop_momentum(live[(ahead_value[live] > value[live]) | floored])
         wins = candidate_value < value[proposing]
         taken = proposing[wins]
         losses[taken] = 0
