@@ -108,13 +108,7 @@ def main(argv=None) -> int:
         print(path)
         return 0
 
-    rows = run_sweep(
-        cfg,
-        workers=args.workers,
-        artifact_dir=out if (args.dump_counts or args.state_log) else None,
-        dump_counts=args.dump_counts,
-        state_log=args.state_log,
-    )
+    rows = run_sweep(cfg, workers=args.workers, dump_counts=args.dump_counts, state_log=args.state_log)
     csv_path = write_sweep_csv(out / "results.csv", rows)
     write_manifest(out / "manifest.json", run_manifest(args.command, cfg))
     print(csv_path)

@@ -2,10 +2,7 @@
 
 Counts follow the two-step noise model: the smeared (jitter-blurred)
 operator fixes the detection probability, and the photon number fed into
-each setting is an independent Poisson draw around the source mean.  Each
-count comes with the count an ideal sharp detector would expect for the
-true input state, purely as bookkeeping; reconstruction recomputes its own
-expectations from candidate states.
+each setting is an independent Poisson draw around the source mean.
 
 The photon numbers come from the counter-based generator Philox4x64-10
 (Salmon, Moraes, Dror & Shaw, "Parallel random numbers: as easy as 1, 2,
@@ -24,8 +21,9 @@ import numpy as np
 MAX_SEED = 2**64 - 1
 
 # Largest accepted mean photon number.  The Poisson table that a count call
-# builds grows as sqrt(mean): at 1e9 it holds 547k entries (4.4 MB), takes
-# about 25 ms to build and raises a process's peak memory by about 18 MB.
+# builds for each photon number grows as sqrt(mean): at 1e9 it holds 547k
+# entries (4.4 MB), takes about 25 ms to build and raises a process's peak
+# memory by about 18 MB.
 MAX_MEAN_PHOTONS = 1e9
 
 _PHILOX_ROUNDS = 10
@@ -86,33 +84,40 @@ def _poisson_table(mean: float) -> tuple[int, np.ndarray]:
     return lowest, cdf / cdf[-1]
 
 
-def count_rows(states: np.ndarray, sharp: np.ndarray, smeared: np.ndarray, mean_photons: float, seed: int, first_index=0):
-    """Expected and measured counts of a batch of states, each of shape (B, K).
+def overlaps(states: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """tr(M_k rho_b) of a (B, d, d) state stack and a (K, d, d) operator stack, shape (B, K).
 
-    ``states`` is (B, d, d) and the operator stacks are (K, d, d), one entry
-    per setting.  Counts are drawn from ``smeared`` at Poisson photon numbers
-    about ``mean_photons`` and booked against ``sharp`` at ``mean_photons``
-    itself, so passing the smeared stack as ``sharp`` gives the noiseless
-    counts in the expected column.  Batch entry b is sample state
-    ``first_index + b``, and the photon number of its setting k inverts the
-    Poisson CDF at the Philox uniform of key (``seed``, 0) and counter
-    (first_index + b, k, 0, 0), so a sample gives the same counts whether it
-    is counted whole or in any split, and the same photon numbers at every
-    jitter width.  ``mean_photons`` and ``seed`` arrive checked by the
-    sweep config: positive and at most ``MAX_MEAN_PHOTONS``, and in
-    0..``MAX_SEED``.
+    Both factors are PSD, so an overlap below 0 is rounding and is clipped.
     """
     batch, dim = states.shape[0], states.shape[1]
-    count = sharp.shape[0]
-    flat = states.reshape(batch, dim * dim)
-    # tr(M rho) = vec(M^T) . vec(rho); an einsum sums each entry alike whatever the batch size.
-    # Both factors are PSD, so an overlap below 0 is rounding and is clipped.
-    sharp_overlaps, smeared_overlaps = (
-        np.maximum(np.einsum("kx,bx->bk", np.swapaxes(stack, 1, 2).reshape(count, dim * dim), flat).real, 0.0)
-        for stack in (sharp, smeared)
-    )
+    # tr(M rho) = vec(M^T) . vec(rho); an einsum sums each entry alike whatever the batch size
+    operators = np.swapaxes(stack, 1, 2).reshape(stack.shape[0], dim * dim)
+    return np.maximum(np.einsum("kx,bx->bk", operators, states.reshape(batch, dim * dim)).real, 0.0)
+
+
+def count_rows(states: np.ndarray, smeared: np.ndarray, mean_photons, seed: int, first_index=0) -> np.ndarray:
+    """Measured counts of a batch of states in every (jitter width, photon number) cell, shape (S, P, B, K).
+
+    ``states`` is (B, d, d), ``smeared`` the (S, K, d, d) operator stacks of
+    S jitter widths, one entry per setting, and ``mean_photons`` the P
+    source means.  The count of cell (s, p) is the photon number drawn about
+    ``mean_photons[p]`` times the overlap with ``smeared[s]``.  Batch entry
+    b is sample state ``first_index + b``, and the photon number of its
+    setting k inverts the Poisson CDF at the Philox uniform of key (``seed``,
+    0) and counter (first_index + b, k, 0, 0).  So the uniforms are drawn
+    once for all cells, a sample gives the same counts whether it is counted
+    whole or in any split, and every jitter width sees the same photon
+    numbers.  ``mean_photons`` and ``seed`` arrive checked by the sweep
+    config: positive and at most ``MAX_MEAN_PHOTONS``, and in
+    0..``MAX_SEED``.
+    """
+    batch, count = states.shape[0], smeared.shape[1]
     index = np.arange(first_index, first_index + batch, dtype=np.uint64)[:, None]
     counter = np.stack(np.broadcast_arrays(index, np.arange(count, dtype=np.uint64), np.uint64(0), np.uint64(0)))
-    lowest, cdf = _poisson_table(mean_photons)
-    photons = lowest + np.searchsorted(cdf, _uniforms((seed, 0), counter), side="right").astype(float)
-    return mean_photons * sharp_overlaps, photons * smeared_overlaps
+    uniforms = _uniforms((seed, 0), counter)
+    photons = []
+    for mean in mean_photons:
+        lowest, cdf = _poisson_table(mean)
+        photons.append(lowest + np.searchsorted(cdf, uniforms, side="right").astype(float))
+    smeared_overlaps = np.stack([overlaps(states, stack) for stack in smeared])
+    return np.stack(photons)[None] * smeared_overlaps[:, None]

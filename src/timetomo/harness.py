@@ -2,9 +2,9 @@
 
 A sweep walks the (jitter width, photon number) grid over a fixed state
 sample.  Every cell fits against the same sharp operators, so the whole
-grid runs as one batch: each cell's counts are drawn on their own, all
-cells' count rows are fitted in one estimator call with a photon number per
-row, and then each cell's metrics are aggregated into CSV rows.  All modes
+grid runs as one batch: the counts of every cell are drawn in one call,
+all cells' count rows are fitted in one estimator call with a photon number
+per row, and then each cell's metrics are aggregated into CSV rows.  All modes
 share one sweep loop, ``run_sweep``; the ``MODES`` table holds what differs
 between them.  The only randomness is the photon number of each count, a
 Philox draw keyed by (run seed, state index, setting index), and every stage
@@ -30,7 +30,7 @@ import numpy as np
 
 from . import __version__
 from .core import StateError, require_integer, require_real
-from .counts import MAX_MEAN_PHOTONS, MAX_SEED, count_rows
+from .counts import MAX_MEAN_PHOTONS, MAX_SEED, count_rows, overlaps
 from .dynamics import DynamicsParams
 from .estimator import EstimatorConfig, StateEstimates, estimate_states
 from .measurement import IC_POVM_INSTANTS, POLARIZATION_KETS, bloch_trajectory, jittered_matrices, setting_operators
@@ -249,7 +249,8 @@ def load_config(source, *, seed=None, out_dir=None, paper_scale=False):
     if mode == "trajectory":
         allowed = ("mode", "operator", "sigma_over_T", "points", "t_max_over_T", "seed", "out_dir", "periods")
         _reject_unknown(raw, allowed, "config")
-        cfg = TrajectoryConfig(**{k: raw[k] for k in allowed[1:] if k in raw})
+        fields = {k: raw[k] for k in allowed[1:] if k in raw}
+        build = TrajectoryConfig
     elif mode not in MODES:
         raise ValueError(f"mode must be 'trajectory' or one of {tuple(MODES)}, got {mode!r}")
     else:
@@ -264,14 +265,15 @@ def load_config(source, *, seed=None, out_dir=None, paper_scale=False):
             fields["estimator"] = EstimatorConfig(**fields["estimator"])
         if "sample" in fields:
             fields["sample"] = _build_sample(mode, fields["sample"])
-        cfg = ExperimentConfig(**fields)
         if paper_scale:
-            cfg = dataclasses.replace(cfg, sample=MODES[mode].paper)
+            fields["sample"] = MODES[mode].paper
+        build = ExperimentConfig
+    # overrides go in before the one construction, which checks them with the rest
     if seed is not None:
-        cfg = dataclasses.replace(cfg, seed=seed)
+        fields["seed"] = seed
     if out_dir is not None:
-        cfg = dataclasses.replace(cfg, out_dir=str(out_dir))
-    return cfg
+        fields["out_dir"] = str(out_dir)
+    return build(**fields)
 
 
 # ---------------------------------------------------------------------------
@@ -279,20 +281,16 @@ def load_config(source, *, seed=None, out_dir=None, paper_scale=False):
 
 
 def _fit_chunk(cfg: ExperimentConfig, cells, sharp, smeared, states: np.ndarray, offset: int):
-    """Counts and estimates of states ``offset``, ``offset + 1``, ... in every cell of a sweep.
+    """Estimates of states ``offset``, ``offset + 1``, ... in every cell of a sweep.
 
-    ``cells`` lists the (sigma, N) pairs and ``smeared`` maps each sigma to
-    its smeared operator stack.  Each cell's counts are drawn on their own,
-    and the rows of all cells are fitted in one ``estimate_states`` call with
-    a photon number per row.  Module level so process pools can pickle it.
-    Returns the expected and measured counts followed by the
-    ``StateEstimates`` fields, each shaped (cells, chunk, ...).
+    ``cells`` lists the (sigma, N) pairs in row-major order and ``smeared``
+    stacks the smeared operators of each sigma.  The counts of all cells
+    are drawn in one ``count_rows`` call, and their rows are fitted in one
+    ``estimate_states`` call with a photon number per row.  Module level so
+    process pools can pickle it.  Returns the ``StateEstimates`` fields,
+    each shaped (cells, chunk, ...).
     """
-    counted = [
-        count_rows(states, sharp, smeared[sigma], n_photons, cfg.seed, offset)
-        for sigma, n_photons in cells
-    ]
-    expected, measured = (np.stack(part) for part in zip(*counted))
+    measured = count_rows(states, smeared, cfg.photon_list, cfg.seed, offset)
     photons = np.repeat([n_photons for _, n_photons in cells], len(states))
     try:
         fits = estimate_states(sharp, measured.reshape(len(photons), -1), photons, cfg.estimator)
@@ -302,7 +300,7 @@ def _fit_chunk(cfg: ExperimentConfig, cells, sharp, smeared, states: np.ndarray,
         raise RuntimeError(
             f"mode {cfg.mode}, sigma {sigma:g}, N {n_photons:g}, state {offset + state}: {exc.__cause__}"
         ) from exc.__cause__
-    return (expected, measured, *(field.reshape(len(cells), len(states), *field.shape[1:]) for field in fits))
+    return tuple(field.reshape(len(cells), len(states), *field.shape[1:]) for field in fits)
 
 
 def _fidelity_metrics(fits: StateEstimates, fidelity):
@@ -392,36 +390,8 @@ def _state_log(objective, iterations, converged, fidelity) -> str:
     return "\n".join(lines) + "\n"
 
 
-class _CellArtifacts:
-    """Optional per-cell side outputs: raw counts CSV and estimate log."""
-
-    def __init__(self, directory, dump_counts: bool, state_log: bool):
-        self.directory = Path(directory) if directory is not None else None
-        self.dump_counts = dump_counts and self.directory is not None
-        self.state_log = state_log and self.directory is not None
-
-    def write(self, sigma, n_photons, settings, expected, measured, fits: StateEstimates, fidelity):
-        tag = f"sigma{sigma:g}_N{n_photons:g}"
-        if self.dump_counts:
-            times = [f"{_fmt(t[0])},{_fmt(t[1]) if len(t) == 2 else ''}" for t in settings]
-            lines = [COUNTS_HEADER] + [
-                f"{index},{t},{_fmt(e)},{_fmt(m)}"
-                for index, row in enumerate(zip(expected.tolist(), measured.tolist()))
-                for t, e, m in zip(times, *row)
-            ]
-            (self.directory / f"counts_{tag}.csv").write_text("\n".join(lines) + "\n")
-        if self.state_log:
-            text = _state_log(fits.objective, fits.iterations, fits.converged, fidelity)
-            (self.directory / f"estimates_{tag}.jsonl").write_text(text)
-
-
 def run_sweep(
-    cfg: ExperimentConfig,
-    *,
-    workers: int = 1,
-    artifact_dir=None,
-    dump_counts: bool = False,
-    state_log: bool = False,
+    cfg: ExperimentConfig, *, workers: int = 1, dump_counts: bool = False, state_log: bool = False
 ) -> list[SweepRow]:
     """Run every (jitter width, photon number) cell of ``cfg`` and return its rows.
 
@@ -434,15 +404,17 @@ def run_sweep(
     alone and never imports ``multiprocessing``.  When it splits, the calling
     process fits the first chunk and a process pool fits the rest, each over
     every cell.  Then, cell by cell, the mode's metric rows follow and, when
-    too many estimates did not converge, a warning row.
+    too many estimates did not converge, a warning row.  ``dump_counts`` and
+    ``state_log`` write each cell's counts (drawn again for the whole
+    sample, with the same bytes) and its per-state estimate log into
+    ``cfg.out_dir``.
     """
     mode = MODES[cfg.mode]
     states, pure = mode.sample(cfg.sample)
     dim = states.shape[1]
-    artifacts = _CellArtifacts(artifact_dir, dump_counts, state_log)
     # the settings and the sharp operators do not depend on the jitter width
     settings, sharp, _ = setting_operators(cfg.dynamics, 0.0, IC_POVM_INSTANTS, dim)
-    smeared = {sigma: setting_operators(cfg.dynamics, sigma, IC_POVM_INSTANTS, dim)[2] for sigma in cfg.sigma_list}
+    smeared = np.stack([setting_operators(cfg.dynamics, sigma, IC_POVM_INSTANTS, dim)[2] for sigma in cfg.sigma_list])
     cells = [(sigma, n_photons) for sigma in cfg.sigma_list for n_photons in cfg.photon_list]
     work = len(states) * len(cells) * sharp.size
     n_chunks = min(workers, max(1, work // _MIN_WORK_PER_WORKER))
@@ -458,7 +430,12 @@ def run_sweep(
         with ProcessPoolExecutor(len(chunks) - 1) as pool:
             pending = [pool.submit(fit, chunk, offset) for chunk, offset in zip(chunks[1:], offsets[1:])]
             parts = [fit(chunks[0], offsets[0])] + [future.result() for future in pending]
-    expected, measured, *fields = (np.concatenate(field, axis=1) for field in zip(*parts))
+    fields = [np.concatenate(field, axis=1) for field in zip(*parts)]
+    directory = Path(cfg.out_dir)
+    if dump_counts:
+        measured = count_rows(states, smeared, cfg.photon_list, cfg.seed).reshape(len(cells), len(states), -1)
+        sharp_overlaps = overlaps(states, sharp)
+        times = [f"{_fmt(t[0])},{_fmt(t[1]) if len(t) == 2 else ''}" for t in settings]
     rows = []
     for cell, (sigma, n_photons) in enumerate(cells):
         fits = StateEstimates(*(field[cell] for field in fields))
@@ -470,7 +447,18 @@ def run_sweep(
         warning = _warning_row(sigma, n_photons, fits.converged)
         if warning:
             rows.append(warning)
-        artifacts.write(sigma, n_photons, settings, expected[cell], measured[cell], fits, fidelity)
+        tag = f"sigma{sigma:g}_N{n_photons:g}"
+        if dump_counts:
+            expected = n_photons * sharp_overlaps
+            lines = [COUNTS_HEADER] + [
+                f"{index},{t},{_fmt(e)},{_fmt(m)}"
+                for index, row in enumerate(zip(expected.tolist(), measured[cell].tolist()))
+                for t, e, m in zip(times, *row)
+            ]
+            (directory / f"counts_{tag}.csv").write_text("\n".join(lines) + "\n")
+        if state_log:
+            text = _state_log(fits.objective, fits.iterations, fits.converged, fidelity)
+            (directory / f"estimates_{tag}.jsonl").write_text(text)
     return rows
 
 

@@ -47,13 +47,15 @@ def concurrences(rho: np.ndarray) -> np.ndarray:
     """Two-qubit concurrence of each state in a (B, 4, 4) stack.
 
     C = max(0, l1 - l2 - l3 - l4) with l_i the decreasing square roots of
-    the eigenvalues of rho (sy x sy) rho* (sy x sy).
+    the eigenvalues of rho (sy x sy) rho* (sy x sy) (Wootters, PRL 80, 2245,
+    1998).  With rho = X X^dagger, X = V sqrt(w) from the eigensystem of
+    rho, those l_i are the singular values of X^T (sy x sy) X, so a pure
+    state's l_2, l_3, l_4 are products of rounding, not square roots of it.
     """
-    product = rho @ _SPIN_FLIP @ rho.conj() @ _SPIN_FLIP
-    # The product is similar to a PSD matrix, so its spectrum is real and
-    # nonnegative up to rounding; |.| guards the square roots.
-    roots = np.sqrt(np.sort(np.abs(np.linalg.eigvals(product)), axis=1))
-    return np.maximum(0.0, roots[:, 3] - roots[:, 2] - roots[:, 1] - roots[:, 0])
+    weights, vectors = np.linalg.eigh(rho)
+    factor = vectors * np.sqrt(np.maximum(weights, 0.0))[:, None, :]
+    roots = np.linalg.svd(np.swapaxes(factor, 1, 2) @ _SPIN_FLIP @ factor, compute_uv=False)
+    return np.maximum(0.0, roots[:, 0] - roots[:, 1] - roots[:, 2] - roots[:, 3])
 
 
 @dataclass(frozen=True)

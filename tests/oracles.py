@@ -13,6 +13,13 @@ and its overlap on pure truths of either size.
 qubit spectra are checked on, and ``hermitian_stacks`` stacks of either size.
 ``bloch_matrix`` and ``bell_matrix`` build one input state at a time, the
 reference for the vectorised sample grids.
+``wootters_concurrences`` is the concurrence from the eigenvalues of
+rho (sy x sy) rho* (sy x sy), the reference for ``metrics.concurrences`` on
+mixed states.
+``cell_count_rows`` counts one (sigma, N) cell at a time, drawing its
+uniforms anew, with the expected column that ``--dump-counts`` writes; it
+is the reference for ``counts.count_rows``, which counts every cell of a
+chunk from one draw.
 
 ``likelihood``, ``project_to_states``, ``newton_point`` and
 ``serial_descent`` are the estimator in matrix form, one state at a time:
@@ -36,6 +43,7 @@ import math
 import numpy as np
 from hypothesis import strategies as st
 
+from timetomo.counts import _poisson_table, _uniforms
 from timetomo.dynamics import DynamicsParams
 from timetomo.estimator import (
     _EPSILON_FLOOR,
@@ -114,6 +122,39 @@ def bell_matrix(alpha: float) -> np.ndarray:
     ket[0] = 1.0 / math.sqrt(2.0)
     ket[3] = np.exp(1j * alpha) / math.sqrt(2.0)
     return np.outer(ket, ket.conj())
+
+
+def wootters_concurrences(rho):
+    """max(0, l1 - l2 - l3 - l4) of a (B, 4, 4) stack, l_i the decreasing square roots of the eigenvalues
+    of rho (sy x sy) rho* (sy x sy); square roots of rounding put a pure state's C up to about 1e-8 low."""
+    flip = np.kron([[0.0, -1j], [1j, 0.0]], [[0.0, -1j], [1j, 0.0]])
+    product = rho @ flip @ rho.conj() @ flip
+    # the product is similar to a PSD matrix, so |.| only drops rounding
+    roots = np.sqrt(np.sort(np.abs(np.linalg.eigvals(product)), axis=1))
+    return np.maximum(0.0, roots[:, 3] - roots[:, 2] - roots[:, 1] - roots[:, 0])
+
+
+def cell_count_rows(states, sharp, smeared, mean_photons, seed, first_index=0):
+    """Expected and measured counts of one (sigma, N) cell, each (B, K).
+
+    The expected column is ``mean_photons`` times the overlaps with
+    ``sharp``; the measured one is the photon number of each (state,
+    setting) times its overlap with ``smeared``, the photon number drawn
+    from the Philox uniform of key (``seed``, 0) and counter (first_index +
+    b, k, 0, 0) by inversion of the Poisson CDF.
+    """
+    batch, dim = states.shape[0], states.shape[1]
+    count = sharp.shape[0]
+    flat = states.reshape(batch, dim * dim)
+    sharp_overlaps, smeared_overlaps = (
+        np.maximum(np.einsum("kx,bx->bk", np.swapaxes(stack, 1, 2).reshape(count, dim * dim), flat).real, 0.0)
+        for stack in (sharp, smeared)
+    )
+    index = np.arange(first_index, first_index + batch, dtype=np.uint64)[:, None]
+    counter = np.stack(np.broadcast_arrays(index, np.arange(count, dtype=np.uint64), np.uint64(0), np.uint64(0)))
+    lowest, cdf = _poisson_table(mean_photons)
+    photons = lowest + np.searchsorted(cdf, _uniforms((seed, 0), counter), side="right").astype(float)
+    return mean_photons * sharp_overlaps, photons * smeared_overlaps
 
 
 def _qubit_matrix(centre, radius, theta, phi, skew):

@@ -18,7 +18,7 @@ import pytest
 from oracles import horizontal_closed_form, max_abs
 from timetomo import harness
 from timetomo.core import first_unphysical
-from timetomo.counts import count_rows
+from timetomo.counts import overlaps
 from timetomo.dynamics import DynamicsParams
 from timetomo.estimator import EstimatorConfig, estimate_states
 from timetomo.harness import (
@@ -127,8 +127,8 @@ def test_criterion_04_noiseless_recovery():
 
     def worst_fidelity(states, pure):
         _, ideal, smeared = setting_operators(PARAMS, 0.0, IC_POVM_INSTANTS, states.shape[1])
-        # booked against the smeared stack, the expected column is the noiseless count row
-        measured, _ = count_rows(states, smeared, smeared, 1000.0, 0)
+        # the noiseless count row: N times the smeared overlaps
+        measured = 1000.0 * overlaps(states, smeared)
         fits = estimate_states(ideal, measured, 1000.0, est_cfg)
         assert first_unphysical(fits.rho) is None
         return fidelities(states, fits.rho, pure).min()

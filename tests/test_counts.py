@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from timetomo.counts import MAX_SEED, _poisson_table, _uniforms, count_rows
+from oracles import cell_count_rows
+from timetomo.counts import MAX_SEED, _poisson_table, _uniforms, count_rows, overlaps
 from timetomo.dynamics import DynamicsParams
 from timetomo.measurement import IC_POVM_INSTANTS, jittered_matrices, setting_operators
 from timetomo.states import bell_states, qubit_states, sample_bell_states, sample_mixed_qubits
@@ -52,21 +55,20 @@ def _photons(seed, state_index, setting_index, mean_photons):
 
 
 def _rows(rho, sigma, n, seed=0, state_index=0):
-    """Settings, expected and measured counts of one state over the six-instant schedule."""
+    """Settings, expected and measured counts of one state over the six-instant schedule.
+
+    The expected count is the one ``--dump-counts`` writes: ``n`` times the
+    overlap with the sharp operator.
+    """
     settings, sharp, smeared = setting_operators(PARAMS, sigma, IC_POVM_INSTANTS, len(rho))
-    expected, measured = count_rows(rho[None], sharp, smeared, n, seed, state_index)
-    return settings, expected[0], measured[0]
+    measured = count_rows(rho[None], smeared[None], [n], seed, state_index)[0, 0]
+    return settings, n * overlaps(rho[None], sharp)[0], measured[0]
 
 
 def _noiseless_rows(rho, sigma, n):
-    """Settings and the noiseless sharp and smeared counts of one state, ``n`` times its overlaps.
-
-    The expected column of a count row is ``n`` times the overlaps with the
-    stack it is booked against, so booking against the smeared stack gives
-    the smeared noiseless row.
-    """
+    """Settings and the noiseless sharp and smeared counts of one state, ``n`` times its overlaps."""
     settings, sharp, smeared = setting_operators(PARAMS, sigma, IC_POVM_INSTANTS, len(rho))
-    return settings, *(count_rows(rho[None], stack, stack, n, 0)[0][0] for stack in (sharp, smeared))
+    return settings, *(n * overlaps(rho[None], stack)[0] for stack in (sharp, smeared))
 
 
 def test_uniforms_match_numpy_philox():
@@ -86,7 +88,7 @@ def test_poisson_photon_numbers_fit_their_distribution(mean):
     # 20000 photon numbers through identity operators, where a count is the photon number
     identities = np.repeat(IDENTITY, 5, axis=0)
     states = np.repeat(H_STATE[None], 4000, axis=0)
-    draws = count_rows(states, identities, identities, mean, 2024)[1].ravel()
+    draws = count_rows(states, identities[None], [mean], 2024).ravel()
     size = draws.size
     assert np.array_equal(draws, np.round(draws))
     assert abs(draws.mean() - mean) < 4.0 * math.sqrt(mean / size)
@@ -128,27 +130,56 @@ def test_poisson_window_leaves_out_less_than_the_uniform_spacing(mean):
     assert np.abs(cdf - reference).max() < 1e-12 + 2.0**-50 * mean * max(1.0, math.log(mean))
 
 
-@pytest.mark.parametrize("states", [sample_mixed_qubits(3, 2, 2)[0], sample_bell_states(12)[0]], ids=["qubit", "pair"])
+_SAMPLES = {2: sample_mixed_qubits(3, 2, 2)[0], 4: sample_bell_states(12)[0]}
+
+
+@pytest.mark.parametrize("states", _SAMPLES.values(), ids=["qubit", "pair"])
 def test_count_rows_do_not_depend_on_the_split(states):
     _, sharp, smeared = setting_operators(PARAMS, 0.1, IC_POVM_INSTANTS, states.shape[1])
-    whole = count_rows(states, sharp, smeared, 100.0, 5, first_index=7)
+    whole = count_rows(states, smeared[None], [100.0], 5, first_index=7)
     for size in (1, 2, 3, 5):
-        parts = [count_rows(states[lo:lo + size], sharp, smeared, 100.0, 5, 7 + lo) for lo in range(0, len(states), size)]
-        for column, joined in zip(whole, map(np.concatenate, zip(*parts))):
-            assert joined.tobytes() == column.tobytes()
+        parts = [
+            count_rows(states[lo:lo + size], smeared[None], [100.0], 5, 7 + lo) for lo in range(0, len(states), size)
+        ]
+        assert np.concatenate(parts, axis=2).tobytes() == whole.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    dim=st.sampled_from([2, 4]),
+    sigmas=st.lists(st.sampled_from([0.0, 0.05, 0.1, 0.3]), min_size=1, max_size=3),
+    photons=st.lists(st.sampled_from([0.5, 10.0, 100.0, 1000.0, 1e6]), min_size=1, max_size=3),
+    seed=st.integers(0, MAX_SEED),
+    first_index=st.integers(0, 2**62),
+    cut=st.integers(0, 12),
+)
+def test_chunk_counts_match_the_per_cell_draw(dim, sigmas, photons, seed, first_index, cut):
+    # one draw for every (sigma, N) cell of a chunk gives each cell's counts
+    # bit for bit as a draw of that cell alone, whole and in two parts
+    states = _SAMPLES[dim]
+    stacks = [setting_operators(PARAMS, sigma, IC_POVM_INSTANTS, dim)[1:] for sigma in sigmas]
+    smeared = np.stack([stack for _, stack in stacks])
+    whole = count_rows(states, smeared, photons, seed, first_index)
+    assert whole.shape == (len(sigmas), len(photons), len(states), smeared.shape[1])
+    for s, (sharp, stack) in enumerate(stacks):
+        for p, n in enumerate(photons):
+            assert whole[s, p].tobytes() == cell_count_rows(states, sharp, stack, n, seed, first_index)[1].tobytes()
+    cut = min(cut, len(states))
+    parts = [count_rows(states[:cut], smeared, photons, seed, first_index)]
+    parts.append(count_rows(states[cut:], smeared, photons, seed, first_index + cut))
+    assert np.concatenate(parts, axis=2).tobytes() == whole.tobytes()
 
 
 def test_photon_numbers_do_not_depend_on_sigma():
     # cells that differ only in jitter width share their photon numbers,
-    # so a sigma comparison is paired
     # so a sigma comparison is paired; a count over its noiseless value is the
     # photon number over N wherever the overlap is not near zero
     states, _ = sample_mixed_qubits(2, 3, 3)
     photons, kept = [], True
     for sigma in (0.0, 0.1, 0.3):
         _, sharp, smeared = setting_operators(PARAMS, sigma, IC_POVM_INSTANTS, 2)
-        measured = count_rows(states, sharp, smeared, 1000.0, 8)[1]
-        noiseless = count_rows(states, smeared, smeared, 1000.0, 8)[0]
+        measured = count_rows(states, smeared[None], [1000.0], 8)[0, 0]
+        noiseless = 1000.0 * overlaps(states, smeared)
         kept = kept & (noiseless > 1.0)
         photons.append(1000.0 * measured / np.maximum(noiseless, 1.0))
     photons = np.array(photons)[:, kept]
@@ -160,15 +191,15 @@ def test_photon_numbers_do_not_depend_on_sigma():
 
 def test_counting_rng_streams_are_independent_and_stable():
     stack = np.repeat(IDENTITY, 4, axis=0)
-    a = count_rows(H_STATE[None], stack, stack, 100.0, 0, first_index=3)[1][0]
-    b = count_rows(H_STATE[None], stack, stack, 100.0, 0, first_index=3)[1][0]
+    a = count_rows(H_STATE[None], stack[None], [100.0], 0, first_index=3)[0, 0, 0]
+    b = count_rows(H_STATE[None], stack[None], [100.0], 0, first_index=3)[0, 0, 0]
     assert np.array_equal(a, b)
     assert a.tolist() == [_photons(0, 3, k, 100.0) for k in range(4)]
     assert len(set(a.tolist())) > 1
 
 
 def test_expected_count_is_intensity_times_overlap():
-    # the bookkeeping column is N tr(M rho) with the sharp operator, whatever
+    # the dumped expected column is N tr(M rho) with the sharp operator, whatever
     # photon number the setting drew; t = 0 and t = 0.25 give overlaps 1 and 1/2
     rho = qubit_states(1.0, 0.0, 0.0)[0]
     settings, expected, _ = _rows(rho, 0.0, 500.0, seed=1)
@@ -178,8 +209,9 @@ def test_expected_count_is_intensity_times_overlap():
     # overlaps that are exactly zero for Bell states at sigma 0 come out
     # of the contraction as -3e-17 and are clipped, so no count is negative
     _, sharp, smeared = setting_operators(PARAMS, 0.0, IC_POVM_INSTANTS, 4)
-    for column in count_rows(sample_bell_states(50)[0], sharp, smeared, 1000.0, 3):
-        assert column.min() >= 0.0
+    states = sample_bell_states(50)[0]
+    assert overlaps(states, sharp).min() >= 0.0
+    assert count_rows(states, smeared[None], [1000.0], 3).min() >= 0.0
 
 
 def test_measured_count_uses_fresh_photon_number():
@@ -202,7 +234,7 @@ def test_qubit_set_noiseless_matches_closed_form():
 
 
 def test_qubit_set_expected_column_ignores_jitter():
-    # bookkeeping column always reflects the sharp detector; both widths draw
+    # the expected column always reflects the sharp detector; both widths draw
     # the same photon numbers, so the measured columns differ by the smearing alone
     rho = qubit_states(1.0, 0.6, 1.1)[0]
     _, sharp_expected, sharp_measured = _rows(rho, 0.0, 1000.0)
@@ -232,7 +264,8 @@ def test_qubit_set_accepts_precomputed_stacks():
     # index 5 is state 5 + b counted on its own
     states = qubit_states([0.9, 0.2], [0.4, 2.0], [5.0, 1.0])
     _, sharp, smeared = setting_operators(PARAMS, 0.15, IC_POVM_INSTANTS, 2)
-    expected, measured = count_rows(states, sharp, smeared, 200.0, 9, 5)
+    expected = 200.0 * overlaps(states, sharp)
+    measured = count_rows(states, smeared[None], [200.0], 9, 5)[0, 0]
     for b, rho in enumerate(states):
         _, direct_expected, direct_measured = _rows(rho, 0.15, 200.0, seed=9, state_index=5 + b)
         assert direct_measured.tolist() == measured[b].tolist()

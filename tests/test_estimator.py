@@ -17,7 +17,7 @@ from oracles import (
     uhlmann_fidelity,
 )
 from timetomo.core import StateError, first_unphysical
-from timetomo.counts import count_rows
+from timetomo.counts import count_rows, overlaps
 from timetomo.dynamics import DynamicsParams
 from timetomo.estimator import (
     _BASES,
@@ -72,13 +72,13 @@ def _purity(rho):
 def _records(rho, sigma=0.0, n=1000.0, poisson=True, seed=0, state_index=0):
     """The sharp operator stack and the count row of one state, as a sweep makes them.
 
-    Without ``poisson`` the row is the noiseless one: booked against the
-    smeared stack, a row's expected column is ``n`` times the smeared overlaps.
+    Without ``poisson`` the row is the noiseless one, ``n`` times the
+    smeared overlaps.
     """
     _, sharp, smeared = setting_operators(PARAMS, sigma, IC_POVM_INSTANTS, len(rho))
     if poisson:
-        return sharp, count_rows(rho[None], sharp, smeared, n, seed, state_index)[1][0]
-    return sharp, count_rows(rho[None], smeared, smeared, n, seed, state_index)[0][0]
+        return sharp, count_rows(rho[None], smeared[None], [n], seed, state_index)[0, 0, 0]
+    return sharp, n * overlaps(rho[None], smeared)[0]
 
 
 def _estimate(records, mean_photons, cfg=EstimatorConfig()):
@@ -361,7 +361,7 @@ def test_batch_split_does_not_change_estimates(dim, count, monkeypatch):
     rng = np.random.default_rng(5)
     states = np.array([_random_state(rng, dim) for _ in range(count)])
     _, sharp, smeared = setting_operators(PARAMS, 0.07, IC_POVM_INSTANTS, dim)
-    _, measured = count_rows(states, sharp, smeared, 50.0, 11)
+    measured = count_rows(states, smeared[None], [50.0], 11)[0, 0]
     cfg = EstimatorConfig()
     whole = estimate_states(sharp, measured, 50.0, cfg)
     cuts = np.sort(rng.choice(np.arange(3, count), size=7, replace=False))
@@ -444,7 +444,7 @@ def test_batched_descent_follows_each_state_alone(states, sigma, n, seed, max_it
     # warm start; at these seeds every sample holds states whose momentum
     # overshoots (1, 3 and 2 of them), which the Newton candidates make rare
     _, sharp, smeared = setting_operators(PARAMS, sigma, IC_POVM_INSTANTS, states.shape[1])
-    _, measured = count_rows(states, sharp, smeared, n, seed)
+    measured = count_rows(states, smeared[None], [n], seed)[0, 0]
     cfg = EstimatorConfig(max_iterations=max_iterations)
     fits = estimate_states(sharp, measured, n, cfg)
     starts = _matrices(_warm_start(_coordinates(sharp), measured, np.full(len(measured), n)))
@@ -466,7 +466,7 @@ def test_per_row_photon_numbers_match_scalar_calls(dim):
     states = np.array([_random_state(rng, dim) for _ in range(5)])
     _, sharp, smeared = setting_operators(PARAMS, 0.07, IC_POVM_INSTANTS, dim)
     groups = (10.0, 100.0, 1000.0)
-    rows = [count_rows(states, sharp, smeared, n, 4)[1] for n in groups]
+    rows = list(count_rows(states, smeared[None], groups, 4)[0])
     photons = np.repeat(groups, len(states))
     joint = estimate_states(sharp, np.concatenate(rows), photons, EstimatorConfig())
     alone = [estimate_states(sharp, measured, n, EstimatorConfig()) for n, measured in zip(groups, rows)]
@@ -511,7 +511,7 @@ def _count_batches(draw):
     sigma, seed = draw(st.sampled_from([0.0, 0.07, 0.2])), draw(st.integers(0, 2**32 - 1))
     _, sharp, smeared = setting_operators(PARAMS, sigma, IC_POVM_INSTANTS, dim)
     measured = np.array(
-        [count_rows(states[b : b + 1], sharp, smeared, n, seed, b)[1][0] for b, n in enumerate(photons)]
+        [count_rows(states[b : b + 1], smeared[None], [n], seed, b)[0, 0, 0] for b, n in enumerate(photons)]
     )
     return sharp, measured, photons
 
@@ -536,7 +536,7 @@ def test_working_set_loop_matches_the_gathered_loop_on_sweep_rows(states, sigma,
     dim = states.shape[1]
     _, sharp, smeared = setting_operators(PARAMS, sigma, IC_POVM_INSTANTS, dim)
     groups = (10.0, 100.0, 1000.0)
-    measured = np.concatenate([count_rows(states, sharp, smeared, n, seed)[1] for n in groups])
+    measured = np.concatenate(count_rows(states, smeared[None], groups, seed)[0])
     photons = np.repeat(groups, len(states))
     cfg = EstimatorConfig(max_iterations=max_iterations)
     fits, restarts = _check_against_gathered_loop(sharp, measured, photons, cfg)
@@ -559,7 +559,7 @@ def test_curvature_weights_are_the_derivative_of_the_gradient(dim, sigma, n, see
     rng = np.random.default_rng(seed)
     truth = _random_state(rng, dim)
     _, sharp, smeared = setting_operators(PARAMS, sigma, IC_POVM_INSTANTS, dim)
-    measured = count_rows(truth[None], sharp, smeared, n, seed)[1]
+    measured = count_rows(truth[None], smeared[None], [n], seed)[0, 0]
     design = _coordinates(sharp)
     evaluate = _objective_from_design(design, measured, np.array([n]))
     rho = _coordinates((0.8 * _random_state(rng, dim) + 0.2 * np.eye(dim) / dim)[None])
@@ -600,7 +600,7 @@ def test_singular_newton_systems_fit_without_error():
     ):
         states = np.array([_random_state(np.random.default_rng(dim), dim) for _ in range(3)])
         _, sharp, smeared = setting_operators(PARAMS, 0.07, IC_POVM_INSTANTS, dim)
-        ordinary = count_rows(states, sharp, smeared, 10.0, 5)[1]
+        ordinary = count_rows(states, smeared[None], [10.0], 5)[0, 0]
         singular = np.array(singular, dtype=float)
         measured = np.concatenate((ordinary[:1], singular, ordinary[1:]))
         design, photons = _coordinates(sharp), np.full(len(measured), 10.0)
@@ -630,7 +630,7 @@ def test_fits_stop_proposing_after_newton_patience(monkeypatch):
 
     states = sample_bell_states(50)[0]
     _, sharp, smeared = setting_operators(PARAMS, 0.0, IC_POVM_INSTANTS, 4)
-    measured = count_rows(states, sharp, smeared, 10.0, 3)[1]
+    measured = count_rows(states, smeared[None], [10.0], 3)[0, 0]
     proposals = []
     batched_points, serial_point = estimator._newton_points, oracles.newton_point
 
@@ -664,7 +664,7 @@ def test_entangled_cell_rows_converge_within_eight_steps(seed):
     # passes, where projected gradient alone took 29-34
     states = sample_bell_states(4)[0]
     _, sharp, smeared = setting_operators(PARAMS, 0.065, IC_POVM_INSTANTS, 4)
-    fits = estimate_states(sharp, count_rows(states, sharp, smeared, 1000.0, seed)[1], 1000.0, EstimatorConfig())
+    fits = estimate_states(sharp, count_rows(states, smeared[None], [1000.0], seed)[0, 0], 1000.0, EstimatorConfig())
     assert fits.converged.all()
     assert fits.iterations.max() <= 8
 
@@ -677,7 +677,7 @@ def test_qubit_grid_rows_need_at_most_ten_passes(seed):
     measured = []
     for sigma in (0.0, 0.2):
         _, sharp, smeared = setting_operators(PARAMS, sigma, IC_POVM_INSTANTS, 2)
-        measured.append(count_rows(states, sharp, smeared, 1000.0, seed)[1])
+        measured.append(count_rows(states, smeared[None], [1000.0], seed)[0, 0])
     fits = estimate_states(sharp, np.concatenate(measured), 1000.0, EstimatorConfig())
     assert fits.converged.all()
     assert fits.iterations.max() <= 10

@@ -255,6 +255,29 @@ def test_load_config_sweep_roundtrip(tmp_path):
     assert cfg2.sample == MODES["qubit-pure"].paper
 
 
+@pytest.mark.parametrize("doc", [TINY_QUBIT, {"mode": "trajectory"}], ids=["sweep", "trajectory"])
+def test_load_config_builds_once_and_checks_overrides(monkeypatch, doc):
+    # the overrides go into the one construction, whose checks cover them
+    config_type = ExperimentConfig if doc["mode"] in MODES else TrajectoryConfig
+    built = []
+    check = config_type.__post_init__
+    monkeypatch.setattr(config_type, "__post_init__", lambda self: (built.append(self), check(self)))
+    paper_scale = config_type is ExperimentConfig
+    cfg = load_config(doc, seed=3, out_dir=Path("elsewhere"), paper_scale=paper_scale)
+    assert (len(built), cfg.seed, cfg.out_dir) == (1, 3, "elsewhere")
+    for seed in (-1, MAX_SEED + 1):
+        with pytest.raises(ValueError, match="unsigned 64-bit"):
+            load_config(doc, seed=seed)
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        load_config(doc, seed=2.5)
+
+
+def test_load_config_rejects_unknown_sample_keys_at_paper_scale():
+    # the paper-scale grids replace the sample, but its keys are still checked
+    with pytest.raises(ValueError, match="unknown sample \\(qubit-pure\\) keys: bogus"):
+        load_config({**TINY_QUBIT, "sample": {"n_theta": 2, "bogus": 3}}, paper_scale=True)
+
+
 def test_load_config_rejects_unknown_keys():
     with pytest.raises(ValueError):
         load_config({**TINY_QUBIT, "bogus": 1})
@@ -319,8 +342,8 @@ def test_qubit_sweep_rows_and_determinism(tmp_path, monkeypatch):
 
 
 def test_qubit_sweep_artifacts(tmp_path):
-    cfg = load_config({**TINY_QUBIT, "sigma_list": [0.0]})
-    run_sweep(cfg, artifact_dir=tmp_path, dump_counts=True, state_log=True)
+    cfg = load_config({**TINY_QUBIT, "sigma_list": [0.0]}, out_dir=tmp_path)
+    run_sweep(cfg, dump_counts=True, state_log=True)
     counts = (tmp_path / "counts_sigma0_N100.csv").read_text().strip().split("\n")
     assert counts[0] == "state_id,t_i_over_T,t_j_over_T,expected,measured"
     assert len(counts) == 1 + 4 * 6  # four states, six settings each
@@ -416,21 +439,21 @@ def test_non_finite_count_row_names_its_state(monkeypatch, workers):
     real = harness.count_rows
     corrupted = {}
 
-    def corrupt(states, sharp, smeared, mean_photons, seed, first_index=0):
-        expected, measured = real(states, sharp, smeared, mean_photons, seed, first_index)
-        if corrupted["cell"](not np.array_equal(smeared, sharp), mean_photons):
-            measured[np.arange(first_index, first_index + len(states)) == 3, 0] = np.nan
-        return expected, measured
+    def corrupt(states, smeared, mean_photons, seed, first_index=0):
+        # the counts come as (sigma, N, state, setting); setting 0 of state 3 goes bad in the chosen cells
+        measured = real(states, smeared, mean_photons, seed, first_index)
+        measured[(*corrupted["cells"], np.arange(first_index, first_index + len(states)) == 3, 0)] = np.nan
+        return measured
 
     monkeypatch.setattr(harness, "count_rows", corrupt)
-    corrupted["cell"] = lambda jittered, n_photons: True
+    corrupted["cells"] = (slice(None), slice(None))
     cfg = load_config({**TINY_QUBIT, "sigma_list": [0.1]})
     message = "mode qubit-pure, sigma 0.1, N 100, state 3: count row has non-finite"
     with pytest.raises(RuntimeError, match=message):
         run_sweep(cfg, workers=workers)
 
-    # only the last cell of a 2 x 2 grid; at sigma 0 the smeared operators are the sharp ones
-    corrupted["cell"] = lambda jittered, n_photons: jittered and n_photons == 100
+    # only the last cell of a 2 x 2 grid
+    corrupted["cells"] = (-1, -1)
     cfg = load_config({**TINY_QUBIT, "photon_list": [10, 100]})
     message = "mode qubit-pure, sigma 0.1, N 100, state 3: count row has non-finite"
     with pytest.raises(RuntimeError, match=message):

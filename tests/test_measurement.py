@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import evolution_unitaries, horizontal_closed_form, max_abs
-from timetomo.counts import count_rows
+from timetomo.counts import overlaps
 from timetomo.dynamics import DynamicsParams
 from timetomo.measurement import (
     IC_POVM_INSTANTS,
@@ -212,8 +212,8 @@ def test_two_qubit_operator_is_smeared_tensor_product():
     # coincidence count is N tr((M_a (x) M_b) rho) with smeared arm operators
     rho = bell_states(0.4)[0]
     settings, _, smeared = setting_operators(PARAMS, 0.15, IC_POVM_INSTANTS, 4)
-    # booked against the smeared stack, the expected column is the noiseless count row
-    by_times = dict(zip(settings, count_rows(rho[None], smeared, smeared, 1000.0, 0)[0][0]))
+    # the noiseless count row: N times the smeared overlaps
+    by_times = dict(zip(settings, 1000.0 * overlaps(rho[None], smeared)[0]))
     a = jittered_matrices("H", PARAMS, 0.15, [0.25])[0]
     b = jittered_matrices("H", PARAMS, 0.15, [0.75])[0]
     want = 1000.0 * np.trace(np.kron(a, b) @ rho).real

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import uhlmann_fidelity
+from oracles import uhlmann_fidelity, wootters_concurrences
 from timetomo.metrics import (
     CHSH_THRESHOLD,
     MetricsSummary,
@@ -217,6 +217,25 @@ def test_trace_distance_is_symmetric_and_bounded(a, b):
 @given(alpha=st.floats(0.0, 2.0 * math.pi, exclude_max=True))
 def test_concurrence_is_one_on_every_bell_phase(alpha):
     rho = bell_states(alpha)[0]
-    # the square roots of three rounding-level eigenvalues come off the first
     assert concurrence(rho) == pytest.approx(1.0, abs=1e-7)
     assert concurrences(np.repeat(rho[None], 2, axis=0)).tolist() == [concurrence(rho)] * 2
+
+
+def test_concurrence_of_exact_bell_states_is_one_to_rounding():
+    # the eigenvalue formula takes square roots of rounding and gives up to
+    # 1.4e-8 below 1 here; the singular values of X^T (sy x sy) X do not
+    states, _ = sample_bell_states(200)
+    assert np.abs(concurrences(states) - 1.0).max() < 1e-14
+
+
+def test_concurrence_matches_the_eigenvalue_formula_on_mixed_states():
+    rng = np.random.default_rng(11)
+    factors = rng.normal(size=(500, 4, 4)) + 1j * rng.normal(size=(500, 4, 4))
+    gram = factors @ np.swapaxes(factors, 1, 2).conj()
+    # full-rank states are mostly separable; mixing in a Bell state gives entangled ones too
+    weights = rng.uniform(0.0, 1.0, (500, 1, 1))
+    mixed = gram / np.trace(gram, axis1=1, axis2=2)[:, None, None]
+    states = weights * bell_states(rng.uniform(0.0, 2.0 * math.pi, 500)) + (1.0 - weights) * mixed
+    want = wootters_concurrences(states)
+    assert (want > 0.1).sum() > 100 and (want == 0.0).sum() > 50
+    assert np.abs(concurrences(states) - want).max() < 1e-12

@@ -14,7 +14,7 @@ import math
 import numpy as np
 import pytest
 
-from timetomo.counts import count_rows
+from timetomo.counts import count_rows, overlaps
 from timetomo.dynamics import DynamicsParams
 from timetomo.estimator import EstimatorConfig, estimate_states
 from timetomo.measurement import IC_POVM_INSTANTS, setting_operators
@@ -31,8 +31,8 @@ def noiseless_concurrence():
     table = []
     for sigma in SIGMAS:
         _, sharp, smeared = setting_operators(DynamicsParams(), sigma, IC_POVM_INSTANTS, 4)
-        # booked against the smeared stack, the expected column is the noiseless count row
-        measured, _ = count_rows(states, smeared, smeared, 1000.0, 0)
+        # the noiseless count row: N times the smeared overlaps
+        measured = 1000.0 * overlaps(states, smeared)
         fits = estimate_states(sharp, measured, 1000.0, EstimatorConfig())
         assert fits.converged.all()
         table.append(concurrences(fits.rho))
@@ -57,12 +57,12 @@ def test_cell_means_approach_the_noiseless_limit_as_photon_number_grows():
     # 0-19 stay within 0.051 / sqrt(N))
     states, _ = sample_bell_states(200)
     _, sharp, smeared = setting_operators(DynamicsParams(), 0.1, IC_POVM_INSTANTS, 4)
-    noiseless, _ = count_rows(states, smeared, smeared, 1000.0, 0)
+    noiseless = 1000.0 * overlaps(states, smeared)
     limit = concurrences(estimate_states(sharp, noiseless, 1000.0, EstimatorConfig()).rho).mean()
     photon_numbers = (100.0, 1000.0, 10000.0)
     gaps = []
     for n_photons in photon_numbers:
-        _, measured = count_rows(states, sharp, smeared, n_photons, 0)
+        measured = count_rows(states, smeared[None], [n_photons], 0)[0, 0]
         fits = estimate_states(sharp, measured, n_photons, EstimatorConfig())
         assert fits.converged.all()
         gaps.append(abs(concurrences(fits.rho).mean() - limit))
