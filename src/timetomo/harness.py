@@ -412,9 +412,7 @@ def run_sweep(
     mode = MODES[cfg.mode]
     states, pure = mode.sample(cfg.sample)
     dim = states.shape[1]
-    # the settings and the sharp operators do not depend on the jitter width
-    settings, sharp, _ = setting_operators(cfg.dynamics, 0.0, IC_POVM_INSTANTS, dim)
-    smeared = np.stack([setting_operators(cfg.dynamics, sigma, IC_POVM_INSTANTS, dim)[2] for sigma in cfg.sigma_list])
+    settings, sharp, smeared = setting_operators(cfg.dynamics, cfg.sigma_list, IC_POVM_INSTANTS, dim)
     cells = [(sigma, n_photons) for sigma in cfg.sigma_list for n_photons in cfg.photon_list]
     work = len(states) * len(cells) * sharp.size
     n_chunks = min(workers, max(1, work // _MIN_WORK_PER_WORKER))

@@ -6,6 +6,10 @@ tolerances are stated in.
 ``evolution_unitaries`` evaluates the ZYZ product U(t) factor by factor, and
 ``horizontal_closed_form`` is the evolved H projector worked out by hand, so
 neither depends on the spectral form that the package smears with.
+``all_rows_bloch_vectors`` is that spectral form evaluated over all 27 rows
+[1, cos(Omega_k t), sin(Omega_k t)], the bit-for-bit reference for
+``measurement.smeared_bloch_vectors``, which evaluates only the rows a
+projector excites.
 ``uhlmann_fidelity`` is the fidelity of two states from its definition, the
 reference for ``metrics.fidelities``: its closed form on mixed qubit truths
 and its overlap on pure truths of either size.
@@ -44,7 +48,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from timetomo.counts import _poisson_table, _uniforms
-from timetomo.dynamics import DynamicsParams
+from timetomo.dynamics import DynamicsParams, rotation_harmonics
 from timetomo.estimator import (
     _EPSILON_FLOOR,
     _NEWTON_PATIENCE,
@@ -55,6 +59,7 @@ from timetomo.estimator import (
     _smallest_eigenvalue,
     _traceless_outer,
 )
+from timetomo.measurement import polarization_projector
 
 
 def max_abs(m) -> float:
@@ -83,6 +88,23 @@ def evolution_unitaries(params: DynamicsParams, times) -> np.ndarray:
     u[..., 1, 0] = np.conj(z1) * s * z3
     u[..., 1, 1] = np.conj(z1) * c * np.conj(z3)
     return u
+
+
+def all_rows_bloch_vectors(label: str, params: DynamicsParams, sigma: float, times) -> np.ndarray:
+    """Smeared Bloch vectors of the ``label`` projector, shape (len(times), 3),
+    from every row of the harmonic basis, those with zero coefficients too."""
+    m0 = polarization_projector(label)
+    n = np.array([2.0 * m0[0, 1].real, -2.0 * m0[0, 1].imag, (m0[0, 0] - m0[1, 1]).real])
+    times = np.asarray(times, dtype=float).ravel()
+    omegas, terms = rotation_harmonics(params)
+    coefficients = np.einsum("kij,j->ki", terms, n)
+    coefficients[1:] *= np.tile(np.exp(-0.5 * (sigma * omegas) ** 2), 2)[:, None]
+    basis = np.empty((len(terms), times.size))
+    basis[0] = 1.0
+    phases = np.multiply.outer(omegas, times)
+    np.cos(phases, out=basis[1 : 1 + len(omegas)])
+    np.sin(phases, out=basis[1 + len(omegas) :])
+    return np.einsum("kj,kt->jt", coefficients, basis).T
 
 
 def horizontal_closed_form(t: float) -> np.ndarray:

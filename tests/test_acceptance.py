@@ -126,7 +126,7 @@ def test_criterion_04_noiseless_recovery():
     rng = np.random.default_rng(0)
 
     def worst_fidelity(states, pure):
-        _, ideal, smeared = setting_operators(PARAMS, 0.0, IC_POVM_INSTANTS, states.shape[1])
+        _, ideal, (smeared,) = setting_operators(PARAMS, [0.0], IC_POVM_INSTANTS, states.shape[1])
         # the noiseless count row: N times the smeared overlaps
         measured = 1000.0 * overlaps(states, smeared)
         fits = estimate_states(ideal, measured, 1000.0, est_cfg)

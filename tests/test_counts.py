@@ -60,14 +60,14 @@ def _rows(rho, sigma, n, seed=0, state_index=0):
     The expected count is the one ``--dump-counts`` writes: ``n`` times the
     overlap with the sharp operator.
     """
-    settings, sharp, smeared = setting_operators(PARAMS, sigma, IC_POVM_INSTANTS, len(rho))
-    measured = count_rows(rho[None], smeared[None], [n], seed, state_index)[0, 0]
+    settings, sharp, smeared = setting_operators(PARAMS, [sigma], IC_POVM_INSTANTS, len(rho))
+    measured = count_rows(rho[None], smeared, [n], seed, state_index)[0, 0]
     return settings, n * overlaps(rho[None], sharp)[0], measured[0]
 
 
 def _noiseless_rows(rho, sigma, n):
     """Settings and the noiseless sharp and smeared counts of one state, ``n`` times its overlaps."""
-    settings, sharp, smeared = setting_operators(PARAMS, sigma, IC_POVM_INSTANTS, len(rho))
+    settings, sharp, (smeared,) = setting_operators(PARAMS, [sigma], IC_POVM_INSTANTS, len(rho))
     return settings, *(n * overlaps(rho[None], stack)[0] for stack in (sharp, smeared))
 
 
@@ -135,11 +135,11 @@ _SAMPLES = {2: sample_mixed_qubits(3, 2, 2)[0], 4: sample_bell_states(12)[0]}
 
 @pytest.mark.parametrize("states", _SAMPLES.values(), ids=["qubit", "pair"])
 def test_count_rows_do_not_depend_on_the_split(states):
-    _, sharp, smeared = setting_operators(PARAMS, 0.1, IC_POVM_INSTANTS, states.shape[1])
-    whole = count_rows(states, smeared[None], [100.0], 5, first_index=7)
+    _, sharp, smeared = setting_operators(PARAMS, [0.1], IC_POVM_INSTANTS, states.shape[1])
+    whole = count_rows(states, smeared, [100.0], 5, first_index=7)
     for size in (1, 2, 3, 5):
         parts = [
-            count_rows(states[lo:lo + size], smeared[None], [100.0], 5, 7 + lo) for lo in range(0, len(states), size)
+            count_rows(states[lo:lo + size], smeared, [100.0], 5, 7 + lo) for lo in range(0, len(states), size)
         ]
         assert np.concatenate(parts, axis=2).tobytes() == whole.tobytes()
 
@@ -157,11 +157,10 @@ def test_chunk_counts_match_the_per_cell_draw(dim, sigmas, photons, seed, first_
     # one draw for every (sigma, N) cell of a chunk gives each cell's counts
     # bit for bit as a draw of that cell alone, whole and in two parts
     states = _SAMPLES[dim]
-    stacks = [setting_operators(PARAMS, sigma, IC_POVM_INSTANTS, dim)[1:] for sigma in sigmas]
-    smeared = np.stack([stack for _, stack in stacks])
+    _, sharp, smeared = setting_operators(PARAMS, sigmas, IC_POVM_INSTANTS, dim)
     whole = count_rows(states, smeared, photons, seed, first_index)
     assert whole.shape == (len(sigmas), len(photons), len(states), smeared.shape[1])
-    for s, (sharp, stack) in enumerate(stacks):
+    for s, stack in enumerate(smeared):
         for p, n in enumerate(photons):
             assert whole[s, p].tobytes() == cell_count_rows(states, sharp, stack, n, seed, first_index)[1].tobytes()
     cut = min(cut, len(states))
@@ -177,9 +176,9 @@ def test_photon_numbers_do_not_depend_on_sigma():
     states, _ = sample_mixed_qubits(2, 3, 3)
     photons, kept = [], True
     for sigma in (0.0, 0.1, 0.3):
-        _, sharp, smeared = setting_operators(PARAMS, sigma, IC_POVM_INSTANTS, 2)
-        measured = count_rows(states, smeared[None], [1000.0], 8)[0, 0]
-        noiseless = 1000.0 * overlaps(states, smeared)
+        _, sharp, smeared = setting_operators(PARAMS, [sigma], IC_POVM_INSTANTS, 2)
+        measured = count_rows(states, smeared, [1000.0], 8)[0, 0]
+        noiseless = 1000.0 * overlaps(states, smeared[0])
         kept = kept & (noiseless > 1.0)
         photons.append(1000.0 * measured / np.maximum(noiseless, 1.0))
     photons = np.array(photons)[:, kept]
@@ -208,10 +207,10 @@ def test_expected_count_is_intensity_times_overlap():
     assert expected[1] == pytest.approx(250.0)
     # overlaps that are exactly zero for Bell states at sigma 0 come out
     # of the contraction as -3e-17 and are clipped, so no count is negative
-    _, sharp, smeared = setting_operators(PARAMS, 0.0, IC_POVM_INSTANTS, 4)
+    _, sharp, smeared = setting_operators(PARAMS, [0.0], IC_POVM_INSTANTS, 4)
     states = sample_bell_states(50)[0]
     assert overlaps(states, sharp).min() >= 0.0
-    assert count_rows(states, smeared[None], [1000.0], 3).min() >= 0.0
+    assert count_rows(states, smeared, [1000.0], 3).min() >= 0.0
 
 
 def test_measured_count_uses_fresh_photon_number():
@@ -263,9 +262,9 @@ def test_qubit_set_accepts_precomputed_stacks():
     # a sweep counts a whole batch; state b of a batch starting at sample
     # index 5 is state 5 + b counted on its own
     states = qubit_states([0.9, 0.2], [0.4, 2.0], [5.0, 1.0])
-    _, sharp, smeared = setting_operators(PARAMS, 0.15, IC_POVM_INSTANTS, 2)
+    _, sharp, smeared = setting_operators(PARAMS, [0.15], IC_POVM_INSTANTS, 2)
     expected = 200.0 * overlaps(states, sharp)
-    measured = count_rows(states, smeared[None], [200.0], 9, 5)[0, 0]
+    measured = count_rows(states, smeared, [200.0], 9, 5)[0, 0]
     for b, rho in enumerate(states):
         _, direct_expected, direct_measured = _rows(rho, 0.15, 200.0, seed=9, state_index=5 + b)
         assert direct_measured.tolist() == measured[b].tolist()

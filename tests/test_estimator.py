@@ -75,10 +75,10 @@ def _records(rho, sigma=0.0, n=1000.0, poisson=True, seed=0, state_index=0):
     Without ``poisson`` the row is the noiseless one, ``n`` times the
     smeared overlaps.
     """
-    _, sharp, smeared = setting_operators(PARAMS, sigma, IC_POVM_INSTANTS, len(rho))
+    _, sharp, smeared = setting_operators(PARAMS, [sigma], IC_POVM_INSTANTS, len(rho))
     if poisson:
-        return sharp, count_rows(rho[None], smeared[None], [n], seed, state_index)[0, 0, 0]
-    return sharp, n * overlaps(rho[None], smeared)[0]
+        return sharp, count_rows(rho[None], smeared, [n], seed, state_index)[0, 0, 0]
+    return sharp, n * overlaps(rho[None], smeared[0])[0]
 
 
 def _estimate(records, mean_photons, cfg=EstimatorConfig()):
@@ -228,7 +228,8 @@ def test_coordinates_are_traces_against_the_basis(h):
 def test_design_reproduces_the_operator_traces(dim, sigma, seed):
     # the real design A_kj = tr(M_k E_j) gives tr(M_k rho) as A . coordinates(rho)
     rho = _random_state(np.random.default_rng(seed), dim)
-    for stack in setting_operators(PARAMS, sigma, IC_POVM_INSTANTS, dim)[1:]:
+    _, sharp, (smeared,) = setting_operators(PARAMS, [sigma], IC_POVM_INSTANTS, dim)
+    for stack in (sharp, smeared):
         direct = np.einsum("kxy,yx->k", stack, rho).real
         assert max_abs(np.einsum("kj,j->k", _coordinates(stack), _coordinates(rho[None])[0]) - direct) < 1e-14
 
@@ -360,8 +361,8 @@ def test_batch_split_does_not_change_estimates(dim, count, monkeypatch):
 
     rng = np.random.default_rng(5)
     states = np.array([_random_state(rng, dim) for _ in range(count)])
-    _, sharp, smeared = setting_operators(PARAMS, 0.07, IC_POVM_INSTANTS, dim)
-    measured = count_rows(states, smeared[None], [50.0], 11)[0, 0]
+    _, sharp, smeared = setting_operators(PARAMS, [0.07], IC_POVM_INSTANTS, dim)
+    measured = count_rows(states, smeared, [50.0], 11)[0, 0]
     cfg = EstimatorConfig()
     whole = estimate_states(sharp, measured, 50.0, cfg)
     cuts = np.sort(rng.choice(np.arange(3, count), size=7, replace=False))
@@ -443,8 +444,8 @@ def test_batched_descent_follows_each_state_alone(states, sigma, n, seed, max_it
     # candidates and budget cut that the one-state loop takes from the same
     # warm start; at these seeds every sample holds states whose momentum
     # overshoots (1, 3 and 2 of them), which the Newton candidates make rare
-    _, sharp, smeared = setting_operators(PARAMS, sigma, IC_POVM_INSTANTS, states.shape[1])
-    measured = count_rows(states, smeared[None], [n], seed)[0, 0]
+    _, sharp, smeared = setting_operators(PARAMS, [sigma], IC_POVM_INSTANTS, states.shape[1])
+    measured = count_rows(states, smeared, [n], seed)[0, 0]
     cfg = EstimatorConfig(max_iterations=max_iterations)
     fits = estimate_states(sharp, measured, n, cfg)
     starts = _matrices(_warm_start(_coordinates(sharp), measured, np.full(len(measured), n)))
@@ -464,9 +465,9 @@ def test_per_row_photon_numbers_match_scalar_calls(dim):
     # photon number; every row must come out as a call at that number alone
     rng = np.random.default_rng(12)
     states = np.array([_random_state(rng, dim) for _ in range(5)])
-    _, sharp, smeared = setting_operators(PARAMS, 0.07, IC_POVM_INSTANTS, dim)
+    _, sharp, smeared = setting_operators(PARAMS, [0.07], IC_POVM_INSTANTS, dim)
     groups = (10.0, 100.0, 1000.0)
-    rows = list(count_rows(states, smeared[None], groups, 4)[0])
+    rows = list(count_rows(states, smeared, groups, 4)[0])
     photons = np.repeat(groups, len(states))
     joint = estimate_states(sharp, np.concatenate(rows), photons, EstimatorConfig())
     alone = [estimate_states(sharp, measured, n, EstimatorConfig()) for n, measured in zip(groups, rows)]
@@ -509,9 +510,9 @@ def _count_batches(draw):
     numbers = st.sampled_from([10.0, 100.0, 1000.0])
     photons = np.array(draw(st.lists(numbers, min_size=len(states), max_size=len(states))))
     sigma, seed = draw(st.sampled_from([0.0, 0.07, 0.2])), draw(st.integers(0, 2**32 - 1))
-    _, sharp, smeared = setting_operators(PARAMS, sigma, IC_POVM_INSTANTS, dim)
+    _, sharp, smeared = setting_operators(PARAMS, [sigma], IC_POVM_INSTANTS, dim)
     measured = np.array(
-        [count_rows(states[b : b + 1], smeared[None], [n], seed, b)[0, 0, 0] for b, n in enumerate(photons)]
+        [count_rows(states[b : b + 1], smeared, [n], seed, b)[0, 0, 0] for b, n in enumerate(photons)]
     )
     return sharp, measured, photons
 
@@ -534,9 +535,9 @@ def test_working_set_loop_matches_the_gathered_loop_on_sweep_rows(states, sigma,
     # sweep-sized batches at three photon numbers, where rows finish in many
     # different passes and the momentum restarts
     dim = states.shape[1]
-    _, sharp, smeared = setting_operators(PARAMS, sigma, IC_POVM_INSTANTS, dim)
+    _, sharp, smeared = setting_operators(PARAMS, [sigma], IC_POVM_INSTANTS, dim)
     groups = (10.0, 100.0, 1000.0)
-    measured = np.concatenate(count_rows(states, smeared[None], groups, seed)[0])
+    measured = np.concatenate(count_rows(states, smeared, groups, seed)[0])
     photons = np.repeat(groups, len(states))
     cfg = EstimatorConfig(max_iterations=max_iterations)
     fits, restarts = _check_against_gathered_loop(sharp, measured, photons, cfg)
@@ -558,8 +559,8 @@ def test_curvature_weights_are_the_derivative_of_the_gradient(dim, sigma, n, see
     # The candidate is mixed with I / d, so no model count nears the floor.
     rng = np.random.default_rng(seed)
     truth = _random_state(rng, dim)
-    _, sharp, smeared = setting_operators(PARAMS, sigma, IC_POVM_INSTANTS, dim)
-    measured = count_rows(truth[None], smeared[None], [n], seed)[0, 0]
+    _, sharp, smeared = setting_operators(PARAMS, [sigma], IC_POVM_INSTANTS, dim)
+    measured = count_rows(truth[None], smeared, [n], seed)[0, 0]
     design = _coordinates(sharp)
     evaluate = _objective_from_design(design, measured, np.array([n]))
     rho = _coordinates((0.8 * _random_state(rng, dim) + 0.2 * np.eye(dim) / dim)[None])
@@ -599,8 +600,8 @@ def test_singular_newton_systems_fit_without_error():
         (4, [[5] + [0] * 35, [0] * 7 + [2, 2] + [0] * 27]),
     ):
         states = np.array([_random_state(np.random.default_rng(dim), dim) for _ in range(3)])
-        _, sharp, smeared = setting_operators(PARAMS, 0.07, IC_POVM_INSTANTS, dim)
-        ordinary = count_rows(states, smeared[None], [10.0], 5)[0, 0]
+        _, sharp, smeared = setting_operators(PARAMS, [0.07], IC_POVM_INSTANTS, dim)
+        ordinary = count_rows(states, smeared, [10.0], 5)[0, 0]
         singular = np.array(singular, dtype=float)
         measured = np.concatenate((ordinary[:1], singular, ordinary[1:]))
         design, photons = _coordinates(sharp), np.full(len(measured), 10.0)
@@ -629,8 +630,8 @@ def test_fits_stop_proposing_after_newton_patience(monkeypatch):
     import timetomo.estimator as estimator
 
     states = sample_bell_states(50)[0]
-    _, sharp, smeared = setting_operators(PARAMS, 0.0, IC_POVM_INSTANTS, 4)
-    measured = count_rows(states, smeared[None], [10.0], 3)[0, 0]
+    _, sharp, smeared = setting_operators(PARAMS, [0.0], IC_POVM_INSTANTS, 4)
+    measured = count_rows(states, smeared, [10.0], 3)[0, 0]
     proposals = []
     batched_points, serial_point = estimator._newton_points, oracles.newton_point
 
@@ -663,8 +664,8 @@ def test_entangled_cell_rows_converge_within_eight_steps(seed):
     # are interior minima: the Newton candidate finishes each in about 5
     # passes, where projected gradient alone took 29-34
     states = sample_bell_states(4)[0]
-    _, sharp, smeared = setting_operators(PARAMS, 0.065, IC_POVM_INSTANTS, 4)
-    fits = estimate_states(sharp, count_rows(states, smeared[None], [1000.0], seed)[0, 0], 1000.0, EstimatorConfig())
+    _, sharp, smeared = setting_operators(PARAMS, [0.065], IC_POVM_INSTANTS, 4)
+    fits = estimate_states(sharp, count_rows(states, smeared, [1000.0], seed)[0, 0], 1000.0, EstimatorConfig())
     assert fits.converged.all()
     assert fits.iterations.max() <= 8
 
@@ -676,8 +677,8 @@ def test_qubit_grid_rows_need_at_most_ten_passes(seed):
     states = sample_mixed_qubits(8, 3, 4)[0]
     measured = []
     for sigma in (0.0, 0.2):
-        _, sharp, smeared = setting_operators(PARAMS, sigma, IC_POVM_INSTANTS, 2)
-        measured.append(count_rows(states, smeared[None], [1000.0], seed)[0, 0])
+        _, sharp, smeared = setting_operators(PARAMS, [sigma], IC_POVM_INSTANTS, 2)
+        measured.append(count_rows(states, smeared, [1000.0], seed)[0, 0])
     fits = estimate_states(sharp, np.concatenate(measured), 1000.0, EstimatorConfig())
     assert fits.converged.all()
     assert fits.iterations.max() <= 10

@@ -101,7 +101,7 @@ def test_accepted_periods_give_informationally_complete_operators(periods):
     except ValueError as exc:
         assert re.search(r"informationally incomplete \(rank [0-3] of 4\)", str(exc))
         return
-    _, sharp, _ = setting_operators(cfg.dynamics, 0.0, IC_POVM_INSTANTS, 2)
+    _, sharp, _ = setting_operators(cfg.dynamics, [0.0], IC_POVM_INSTANTS, 2)
     assert np.linalg.matrix_rank(sharp.reshape(-1, 4)) == 4
 
 

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import evolution_unitaries, horizontal_closed_form, max_abs
+from oracles import all_rows_bloch_vectors, evolution_unitaries, horizontal_closed_form, max_abs
 from timetomo.counts import overlaps
-from timetomo.dynamics import DynamicsParams
+from timetomo.dynamics import _ROTATION_TERMS, DynamicsParams
 from timetomo.measurement import (
+    _EXCITED_ROWS,
     IC_POVM_INSTANTS,
     POLARIZATION_KETS,
     bloch_trajectory,
@@ -50,8 +51,56 @@ def test_projector_is_rank_one_and_idempotent():
 
 
 def test_unknown_label_is_rejected():
-    with pytest.raises(ValueError, match="unknown polarization label 'X'"):
-        jittered_matrices("X", PARAMS, 0.1, [0.0])
+    for entry in (smeared_bloch_vectors, jittered_matrices, bloch_trajectory):
+        with pytest.raises(ValueError, match="unknown polarization label 'X'"):
+            entry("X", PARAMS, 0.1, [0.0])
+
+
+def _bits(array):
+    # a -0.0 in place of 0.0 differs here, and would print as -0 in a CSV
+    return np.ascontiguousarray(array).view(np.uint64)
+
+
+def test_left_out_rows_have_zero_coefficients():
+    # each projector's rows come from the rotation terms, which do not depend
+    # on the periods; a row left out has coefficient R_row n = 0.0 exactly
+    for label, (rows, coefficients, _) in _EXCITED_ROWS.items():
+        m0 = polarization_projector(label)
+        n = np.array([2.0 * m0[0, 1].real, -2.0 * m0[0, 1].imag, (m0[0, 0] - m0[1, 1]).real])
+        full = np.einsum("kij,j->ki", _ROTATION_TERMS, n)
+        left_out = np.setdiff1d(np.arange(len(full)), rows)
+        assert (full[left_out] == 0.0).all()
+        assert full[rows].any(axis=1).all()
+        assert np.array_equal(_bits(coefficients), _bits(full[rows]))
+        # sigma_z commutes with Z(beta), leaving the harmonics k = (0, 1, *)
+        assert len(rows) == (5 if label in "HV" else 14)
+
+
+_KERNEL_GRIDS = {"6000 points": np.linspace(0.0, 30.0, 6000), "six instants": np.array(IC_POVM_INSTANTS)}
+_KERNEL_SIGMAS = (0.0, 1e-7, 0.065, 0.5, 3.0)
+
+
+@pytest.mark.parametrize("grid", sorted(_KERNEL_GRIDS))
+@pytest.mark.parametrize("periods", [(4.0, 1.0, 2.0), (3.7, 1.3, 2.9)])
+@pytest.mark.parametrize("label", sorted(POLARIZATION_KETS))
+def test_kernel_matches_the_all_rows_oracle_bit_for_bit(label, periods, grid):
+    params, times = DynamicsParams(*periods), _KERNEL_GRIDS[grid]
+    for sigma in _KERNEL_SIGMAS:
+        got = smeared_bloch_vectors(label, params, sigma, times)
+        assert np.array_equal(_bits(got), _bits(all_rows_bloch_vectors(label, params, sigma, times)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    periods=st.tuples(*[st.floats(0.5, 5.0)] * 3),
+    label=st.sampled_from(sorted(POLARIZATION_KETS)),
+    sigma=st.sampled_from(_KERNEL_SIGMAS),
+    grid=st.sampled_from(sorted(_KERNEL_GRIDS)),
+)
+def test_kernel_matches_the_all_rows_oracle_at_any_periods(periods, label, sigma, grid):
+    params, times = DynamicsParams(*periods), _KERNEL_GRIDS[grid]
+    got = smeared_bloch_vectors(label, params, sigma, times)
+    assert np.array_equal(_bits(got), _bits(all_rows_bloch_vectors(label, params, sigma, times)))
 
 
 def test_standard_schedule_instants_frozen():
@@ -211,7 +260,7 @@ def test_two_qubit_operator_is_smeared_tensor_product():
     # each arm is smeared on its own before the product: a noiseless
     # coincidence count is N tr((M_a (x) M_b) rho) with smeared arm operators
     rho = bell_states(0.4)[0]
-    settings, _, smeared = setting_operators(PARAMS, 0.15, IC_POVM_INSTANTS, 4)
+    settings, _, (smeared,) = setting_operators(PARAMS, [0.15], IC_POVM_INSTANTS, 4)
     # the noiseless count row: N times the smeared overlaps
     by_times = dict(zip(settings, 1000.0 * overlaps(rho[None], smeared)[0]))
     a = jittered_matrices("H", PARAMS, 0.15, [0.25])[0]
@@ -222,18 +271,33 @@ def test_two_qubit_operator_is_smeared_tensor_product():
 
 def test_setting_operators_pair_sharp_and_smeared_projectors():
     times = [0.25, 0.75]
-    settings, ideal, smeared = setting_operators(PARAMS, 0.15, times, 2)
+    settings, ideal, (smeared,) = setting_operators(PARAMS, [0.15], times, 2)
     assert settings == [(0.25,), (0.75,)]
     assert np.array_equal(ideal, jittered_matrices("H", PARAMS, 0.0, times))
     assert np.array_equal(smeared, jittered_matrices("H", PARAMS, 0.15, times))
     # pair settings run first arm outer and tensor the same arm stacks
-    settings, pair_ideal, pair_smeared = setting_operators(PARAMS, 0.15, times, 4)
+    settings, pair_ideal, (pair_smeared,) = setting_operators(PARAMS, [0.15], times, 4)
     assert settings == [(0.25, 0.25), (0.25, 0.75), (0.75, 0.25), (0.75, 0.75)]
     assert np.array_equal(pair_ideal[1], np.kron(ideal[0], ideal[1]))
     assert np.array_equal(pair_smeared[2], np.kron(smeared[1], smeared[0]))
     # the six-instant schedule gives 6 qubit and 36 pair settings
-    assert setting_operators(PARAMS, 0.15, IC_POVM_INSTANTS, 2)[1].shape == (6, 2, 2)
-    assert setting_operators(PARAMS, 0.15, IC_POVM_INSTANTS, 4)[1].shape == (36, 4, 4)
+    assert setting_operators(PARAMS, [0.15], IC_POVM_INSTANTS, 2)[1].shape == (6, 2, 2)
+    assert setting_operators(PARAMS, [0.15], IC_POVM_INSTANTS, 4)[1].shape == (36, 4, 4)
+
+
+@pytest.mark.parametrize("dim", [2, 4])
+def test_setting_operators_stack_one_smeared_stack_per_width(dim):
+    # several widths share one sharp stack, and each smeared stack has the
+    # bytes of a call with that width alone
+    sigmas = (0.0, 0.065, 0.5)
+    settings, sharp, smeared = setting_operators(PARAMS, sigmas, IC_POVM_INSTANTS, dim)
+    assert smeared.shape == (len(sigmas),) + sharp.shape
+    assert np.array_equal(smeared[0], sharp)
+    for sigma, stack in zip(sigmas, smeared):
+        alone = setting_operators(PARAMS, [sigma], IC_POVM_INSTANTS, dim)
+        assert alone[0] == settings
+        assert alone[1].tobytes() == sharp.tobytes()
+        assert alone[2][0].tobytes() == stack.tobytes()
 
 
 def test_trajectory_stays_on_sphere_without_jitter():

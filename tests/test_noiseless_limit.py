@@ -30,7 +30,7 @@ def noiseless_concurrence():
     states, _ = sample_bell_states(16)
     table = []
     for sigma in SIGMAS:
-        _, sharp, smeared = setting_operators(DynamicsParams(), sigma, IC_POVM_INSTANTS, 4)
+        _, sharp, (smeared,) = setting_operators(DynamicsParams(), [sigma], IC_POVM_INSTANTS, 4)
         # the noiseless count row: N times the smeared overlaps
         measured = 1000.0 * overlaps(states, smeared)
         fits = estimate_states(sharp, measured, 1000.0, EstimatorConfig())
@@ -56,13 +56,13 @@ def test_cell_means_approach_the_noiseless_limit_as_photon_number_grows():
     # largest N sits closest, and every gap is within 0.1 / sqrt(N) (seeds
     # 0-19 stay within 0.051 / sqrt(N))
     states, _ = sample_bell_states(200)
-    _, sharp, smeared = setting_operators(DynamicsParams(), 0.1, IC_POVM_INSTANTS, 4)
-    noiseless = 1000.0 * overlaps(states, smeared)
+    _, sharp, smeared = setting_operators(DynamicsParams(), [0.1], IC_POVM_INSTANTS, 4)
+    noiseless = 1000.0 * overlaps(states, smeared[0])
     limit = concurrences(estimate_states(sharp, noiseless, 1000.0, EstimatorConfig()).rho).mean()
     photon_numbers = (100.0, 1000.0, 10000.0)
     gaps = []
     for n_photons in photon_numbers:
-        measured = count_rows(states, smeared[None], [n_photons], 0)[0, 0]
+        measured = count_rows(states, smeared, [n_photons], 0)[0, 0]
         fits = estimate_states(sharp, measured, n_photons, EstimatorConfig())
         assert fits.converged.all()
         gaps.append(abs(concurrences(fits.rho).mean() - limit))
