@@ -338,7 +338,7 @@ class SweepMode:
 
     @property
     def sample_keys(self) -> tuple[str, ...]:
-        return tuple(k for k, v in dataclasses.asdict(self.desk).items() if v is not None)
+        return tuple(f.name for f in dataclasses.fields(self.desk) if getattr(self.desk, f.name) is not None)
 
 
 # The lambdas look the sample functions up when called, so a wrapper put on

@@ -1,7 +1,5 @@
 """Sweep configs, drivers, output documents, and the CLI front end."""
 
-import contextlib
-import io
 import json
 import math
 import os
@@ -17,7 +15,7 @@ from hypothesis import strategies as st
 
 import timetomo
 import timetomo.harness as harness_module
-from timetomo.cli import build_parser, main
+from timetomo.cli import main
 from timetomo.core import StateError
 from timetomo.counts import MAX_MEAN_PHOTONS, MAX_SEED, _poisson_table
 from timetomo.dynamics import DynamicsParams
@@ -668,40 +666,78 @@ def test_cli_rejects_workers_below_one(tmp_path, capsys, workers):
     assert "_workers_type" not in err
 
 
-def _parse(parser, argv):
-    """What ``parser.parse_args(argv)`` prints and returns: (exit status, stdout, stderr, namespace)."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            args = parser.parse_args(argv)
-        except SystemExit as exc:
-            return exc.code, out.getvalue(), err.getvalue(), None
-    return 0, out.getvalue(), err.getvalue(), vars(args)
+_TOP_USAGE = "usage: timetomo [-h] {trajectory,qubit-sweep,ortho-sweep,entangled-sweep} ..."
+_USAGE = "usage: timetomo {} [-h] --config CONFIG [--seed SEED] [--out OUT]"
+_SWEEP_HELP_LAST = "  --state-log        write per-state estimate log"
+_HELP_LAST = {
+    "trajectory": "  --out OUT        override the config output directory",
+    **dict.fromkeys(["qubit-sweep", "ortho-sweep", "entangled-sweep"], _SWEEP_HELP_LAST),
+}
+_CHOICES = "'trajectory', 'qubit-sweep', 'ortho-sweep', 'entangled-sweep'"
 
 
-@pytest.mark.parametrize("command", ["trajectory", "qubit-sweep", "ortho-sweep", "entangled-sweep"])
-def test_cli_parser_for_one_subcommand_reads_as_the_full_one(command):
-    # main builds only the subparser its first argument names; the help,
-    # the exit statuses, the errors and the parsed arguments must not show it
-    cases = [
-        ["--help"],
-        [],
-        ["--config", "c.json"],
-        ["--config", "c.json", "--seed", "4", "--out", "o"],
-        ["--config", "c.json", "--paper-scale", "--dump-counts", "--state-log"],
-        ["--config", "c.json", "--seed", "x"],
-        ["--config", "c.json", "extra"],
-        *(["--config", "c.json", "--workers", workers] for workers in _WORKERS_ERRORS),
-    ]
-    for case in cases:
-        argv = [command, *case]
-        trimmed, full = _parse(build_parser(command), argv), _parse(build_parser(), argv)
-        assert trimmed == full, argv
-    status, out, _, _ = _parse(build_parser(command), [command, "--help"])
-    assert status == 0 and out.startswith(f"usage: timetomo {command} [-h]")
-    # an argument left over is reported under the top-level usage, which lists every subcommand
-    status, _, err, _ = _parse(build_parser(command), [command, "--config", "c.json", "extra"])
-    assert status == 2 and err.startswith("usage: timetomo [-h] {trajectory,qubit-sweep,ortho-sweep,entangled-sweep}")
+@pytest.mark.parametrize(
+    "argv, status, stream, first, last",
+    [
+        *(
+            ([command, flag], 0, "out", _USAGE.format(command), _HELP_LAST[command])
+            for command in _HELP_LAST
+            for flag in ("--help", "-h")
+        ),
+        ([], 2, "err", _TOP_USAGE, "timetomo: error: the following arguments are required: command"),
+        (
+            ["bogus", "--config", "{cfg}"], 2, "err", _TOP_USAGE,
+            f"timetomo: error: argument command: invalid choice: 'bogus' (choose from {_CHOICES})",
+        ),
+        (
+            ["qubit-sweep", "--seed", "1"], 2, "err", _USAGE.format("qubit-sweep"),
+            "timetomo qubit-sweep: error: the following arguments are required: --config",
+        ),
+        (
+            ["trajectory", "--config"], 2, "err", _USAGE.format("trajectory"),
+            "timetomo trajectory: error: argument --config: expected one argument",
+        ),
+        (
+            ["trajectory", "--config", "{cfg}", "--seed", "x"], 2, "err", _USAGE.format("trajectory"),
+            "timetomo trajectory: error: argument --seed: invalid int value: 'x'",
+        ),
+        (
+            ["trajectory", "--config", "{cfg}", "extra"], 2, "err", _TOP_USAGE,
+            "timetomo: error: unrecognized arguments: extra",
+        ),
+        (
+            ["trajectory", "--config", "{cfg}", "--dump-counts"], 2, "err", _TOP_USAGE,
+            "timetomo: error: unrecognized arguments: --dump-counts",
+        ),
+        (["trajectory", "--config={cfg}", "--out={out}"], 0, "out", "{out}/trajectory.csv", "{out}/trajectory.csv"),
+        (
+            ["trajectory", "--config", "{cfg}", "--out", "{out}", "--seed", "1", "--seed", "-1"], 2, "err",
+            "error: seed must fit in an unsigned 64-bit integer", "error: seed must fit in an unsigned 64-bit integer",
+        ),
+    ],
+    ids=[
+        *(f"{command}{flag}" for command in _HELP_LAST for flag in ("--help", "-h")),
+        "no-arguments", "unknown-subcommand", "missing-config", "option-without-value", "bad-seed",
+        "leftover-positional", "trajectory-dump-counts", "equals-form", "repeated-seed-keeps-last",
+    ],
+)
+def test_cli_usage_outcomes(tmp_path, capsys, argv, status, stream, first, last):
+    # the exit status, and the first and last line of the one stream written
+    cfg_path = tmp_path / "traj.json"
+    cfg_path.write_text(json.dumps({"mode": "trajectory", "points": 4}))
+
+    def fill(text):
+        return text.replace("{cfg}", str(cfg_path)).replace("{out}", str(tmp_path / "run"))
+
+    try:
+        code = main([fill(arg) for arg in argv])
+    except SystemExit as exc:
+        code = exc.code
+    written = capsys.readouterr()
+    text, other = (written.out, written.err) if stream == "out" else (written.err, written.out)
+    lines = text.splitlines()
+    assert (code, other) == (status, "")
+    assert (lines[0], lines[-1]) == (fill(first), fill(last))
 
 
 def test_cli_seed_changes_results(tmp_path):
@@ -749,16 +785,32 @@ def test_cli_sweep_leaves_numpy_random_unimported(tmp_path, workers):
         "sample": {"n_r": 8, "n_theta": 3, "n_phi": 4},
     }
     cfg_path.write_text(json.dumps(doc))
+    argv = ["qubit-sweep", "--config", str(cfg_path), "--out", str(tmp_path / "run"), "--workers", workers]
+    modules = ("numpy.random", "concurrent.futures.process", "multiprocessing")
+    assert _main_in_a_fresh_interpreter(argv, modules) == (0, [False, False, False])
+
+
+def test_cli_call_leaves_argparse_and_locale_unimported(tmp_path):
+    # building an argparse parser, and the gettext lookup behind its first
+    # message (which imports locale), cost more than most stages of a small call
+    cfg_path = tmp_path / "cfg.json"
+    doc = {"mode": "entangled", "sigma_list": [0.0], "photon_list": [100], "sample": {"n_states": 2}}
+    cfg_path.write_text(json.dumps(doc))
+    argv = ["entangled-sweep", "--config", str(cfg_path), "--out", str(tmp_path / "run")]
+    assert _main_in_a_fresh_interpreter(argv, ("argparse", "locale")) == (0, [False, False])
+
+
+def _main_in_a_fresh_interpreter(argv, modules):
+    """The exit code of ``main(argv)`` in a new interpreter, and whether each of ``modules`` was imported then."""
     script = (
         "import sys\n"
         "from timetomo.cli import main\n"
-        f"code = main(['qubit-sweep', '--config', {str(cfg_path)!r}, '--out', {str(tmp_path / 'run')!r},"
-        f" '--workers', {workers!r}])\n"
-        "print(code, *(name in sys.modules for name in "
-        "('numpy.random', 'concurrent.futures.process', 'multiprocessing')))\n"
+        f"code = main({argv!r})\n"
+        f"print(code, *(name in sys.modules for name in {modules!r}))\n"
     )
     src = str(Path(timetomo.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split()[-4:] == ["0", "False", "False", "False"]
+    code, *loaded = done.stdout.split()[-1 - len(modules):]
+    return int(code), [flag == "True" for flag in loaded]
