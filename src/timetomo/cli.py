@@ -15,7 +15,6 @@ from pathlib import Path
 
 from .harness import (
     MODES,
-    TrajectoryConfig,
     emit_trajectory,
     load_config,
     run_manifest,
@@ -197,12 +196,11 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    commands = {"trajectory": "trajectory", **{name: m.command for name, m in MODES.items()}}
-    expected_modes = tuple(mode for mode, name in commands.items() if name == command)
-    mode = "trajectory" if isinstance(cfg, TrajectoryConfig) else cfg.mode
-    if mode not in expected_modes:
+    if command != (MODES[cfg.mode].command if cfg.mode in MODES else cfg.mode):
+        # only trajectory, whose subcommand is its mode, is not in MODES
+        expected_modes = tuple(mode for mode, m in MODES.items() if m.command == command) or (command,)
         print(
-            f"error: config mode {mode!r} does not fit subcommand {command!r} "
+            f"error: config mode {cfg.mode!r} does not fit subcommand {command!r} "
             f"(expected one of {expected_modes})",
             file=sys.stderr,
         )

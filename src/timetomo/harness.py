@@ -70,30 +70,6 @@ def _reals(values, key: str) -> tuple[float, ...]:
     return tuple(require_real(v, f"{key} entry") for v in values)
 
 
-def _seed(seed) -> int:
-    """``seed`` as an int in 0..``MAX_SEED``, the range the counts' Philox key takes."""
-    seed = require_integer(seed, "seed")
-    if not (0 <= seed <= MAX_SEED):
-        raise ValueError("seed must fit in an unsigned 64-bit integer")
-    return seed
-
-
-def _out_dir(out_dir) -> str:
-    """``out_dir`` unchanged; anything but a string raises, naming the key."""
-    if not isinstance(out_dir, str):
-        raise ValueError(f"out_dir must be a string, got {out_dir!r}")
-    return out_dir
-
-
-def _periods(periods) -> tuple[float, float, float]:
-    """The three rotation periods as floats, validated by ``DynamicsParams``."""
-    periods = _reals(periods, "periods")
-    if len(periods) != 3:
-        raise ValueError(f"periods must list three rotation periods, got {len(periods)}: {periods}")
-    DynamicsParams(*periods)
-    return periods
-
-
 @dataclass(frozen=True)
 class SampleSizes:
     """Grid sizes; only the fields relevant to a mode are set."""
@@ -104,18 +80,42 @@ class SampleSizes:
     n_states: int | None = None
 
 
+@dataclass(frozen=True, kw_only=True)
+class _RunConfig:
+    """What every run records: its seed, its output directory and the rotation periods."""
+
+    seed: int = 0
+    out_dir: str = "results"
+    periods: tuple[float, float, float] = (4.0, 1.0, 2.0)
+
+    def __post_init__(self):
+        # the counts' Philox key takes a seed in 0..MAX_SEED
+        seed = require_integer(self.seed, "seed")
+        if not (0 <= seed <= MAX_SEED):
+            raise ValueError("seed must fit in an unsigned 64-bit integer")
+        if not isinstance(self.out_dir, str):
+            raise ValueError(f"out_dir must be a string, got {self.out_dir!r}")
+        periods = _reals(self.periods, "periods")
+        if len(periods) != 3:
+            raise ValueError(f"periods must list three rotation periods, got {len(periods)}: {periods}")
+        DynamicsParams(*periods)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "periods", periods)
+
+    @property
+    def dynamics(self) -> DynamicsParams:
+        return DynamicsParams(*self.periods)
+
+
 @dataclass(frozen=True)
-class ExperimentConfig:
-    """One sweep: mode, grid axes, sample sizes, seed, estimator, output."""
+class ExperimentConfig(_RunConfig):
+    """One sweep: mode, grid axes, sample sizes, estimator, and the run fields."""
 
     mode: str
     sigma_list: tuple[float, ...]
     photon_list: tuple[float, ...]
-    seed: int = 0
-    out_dir: str = "results"
     sample: SampleSizes | None = None
     estimator: EstimatorConfig = field(default_factory=EstimatorConfig)
-    periods: tuple[float, float, float] = (4.0, 1.0, 2.0)
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -128,7 +128,6 @@ class ExperimentConfig:
             raise ValueError("photon_list must be nonempty with positive entries")
         if max(photons) > MAX_MEAN_PHOTONS:
             raise ValueError(f"photon_list entries must be at most MAX_MEAN_PHOTONS = {MAX_MEAN_PHOTONS:g}")
-        seed = _seed(self.seed)
         sample = self.sample if self.sample is not None else MODES[self.mode].desk
         sizes = {}
         for key in MODES[self.mode].sample_keys:
@@ -148,10 +147,8 @@ class ExperimentConfig:
                 )
         object.__setattr__(self, "sigma_list", sigmas)
         object.__setattr__(self, "photon_list", photons)
-        object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "out_dir", _out_dir(self.out_dir))
-        object.__setattr__(self, "sample", dataclasses.replace(sample, **sizes))
-        object.__setattr__(self, "periods", _periods(self.periods))
+        object.__setattr__(self, "sample", SampleSizes(**sizes))
+        super().__post_init__()
         # the fits invert the six sharp operators, so they must span the 2x2 Hermitian matrices
         sharp = jittered_matrices("H", self.dynamics, 0.0, IC_POVM_INSTANTS)
         rank = np.linalg.matrix_rank(sharp.reshape(-1, 4), tol=_COMPLETENESS_TOL)
@@ -161,24 +158,20 @@ class ExperimentConfig:
                 f"informationally incomplete (rank {rank} of 4)"
             )
 
-    @property
-    def dynamics(self) -> DynamicsParams:
-        return DynamicsParams(*self.periods)
-
 
 @dataclass(frozen=True)
-class TrajectoryConfig:
-    """Bloch-trajectory emission: which projector, jitter width, time grid."""
+class TrajectoryConfig(_RunConfig):
+    """Bloch-trajectory emission: which projector, jitter width, time grid, and the run fields."""
 
     operator: str = "H"
     sigma_over_T: float = 0.0
     points: int = 500
     t_max_over_T: float = 2.0
-    seed: int = 0
-    out_dir: str = "results"
-    periods: tuple[float, float, float] = (4.0, 1.0, 2.0)
+    mode: str = "trajectory"
 
     def __post_init__(self):
+        if self.mode != "trajectory":
+            raise ValueError(f"mode must be 'trajectory', got {self.mode!r}")
         if self.operator not in TRAJECTORY_OPERATORS:
             raise ValueError(f"operator must be one of {TRAJECTORY_OPERATORS}")
         sigma = require_real(self.sigma_over_T, "sigma_over_T")
@@ -191,13 +184,7 @@ class TrajectoryConfig:
         if not (math.isfinite(t_max) and t_max > 0):
             raise ValueError("t_max_over_T must be positive")
         object.__setattr__(self, "points", points)
-        object.__setattr__(self, "seed", _seed(self.seed))
-        object.__setattr__(self, "out_dir", _out_dir(self.out_dir))
-        object.__setattr__(self, "periods", _periods(self.periods))
-
-    @property
-    def dynamics(self) -> DynamicsParams:
-        return DynamicsParams(*self.periods)
+        super().__post_init__()
 
 
 @dataclass(frozen=True)
@@ -211,27 +198,28 @@ class SweepRow:
     n: int
 
 
-def _reject_unknown(mapping: dict, allowed, where: str):
-    if not isinstance(mapping, dict):
-        raise ValueError(f"{where} must be a JSON object, got {mapping!r}")
-    unknown = sorted(set(mapping) - set(allowed))
+def _checked(raw, cls, where: str, names=None) -> dict:
+    """``raw`` if it is a dict that sets the fields of dataclass ``cls`` (only those in ``names``, if given)."""
+    if not isinstance(raw, dict):
+        raise ValueError(f"{where} must be a JSON object, got {raw!r}")
+    fields = [f for f in dataclasses.fields(cls) if names is None or f.name in names]
+    unknown = sorted(set(raw) - {f.name for f in fields})
     if unknown:
         raise ValueError(f"unknown {where} keys: {', '.join(unknown)}")
-
-
-def _build_sample(mode: str, raw: dict) -> SampleSizes:
-    _reject_unknown(raw, MODES[mode].sample_keys, f"sample ({mode})")
-    merged = dataclasses.asdict(MODES[mode].desk)
-    merged.update(raw)
-    return SampleSizes(**merged)
+    for f in fields:
+        if f.name not in raw and f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
+            raise ValueError(f"{where} is missing the required {f.name!r} key")
+    return raw
 
 
 def load_config(source, *, seed=None, out_dir=None, paper_scale=False):
     """Parse a JSON config into an ExperimentConfig or TrajectoryConfig.
 
-    ``source`` is a path or an already-parsed dict.  Unknown keys raise.
-    ``seed`` / ``out_dir`` override the config; ``paper_scale`` swaps in the
-    full-size sample grids.
+    ``source`` is a path or an already-parsed dict.  Its keys, and those of
+    its ``estimator`` and ``sample`` objects, are the fields of the config
+    dataclasses, a sample taking only its mode's ``sample_keys``; an unknown
+    key or a missing required one raises.  ``seed`` / ``out_dir`` override
+    the config; ``paper_scale`` swaps in the full-size sample grids.
     """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8") as fh:
@@ -245,29 +233,17 @@ def load_config(source, *, seed=None, out_dir=None, paper_scale=False):
         raise ValueError("config is missing the required 'mode' key")
     if not isinstance(mode, str):
         raise ValueError(f"mode must be a string, got {mode!r}")
-
-    if mode == "trajectory":
-        allowed = ("mode", "operator", "sigma_over_T", "points", "t_max_over_T", "seed", "out_dir", "periods")
-        _reject_unknown(raw, allowed, "config")
-        fields = {k: raw[k] for k in allowed[1:] if k in raw}
-        build = TrajectoryConfig
-    elif mode not in MODES:
+    if mode != "trajectory" and mode not in MODES:
         raise ValueError(f"mode must be 'trajectory' or one of {tuple(MODES)}, got {mode!r}")
-    else:
-        allowed = ("mode", "sigma_list", "photon_list", "seed", "out_dir", "sample", "estimator", "periods")
-        _reject_unknown(raw, allowed, "config")
-        for key in ("sigma_list", "photon_list"):
-            if key not in raw:
-                raise ValueError(f"config is missing the required {key!r} key")
-        fields = {k: raw[k] for k in allowed if k in raw}
-        if "estimator" in fields:
-            _reject_unknown(fields["estimator"], [f.name for f in dataclasses.fields(EstimatorConfig)], "estimator")
-            fields["estimator"] = EstimatorConfig(**fields["estimator"])
-        if "sample" in fields:
-            fields["sample"] = _build_sample(mode, fields["sample"])
-        if paper_scale:
-            fields["sample"] = MODES[mode].paper
-        build = ExperimentConfig
+    build = TrajectoryConfig if mode == "trajectory" else ExperimentConfig
+    fields = _checked(raw, build, "config")
+    if "estimator" in fields:
+        fields["estimator"] = EstimatorConfig(**_checked(fields["estimator"], EstimatorConfig, "estimator"))
+    if "sample" in fields:
+        sizes = _checked(fields["sample"], SampleSizes, f"sample ({mode})", MODES[mode].sample_keys)
+        fields["sample"] = dataclasses.replace(MODES[mode].desk, **sizes)
+    if paper_scale and mode in MODES:
+        fields["sample"] = MODES[mode].paper
     # overrides go in before the one construction, which checks them with the rest
     if seed is not None:
         fields["seed"] = seed
@@ -409,6 +385,10 @@ def run_sweep(
     sample, with the same bytes) and its per-state estimate log into
     ``cfg.out_dir``.
     """
+    directory = Path(cfg.out_dir)
+    if dump_counts or state_log:
+        # made before the fit, so that a directory that cannot be made fails first
+        directory.mkdir(parents=True, exist_ok=True)
     mode = MODES[cfg.mode]
     states, pure = mode.sample(cfg.sample)
     dim = states.shape[1]
@@ -429,7 +409,6 @@ def run_sweep(
             pending = [pool.submit(fit, chunk, offset) for chunk, offset in zip(chunks[1:], offsets[1:])]
             parts = [fit(chunks[0], offsets[0])] + [future.result() for future in pending]
     fields = [np.concatenate(field, axis=1) for field in zip(*parts)]
-    directory = Path(cfg.out_dir)
     if dump_counts:
         measured = count_rows(states, smeared, cfg.photon_list, cfg.seed).reshape(len(cells), len(states), -1)
         sharp_overlaps = overlaps(states, sharp)
@@ -510,11 +489,10 @@ def write_sweep_csv(path, rows: list[SweepRow]) -> Path:
 
 
 def _config_document(cfg) -> dict:
-    doc = dataclasses.asdict(cfg)
-    for key, value in doc.items():
-        if isinstance(value, tuple):
-            doc[key] = list(value)
-    return doc
+    """``cfg`` as the JSON object that ``load_config`` reads back as ``cfg``, less the unused sample sizes."""
+    return dataclasses.asdict(
+        cfg, dict_factory=lambda items: {k: list(v) if isinstance(v, tuple) else v for k, v in items if v is not None}
+    )
 
 
 def run_manifest(command: str, cfg) -> dict:

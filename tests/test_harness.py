@@ -288,10 +288,13 @@ def test_load_config_rejects_unknown_keys():
     for key, value in (("optimizer", "simplex"), ("restarts", 5), ("epsilon_floor", 1e-9)):
         with pytest.raises(ValueError, match=f"unknown estimator keys: {key}"):
             load_config({**TINY_QUBIT, "estimator": {key: value}})
-    with pytest.raises(ValueError):
-        load_config({"mode": "qubit-pure", "sigma_list": [0.0]})  # missing photons
-    with pytest.raises(ValueError):
-        load_config({"sigma_list": [0.0], "photon_list": [1.0]})  # missing mode
+    for doc, key in (
+        ({"mode": "qubit-pure", "sigma_list": [0.0]}, "photon_list"),
+        ({"mode": "qubit-pure", "photon_list": [1.0]}, "sigma_list"),
+        ({"sigma_list": [0.0], "photon_list": [1.0]}, "mode"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(f"config is missing the required {key!r} key")):
+            load_config(doc)
     with pytest.raises(ValueError):
         load_config({**TINY_QUBIT, "mode": "wrong"})
 
@@ -302,6 +305,22 @@ def test_load_config_trajectory():
     assert cfg.operator == "D"
     with pytest.raises(ValueError):
         load_config({"mode": "trajectory", "bogus": 1})
+
+
+@pytest.mark.parametrize("mode", [*MODES, "trajectory"])
+def test_manifest_config_loads_back(mode):
+    # a run's manifest records its config in a form that load_config reads
+    # back as the same config, sample sizes, estimator and periods included
+    run = {"seed": 12345, "periods": [3.7, 1.3, 2.9]}
+    if mode == "trajectory":
+        cfg, command = load_config({"mode": mode, "operator": "D", "points": 7, **run}), "trajectory"
+    else:
+        estimator = {"max_iterations": 77, "convergence_tol": 2.5e-4}
+        doc = {"mode": mode, "sigma_list": [0.0, 0.1], "photon_list": [100], "estimator": estimator, **run}
+        cfg, command = load_config(doc), MODES[mode].command
+    document = run_manifest(command, cfg)["config"]
+    assert load_config(document) == cfg
+    assert load_config(json.loads(json.dumps(document))) == cfg
 
 
 def test_warning_row_thresholds():
@@ -349,6 +368,16 @@ def test_qubit_sweep_artifacts(tmp_path):
     assert len(log_lines) == 4
     entry = json.loads(log_lines[0])
     assert set(entry) == {"state_id", "objective", "iterations", "converged", "fidelity"}
+
+
+@pytest.mark.parametrize("flag", ["dump_counts", "state_log"])
+def test_sweep_artifacts_create_the_output_directory(tmp_path, flag):
+    # the CLI makes the output directory first; a library call must not
+    # depend on that, nor fail only after the fit
+    out_dir = tmp_path / "new" / "run"
+    cfg = load_config({**TINY_QUBIT, "sigma_list": [0.0]}, out_dir=out_dir)
+    run_sweep(cfg, **{flag: True})
+    assert len(list(out_dir.iterdir())) == 1
 
 
 _LOG_FLOATS = st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, -0.0]), st.floats())
