@@ -33,7 +33,7 @@ from .core import StateError, require_integer, require_real
 from .counts import MAX_MEAN_PHOTONS, MAX_SEED, count_rows, overlaps
 from .dynamics import DynamicsParams
 from .estimator import EstimatorConfig, StateEstimates, estimate_states
-from .measurement import IC_POVM_INSTANTS, POLARIZATION_KETS, bloch_trajectory, jittered_matrices, setting_operators
+from .measurement import IC_POVM_INSTANTS, POLARIZATION_KETS, bloch_trajectory, setting_operators, sharp_operators
 from .metrics import MetricsSummary, aggregate, chsh_guarantee, concurrences, fidelities, trace_distances
 from .states import orthogonal_pairs, sample_bell_states, sample_mixed_qubits, sample_pure_qubits
 
@@ -53,10 +53,20 @@ CONVERGENCE_WARN_FRACTION = 0.1
 # won from 98k on, for qubit and pair sweeps alike (BENCH_split-floor.json).
 _MIN_WORK_PER_WORKER = 45_000
 
-# Rows of the trajectory table formatted by one %-format each.  Python floats
-# format several times faster than numpy scalars, and a block bounds the size
-# of the string held at once.
+# Rows of the trajectory table formatted and written at once.  A block bounds
+# the formatter's temporaries (24 bytes of text and a few float and integer
+# arrays per value) to what stays in cache, and the memory held at once for a
+# table of any length: a whole 6,000-point table in one pass raised the peak
+# resident set of a trajectory call from 30.7 to 34.3 MB.
 _TRAJECTORY_BLOCK_ROWS = 1024
+
+# ``_g6_bytes`` lays each value out in 24 byte slots, held as three
+# little-endian words so that every numpy operation runs along the values:
+#   word 0: sign, "0", ".", three leading zeros, digit 1, point
+#   word 1: digit 2, point, digit 3, point, digit 4, point, digit 5, point
+#   word 2: digit 6, "e", exponent sign, three exponent digits, separator, unused
+# A slot the value does not use holds 0, and the zero bytes are dropped.
+_WORD = np.dtype("<u8")
 
 # Singular values of the six sharp operators (entries at most 1) below this
 # count as zero; a true rank loss leaves about 1e-15.
@@ -150,7 +160,7 @@ class ExperimentConfig(_RunConfig):
         object.__setattr__(self, "sample", SampleSizes(**sizes))
         super().__post_init__()
         # the fits invert the six sharp operators, so they must span the 2x2 Hermitian matrices
-        sharp = jittered_matrices("H", self.dynamics, 0.0, IC_POVM_INSTANTS)
+        sharp = sharp_operators(self.dynamics, IC_POVM_INSTANTS)
         rank = np.linalg.matrix_rank(sharp.reshape(-1, 4), tol=_COMPLETENESS_TOL)
         if rank < 4:
             raise ValueError(
@@ -450,17 +460,122 @@ def emit_trajectory(cfg: TrajectoryConfig) -> Path:
     grid = np.linspace(0.0, cfg.t_max_over_T, cfg.points)
     table = bloch_trajectory(cfg.operator, cfg.dynamics, cfg.sigma_over_T, grid)
     path = directory / "trajectory.csv"
-    width = table.shape[1]
-    row = ",".join(["%.6g"] * width) + "\n"
-    values = table.ravel().tolist()
-    step = width * _TRAJECTORY_BLOCK_ROWS
-    with path.open("w") as fh:
-        fh.write(TRAJECTORY_HEADER + "\n")
-        for start in range(0, len(values), step):
-            block = values[start : start + step]
-            # '%.6g' % x and f"{x:.6g}" agree, so this writes the bytes of per-value formatting
-            fh.write((row * (len(block) // width)) % tuple(block))
+    with path.open("wb") as fh:
+        fh.write(TRAJECTORY_HEADER.encode() + b"\n")
+        for start in range(0, len(table), _TRAJECTORY_BLOCK_ROWS):
+            fh.write(_g6_bytes(table[start : start + _TRAJECTORY_BLOCK_ROWS]))
     return path
+
+
+@functools.cache
+def _g6_tables():
+    """Lookup tables of ``_g6_bytes``, built on its first call and read-only.
+
+    ``powers[k + 300]`` is 10^k to within an ulp.  The digit masks hold
+    the three ASCII digits of an index 0..999 in their slots and all ones
+    in every other byte, so that and-ing them into a layout writes the
+    digits into the slots the layout opened.  A layout, indexed by
+    ``code = (kind * 6 + significant - 1) * 2 + negative``, holds the fixed
+    characters and opens the slots of the digits written, where
+    ``significant`` counts the six digits less their trailing zeros; kind 0
+    is scientific notation with a negative exponent, kinds 1..10 are fixed
+    notation with exponent -4..5, and kind 11 is scientific notation with an
+    exponent of 6 or more.
+    """
+    exponents = np.arange(-300, 301)
+    powers = 10.0**exponents
+    index = np.arange(1000)
+    digits = index[:, None] // [100, 10, 1] % 10 + ord("0")
+
+    def digit_masks(slots):
+        masks = np.full((1000, 24), 0xFF, dtype=np.uint8)
+        masks[:, slots] = digits
+        return np.ascontiguousarray(masks.view(_WORD).T)
+
+    exponent_masks = digit_masks([19, 20, 21])[2]
+    # exponents below 100 take two digits
+    exponent_masks[:100] &= ~np.uint64(0xFF << 24)
+    trailing_zeros = np.where(index % 10, 0, np.where(index % 100, 1, np.where(index, 2, 3)))
+    code = np.arange(144)
+    negative, significant, exponent = code % 2, code // 2 % 6 + 1, code // 12 - 5
+    scientific = (exponent < -4) | (exponent > 5)
+    below_one = (exponent < 0) & ~scientific
+    # fixed notation from 1 up writes every digit before the point
+    written = np.where(scientific | below_one, significant, np.maximum(significant, exponent + 1))
+    point = np.where(scientific, 1, exponent + 1)
+    record = np.zeros((144, 24), dtype=np.uint8)
+    record[:, 0] = negative * ord("-")
+    record[:, 1] = below_one * ord("0")
+    record[:, 2] = below_one * ord(".")
+    for j in range(3):
+        record[:, 3 + j] = (below_one & (j < -1 - exponent)) * ord("0")
+    for i in range(1, 7):
+        record[:, 4 + 2 * i] = (i <= written) * 0xFF
+    for i in range(1, 6):
+        record[:, 5 + 2 * i] = ((i == point) & (i < significant)) * ord(".")
+    record[:, 17] = scientific * ord("e")
+    record[:, 18] = scientific * np.where(exponent < 0, ord("-"), ord("+"))
+    record[:, 19:22] = scientific[:, None] * 0xFF
+    tables = (
+        powers,
+        np.ascontiguousarray(record.view(_WORD).T),
+        12 * (np.clip(exponents, -5, 6) + 5),  # code of each exponent's kind, at exponent + 300
+        2 * (5 - trailing_zeros),  # code of the significant digits, by the last three when not 000
+        2 * (2 - trailing_zeros),  # ... by the first three when the last three are 000
+        digit_masks([6, 8, 10])[:2],
+        digit_masks([12, 14, 16])[1:],
+        exponent_masks,
+    )
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+def _g6_bytes(block: np.ndarray) -> bytes:
+    """The rows of the 2-D float ``block`` as CSV lines, each value the bytes of ``f"{x:.6g}"``.
+
+    The decimal exponent e comes from ``log10``, corrected once where the
+    scaled value falls outside [1e5, 1e6); ``rint`` of x scaled by 10^(5 - e)
+    gives the six significant digits.  The scaled value is within 1e-9 of
+    the exact one, so ``rint`` rounds as Python's correctly rounded
+    formatting does wherever the scaled value is more than 1e-6 from a
+    half-integer.  Values that close to a rounding tie, zeros, non-finite
+    values and |x| outside [1e-280, 1e280] are formatted by Python instead.
+    """
+    powers, layouts, kinds, significant_low, significant_high, high_masks, low_masks, exponent_masks = _g6_tables()
+    rows, width = block.shape
+    x = block.ravel()
+    a = np.abs(x)
+    plain = (a >= 1e-280) & (a <= 1e280)
+    a[~plain] = 1.0
+    # 10^(5 - e) is powers[305 - e]; next to a power of ten, log10 can round
+    # across an integer
+    e = np.floor(np.log10(a)).astype(np.intp)
+    scaled = a * powers.take(305 - e)
+    e += scaled >= 1e6
+    e -= scaled < 1e5
+    scaled = a * powers.take(305 - e)
+    mantissa = np.rint(scaled)
+    plain &= np.abs(scaled - mantissa) < 0.5 - 1e-6
+    # 999999.5 and up round to 1e6: one digit more in the exponent
+    carry = mantissa == 1e6
+    e += carry
+    mantissa[carry] = 1e5
+    high, low = np.divmod(mantissa.astype(np.intp), 1000)
+    significant = np.where(low, significant_low.take(low), significant_high.take(high))
+    code = kinds.take(e + 300) + significant + (x < 0)
+    words = layouts.take(code, axis=1)
+    words[:2] &= high_masks.take(high, axis=1)
+    words[1:] &= low_masks.take(low, axis=1)
+    words[2] &= exponent_masks.take(np.abs(e))
+    for j in np.flatnonzero(~plain):
+        # Python's own formatting, in the first slots
+        words[:, j] = np.frombuffer((b"%.6g" % float(x[j])).ljust(24, b"\0"), dtype=_WORD)
+    separators = np.full(width, ord(",") << 48, dtype=_WORD)
+    separators[-1] = ord("\n") << 48
+    last = words[2].reshape(rows, width)
+    last |= separators
+    return words.T.tobytes().translate(None, b"\0")
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ keeps using the sharp ideal operators.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -128,6 +129,19 @@ def jittered_matrices(label: str, params: DynamicsParams, sigma: float, times) -
     return stack
 
 
+@functools.lru_cache(maxsize=16)
+def sharp_operators(params: DynamicsParams, times: tuple[float, ...]) -> np.ndarray:
+    """The sharp H operators ``jittered_matrices("H", params, 0.0, times)``, read-only.
+
+    Cached, because a sweep needs the ones at ``IC_POVM_INSTANTS`` twice:
+    its config checks that they are informationally complete, and its
+    ``setting_operators`` call fits against them.
+    """
+    stack = jittered_matrices("H", params, 0.0, times)
+    stack.flags.writeable = False
+    return stack
+
+
 def kron_pairs(first: np.ndarray, second: np.ndarray) -> np.ndarray:
     """Batched Kronecker product of 2x2 stacks: entry k is first[k] kron second[k]."""
     # (a kron b)[2i + k, 2j + l] = a[i, j] b[k, l]
@@ -143,9 +157,10 @@ def setting_operators(params: DynamicsParams, sigmas, times, dim: int):
     smeared)``: the H-projector stack of shape (K, d, d), and its smeared
     stack for each jitter width in ``sigmas``, shape (len(sigmas), K, d, d),
     as ``counts.count_rows`` takes them.  Counts are drawn from the smeared
-    operators and booked against the sharp ones, which are evaluated once.
+    operators and booked against the sharp ones, from ``sharp_operators``.
     """
-    arms = [jittered_matrices("H", params, sigma, times) for sigma in (0.0, *sigmas)]
+    arms = [sharp_operators(params, tuple(times))]
+    arms += [jittered_matrices("H", params, sigma, times) for sigma in sigmas]
     if dim == 2:
         return [(t,) for t in times], arms[0], np.stack(arms[1:])
     first, second = np.divmod(np.arange(len(times) ** 2), len(times))

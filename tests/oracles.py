@@ -10,6 +10,9 @@ neither depends on the spectral form that the package smears with.
 [1, cos(Omega_k t), sin(Omega_k t)], the bit-for-bit reference for
 ``measurement.smeared_bloch_vectors``, which evaluates only the rows a
 projector excites.
+``trajectory_csv`` is the trajectory table written with Python's own
+``%.6g``, a block of rows per %-format, the bytes reference for the numpy
+formatter of ``harness.emit_trajectory``.
 ``uhlmann_fidelity`` is the fidelity of two states from its definition, the
 reference for ``metrics.fidelities``: its closed form on mixed qubit truths
 and its overlap on pure truths of either size.
@@ -105,6 +108,19 @@ def all_rows_bloch_vectors(label: str, params: DynamicsParams, sigma: float, tim
     np.cos(phases, out=basis[1 : 1 + len(omegas)])
     np.sin(phases, out=basis[1 + len(omegas) :])
     return np.einsum("kj,kt->jt", coefficients, basis).T
+
+
+def trajectory_csv(table) -> bytes:
+    """``trajectory.csv`` for ``table``: its header, then each row with every value as ``'%.6g' % x``."""
+    width = table.shape[1]
+    row = ",".join(["%.6g"] * width) + "\n"
+    values = table.ravel().tolist()
+    step = width * 1024
+    text = ["t_over_T,x,y,z,purity\n"]
+    for start in range(0, len(values), step):
+        block = values[start : start + step]
+        text.append((row * (len(block) // width)) % tuple(block))
+    return "".join(text).encode()
 
 
 def horizontal_closed_form(t: float) -> np.ndarray:

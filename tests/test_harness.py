@@ -12,9 +12,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import trajectory_csv
 
 import timetomo
 import timetomo.harness as harness_module
+import timetomo.measurement as measurement_module
 from timetomo.cli import main
 from timetomo.core import StateError
 from timetomo.counts import MAX_MEAN_PHOTONS, MAX_SEED, _poisson_table
@@ -35,7 +37,7 @@ from timetomo.harness import (
     write_manifest,
     write_sweep_csv,
 )
-from timetomo.measurement import IC_POVM_INSTANTS, setting_operators
+from timetomo.measurement import IC_POVM_INSTANTS, POLARIZATION_KETS, bloch_trajectory, setting_operators
 
 TINY_QUBIT = {
     "mode": "qubit-pure",
@@ -370,6 +372,25 @@ def test_qubit_sweep_artifacts(tmp_path):
     assert set(entry) == {"state_id", "objective", "iterations", "converged", "fidelity"}
 
 
+def test_a_sweep_evaluates_the_sharp_operators_once(monkeypatch):
+    # the config's rank check and the fit share one evaluation, read-only
+    sharp_calls = []
+    kernel = measurement_module.smeared_bloch_vectors
+
+    def counted(label, params, sigma, times):
+        if sigma == 0.0:
+            sharp_calls.append(params)
+        return kernel(label, params, sigma, times)
+
+    monkeypatch.setattr(measurement_module, "smeared_bloch_vectors", counted)
+    measurement_module.sharp_operators.cache_clear()
+    cfg = load_config({**TINY_QUBIT, "sigma_list": [0.1], "periods": [3.7, 1.3, 2.9]})
+    run_sweep(cfg)
+    assert sharp_calls == [cfg.dynamics]
+    sharp = setting_operators(cfg.dynamics, [0.1], IC_POVM_INSTANTS, 2)[1]
+    assert not sharp.flags.writeable
+
+
 @pytest.mark.parametrize("flag", ["dump_counts", "state_log"])
 def test_sweep_artifacts_create_the_output_directory(tmp_path, flag):
     # the CLI makes the output directory first; a library call must not
@@ -564,6 +585,62 @@ def test_trajectory_csv_matches_row_wise_formatting(tmp_path, monkeypatch):
         reference = "\n".join(["t_over_T,x,y,z,purity", *rows]) + "\n"
         path = emit_trajectory(TrajectoryConfig(points=points, out_dir=str(tmp_path / str(points))))
         assert path.read_bytes() == reference.encode()
+
+
+@pytest.mark.parametrize("label", list(POLARIZATION_KETS))
+def test_trajectory_csv_matches_the_reference_writer(tmp_path, label):
+    # the numpy formatter must write the bytes of Python's %.6g on real
+    # trajectories: sharp, barely and strongly smeared, short and long
+    for sigma in (0.0, 1e-7, 0.07, 0.5, 3.0):
+        for points in (2, 7, 6000):
+            for periods in ((4.0, 1.0, 2.0), (3.7, 1.3, 2.9)):
+                cfg = TrajectoryConfig(
+                    operator=label, sigma_over_T=sigma, points=points, periods=periods, out_dir=str(tmp_path)
+                )
+                table = bloch_trajectory(label, cfg.dynamics, sigma, np.linspace(0.0, cfg.t_max_over_T, points))
+                assert emit_trajectory(cfg).read_bytes() == trajectory_csv(table), (sigma, points, periods)
+
+
+def _tie(j: int, q: int, shift: int, sign: int) -> float:
+    # k / 2^j with k odd has the decimal digits of k 5^j, which end in 5; when
+    # there are seven of them the value lies halfway between two six-digit ones,
+    # and so does any multiple by 10^shift
+    low, high = -(-(10**6) // 5**j), (10**7 - 1) // 5**j
+    k = 2 * (low // 2 + q % ((high + 1) // 2 - low // 2)) + 1
+    return sign * k / 2**j * 10**shift
+
+
+_G6_VALUES = st.one_of(
+    st.floats(),
+    st.sampled_from(
+        [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -2.2250738585072014e-308,
+         1.7976931348623157e308, 2.0**-9, 9.999995e-5, 99999.95, 999999.5, 1e-4, 1e-5, 123456.5,
+         1e-280, -1e280, 9.999999999999999e-281, 1.0000000000000001e280, 1e100, 1e-100]
+    ),
+    st.builds(_tie, st.integers(1, 10), st.integers(0, 10**6), st.integers(0, 8), st.sampled_from([1, -1])),
+    st.floats(1e99, 1e300).map(lambda x: -x),
+    st.floats(1e-300, 1e-99),
+)
+_BLOCK = harness_module._TRAJECTORY_BLOCK_ROWS
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    values=st.lists(_G6_VALUES, min_size=1, max_size=25),
+    rows=st.sampled_from([1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 37]),
+)
+def test_trajectory_values_are_written_as_python_formats_them(tmp_path_factory, values, rows):
+    # every value, tie, subnormal and non-finite one alike, must read as
+    # f"{x:.6g}" writes it, in tables of one row and around the block size
+    table = np.resize(np.array(values), (rows, 5))
+    expected = np.resize(np.array([f"{x:.6g}" for x in values], dtype=object), table.shape).tolist()
+    out_dir = tmp_path_factory.getbasetemp() / "trajectory-values"
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(harness_module, "bloch_trajectory", lambda *args: table)
+        text = emit_trajectory(TrajectoryConfig(points=2, out_dir=str(out_dir))).read_text()
+    lines = text.split("\n")
+    assert lines[0] == "t_over_T,x,y,z,purity" and lines[-1] == ""
+    assert [line.split(",") for line in lines[1:-1]] == expected
 
 
 def test_emit_trajectory_file(tmp_path):
