@@ -1,16 +1,16 @@
 """Command-line front end for trajectories and reconstruction sweeps.
 
-The command line is read from one table, ``_OPTIONS``, which also gives the
-usage lines and the help, laid out for an 80-column terminal.  A usage error
-prints a usage line and a ``timetomo: error: ...`` line and exits with status
-2.  An option is spelled out in full, as ``--name value`` or ``--name=value``;
-the token after a valued option is its value even when it starts with ``-``.
+The command line is read from one table, ``_OPTIONS``.  Only ``-h`` and a
+usage error build an argparse parser from that table, to lay out the help or
+the usage line and ``timetomo: error: ...`` line of the error (which exits
+with status 2) for an 80-column terminal; argparse never reads ``argv``.  An
+option is spelled out in full, as ``--name value`` or ``--name=value``; the
+token after a valued option is its value even when it starts with ``-``.
 """
 
 from __future__ import annotations
 
 import sys
-import textwrap
 from pathlib import Path
 
 from .harness import (
@@ -25,8 +25,6 @@ from .harness import (
 
 _PROG = "timetomo"
 _DESCRIPTION = "Simulate time-domain photonic tomography and reconstruct states from noisy counts."
-_WIDTH = 78  # the text width of an 80-column terminal, less a margin
-_HELP_COLUMN = 24  # option help texts start at most this far in
 _HELP_FLAGS = ("-h", "--help")
 
 _COMMANDS = {
@@ -35,7 +33,6 @@ _COMMANDS = {
     "ortho-sweep": "trace-distance sweep over orthogonal state pairs",
     "entangled-sweep": "concurrence and fidelity sweep over entangled pairs",
 }
-_CHOICES = "{" + ",".join(_COMMANDS) + "}"
 
 
 def _int_value(text: str) -> int:
@@ -85,59 +82,39 @@ def _dest(name: str) -> str:
     return name[2:].replace("-", "_")
 
 
-def _usage(command: str | None) -> str:
-    """The usage line of ``command`` (of the whole program when None); wrapped lines start under ``[-h]``."""
+def _parser(command: str | None):
+    """The argparse parser of ``command`` (of the whole program when None), built only to print help or an error.
+
+    ``_parse_args`` reads the command line itself; the parser lays out the
+    text, for an 80-column terminal whatever the real one is.
+    """
+    # imported only here: argparse and the gettext lookup behind its messages
+    # cost more than most stages of a small call
+    import argparse
+    import functools
+
+    formatter = functools.partial(argparse.HelpFormatter, width=78, max_help_position=24)
     if command is None:
-        prog, parts = _PROG, ["[-h]", _CHOICES, "..."]
-    else:
-        prog, parts = f"{_PROG} {command}", ["[-h]"]
-        for name, metavar, _, default, _, _ in _options(command):
-            part = name if metavar is None else f"{name} {metavar}"
-            parts.append(part if default is _REQUIRED else f"[{part}]")
-    lines, line = [], f"usage: {prog}"
-    indent = " " * (len(line) + 1)
-    for part in parts:
-        if len(line) + 1 + len(part) > _WIDTH:
-            lines.append(line)
-            line = indent + part
-        else:
-            line += " " + part
-    return "\n".join([*lines, line]) + "\n"
-
-
-def _entry(head: str, text: str, column: int) -> list[str]:
-    """One help entry: ``head``, then ``text`` wrapped from ``column``, on the next line if ``head`` reaches it."""
-    wrapped = textwrap.wrap(text, _WIDTH - column)
-    lines = [head] if len(head) + 2 > column else [head.ljust(column) + wrapped.pop(0)]
-    return lines + [" " * column + line for line in wrapped]
-
-
-def _help(command: str | None) -> str:
-    entries = [("  -h, --help", "show this help message and exit")]
-    if command is None:
-        lines = ["", *textwrap.wrap(_DESCRIPTION, _WIDTH), "", "positional arguments:", f"  {_CHOICES}"]
+        parser = argparse.ArgumentParser(prog=_PROG, description=_DESCRIPTION, formatter_class=formatter)
+        commands = parser.add_subparsers()
         for name, text in _COMMANDS.items():
-            lines += _entry(f"    {name}", text, _HELP_COLUMN)
-        column = _HELP_COLUMN
-    else:
-        for name, metavar, _, _, text, _ in _options(command):
-            entries.append((f"  {name}" if metavar is None else f"  {name} {metavar}", text))
-        column = min(max(len(head) for head, _ in entries) + 2, _HELP_COLUMN)
-        lines = []
-    lines += ["", "options:"]
-    for head, text in entries:
-        lines += _entry(head, text, column)
-    return _usage(command) + "\n".join(lines) + "\n"
+            commands.add_parser(name, help=text)
+        return parser
+    parser = argparse.ArgumentParser(prog=f"{_PROG} {command}", formatter_class=formatter)
+    for name, metavar, _, default, text, _ in _options(command):
+        if metavar is None:
+            parser.add_argument(name, action="store_true", help=text)
+        else:
+            parser.add_argument(name, metavar=metavar, required=default is _REQUIRED, help=text)
+    return parser
 
 
 def _usage_error(command: str | None, message: str):
-    prog = _PROG if command is None else f"{_PROG} {command}"
-    sys.stderr.write(f"{_usage(command)}{prog}: error: {message}\n")
-    raise SystemExit(2)
+    _parser(command).error(message)
 
 
 def _print_help(command: str | None):
-    sys.stdout.write(_help(command))
+    _parser(command).print_help()
     raise SystemExit(0)
 
 

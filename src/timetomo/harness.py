@@ -53,11 +53,12 @@ CONVERGENCE_WARN_FRACTION = 0.1
 # won from 98k on, for qubit and pair sweeps alike (BENCH_split-floor.json).
 _MIN_WORK_PER_WORKER = 45_000
 
-# Rows of the trajectory table formatted and written at once.  A block bounds
-# the formatter's temporaries (24 bytes of text and a few float and integer
-# arrays per value) to what stays in cache, and the memory held at once for a
-# table of any length: a whole 6,000-point table in one pass raised the peak
-# resident set of a trajectory call from 30.7 to 34.3 MB.
+# Rows of the trajectory table computed, formatted and written at once.  A
+# block bounds the formatter's temporaries (24 bytes of text and a few float
+# and integer arrays per value) to what stays in cache, and the memory held at
+# once for a table of any length: a whole 6,000-point table in one pass raised
+# the peak resident set of a trajectory call from 30.7 to 34.3 MB, and
+# computing a 1e6-point D table in one pass raised it from 42 to 171 MB.
 _TRAJECTORY_BLOCK_ROWS = 1024
 
 # ``_g6_bytes`` lays each value out in 24 byte slots, held as three
@@ -138,6 +139,12 @@ class ExperimentConfig(_RunConfig):
             raise ValueError("photon_list must be nonempty with positive entries")
         if max(photons) > MAX_MEAN_PHOTONS:
             raise ValueError(f"photon_list entries must be at most MAX_MEAN_PHOTONS = {MAX_MEAN_PHOTONS:g}")
+        for key, values in (("sigma_list", sigmas), ("photon_list", photons)):
+            # a cell's rows and artifact names carry its values as _fmt prints them
+            printed = [_fmt(v) for v in values]
+            repeated = next((text for i, text in enumerate(printed) if text in printed[:i]), None)
+            if repeated is not None:
+                raise ValueError(f"{key} entry {repeated} is repeated")
         sample = self.sample if self.sample is not None else MODES[self.mode].desk
         sizes = {}
         for key in MODES[self.mode].sample_keys:
@@ -434,7 +441,7 @@ def run_sweep(
         warning = _warning_row(sigma, n_photons, fits.converged)
         if warning:
             rows.append(warning)
-        tag = f"sigma{sigma:g}_N{n_photons:g}"
+        tag = f"sigma{_fmt(sigma)}_N{_fmt(n_photons)}"
         if dump_counts:
             expected = n_photons * sharp_overlaps
             lines = [COUNTS_HEADER] + [
@@ -458,12 +465,12 @@ def emit_trajectory(cfg: TrajectoryConfig) -> Path:
     directory = Path(cfg.out_dir)
     directory.mkdir(parents=True, exist_ok=True)
     grid = np.linspace(0.0, cfg.t_max_over_T, cfg.points)
-    table = bloch_trajectory(cfg.operator, cfg.dynamics, cfg.sigma_over_T, grid)
     path = directory / "trajectory.csv"
     with path.open("wb") as fh:
         fh.write(TRAJECTORY_HEADER.encode() + b"\n")
-        for start in range(0, len(table), _TRAJECTORY_BLOCK_ROWS):
-            fh.write(_g6_bytes(table[start : start + _TRAJECTORY_BLOCK_ROWS]))
+        for start in range(0, len(grid), _TRAJECTORY_BLOCK_ROWS):
+            block = grid[start : start + _TRAJECTORY_BLOCK_ROWS]
+            fh.write(_g6_bytes(bloch_trajectory(cfg.operator, cfg.dynamics, cfg.sigma_over_T, block)))
     return path
 
 

@@ -69,6 +69,21 @@ def test_experiment_config_validation():
         )
 
 
+@pytest.mark.parametrize(
+    "sigma_list, photon_list, message",
+    [
+        ((0.1, 0.1), (10.0,), "sigma_list entry 0.1 is repeated"),
+        ((0.0, 0.1, 0.1 + 1e-12), (10.0,), "sigma_list entry 0.1 is repeated"),
+        ((0.0,), (10.0, 20.0, 10), "photon_list entry 10 is repeated"),
+    ],
+    ids=["sigma-twice", "sigma-equal-to-ten-digits", "photons-int-and-float"],
+)
+def test_config_rejects_repeated_grid_entries(sigma_list, photon_list, message):
+    # two cells that print the same would share their rows' keys and their artifact names
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ExperimentConfig(mode="qubit-pure", sigma_list=sigma_list, photon_list=photon_list)
+
+
 def test_config_rejects_informationally_incomplete_periods():
     # the six instants span the 2x2 Hermitian matrices only for some periods:
     # rank 2 at (4, 0.5, 2) and rank 3 at (1, 1, 1)
@@ -372,6 +387,18 @@ def test_qubit_sweep_artifacts(tmp_path):
     assert set(entry) == {"state_id", "objective", "iterations", "converged", "fidelity"}
 
 
+def test_sweep_artifact_names_keep_the_csv_digits(tmp_path):
+    # sigmas that agree to six digits but not to ten get a file pair each
+    cfg = load_config({**TINY_QUBIT, "sigma_list": [0.1, 0.10000001]}, out_dir=tmp_path)
+    run_sweep(cfg, dump_counts=True, state_log=True)
+    assert sorted(path.name for path in tmp_path.iterdir()) == [
+        "counts_sigma0.10000001_N100.csv",
+        "counts_sigma0.1_N100.csv",
+        "estimates_sigma0.10000001_N100.jsonl",
+        "estimates_sigma0.1_N100.jsonl",
+    ]
+
+
 def test_a_sweep_evaluates_the_sharp_operators_once(monkeypatch):
     # the config's rank check and the fit share one evaluation, read-only
     sharp_calls = []
@@ -571,8 +598,8 @@ def test_sweep_splits_only_into_chunks_above_the_work_floor(monkeypatch, extra_s
 
 
 def test_trajectory_csv_matches_row_wise_formatting(tmp_path, monkeypatch):
-    # the table is written a block of rows at a time, one %-format per block;
-    # the file must hold the bytes of formatting each value with f"{x:.6g}",
+    # the table is computed and written a block of grid rows at a time; the
+    # file must hold the bytes of formatting each value with f"{x:.6g}",
     # on values where the two could part, for the 2-point minimum and for
     # more than two blocks with a partial last one
     tricky = [-0.0, 0.0, 1e-5, -1e-5, 9.999995e-6, 1.0000049e-5, 1.23456789e-4, 123456.5, 1234567.0, 1e16]
@@ -580,11 +607,22 @@ def test_trajectory_csv_matches_row_wise_formatting(tmp_path, monkeypatch):
     for points in (2, 2 * harness_module._TRAJECTORY_BLOCK_ROWS + 37):
         table = rng.choice(tricky, size=(points, 5)) * rng.choice([1.0, -1.0, 1.0 + 1e-12], size=(points, 5))
         table[0, 0] = -0.0
-        monkeypatch.setattr(harness_module, "bloch_trajectory", lambda *args: table)
+        cfg = TrajectoryConfig(points=points, out_dir=str(tmp_path / str(points)))
+        grid = np.linspace(0.0, cfg.t_max_over_T, points)
+        served = []
+
+        def rows_of_block(operator, dynamics, sigma, times):
+            # the rows of ``table`` for a block of the grid, asked for in order
+            start = sum(served)
+            np.testing.assert_array_equal(times, grid[start : start + len(times)])
+            served.append(len(times))
+            return table[start : start + len(times)]
+
+        monkeypatch.setattr(harness_module, "bloch_trajectory", rows_of_block)
         rows = [",".join(f"{v:.6g}" for v in row) for row in table]
         reference = "\n".join(["t_over_T,x,y,z,purity", *rows]) + "\n"
-        path = emit_trajectory(TrajectoryConfig(points=points, out_dir=str(tmp_path / str(points))))
-        assert path.read_bytes() == reference.encode()
+        assert emit_trajectory(cfg).read_bytes() == reference.encode()
+        assert sum(served) == points
 
 
 @pytest.mark.parametrize("label", list(POLARIZATION_KETS))
@@ -772,78 +810,130 @@ def test_cli_rejects_workers_below_one(tmp_path, capsys, workers):
     assert "_workers_type" not in err
 
 
-_TOP_USAGE = "usage: timetomo [-h] {trajectory,qubit-sweep,ortho-sweep,entangled-sweep} ..."
-_USAGE = "usage: timetomo {} [-h] --config CONFIG [--seed SEED] [--out OUT]"
-_SWEEP_HELP_LAST = "  --state-log        write per-state estimate log"
-_HELP_LAST = {
-    "trajectory": "  --out OUT        override the config output directory",
-    **dict.fromkeys(["qubit-sweep", "ortho-sweep", "entangled-sweep"], _SWEEP_HELP_LAST),
+_TOP_USAGE = "usage: timetomo [-h] {trajectory,qubit-sweep,ortho-sweep,entangled-sweep} ...\n"
+_USAGE = {
+    "trajectory": "usage: timetomo trajectory [-h] --config CONFIG [--seed SEED] [--out OUT]\n",
+    "qubit-sweep": (
+        "usage: timetomo qubit-sweep [-h] --config CONFIG [--seed SEED] [--out OUT]\n"
+        "                            [--paper-scale] [--workers WORKERS]\n"
+        "                            [--dump-counts] [--state-log]\n"
+    ),
+    "ortho-sweep": (
+        "usage: timetomo ortho-sweep [-h] --config CONFIG [--seed SEED] [--out OUT]\n"
+        "                            [--paper-scale] [--workers WORKERS]\n"
+        "                            [--dump-counts] [--state-log]\n"
+    ),
+    "entangled-sweep": (
+        "usage: timetomo entangled-sweep [-h] --config CONFIG [--seed SEED] [--out OUT]\n"
+        "                                [--paper-scale] [--workers WORKERS]\n"
+        "                                [--dump-counts] [--state-log]\n"
+    ),
+}
+_TOP_HELP = _TOP_USAGE + (
+    "\n"
+    "Simulate time-domain photonic tomography and reconstruct states from noisy\n"
+    "counts.\n"
+    "\n"
+    "positional arguments:\n"
+    "  {trajectory,qubit-sweep,ortho-sweep,entangled-sweep}\n"
+    "    trajectory          emit the Bloch trajectory of a measurement operator\n"
+    "    qubit-sweep         fidelity sweep over a single-qubit state grid\n"
+    "    ortho-sweep         trace-distance sweep over orthogonal state pairs\n"
+    "    entangled-sweep     concurrence and fidelity sweep over entangled pairs\n"
+    "\n"
+    "options:\n"
+    "  -h, --help            show this help message and exit\n"
+)
+_TRAJECTORY_OPTIONS = (
+    "\n"
+    "options:\n"
+    "  -h, --help       show this help message and exit\n"
+    "  --config CONFIG  path to the JSON config\n"
+    "  --seed SEED      override the config seed\n"
+    "  --out OUT        override the config output directory\n"
+)
+_SWEEP_OPTIONS = (
+    "\n"
+    "options:\n"
+    "  -h, --help         show this help message and exit\n"
+    "  --config CONFIG    path to the JSON config\n"
+    "  --seed SEED        override the config seed\n"
+    "  --out OUT          override the config output directory\n"
+    "  --paper-scale      use the full-size state samples instead of the desk-scale\n"
+    "                     defaults\n"
+    "  --workers WORKERS  at most this many processes fit; small sweeps run in one\n"
+    "                     process\n"
+    "  --dump-counts      write raw counts per cell\n"
+    "  --state-log        write per-state estimate log\n"
+)
+_HELP = {
+    command: usage + (_TRAJECTORY_OPTIONS if command == "trajectory" else _SWEEP_OPTIONS)
+    for command, usage in _USAGE.items()
 }
 _CHOICES = "'trajectory', 'qubit-sweep', 'ortho-sweep', 'entangled-sweep'"
 
 
 @pytest.mark.parametrize(
-    "argv, status, stream, first, last",
+    "argv, status, stream, text",
     [
-        *(
-            ([command, flag], 0, "out", _USAGE.format(command), _HELP_LAST[command])
-            for command in _HELP_LAST
-            for flag in ("--help", "-h")
-        ),
-        ([], 2, "err", _TOP_USAGE, "timetomo: error: the following arguments are required: command"),
+        *(([flag], 0, "out", _TOP_HELP) for flag in ("--help", "-h")),
+        *(([command, flag], 0, "out", _HELP[command]) for command in _HELP for flag in ("--help", "-h")),
+        ([], 2, "err", _TOP_USAGE + "timetomo: error: the following arguments are required: command\n"),
         (
-            ["bogus", "--config", "{cfg}"], 2, "err", _TOP_USAGE,
-            f"timetomo: error: argument command: invalid choice: 'bogus' (choose from {_CHOICES})",
+            ["bogus", "--config", "{cfg}"], 2, "err",
+            _TOP_USAGE + f"timetomo: error: argument command: invalid choice: 'bogus' (choose from {_CHOICES})\n",
         ),
         (
-            ["qubit-sweep", "--seed", "1"], 2, "err", _USAGE.format("qubit-sweep"),
-            "timetomo qubit-sweep: error: the following arguments are required: --config",
+            ["qubit-sweep", "--seed", "1"], 2, "err",
+            _USAGE["qubit-sweep"] + "timetomo qubit-sweep: error: the following arguments are required: --config\n",
         ),
         (
-            ["trajectory", "--config"], 2, "err", _USAGE.format("trajectory"),
-            "timetomo trajectory: error: argument --config: expected one argument",
+            ["trajectory", "--config"], 2, "err",
+            _USAGE["trajectory"] + "timetomo trajectory: error: argument --config: expected one argument\n",
         ),
         (
-            ["trajectory", "--config", "{cfg}", "--seed", "x"], 2, "err", _USAGE.format("trajectory"),
-            "timetomo trajectory: error: argument --seed: invalid int value: 'x'",
+            ["trajectory", "--config", "{cfg}", "--seed", "x"], 2, "err",
+            _USAGE["trajectory"] + "timetomo trajectory: error: argument --seed: invalid int value: 'x'\n",
         ),
         (
-            ["trajectory", "--config", "{cfg}", "extra"], 2, "err", _TOP_USAGE,
-            "timetomo: error: unrecognized arguments: extra",
+            ["trajectory", "--config", "{cfg}", "extra"], 2, "err",
+            _TOP_USAGE + "timetomo: error: unrecognized arguments: extra\n",
         ),
         (
-            ["trajectory", "--config", "{cfg}", "--dump-counts"], 2, "err", _TOP_USAGE,
-            "timetomo: error: unrecognized arguments: --dump-counts",
+            ["trajectory", "--config", "{cfg}", "--dump-counts"], 2, "err",
+            _TOP_USAGE + "timetomo: error: unrecognized arguments: --dump-counts\n",
         ),
-        (["trajectory", "--config={cfg}", "--out={out}"], 0, "out", "{out}/trajectory.csv", "{out}/trajectory.csv"),
+        (["trajectory", "--config={cfg}", "--out={out}"], 0, "out", "{out}/trajectory.csv\n"),
         (
             ["trajectory", "--config", "{cfg}", "--out", "{out}", "--seed", "1", "--seed", "-1"], 2, "err",
-            "error: seed must fit in an unsigned 64-bit integer", "error: seed must fit in an unsigned 64-bit integer",
+            "error: seed must fit in an unsigned 64-bit integer\n",
         ),
     ],
     ids=[
-        *(f"{command}{flag}" for command in _HELP_LAST for flag in ("--help", "-h")),
+        "--help", "-h",
+        *(f"{command}{flag}" for command in _HELP for flag in ("--help", "-h")),
         "no-arguments", "unknown-subcommand", "missing-config", "option-without-value", "bad-seed",
         "leftover-positional", "trajectory-dump-counts", "equals-form", "repeated-seed-keeps-last",
     ],
 )
-def test_cli_usage_outcomes(tmp_path, capsys, argv, status, stream, first, last):
-    # the exit status, and the first and last line of the one stream written
+def test_cli_usage_outcomes(tmp_path, capsys, monkeypatch, argv, status, stream, text):
+    # the exit status and every byte of the one stream written; help and
+    # usage are laid out for 80 columns whatever the terminal's width
     cfg_path = tmp_path / "traj.json"
     cfg_path.write_text(json.dumps({"mode": "trajectory", "points": 4}))
 
     def fill(text):
         return text.replace("{cfg}", str(cfg_path)).replace("{out}", str(tmp_path / "run"))
 
-    try:
-        code = main([fill(arg) for arg in argv])
-    except SystemExit as exc:
-        code = exc.code
-    written = capsys.readouterr()
-    text, other = (written.out, written.err) if stream == "out" else (written.err, written.out)
-    lines = text.splitlines()
-    assert (code, other) == (status, "")
-    assert (lines[0], lines[-1]) == (fill(first), fill(last))
+    expected = (fill(text), "") if stream == "out" else ("", fill(text))
+    for columns in ("40", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        try:
+            code = main([fill(arg) for arg in argv])
+        except SystemExit as exc:
+            code = exc.code
+        written = capsys.readouterr()
+        assert (code, written.out, written.err) == (status, *expected), columns
 
 
 def test_cli_seed_changes_results(tmp_path):
@@ -898,12 +988,24 @@ def test_cli_sweep_leaves_numpy_random_unimported(tmp_path, workers):
 
 def test_cli_call_leaves_argparse_and_locale_unimported(tmp_path):
     # building an argparse parser, and the gettext lookup behind its first
-    # message (which imports locale), cost more than most stages of a small call
-    cfg_path = tmp_path / "cfg.json"
-    doc = {"mode": "entangled", "sigma_list": [0.0], "photon_list": [100], "sample": {"n_states": 2}}
-    cfg_path.write_text(json.dumps(doc))
-    argv = ["entangled-sweep", "--config", str(cfg_path), "--out", str(tmp_path / "run")]
-    assert _main_in_a_fresh_interpreter(argv, ("argparse", "locale")) == (0, [False, False])
+    # message (which imports locale), cost more than most stages of a small
+    # call; only help and usage errors build one.  One call per subcommand
+    # kind, the sweep with the benchmark's own flags.
+    grid = {"sigma_list": [0.0], "photon_list": [100]}
+    calls = [
+        ("entangled-sweep", {"mode": "entangled", **grid, "sample": {"n_states": 2}}, []),
+        ("trajectory", {"mode": "trajectory", "points": 4}, []),
+        (
+            "qubit-sweep",
+            {"mode": "qubit-mixed", **grid, "sample": {"n_r": 1, "n_theta": 2, "n_phi": 2}},
+            ["--workers", "2", "--state-log"],
+        ),
+    ]
+    for command, doc, flags in calls:
+        cfg_path = tmp_path / f"{command}.json"
+        cfg_path.write_text(json.dumps(doc))
+        argv = [command, "--config", str(cfg_path), "--out", str(tmp_path / command), *flags]
+        assert _main_in_a_fresh_interpreter(argv, ("argparse", "locale")) == (0, [False, False]), command
 
 
 def _main_in_a_fresh_interpreter(argv, modules):
