@@ -62,10 +62,6 @@ _OPTIONS = (
     ("--seed", "SEED", _int_value, None, "override the config seed", False),
     ("--out", "OUT", str, None, "override the config output directory", False),
     (
-        "--paper-scale", None, None, False,
-        "use the full-size state samples instead of the desk-scale defaults", True,
-    ),
-    (
         "--workers", "WORKERS", _workers_value, 1,
         "at most this many processes fit; small sweeps run in one process", True,
     ),
@@ -169,7 +165,7 @@ def _parse_args(argv: list[str]) -> tuple[str, dict]:
 def main(argv=None) -> int:
     command, args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
-        cfg = load_config(args["config"], seed=args["seed"], out_dir=args["out"], paper_scale=args["paper_scale"])
+        cfg = load_config(args["config"], seed=args["seed"], out_dir=args["out"])
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -97,7 +97,7 @@ class _RunConfig:
 
     seed: int = 0
     out_dir: str = "results"
-    periods: tuple[float, float, float] = (4.0, 1.0, 2.0)
+    periods: tuple[float, float, float] = dataclasses.astuple(DynamicsParams())
 
     def __post_init__(self):
         # the counts' Philox key takes a seed in 0..MAX_SEED
@@ -229,14 +229,14 @@ def _checked(raw, cls, where: str, names=None) -> dict:
     return raw
 
 
-def load_config(source, *, seed=None, out_dir=None, paper_scale=False):
+def load_config(source, *, seed=None, out_dir=None):
     """Parse a JSON config into an ExperimentConfig or TrajectoryConfig.
 
     ``source`` is a path or an already-parsed dict.  Its keys, and those of
     its ``estimator`` and ``sample`` objects, are the fields of the config
     dataclasses, a sample taking only its mode's ``sample_keys``; an unknown
     key or a missing required one raises.  ``seed`` / ``out_dir`` override
-    the config; ``paper_scale`` swaps in the full-size sample grids.
+    the config.
     """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8") as fh:
@@ -259,8 +259,6 @@ def load_config(source, *, seed=None, out_dir=None, paper_scale=False):
     if "sample" in fields:
         sizes = _checked(fields["sample"], SampleSizes, f"sample ({mode})", MODES[mode].sample_keys)
         fields["sample"] = dataclasses.replace(MODES[mode].desk, **sizes)
-    if paper_scale and mode in MODES:
-        fields["sample"] = MODES[mode].paper
     # overrides go in before the one construction, which checks them with the rest
     if seed is not None:
         fields["seed"] = seed
@@ -325,7 +323,6 @@ class SweepMode:
 
     command: str
     desk: SampleSizes
-    paper: SampleSizes
     sample: Callable[[SampleSizes], tuple[np.ndarray, np.ndarray]]
     metrics: Callable[[StateEstimates, np.ndarray], list[MetricsSummary]]
 
@@ -339,19 +336,19 @@ class SweepMode:
 # every call; the metric functions do the same inside.
 MODES = {
     "qubit-mixed": SweepMode(
-        "qubit-sweep", SampleSizes(n_r=8, n_theta=8, n_phi=8), SampleSizes(n_r=21, n_theta=21, n_phi=20),
+        "qubit-sweep", SampleSizes(n_r=8, n_theta=8, n_phi=8),
         lambda s: sample_mixed_qubits(s.n_r, s.n_theta, s.n_phi), _fidelity_metrics,
     ),
     "qubit-pure": SweepMode(
-        "qubit-sweep", SampleSizes(n_theta=8, n_phi=8), SampleSizes(n_theta=21, n_phi=20),
+        "qubit-sweep", SampleSizes(n_theta=8, n_phi=8),
         lambda s: sample_pure_qubits(s.n_theta, s.n_phi), _fidelity_metrics,
     ),
     "qubit-orthogonal-pairs": SweepMode(
-        "ortho-sweep", SampleSizes(n_theta=8, n_phi=8), SampleSizes(n_theta=21, n_phi=20),
+        "ortho-sweep", SampleSizes(n_theta=8, n_phi=8),
         lambda s: orthogonal_pairs(s.n_theta, s.n_phi), _orthogonality_metrics,
     ),
     "entangled": SweepMode(
-        "entangled-sweep", SampleSizes(n_states=50), SampleSizes(n_states=200),
+        "entangled-sweep", SampleSizes(n_states=50),
         lambda s: sample_bell_states(s.n_states), _entanglement_metrics,
     ),
 }

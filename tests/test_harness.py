@@ -233,7 +233,22 @@ def test_orthogonal_pairs_reject_a_single_polar_angle():
 def test_default_samples_fill_in_per_mode():
     cfg = ExperimentConfig(mode="entangled", sigma_list=(0.0,), photon_list=(10.0,))
     assert cfg.sample == MODES["entangled"].desk
-    assert MODES["qubit-mixed"].paper.n_r == 21
+
+
+def test_paper_configs_build_the_full_state_samples():
+    # the paper-scale runs are committed configs, each at seed 3
+    built = {}
+    for path in (Path(__file__).resolve().parents[1] / "configs" / "paper").glob("*.json"):
+        cfg = load_config(path)
+        states, pure = MODES[cfg.mode].sample(cfg.sample)
+        built[path.stem] = (len(states), len(pure), cfg.seed)
+    assert built == {
+        "qubit-mixed": (8820, 8820, 3),
+        "qubit-pure": (420, 420, 3),
+        "qubit-orthogonal-pairs": (420, 420, 3),  # 210 orthogonal pairs
+        "entangled": (200, 200, 3),
+        "entangled-cell": (200, 200, 3),
+    }
 
 
 def test_trajectory_config_validation():
@@ -264,10 +279,10 @@ def test_load_config_sweep_roundtrip(tmp_path):
     assert cfg.estimator.max_iterations == 40
     assert cfg.sample.n_theta == 2
     # overrides win over the file contents
-    cfg2 = load_config(path, seed=9, out_dir="elsewhere", paper_scale=True)
+    cfg2 = load_config(path, seed=9, out_dir="elsewhere")
     assert cfg2.seed == 9
     assert cfg2.out_dir == "elsewhere"
-    assert cfg2.sample == MODES["qubit-pure"].paper
+    assert cfg2.sample == cfg.sample
 
 
 @pytest.mark.parametrize("doc", [TINY_QUBIT, {"mode": "trajectory"}], ids=["sweep", "trajectory"])
@@ -277,20 +292,13 @@ def test_load_config_builds_once_and_checks_overrides(monkeypatch, doc):
     built = []
     check = config_type.__post_init__
     monkeypatch.setattr(config_type, "__post_init__", lambda self: (built.append(self), check(self)))
-    paper_scale = config_type is ExperimentConfig
-    cfg = load_config(doc, seed=3, out_dir=Path("elsewhere"), paper_scale=paper_scale)
+    cfg = load_config(doc, seed=3, out_dir=Path("elsewhere"))
     assert (len(built), cfg.seed, cfg.out_dir) == (1, 3, "elsewhere")
     for seed in (-1, MAX_SEED + 1):
         with pytest.raises(ValueError, match="unsigned 64-bit"):
             load_config(doc, seed=seed)
     with pytest.raises(ValueError, match="seed must be an integer"):
         load_config(doc, seed=2.5)
-
-
-def test_load_config_rejects_unknown_sample_keys_at_paper_scale():
-    # the paper-scale grids replace the sample, but its keys are still checked
-    with pytest.raises(ValueError, match="unknown sample \\(qubit-pure\\) keys: bogus"):
-        load_config({**TINY_QUBIT, "sample": {"n_theta": 2, "bogus": 3}}, paper_scale=True)
 
 
 def test_load_config_rejects_unknown_keys():
@@ -733,16 +741,6 @@ def test_cli_trajectory_end_to_end(tmp_path, capsys):
     assert (out_dir / "manifest.json").exists()
 
 
-def test_cli_trajectory_rejects_paper_scale(tmp_path, capsys):
-    # --paper-scale resizes sweep samples; a trajectory has none to resize
-    cfg_path = tmp_path / "traj.json"
-    cfg_path.write_text(json.dumps({"mode": "trajectory", "points": 4}))
-    with pytest.raises(SystemExit) as info:
-        main(["trajectory", "--config", str(cfg_path), "--out", str(tmp_path), "--paper-scale"])
-    assert info.value.code == 2
-    assert "--paper-scale" in capsys.readouterr().err
-
-
 def test_cli_rejects_mode_subcommand_mismatch(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(TINY_QUBIT))
@@ -815,18 +813,16 @@ _USAGE = {
     "trajectory": "usage: timetomo trajectory [-h] --config CONFIG [--seed SEED] [--out OUT]\n",
     "qubit-sweep": (
         "usage: timetomo qubit-sweep [-h] --config CONFIG [--seed SEED] [--out OUT]\n"
-        "                            [--paper-scale] [--workers WORKERS]\n"
-        "                            [--dump-counts] [--state-log]\n"
+        "                            [--workers WORKERS] [--dump-counts] [--state-log]\n"
     ),
     "ortho-sweep": (
         "usage: timetomo ortho-sweep [-h] --config CONFIG [--seed SEED] [--out OUT]\n"
-        "                            [--paper-scale] [--workers WORKERS]\n"
-        "                            [--dump-counts] [--state-log]\n"
+        "                            [--workers WORKERS] [--dump-counts] [--state-log]\n"
     ),
     "entangled-sweep": (
         "usage: timetomo entangled-sweep [-h] --config CONFIG [--seed SEED] [--out OUT]\n"
-        "                                [--paper-scale] [--workers WORKERS]\n"
-        "                                [--dump-counts] [--state-log]\n"
+        "                                [--workers WORKERS] [--dump-counts]\n"
+        "                                [--state-log]\n"
     ),
 }
 _TOP_HELP = _TOP_USAGE + (
@@ -859,8 +855,6 @@ _SWEEP_OPTIONS = (
     "  --config CONFIG    path to the JSON config\n"
     "  --seed SEED        override the config seed\n"
     "  --out OUT          override the config output directory\n"
-    "  --paper-scale      use the full-size state samples instead of the desk-scale\n"
-    "                     defaults\n"
     "  --workers WORKERS  at most this many processes fit; small sweeps run in one\n"
     "                     process\n"
     "  --dump-counts      write raw counts per cell\n"
@@ -903,6 +897,10 @@ _CHOICES = "'trajectory', 'qubit-sweep', 'ortho-sweep', 'entangled-sweep'"
             ["trajectory", "--config", "{cfg}", "--dump-counts"], 2, "err",
             _TOP_USAGE + "timetomo: error: unrecognized arguments: --dump-counts\n",
         ),
+        (
+            ["qubit-sweep", "--config", "{cfg}", "--paper-scale"], 2, "err",
+            _TOP_USAGE + "timetomo: error: unrecognized arguments: --paper-scale\n",
+        ),
         (["trajectory", "--config={cfg}", "--out={out}"], 0, "out", "{out}/trajectory.csv\n"),
         (
             ["trajectory", "--config", "{cfg}", "--out", "{out}", "--seed", "1", "--seed", "-1"], 2, "err",
@@ -913,7 +911,7 @@ _CHOICES = "'trajectory', 'qubit-sweep', 'ortho-sweep', 'entangled-sweep'"
         "--help", "-h",
         *(f"{command}{flag}" for command in _HELP for flag in ("--help", "-h")),
         "no-arguments", "unknown-subcommand", "missing-config", "option-without-value", "bad-seed",
-        "leftover-positional", "trajectory-dump-counts", "equals-form", "repeated-seed-keeps-last",
+        "leftover-positional", "trajectory-dump-counts", "sweep-paper-scale", "equals-form", "repeated-seed-keeps-last",
     ],
 )
 def test_cli_usage_outcomes(tmp_path, capsys, monkeypatch, argv, status, stream, text):
