@@ -13,15 +13,7 @@ from __future__ import annotations
 import sys
 from pathlib import Path
 
-from .harness import (
-    MODES,
-    emit_trajectory,
-    load_config,
-    run_manifest,
-    run_sweep,
-    write_manifest,
-    write_sweep_csv,
-)
+from .harness import emit_trajectory, load_config, run_manifest, write_manifest
 
 _PROG = "timetomo"
 _DESCRIPTION = "Simulate time-domain photonic tomography and reconstruct states from noisy counts."
@@ -169,9 +161,15 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if command != (MODES[cfg.mode].command if cfg.mode in MODES else cfg.mode):
-        # only trajectory, whose subcommand is its mode, is not in MODES
-        expected_modes = tuple(mode for mode, m in MODES.items() if m.command == command) or (command,)
+    if command == "trajectory":
+        # the one subcommand whose mode is its own name
+        expected_modes = (command,)
+    else:
+        # imported only for a sweep subcommand: a trajectory call never loads the sweep's modules
+        from .sweep import MODES, run_sweep, write_sweep_csv
+
+        expected_modes = tuple(mode for mode, m in MODES.items() if m.command == command)
+    if cfg.mode not in expected_modes:
         print(
             f"error: config mode {cfg.mode!r} does not fit subcommand {command!r} "
             f"(expected one of {expected_modes})",

@@ -1,4 +1,4 @@
-"""The config value checks, the Hermitian spectra and the physicality check.
+"""The config value checks and seed range, the Hermitian spectra and the physicality check.
 
 Everything downstream works with (B, d, d) stacks of 2x2 (single qubit) and
 4x4 (photon pair) matrices.  ``ascending_eigenvalues`` gives their spectra,
@@ -17,6 +17,9 @@ import numpy as np
 HERMITIAN_ATOL = 1e-10       # max |M - M^dag| entry for "is Hermitian"
 TRACE_ATOL = 1e-10           # |tr(rho) - 1| for a density matrix
 PSD_FLOOR = -1e-10           # eigenvalues above this count as nonnegative
+
+# Largest run seed: the counts' Philox key holds a seed in one 64-bit word.
+MAX_SEED = 2**64 - 1
 
 
 def require_integer(value, key: str) -> int:

@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-MAX_SEED = 2**64 - 1
+from .core import MAX_SEED
 
 # Largest accepted mean photon number.  The Poisson table that a count call
 # builds for each photon number grows as sqrt(mean): at 1e9 it holds 547k

@@ -7,7 +7,7 @@ benchmark values these simulations are expected to reproduce.
 
 The state-grid sweeps are expensive, so cells shared between criteria are
 computed once in module-scoped fixtures.  Everything runs at seed 0 with
-the desk-scale samples; total runtime is a few minutes on one core.
+the desk-scale samples.
 """
 
 import math
@@ -16,20 +16,20 @@ import numpy as np
 import pytest
 
 from oracles import horizontal_closed_form, max_abs
-from timetomo import harness
+from timetomo import sweep
 from timetomo.core import first_unphysical
 from timetomo.counts import overlaps
 from timetomo.dynamics import DynamicsParams
 from timetomo.estimator import EstimatorConfig, estimate_states
-from timetomo.harness import (
+from timetomo.measurement import IC_POVM_INSTANTS, jittered_matrices, setting_operators
+from timetomo.metrics import fidelities
+from timetomo.states import qubit_states, sample_bell_states
+from timetomo.sweep import (
     ExperimentConfig,
     SampleSizes,
     run_sweep,
     write_sweep_csv,
 )
-from timetomo.measurement import IC_POVM_INSTANTS, jittered_matrices, setting_operators
-from timetomo.metrics import fidelities
-from timetomo.states import qubit_states, sample_bell_states
 
 PARAMS = DynamicsParams()
 
@@ -251,7 +251,7 @@ def test_criterion_09_small_sample_spread(mixed_cells, pure_cells, entangled_cel
 
 def test_criterion_10_determinism(tmp_path, monkeypatch):
     # a floor of 1 makes these small sweeps really split across two processes
-    monkeypatch.setattr(harness, "_MIN_WORK_PER_WORKER", 1)
+    monkeypatch.setattr(sweep, "_MIN_WORK_PER_WORKER", 1)
     qubit_cfg = ExperimentConfig(
         mode="qubit-pure",
         sigma_list=(0.1,),

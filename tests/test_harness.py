@@ -17,27 +17,24 @@ from oracles import trajectory_csv
 import timetomo
 import timetomo.harness as harness_module
 import timetomo.measurement as measurement_module
+import timetomo.sweep as sweep_module
 from timetomo.cli import main
-from timetomo.core import StateError
-from timetomo.counts import MAX_MEAN_PHOTONS, MAX_SEED, _poisson_table
+from timetomo.core import MAX_SEED, StateError
+from timetomo.counts import MAX_MEAN_PHOTONS, _poisson_table
 from timetomo.dynamics import DynamicsParams
-from timetomo.harness import (
+from timetomo.harness import TrajectoryConfig, emit_trajectory, load_config, run_manifest, write_manifest
+from timetomo.measurement import IC_POVM_INSTANTS, POLARIZATION_KETS, bloch_trajectory, setting_operators
+from timetomo.sweep import (
     CSV_HEADER,
     MODES,
     ExperimentConfig,
     SampleSizes,
     SweepRow,
-    TrajectoryConfig,
     _warning_row,
-    emit_trajectory,
-    load_config,
-    run_manifest,
     run_sweep,
     sweep_rows_to_csv,
-    write_manifest,
     write_sweep_csv,
 )
-from timetomo.measurement import IC_POVM_INSTANTS, POLARIZATION_KETS, bloch_trajectory, setting_operators
 
 TINY_QUBIT = {
     "mode": "qubit-pure",
@@ -367,7 +364,7 @@ def test_sweep_csv_format():
 
 def test_qubit_sweep_rows_and_determinism(tmp_path, monkeypatch):
     # a floor of 1 lets even this tiny sweep split, so workers=2 really forks
-    monkeypatch.setattr(harness_module, "_MIN_WORK_PER_WORKER", 1)
+    monkeypatch.setattr(sweep_module, "_MIN_WORK_PER_WORKER", 1)
     cfg = load_config(TINY_QUBIT)
     rows_serial = run_sweep(cfg, workers=1)
     # one fidelity row per (sigma, N) cell
@@ -452,7 +449,7 @@ def test_state_log_lines_are_the_bytes_of_json_dumps(entries):
     keys = ("objective", "iterations", "converged", "fidelity")
     lines = [json.dumps({"state_id": i, **dict(zip(keys, entry))}, sort_keys=True) for i, entry in enumerate(entries)]
     columns = [np.array([entry[k] for entry in entries], dtype=t) for k, t in enumerate((float, int, bool, float))]
-    assert harness_module._state_log(*columns) == "\n".join(lines) + "\n"
+    assert sweep_module._state_log(*columns) == "\n".join(lines) + "\n"
 
 
 def test_orthogonality_sweep_rows():
@@ -491,9 +488,7 @@ def test_entangled_sweep_rows():
 
 
 def test_state_failure_names_its_cell_and_state(monkeypatch):
-    import timetomo.harness as harness
-
-    real = harness.estimate_states
+    real = sweep_module.estimate_states
 
     def failing(*args, **kwargs):
         real(*args, **kwargs)
@@ -501,7 +496,7 @@ def test_state_failure_names_its_cell_and_state(monkeypatch):
         # sweep is state 2 of the cell
         raise StateError(2) from FloatingPointError("boom")
 
-    monkeypatch.setattr(harness, "estimate_states", failing)
+    monkeypatch.setattr(sweep_module, "estimate_states", failing)
     cfg = load_config({**TINY_QUBIT, "sigma_list": [0.1]})
     with pytest.raises(RuntimeError) as info:
         run_sweep(cfg, workers=1)
@@ -516,10 +511,8 @@ def test_non_finite_count_row_names_its_state(monkeypatch, workers):
     # with two workers, state 3 is entry 1 of the second chunk; in a grid,
     # the sweep fits every cell's rows in one call, and the failing row must
     # still map back to its own cell
-    import timetomo.harness as harness
-
-    monkeypatch.setattr(harness, "_MIN_WORK_PER_WORKER", 1)
-    real = harness.count_rows
+    monkeypatch.setattr(sweep_module, "_MIN_WORK_PER_WORKER", 1)
+    real = sweep_module.count_rows
     corrupted = {}
 
     def corrupt(states, smeared, mean_photons, seed, first_index=0):
@@ -528,7 +521,7 @@ def test_non_finite_count_row_names_its_state(monkeypatch, workers):
         measured[(*corrupted["cells"], np.arange(first_index, first_index + len(states)) == 3, 0)] = np.nan
         return measured
 
-    monkeypatch.setattr(harness, "count_rows", corrupt)
+    monkeypatch.setattr(sweep_module, "count_rows", corrupt)
     corrupted["cells"] = (slice(None), slice(None))
     cfg = load_config({**TINY_QUBIT, "sigma_list": [0.1]})
     message = "mode qubit-pure, sigma 0.1, N 100, state 3: count row has non-finite"
@@ -548,7 +541,7 @@ def test_grid_outputs_do_not_depend_on_workers(tmp_path, monkeypatch, mode):
     # the sweep fits every cell in one batch split into chunks; the CSV, the
     # counts and the state logs must be the same bytes for any split.  A floor
     # of 1 makes this small sweep split into as many chunks as workers.
-    monkeypatch.setattr(harness_module, "_MIN_WORK_PER_WORKER", 1)
+    monkeypatch.setattr(sweep_module, "_MIN_WORK_PER_WORKER", 1)
     doc = {
         "mode": mode,
         "sigma_list": [0.0, 0.1],
@@ -596,7 +589,7 @@ def test_sweep_splits_only_into_chunks_above_the_work_floor(monkeypatch, extra_s
             return future
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
-    n_states = math.ceil(2 * harness_module._MIN_WORK_PER_WORKER / 576) + extra_states
+    n_states = math.ceil(2 * sweep_module._MIN_WORK_PER_WORKER / 576) + extra_states
     cfg = ExperimentConfig(
         mode="entangled", sigma_list=(0.1,), photon_list=(1000.0,), sample=SampleSizes(n_states=n_states)
     )
@@ -1006,6 +999,62 @@ def test_cli_call_leaves_argparse_and_locale_unimported(tmp_path):
         assert _main_in_a_fresh_interpreter(argv, ("argparse", "locale")) == (0, [False, False]), command
 
 
+_SWEEP_MODULES = tuple(f"timetomo.{name}" for name in ("sweep", "estimator", "counts", "metrics", "states"))
+
+
+def test_trajectory_call_leaves_the_sweep_modules_unimported(tmp_path):
+    # a trajectory runs only the dynamics and measurement code; the sweep's
+    # modules load with a sweep config, in load_config, before main picks a branch
+    trajectory = tmp_path / "trajectory.json"
+    trajectory.write_text(json.dumps({"mode": "trajectory", "points": 4}))
+    argv = ["trajectory", "--config", str(trajectory), "--out", str(tmp_path / "run")]
+    assert _main_in_a_fresh_interpreter(argv, _SWEEP_MODULES) == (0, [False] * 5)
+    # a sweep config under the trajectory subcommand is loaded, then refused
+    sweep = tmp_path / "sweep.json"
+    sweep.write_text(json.dumps(TINY_QUBIT))
+    argv = ["trajectory", "--config", str(sweep), "--out", str(tmp_path / "run")]
+    assert _main_in_a_fresh_interpreter(argv, _SWEEP_MODULES) == (2, [True] * 5)
+
+
+# the names the package re-exports, as the README imports them
+_PUBLIC_NAMES = (
+    "CHSH_THRESHOLD", "DynamicsParams", "EstimatorConfig", "ExperimentConfig", "IC_POVM_INSTANTS",
+    "MetricsSummary", "SampleSizes", "StateEstimates", "SweepRow", "TrajectoryConfig", "aggregate",
+    "bell_states", "bloch_trajectory", "chsh_guarantee", "concurrences", "count_rows", "emit_trajectory",
+    "estimate_states", "fidelities", "load_config", "orthogonal_pairs", "polarization_projector",
+    "qubit_states", "run_sweep", "sample_bell_states", "sample_mixed_qubits", "sample_pure_qubits",
+    "setting_operators", "trace_distances", "write_manifest", "write_sweep_csv",
+)
+
+
+def test_package_exports_load_on_first_use():
+    script = "import sys, timetomo\nprint(sorted(name for name in sys.modules if name.startswith('timetomo.')))\n"
+    assert _in_a_fresh_interpreter(script).split()[-1] == "[]"
+    listed = dir(timetomo)
+    for name in _PUBLIC_NAMES:
+        namespace = {}
+        exec(f"from timetomo import {name}", namespace)
+        home = sys.modules[f"timetomo.{timetomo._EXPORTS[name]}"]
+        assert namespace[name] is getattr(home, name), name
+        # the table names the module that defines the name, not one that imports it
+        assert getattr(namespace[name], "__module__", home.__name__) == home.__name__, name
+        assert name in listed, name
+    assert sorted(timetomo._EXPORTS) == sorted(_PUBLIC_NAMES)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        timetomo.no_such_name
+    with pytest.raises(ImportError):
+        exec("from timetomo import no_such_name", {})
+
+
+def _in_a_fresh_interpreter(script):
+    """The standard output of ``script`` run by a new interpreter that imports timetomo from this checkout."""
+    src = str(Path(timetomo.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
 def _main_in_a_fresh_interpreter(argv, modules):
     """The exit code of ``main(argv)`` in a new interpreter, and whether each of ``modules`` was imported then."""
     script = (
@@ -1014,9 +1063,5 @@ def _main_in_a_fresh_interpreter(argv, modules):
         f"code = main({argv!r})\n"
         f"print(code, *(name in sys.modules for name in {modules!r}))\n"
     )
-    src = str(Path(timetomo.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    code, *loaded = done.stdout.split()[-1 - len(modules):]
+    code, *loaded = _in_a_fresh_interpreter(script).split()[-1 - len(modules):]
     return int(code), [flag == "True" for flag in loaded]
