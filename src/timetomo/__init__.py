@@ -16,8 +16,7 @@ _EXPORTS = {
         "harness": ("TrajectoryConfig", "emit_trajectory", "load_config", "write_manifest"),
         "measurement": ("IC_POVM_INSTANTS", "bloch_trajectory", "polarization_projector", "setting_operators"),
         "metrics": (
-            "CHSH_THRESHOLD", "MetricsSummary", "aggregate", "chsh_guarantee", "concurrences", "fidelities",
-            "trace_distances",
+            "CHSH_THRESHOLD", "aggregate", "chsh_guarantee", "concurrences", "fidelities", "trace_distances",
         ),
         "states": (
             "bell_states", "orthogonal_pairs", "qubit_states", "sample_bell_states", "sample_mixed_qubits",

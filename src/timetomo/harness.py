@@ -104,7 +104,9 @@ class TrajectoryConfig(_RunConfig):
         t_max = require_real(self.t_max_over_T, "t_max_over_T")
         if not (math.isfinite(t_max) and t_max > 0):
             raise ValueError("t_max_over_T must be positive")
+        object.__setattr__(self, "sigma_over_T", sigma)
         object.__setattr__(self, "points", points)
+        object.__setattr__(self, "t_max_over_T", t_max)
         super().__post_init__()
 
 

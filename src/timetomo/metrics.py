@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,39 +57,21 @@ def concurrences(rho: np.ndarray) -> np.ndarray:
     return np.maximum(0.0, roots[:, 0] - roots[:, 1] - roots[:, 2] - roots[:, 3])
 
 
-@dataclass(frozen=True)
-class MetricsSummary:
-    """Mean and sample standard deviation of one metric over a state sample."""
-
-    mean: float
-    sd: float
-    n: int
-    metric_name: str
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("summary needs at least one value")
-
-    @property
-    def stderr(self) -> float:
-        return self.sd / math.sqrt(self.n)
-
-
-def aggregate(values, metric_name: str = "metric") -> MetricsSummary:
-    """Summarise metric values: mean plus (n-1)-normalised standard deviation."""
+def aggregate(values) -> tuple[float, float, int]:
+    """Mean, (n-1)-normalised standard deviation and count of metric values."""
     arr = np.asarray(values, dtype=float)
     if arr.size == 0:
         raise ValueError("cannot aggregate an empty value list")
     if not np.all(np.isfinite(arr)):
         raise ValueError("metric values contain non-finite entries")
     sd = float(np.std(arr, ddof=1)) if arr.size > 1 else 0.0
-    return MetricsSummary(mean=float(np.mean(arr)), sd=sd, n=int(arr.size), metric_name=metric_name)
+    return float(np.mean(arr)), sd, int(arr.size)
 
 
-def chsh_guarantee(summary: MetricsSummary) -> bool:
+def chsh_guarantee(mean: float, sd: float) -> bool:
     """Whether the whole three-sigma band clears the CHSH-violation bound.
 
     True when mean - 3 sd > 1/sqrt(2), i.e. effectively every state in the
     batch retains enough entanglement to violate the inequality.
     """
-    return bool(summary.mean - 3.0 * summary.sd > CHSH_THRESHOLD)
+    return bool(mean - 3.0 * sd > CHSH_THRESHOLD)

@@ -33,8 +33,8 @@ from .core import StateError, require_integer
 from .counts import MAX_MEAN_PHOTONS, count_rows, overlaps
 from .estimator import EstimatorConfig, StateEstimates, estimate_states
 from .harness import _reals, _RunConfig
-from .measurement import IC_POVM_INSTANTS, setting_operators, sharp_operators
-from .metrics import MetricsSummary, aggregate, chsh_guarantee, concurrences, fidelities, trace_distances
+from .measurement import IC_POVM_INSTANTS, jittered_matrices, setting_operators
+from .metrics import aggregate, chsh_guarantee, concurrences, fidelities, trace_distances
 from .states import orthogonal_pairs, sample_bell_states, sample_mixed_qubits, sample_pure_qubits
 
 CSV_HEADER = "sigma_over_T,n_photons,metric,mean,sd,stderr,n_states"
@@ -119,7 +119,7 @@ class ExperimentConfig(_RunConfig):
         object.__setattr__(self, "sample", SampleSizes(**sizes))
         super().__post_init__()
         # the fits invert the six sharp operators, so they must span the 2x2 Hermitian matrices
-        sharp = sharp_operators(self.dynamics, IC_POVM_INSTANTS)
+        sharp = jittered_matrices("H", self.dynamics, 0.0, IC_POVM_INSTANTS)
         rank = np.linalg.matrix_rank(sharp.reshape(-1, 4), tol=_COMPLETENESS_TOL)
         if rank < 4:
             raise ValueError(
@@ -131,14 +131,21 @@ class ExperimentConfig(_RunConfig):
 
 @dataclass(frozen=True)
 class SweepRow:
+    """One CSV row: a metric's mean, sample standard deviation and count in one (sigma, N) cell.
+
+    A flag row (CHSH guarantee, convergence warning) has sd 0, so stderr 0.
+    """
+
     sigma: float
     n_photons: float
     metric: str
     mean: float
     sd: float
-    stderr: float
     n: int
 
+    @property
+    def stderr(self) -> float:
+        return self.sd / math.sqrt(self.n)
 
 
 def _fit_chunk(cfg: ExperimentConfig, cells, sharp, smeared, states: np.ndarray, offset: int):
@@ -164,20 +171,20 @@ def _fit_chunk(cfg: ExperimentConfig, cells, sharp, smeared, states: np.ndarray,
     return tuple(field.reshape(len(cells), len(states), *field.shape[1:]) for field in fits)
 
 
-def _fidelity_metrics(fits: StateEstimates, fidelity):
-    return [aggregate(fidelity, "fidelity")]
+def _fidelity_metrics(cell, fits: StateEstimates, fidelity):
+    return [SweepRow(*cell, "fidelity", *aggregate(fidelity))]
 
 
-def _orthogonality_metrics(fits: StateEstimates, fidelity):
+def _orthogonality_metrics(cell, fits: StateEstimates, fidelity):
     # the sample lists each orthogonal pair as two consecutive states
-    return [aggregate(trace_distances(fits.rho[::2], fits.rho[1::2]), "trace_distance")]
+    return [SweepRow(*cell, "trace_distance", *aggregate(trace_distances(fits.rho[::2], fits.rho[1::2])))]
 
 
-def _entanglement_metrics(fits: StateEstimates, fidelity):
-    conc = aggregate(concurrences(fits.rho), "concurrence")
+def _entanglement_metrics(cell, fits: StateEstimates, fidelity):
+    mean, sd, n = aggregate(concurrences(fits.rho))
     # one guarantee flag per cell, written as a row with sd 0
-    chsh = MetricsSummary(float(chsh_guarantee(conc)), 0.0, conc.n, "chsh_guarantee")
-    return [conc, *_fidelity_metrics(fits, fidelity), chsh]
+    chsh = SweepRow(*cell, "chsh_guarantee", float(chsh_guarantee(mean, sd)), 0.0, n)
+    return [SweepRow(*cell, "concurrence", mean, sd, n), *_fidelity_metrics(cell, fits, fidelity), chsh]
 
 
 @dataclass(frozen=True)
@@ -186,15 +193,15 @@ class SweepMode:
 
     ``sample`` builds the mode's input states as a (B, d, d) stack, with
     the (B,) flag of the states built pure that ``fidelities`` takes, and
-    ``metrics`` summarises a cell's estimates and fidelities as its CSV
-    rows, in order.  A mode uses the sample fields that its desk-scale
-    default sets.
+    ``metrics`` summarises the estimates and fidelities of a (sigma, N)
+    cell as its CSV rows, in order.  A mode uses the sample fields that its
+    desk-scale default sets.
     """
 
     command: str
     desk: SampleSizes
     sample: Callable[[SampleSizes], tuple[np.ndarray, np.ndarray]]
-    metrics: Callable[[StateEstimates, np.ndarray], list[MetricsSummary]]
+    metrics: Callable[[tuple[float, float], StateEstimates, np.ndarray], list[SweepRow]]
 
     @property
     def sample_keys(self) -> tuple[str, ...]:
@@ -228,7 +235,7 @@ def _warning_row(sigma, n_photons, converged_flags) -> SweepRow | None:
     flags = np.asarray(converged_flags, dtype=bool)
     frac = 1.0 - float(flags.mean())
     if frac > CONVERGENCE_WARN_FRACTION:
-        return SweepRow(sigma, n_photons, "convergence_warning", frac, 0.0, 0.0, int(flags.size))
+        return SweepRow(sigma, n_photons, "convergence_warning", frac, 0.0, int(flags.size))
     return None
 
 
@@ -301,10 +308,7 @@ def run_sweep(
     for cell, (sigma, n_photons) in enumerate(cells):
         fits = StateEstimates(*(field[cell] for field in fields))
         fidelity = fidelities(states, fits.rho, pure)
-        rows += [
-            SweepRow(sigma, n_photons, m.metric_name, m.mean, m.sd, m.stderr, m.n)
-            for m in mode.metrics(fits, fidelity)
-        ]
+        rows += mode.metrics((sigma, n_photons), fits, fidelity)
         warning = _warning_row(sigma, n_photons, fits.converged)
         if warning:
             rows.append(warning)

@@ -16,7 +16,6 @@ from oracles import trajectory_csv
 
 import timetomo
 import timetomo.harness as harness_module
-import timetomo.measurement as measurement_module
 import timetomo.sweep as sweep_module
 from timetomo.cli import main
 from timetomo.core import MAX_SEED, StateError
@@ -345,6 +344,17 @@ def test_manifest_config_loads_back(mode):
     assert load_config(json.loads(json.dumps(document))) == cfg
 
 
+def test_trajectory_config_stores_its_reals_as_floats(tmp_path):
+    # as the sweep configs do, so that a numpy scalar reaches the manifest as
+    # JSON and an integer in the config file is recorded as the float it is read as
+    cfg = TrajectoryConfig(sigma_over_T=np.int64(0), t_max_over_T=np.float32(3))
+    assert (type(cfg.sigma_over_T), type(cfg.t_max_over_T)) == (float, float)
+    manifest = json.loads(write_manifest(tmp_path / "manifest.json", run_manifest("trajectory", cfg)).read_text())
+    assert (manifest["config"]["sigma_over_T"], manifest["config"]["t_max_over_T"]) == (0.0, 3.0)
+    document = run_manifest("trajectory", load_config({"mode": "trajectory", "t_max_over_T": 3}))["config"]
+    assert json.dumps(document["t_max_over_T"]) == "3.0"
+
+
 def test_warning_row_thresholds():
     assert _warning_row(0.1, 10.0, [True] * 20) is None
     assert _warning_row(0.1, 10.0, [True] * 18 + [False] * 2) is None  # exactly 10%
@@ -355,7 +365,7 @@ def test_warning_row_thresholds():
 
 
 def test_sweep_csv_format():
-    rows = [SweepRow(0.05, 1000.0, "fidelity", 0.987654321012, 0.01, 0.001, 100)]
+    rows = [SweepRow(0.05, 1000.0, "fidelity", 0.987654321012, 0.01, 100)]
     text = sweep_rows_to_csv(rows)
     lines = text.strip().split("\n")
     assert lines[0] == CSV_HEADER
@@ -404,23 +414,24 @@ def test_sweep_artifact_names_keep_the_csv_digits(tmp_path):
     ]
 
 
-def test_a_sweep_evaluates_the_sharp_operators_once(monkeypatch):
-    # the config's rank check and the fit share one evaluation, read-only
-    sharp_calls = []
-    kernel = measurement_module.smeared_bloch_vectors
-
-    def counted(label, params, sigma, times):
-        if sigma == 0.0:
-            sharp_calls.append(params)
-        return kernel(label, params, sigma, times)
-
-    monkeypatch.setattr(measurement_module, "smeared_bloch_vectors", counted)
-    measurement_module.sharp_operators.cache_clear()
-    cfg = load_config({**TINY_QUBIT, "sigma_list": [0.1], "periods": [3.7, 1.3, 2.9]})
-    run_sweep(cfg)
-    assert sharp_calls == [cfg.dynamics]
-    sharp = setting_operators(cfg.dynamics, [0.1], IC_POVM_INSTANTS, 2)[1]
-    assert not sharp.flags.writeable
+def test_entangled_sweep_writes_every_row_kind(tmp_path):
+    # one trial step leaves every fit unconverged, so the cell gets its
+    # metric rows, its CHSH flag and a convergence warning, in that order
+    cfg = load_config(
+        {
+            "mode": "entangled",
+            "sigma_list": [0.07],
+            "photon_list": [10],
+            "sample": {"n_states": 6},
+            "estimator": {"max_iterations": 1},
+        }
+    )
+    rows = run_sweep(cfg)
+    assert [r.metric for r in rows] == ["concurrence", "fidelity", "chsh_guarantee", "convergence_warning"]
+    lines = write_sweep_csv(tmp_path / "results.csv", rows).read_text().splitlines()
+    assert lines[3:] == ["0.07,10,chsh_guarantee,0,0,0,6", "0.07,10,convergence_warning,1,0,0,6"]
+    for row, line in zip(rows, lines[1:]):
+        assert line.split(",")[5] == sweep_module._fmt(row.sd / math.sqrt(row.n))
 
 
 @pytest.mark.parametrize("flag", ["dump_counts", "state_log"])
@@ -693,7 +704,7 @@ def test_emit_trajectory_file(tmp_path):
 
 
 def test_write_csv_and_manifest(tmp_path):
-    rows = [SweepRow(0.0, 10.0, "fidelity", 1.0, 0.0, 0.0, 2)]
+    rows = [SweepRow(0.0, 10.0, "fidelity", 1.0, 0.0, 2)]
     csv_path = write_sweep_csv(tmp_path / "sub" / "results.csv", rows)
     assert csv_path.read_text().startswith(CSV_HEADER)
     cfg = load_config(TINY_QUBIT)
@@ -1019,7 +1030,7 @@ def test_trajectory_call_leaves_the_sweep_modules_unimported(tmp_path):
 # the names the package re-exports, as the README imports them
 _PUBLIC_NAMES = (
     "CHSH_THRESHOLD", "DynamicsParams", "EstimatorConfig", "ExperimentConfig", "IC_POVM_INSTANTS",
-    "MetricsSummary", "SampleSizes", "StateEstimates", "SweepRow", "TrajectoryConfig", "aggregate",
+    "SampleSizes", "StateEstimates", "SweepRow", "TrajectoryConfig", "aggregate",
     "bell_states", "bloch_trajectory", "chsh_guarantee", "concurrences", "count_rows", "emit_trajectory",
     "estimate_states", "fidelities", "load_config", "orthogonal_pairs", "polarization_projector",
     "qubit_states", "run_sweep", "sample_bell_states", "sample_mixed_qubits", "sample_pure_qubits",

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from oracles import uhlmann_fidelity, wootters_concurrences
 from timetomo.metrics import (
     CHSH_THRESHOLD,
-    MetricsSummary,
     aggregate,
     chsh_guarantee,
     concurrences,
@@ -105,31 +104,25 @@ def test_concurrence_werner_closed_form():
 
 
 def test_aggregate_mean_and_sample_sd():
-    s = aggregate([1.0, 2.0, 3.0, 4.0], "demo")
-    assert s.mean == pytest.approx(2.5)
-    assert s.sd == pytest.approx(np.std([1, 2, 3, 4], ddof=1))
-    assert s.n == 4
-    assert s.metric_name == "demo"
-    assert s.stderr == pytest.approx(s.sd / 2.0)
-    single = aggregate([5.0])
-    assert single.sd == 0.0
+    mean, sd, n = aggregate([1.0, 2.0, 3.0, 4.0])
+    assert mean == pytest.approx(2.5)
+    assert sd == pytest.approx(np.std([1, 2, 3, 4], ddof=1))
+    assert n == 4
+    assert aggregate([5.0]) == (5.0, 0.0, 1)
+    # an empty sample has no summary, so no row can have n 0
     with pytest.raises(ValueError):
         aggregate([])
     with pytest.raises(ValueError):
         aggregate([1.0, math.nan])
-    with pytest.raises(ValueError):
-        MetricsSummary(mean=0.0, sd=0.0, n=0, metric_name="x")
 
 
 def test_chsh_guarantee_band_logic():
     assert CHSH_THRESHOLD == pytest.approx(1.0 / math.sqrt(2.0))
-    assert chsh_guarantee(MetricsSummary(mean=0.95, sd=0.05, n=10, metric_name="c"))
-    assert not chsh_guarantee(MetricsSummary(mean=0.95, sd=0.09, n=10, metric_name="c"))
+    assert chsh_guarantee(0.95, 0.05)
+    assert not chsh_guarantee(0.95, 0.09)
     # boundary itself does not count as clearing the bound
-    edge = MetricsSummary(mean=CHSH_THRESHOLD, sd=0.0, n=3, metric_name="c")
-    assert not chsh_guarantee(edge)
-    above = MetricsSummary(mean=CHSH_THRESHOLD + 1e-12, sd=0.0, n=3, metric_name="c")
-    assert chsh_guarantee(above)
+    assert not chsh_guarantee(CHSH_THRESHOLD, 0.0)
+    assert chsh_guarantee(CHSH_THRESHOLD + 1e-12, 0.0)
 
 
 # radius 1 gives pure, rank-deficient states; radius 0 the maximally mixed one
