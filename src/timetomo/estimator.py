@@ -25,29 +25,36 @@ n_model_k^3.
 
 f is convex, so the search is a warm start from linear inversion projected
 onto the density matrices (Smolin, Gambetta & Smith, PRL 108, 070502
-(2012)), then accelerated projected gradient (Shang, Zhang & Ng, PRA 95,
-062336 (2017)) with a projected Newton candidate in every pass (Bertsekas,
-SIAM J. Control Optim. 20, 221 (1982)).  The candidate is the incumbent's
-Newton point on the trace plane, projected onto the states; a fit takes it
-only where it scores strictly below the incumbent after the gradient step,
-so the gradient step safeguards it.  Where the minimum is interior, as for
-most jitter-blurred counts, the candidate wins and a fit finishes in a few
-passes; where it lies on the boundary of the states, the candidate keeps
-losing, and after ``_NEWTON_PATIENCE`` losses in a row the fit goes on by
-gradient steps alone.  The momentum also restarts where the extrapolated
-point takes a model count below the floor on a setting counted above it,
-as tiny counts on nearly pure truths make it do.  Convexity also bounds
-the distance to the minimum: f(rho) - min f <= tr(R rho) - lambda_min(R),
-the Frank-Wolfe gap, which is what ``converged`` certifies.  ``estimate_states`` fits a whole batch of
-states at once, each step acting on (B, d^2) coordinate arrays (Bolduc,
-Knee, Gauger & Leach, npj Quantum Inf. 3, 44 (2017)).  The loop keeps the
-unfinished rows as one contiguous working set: a pass in which rows finish
-writes them out and compacts the rest, every per-row decision is one
-``np.where`` over the set, one projection takes the trial and Newton
-points, and one objective call scores the trial, extrapolated and Newton
-points stacked.  So a pass costs a fixed number of numpy calls, with no
-per-row index to gather or scatter, and each row's arithmetic is the same
-as if it were fitted alone.
+(2012)), then passes that each try a projected Newton candidate first
+(Bertsekas, SIAM J. Control Optim. 20, 221 (1982)) and otherwise take an
+accelerated projected gradient step (Shang, Zhang & Ng, PRA 95, 062336
+(2017)).  The candidate is the incumbent's Newton point on the trace plane,
+projected onto the states.  A fit takes it only where it scores strictly
+below the incumbent, so no pass raises the objective; it then restarts its
+momentum, doubles its curvature estimate L as a rejected gradient trial
+would, and takes no gradient step in that pass.  Where the minimum is
+interior, as for most jitter-blurred counts, the candidate wins pass after
+pass and a fit finishes in a few; where it lies on the boundary of the
+states, the candidate keeps losing, and after ``_NEWTON_PATIENCE`` losses
+in a row the fit goes on by gradient steps alone.  The momentum also
+restarts where the extrapolated point takes a model count below the floor
+on a setting counted above it, as tiny counts on nearly pure truths make it
+do.  Convexity also bounds the distance to the minimum: f(rho) - min f <=
+tr(R rho) - lambda_min(R), the Frank-Wolfe gap, which is what ``converged``
+certifies.  Since lambda_min(R) <= R_ii, a pair row's gap is at least
+tr(R rho) - min_i R_ii, and ``eigvalsh`` runs only on rows where that bound
+leaves convergence possible.
+
+``estimate_states`` fits a whole batch of states at once, each step acting
+on (B, d^2) coordinate arrays (Bolduc, Knee, Gauger & Leach, npj Quantum
+Inf. 3, 44 (2017)).  The loop keeps the unfinished rows as one contiguous
+working set: a pass in which rows finish writes them out and compacts the
+rest.  One projection and one objective call score the candidates of the
+proposing rows; the rows that then step are gathered, and one projection
+and one objective call, on their trial and extrapolated points stacked,
+step them.  So a pass costs a fixed number of numpy calls, a pass in which
+every candidate wins makes one projection and one objective call, and each
+row's arithmetic is the same as if it were fitted alone.
 
 A qubit state has coordinates (1/sqrt 2, r / sqrt 2) for its Bloch vector
 r, so qubit fits need no matrix at all: the projection fixes the trace
@@ -57,9 +64,11 @@ system is solved by its adjugate.  Photon pairs build the 4 x 4 matrix from
 its coordinates for ``eigh`` and ``eigvalsh`` only, and solve their 15 x 15
 Newton systems with ``np.linalg.solve``.
 The (B, d, d) estimates are built once, at the end of each block.  Every
-contraction is an ``np.einsum`` without path optimisation, whose sums do
-not depend on how many rows share a call; a BLAS matrix product may round
-a row differently in a batch of another size.
+contraction is an ``np.einsum`` without path optimisation on operands laid
+out row by row, whose sums do not depend on how many rows share a call; a
+BLAS matrix product may round a row differently in a batch of another size,
+and so may ``np.einsum`` on a strided operand, which is why the qubit Newton
+step writes its sums of three products out.
 """
 
 from __future__ import annotations
@@ -116,6 +125,10 @@ _ENTRIES = {dim: basis.reshape(dim * dim, dim * dim).view(float) for dim, basis 
 _COFACTORS = np.array(
     [[3 * ((i + a) % 3) + (j + b) % 3 for i in range(3) for j in range(3)] for a, b in ((1, 1), (2, 2), (1, 2), (2, 1))]
 )
+
+# The diagonals (E_j)_ii of the pair basis, (16, 4): a pair gradient with coordinates g has
+# the diagonal entries R_ii = sum_j g_j (E_j)_ii in the computational basis.
+_PAIR_DIAGONALS = _BASES[4].diagonal(axis1=1, axis2=2).real.copy()
 
 # The ranks 1..d that divide the cumulative sums of a sorted spectrum in the simplex projection.
 _RANKS = {dim: np.arange(1, dim + 1) for dim in _BASES}
@@ -178,18 +191,23 @@ def _bloch_length(coords: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("bj,bj->b", bloch, bloch))
 
 
-def _smallest_eigenvalue(coords: np.ndarray, wanted: np.ndarray) -> np.ndarray:
-    """lambda_min of the Hermitian matrices given by coordinates (B, d^2), at the rows ``wanted`` (B,) marks.
+def _frank_wolfe_gaps(grad, rho, wanted, tol) -> np.ndarray:
+    """Frank-Wolfe gaps tr(R rho) - lambda_min(R) of gradients R at states rho, both coordinates (B, d^2).
 
     A qubit's closed form costs less for every row than a selection does,
-    so other qubit rows hold their lambda_min too; ``eigvalsh`` runs on the
-    wanted pair rows alone, and the others read +inf.
+    so every qubit row holds its gap.  A pair's lambda_min(R) is at most
+    each diagonal entry R_ii, so tr(R rho) - min_i R_ii bounds its gap from
+    below: ``eigvalsh`` runs only on the rows that ``wanted`` (B,) marks and
+    whose bound is at most ``tol``, and every other row holds its bound.
     """
-    if coords.shape[-1] == 4:  # a qubit
-        return (coords[:, 0] - _bloch_length(coords)) / math.sqrt(2.0)
-    least = np.full(len(coords), np.inf)
-    least[wanted] = np.linalg.eigvalsh(_matrices(coords[wanted]))[:, 0]
-    return least
+    traced = _inner(grad, rho)
+    if grad.shape[-1] == 4:  # a qubit
+        return traced - (grad[:, 0] - _bloch_length(grad)) / math.sqrt(2.0)
+    gaps = traced - np.einsum("bj,ji->bi", grad, _PAIR_DIAGONALS).min(axis=1)
+    exact = np.flatnonzero(wanted & (gaps <= tol))
+    if exact.size:
+        gaps[exact] = traced[exact] - np.linalg.eigvalsh(_matrices(grad[exact]))[:, 0]
+    return gaps
 
 
 def _project_to_states(h: np.ndarray) -> np.ndarray:
@@ -273,9 +291,14 @@ def _newton_points(rho, grad, curvature, outer) -> np.ndarray:
         first, second, third, fourth = (hessian[:, factor] for factor in _COFACTORS)
         adjugate = (first * second - third * fourth).reshape(-1, 3, 3)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            # the determinant is row 0 of H' against row 0 of its (symmetric) adjugate
-            determinant = np.einsum("bj,bj->b", hessian[:, :3], adjugate[:, 0])
-            step = np.einsum("bij,bj->bi", adjugate, tangent) / determinant[:, None]
+            # the determinant is row 0 of H' against row 0 of its (symmetric) adjugate.  These sums
+            # of three products are added in order by hand: the rows of the adjugate are strided,
+            # and np.einsum orders its sums by the operands' layout, which a batch of one row does
+            # not share
+            products = hessian[:, :3] * adjugate[:, 0]
+            determinant = products[:, 0] + products[:, 1] + products[:, 2]
+            products = adjugate * tangent[:, None, :]
+            step = (products[..., 0] + products[..., 1] + products[..., 2]) / determinant[:, None]
     else:
         hessian = hessian.reshape(-1, size, size)
         try:
@@ -308,56 +331,100 @@ def _warm_start(design, measured, mean_photons):
     return rho
 
 
+def _gradient_step(
+    evaluate, design, floor_line, rho, value, grad, curvature, ahead, ahead_value, ahead_grad, momentum, lipschitz
+):
+    """One FISTA trial step with backtracking and adaptive restart for rows of coordinates (b, d^2).
+
+    ``evaluate`` scores (2b, d^2) points against the rows' count rows
+    stacked twice.  ``floor_line`` (b, K) holds the floor of each watched
+    setting and -inf elsewhere, or is None while no row watches one.
+    Returns the rows' updated (rho, value, grad, curvature, ahead,
+    ahead_value, ahead_grad, momentum, lipschitz), which rows' trials passed
+    the sufficient-decrease test, and which moved their incumbent.
+    """
+    width = len(rho)
+    trial = _project_to_states(ahead - ahead_grad / lipschitz[:, None])
+    next_momentum = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * momentum * momentum))
+    extrapolated = trial + ((momentum - 1.0) / next_momentum)[:, None] * (trial - rho)
+    values, grads, curvatures = evaluate(np.concatenate((trial, extrapolated)))
+    trial_value, trial_grad, trial_curvature = values[:width], grads[:width], curvatures[:width]
+    extrapolated_value, extrapolated_grad = values[width:], grads[width:]
+    move = trial - ahead
+    bound = ahead_value + _inner(ahead_grad, move)
+    accepted = trial_value <= bound + 0.5 * lipschitz * _inner(move, move)
+    moved = accepted & (trial_value <= value)
+    # restart from the incumbent without momentum where the momentum overshot (the
+    # accepted trial is worse than the incumbent), or where the extrapolated point is
+    # worse or leaves the objective's domain
+    astray = extrapolated_value > trial_value
+    if floor_line is not None:
+        astray |= (np.einsum("kj,bj->bk", design, extrapolated) < floor_line).any(axis=1)
+    restart = (accepted & (trial_value > value)) | (moved & astray)
+    column, reset = moved[:, None], restart[:, None]
+    rho, grad = np.where(column, trial, rho), np.where(column, trial_grad, grad)
+    curvature = np.where(column, trial_curvature, curvature)
+    value = np.where(moved, trial_value, value)
+    momentum = np.where(restart, 1.0, np.where(moved, next_momentum, momentum))
+    ahead = np.where(reset, rho, np.where(column, extrapolated, ahead))
+    ahead_value = np.where(restart, value, np.where(moved, extrapolated_value, ahead_value))
+    ahead_grad = np.where(reset, grad, np.where(column, extrapolated_grad, ahead_grad))
+    lipschitz = np.where(accepted, lipschitz, 2.0 * lipschitz)
+    return (rho, value, grad, curvature, ahead, ahead_value, ahead_grad, momentum, lipschitz), accepted, moved
+
+
 def _accelerated_descent(design, measured, mean_photons, rho, cfg: EstimatorConfig) -> StateEstimates:
-    """FISTA on the state coordinates (B, d^2) with backtracking, adaptive restart and Newton candidates, for a batch.
+    """Projected Newton candidates, then FISTA with backtracking and adaptive restart, on state coordinates (B, d^2).
 
     Row b starts at ``rho[b]`` and is scored against count row
-    ``measured[b]`` at photon number ``mean_photons[b]``.  The step is 1 / L
-    for a curvature estimate L that starts at the photon number (f scales
-    with it), shrinks by 10% before each step and doubles whenever a trial
-    step fails the sufficient-decrease test.  Every pass takes one trial
-    step for each unfinished state and counts one step against
-    ``cfg.max_iterations``, rejected backtracking steps included.  Each state
-    keeps its own L, momentum, step count and Newton patience, so each
-    follows the path it would follow alone.  The momentum restarts from the
-    incumbent where an accepted trial is worse than it (an overshoot), or
-    where the extrapolated point is worse than the trial or leaves the
-    objective's domain: a model count below the floor on a setting counted
-    above it.  There the floored objective's gradient is no guide, and a
-    step from the point could drive L up by many orders of magnitude.
+    ``measured[b]`` at photon number ``mean_photons[b]``.  Every pass counts
+    one step against ``cfg.max_iterations`` for each unfinished row, and
+    each row keeps its own curvature estimate L, momentum, step count and
+    Newton patience, so each follows the path it would follow alone.
 
-    Each pass also proposes, for every row still within its patience, the
+    A pass first proposes, for every row still within its patience, the
     projected Newton point of its incumbent on the trace plane (Bertsekas,
-    SIAM J. Control Optim. 20, 221 (1982)), safeguarded by the FISTA step:
-    the row takes the candidate only where its objective is strictly below
-    the incumbent's after the FISTA update, and restarts its momentum from
-    it.  A candidate that comes out non-finite, because the row's Hessian is
+    SIAM J. Control Optim. 20, 221 (1982)).  A row whose candidate scores
+    strictly below its incumbent takes it: the candidate becomes the
+    incumbent and the extrapolated point, the momentum restarts and L
+    doubles, and the row takes no gradient step this pass.  (L doubles as
+    if the row had also tried a gradient step and seen it fail the
+    sufficient-decrease test, as such steps nearly always do beside a
+    winning candidate; a fit that kept L there took more passes.)  A
+    candidate that comes out non-finite, because the row's Hessian is
     singular, is dropped and counts as a loss, and a row whose candidate
     loses ``_NEWTON_PATIENCE`` passes in a row stops proposing.  A row is
-    ``settled`` while its last candidate lost and its incumbent has not moved
-    since: its next candidate would be the same point, sure to lose again,
-    so the pass counts the loss without building it.
+    ``settled`` while its last candidate lost and its incumbent has not
+    moved since: its next candidate would be the same point, sure to lose
+    again, so the pass counts the loss without building it.
 
-    The passes work on a contiguous working set of the W unfinished rows,
-    with no per-row index.  A pass in which some rows finish writes their
-    results to the output and compacts the rest with one boolean gather per
-    array; every other FISTA decision is an ``np.where`` over the whole set.
-    ``backtracking`` marks the rows whose last trial step was rejected:
-    they are inside their backtracking loop, so the gap decides only the
-    others.  (A qubit's gap is cheaper to take for every row; a pair's
-    ``eigvalsh`` runs on the others alone.)  The extrapolated point depends
-    only on the trial point, the incumbent and the momentum, so it is built
-    for every row and kept where the step moved.  Each pass projects the
-    trial points and Newton points in one call and scores the trial,
-    extrapolated and Newton points in one objective call, against the
-    working set's count rows stacked twice and then those of the proposing
-    rows, restacked whenever that set changes.  The returned ``rho`` holds
-    coordinates.
+    Every other row takes one FISTA trial step (``_gradient_step``) of
+    length 1 / L.  L starts at the photon number (f scales with it), shrinks
+    by 10% at the start of every pass that does not follow a rejected trial,
+    and doubles whenever a trial fails the sufficient-decrease test or the
+    row takes its candidate.  The momentum restarts from the incumbent
+    where an accepted trial is worse than it (an overshoot), or where the
+    extrapolated point is worse than the trial or leaves the objective's
+    domain: a model count below the floor on a setting counted above it.
+    There the floored objective's gradient is no guide, and a step from the
+    point could drive L up by many orders of magnitude.
+
+    The passes work on a contiguous working set of the W unfinished rows.
+    A pass in which some rows finish writes their results to the output and
+    compacts the rest with one boolean gather per array.  ``backtracking``
+    marks the rows whose last trial step was rejected: they are inside their
+    backtracking loop, so the gap decides only the others.  A pass in which
+    every row takes its candidate makes one projection and one objective
+    call on the W rows; otherwise the rows that step are gathered, stepped
+    in one projection and one objective call on their trial and
+    extrapolated points stacked, and written back.  The returned ``rho``
+    holds coordinates.
     """
     batch = len(rho)
     fits = StateEstimates(np.empty_like(rho), np.empty(batch), np.zeros(batch, dtype=bool), np.zeros(batch, dtype=int))
     value, grad, curvature = _objective_from_design(design, measured, mean_photons)(rho)
-    ahead, ahead_value, ahead_grad = rho, value, grad
+    # the rows' state is updated in place, so each array starts as a copy of its own
+    rho, ahead, ahead_value, ahead_grad = rho.copy(), rho.copy(), value.copy(), grad.copy()
     momentum, lipschitz = np.ones(batch), mean_photons
     steps, index = np.zeros(batch, dtype=int), np.arange(batch)
     losses = np.zeros(batch, dtype=int)  # passes in a row that the Newton candidate lost
@@ -373,10 +440,9 @@ def _accelerated_descent(design, measured, mean_photons, rho, cfg: EstimatorConf
     floor_line = np.where(watched, _EPSILON_FLOOR / mean_photons[:, None], -np.inf)
     watching = watched.any()
     outer = _traceless_outer(design)
-    evaluate, scored = None, None  # the objective on the stacked count rows, and the proposing rows it holds
     while True:
         # Frank-Wolfe gap tr(R rho) - lambda_min(R), an upper bound on f(rho) - min f
-        gap = _inner(grad, rho) - _smallest_eigenvalue(grad, ~backtracking)
+        gap = _frank_wolfe_gaps(grad, rho, ~backtracking, cfg.convergence_tol)
         converged = ~backtracking & (gap <= cfg.convergence_tol)
         lipschitz = np.where(backtracking | converged, lipschitz, 0.9 * lipschitz)
         finished = converged | (steps >= cfg.max_iterations)
@@ -385,73 +451,51 @@ def _accelerated_descent(design, measured, mean_photons, rho, cfg: EstimatorConf
             fits.rho[done], fits.objective[done] = rho[finished], value[finished]
             fits.converged[done], fits.iterations[done] = converged[finished], steps[finished]
             keep = ~finished
-            rho, value, grad, curvature, ahead, ahead_value, ahead_grad, settled = (
-                a[keep] for a in (rho, value, grad, curvature, ahead, ahead_value, ahead_grad, settled)
+            rho, value, grad, curvature, ahead, ahead_value, ahead_grad, settled, backtracking = (
+                a[keep] for a in (rho, value, grad, curvature, ahead, ahead_value, ahead_grad, settled, backtracking)
             )
             momentum, lipschitz, steps, losses, index, measured, mean_photons, floor_line = (
                 a[keep] for a in (momentum, lipschitz, steps, losses, index, measured, mean_photons, floor_line)
             )
             watching = watching and np.isfinite(floor_line).any()
-            evaluate = None
         if not index.size:
             return fits
         steps = steps + 1
-        width = len(rho)
         eligible = losses < _NEWTON_PATIENCE
         losses += eligible  # and back to 0 where the candidate wins
         # a settled row's candidate would be its last one again, sure to lose: the loss counts, nothing is built
         proposing = np.flatnonzero(eligible & ~settled)
-        points = ahead - ahead_grad / lipschitz[:, None]
+        stepping = slice(None)  # the rows that take a gradient step
         if proposing.size:
             newton = _newton_points(rho[proposing], grad[proposing], curvature[proposing], outer)
             finite = np.isfinite(newton).all(axis=1)
             proposing = proposing[finite]
-            points = np.concatenate((points, newton[finite]))
-        projected = _project_to_states(points)
-        trial, candidate = projected[:width], projected[width:]
-        if evaluate is None or not np.array_equal(proposing, scored):
-            evaluate, scored = _objective_from_design(
-                design,
-                np.concatenate((measured, measured, measured[proposing])),
-                np.concatenate((mean_photons, mean_photons, mean_photons[proposing])),
-            ), proposing
-        next_momentum = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * momentum * momentum))
-        extrapolated = trial + ((momentum - 1.0) / next_momentum)[:, None] * (trial - rho)
-        values, grads, curvatures = evaluate(np.concatenate((trial, extrapolated, candidate)))
-        trial_value, trial_grad, trial_curvature = values[:width], grads[:width], curvatures[:width]
-        extrapolated_value, extrapolated_grad = values[width : 2 * width], grads[width : 2 * width]
-        move = trial - ahead
-        bound = ahead_value + _inner(ahead_grad, move)
-        accepted = trial_value <= bound + 0.5 * lipschitz * _inner(move, move)
-        lipschitz = np.where(accepted, lipschitz, 2.0 * lipschitz)
-        backtracking = ~accepted
-        moved = accepted & (trial_value <= value)
-        # restart from the incumbent without momentum where the momentum overshot (the
-        # accepted trial is worse than the incumbent), or where the extrapolated point is
-        # worse or leaves the objective's domain
-        astray = extrapolated_value > trial_value
-        if watching:
-            astray |= (np.einsum("kj,bj->bk", design, extrapolated) < floor_line).any(axis=1)
-        restart = (accepted & (trial_value > value)) | (moved & astray)
-        column, reset = moved[:, None], restart[:, None]
-        rho, grad = np.where(column, trial, rho), np.where(column, trial_grad, grad)
-        curvature = np.where(column, trial_curvature, curvature)
-        value = np.where(moved, trial_value, value)
-        momentum = np.where(restart, 1.0, np.where(moved, next_momentum, momentum))
-        ahead = np.where(reset, rho, np.where(column, extrapolated, ahead))
-        ahead_value = np.where(restart, value, np.where(moved, extrapolated_value, ahead_value))
-        ahead_grad = np.where(reset, grad, np.where(column, extrapolated_grad, ahead_grad))
-        settled = eligible & ~moved
-        if proposing.size:
-            # a Newton candidate strictly below the updated incumbent replaces it and restarts the momentum
-            wins = values[2 * width :] < value[proposing]
+            candidate = _project_to_states(newton[finite])
+            score = _objective_from_design(design, measured[proposing], mean_photons[proposing])
+            candidate_value, candidate_grad, candidate_curvature = score(candidate)
+            # a candidate strictly below its incumbent replaces it and restarts the momentum
+            wins = candidate_value < value[proposing]
             taken = proposing[wins]
-            losses[taken], settled[taken] = 0, False
             rho[taken] = ahead[taken] = candidate[wins]
-            value[taken] = ahead_value[taken] = values[2 * width :][wins]
-            grad[taken] = ahead_grad[taken] = grads[2 * width :][wins]
-            curvature[taken] = curvatures[2 * width :][wins]
-            momentum[taken], backtracking[taken] = 1.0, False
+            value[taken] = ahead_value[taken] = candidate_value[wins]
+            grad[taken] = ahead_grad[taken] = candidate_grad[wins]
+            curvature[taken] = candidate_curvature[wins]
+            momentum[taken], lipschitz[taken] = 1.0, 2.0 * lipschitz[taken]
+            losses[taken], settled[taken], backtracking[taken] = 0, False, False
+            if taken.size == len(rho):
+                continue
+            if taken.size:
+                stepping = np.ones(len(rho), dtype=bool)
+                stepping[taken] = False
+        rows = (rho, value, grad, curvature, ahead, ahead_value, ahead_grad, momentum, lipschitz)
+        counts, photons = measured[stepping], mean_photons[stepping]
+        evaluate = _objective_from_design(design, np.concatenate((counts, counts)), np.concatenate((photons, photons)))
+        floors = floor_line[stepping] if watching else None
+        stepped, accepted, moved = _gradient_step(evaluate, design, floors, *(a[stepping] for a in rows))
+        for a, new in zip(rows, stepped):
+            a[stepping] = new
+        backtracking[stepping] = ~accepted
+        settled[stepping] = eligible[stepping] & ~moved
 
 
 def estimate_states(stack, measured, mean_photons, cfg: EstimatorConfig) -> StateEstimates:

@@ -34,15 +34,8 @@ the objective, its gradient R as a matrix and its curvature weights, the
 projection onto the states (closed form for qubits, ``eigh`` and the
 simplex for pairs), the Newton point on the unit-trace plane (a KKT system
 in the elementary Hermitian matrices, with a Lagrange multiplier for the
-trace), and the one-state FISTA loop with Newton candidates.  They are the
-reference for the batched solver, which works on real coordinates.
-
-``gathered_objective`` and ``gathered_descent`` are the batched solver
-with per-row indices: every pass fancy-indexes the unfinished rows out of
-the full (B, d^2) arrays and scatters the results back, and scores the
-Newton, trial and extrapolated points in three objective calls.  Each row
-takes the same arithmetic as in ``estimator._accelerated_descent``, which
-works on a compacted working set, so they are its byte-for-byte reference.
+trace), and the one-state loop of Newton candidates and FISTA steps.  They
+are the reference for the batched solver, which works on real coordinates.
 """
 
 import math
@@ -52,16 +45,7 @@ from hypothesis import strategies as st
 
 from timetomo.counts import _poisson_table, _uniforms
 from timetomo.dynamics import DynamicsParams, rotation_harmonics
-from timetomo.estimator import (
-    _EPSILON_FLOOR,
-    _NEWTON_PATIENCE,
-    StateEstimates,
-    _inner,
-    _newton_points,
-    _project_to_states,
-    _smallest_eigenvalue,
-    _traceless_outer,
-)
+from timetomo.estimator import _EPSILON_FLOOR, _NEWTON_PATIENCE
 from timetomo.measurement import polarization_projector
 
 
@@ -323,46 +307,69 @@ def project_to_states(h: np.ndarray) -> np.ndarray:
     return 0.5 * (rho + np.conj(np.swapaxes(rho, -1, -2)))
 
 
-def serial_descent(stack, row, rho, cfg, mean_photons):
-    """FISTA with backtracking, adaptive restart and Newton candidates on one density matrix.
+# Relative objective difference within which a Newton candidate and its
+# incumbent tie.  Such a candidate is a fixed point of the projected Newton
+# step, the incumbent itself up to rounding.  Matrix-form and coordinate
+# arithmetic scored the ties seen 2e-16 to 2e-14 apart and took them on
+# different sides; on those fits, every band from 1e-14 to 1e-11 marked
+# the same rows as tied.
+TIE = 1e-12
 
-    Scores rho against count ``row`` through ``likelihood``.  Each pass
-    takes one trial step, and, while the fit is within its patience, scores
-    the projected ``newton_point`` of the incumbent as well; the candidate
-    replaces the incumbent, with no momentum, where it scores strictly
-    lower after the FISTA update.  A fit whose candidate lost and whose
+
+def serial_descent(stack, row, rho, cfg, mean_photons):
+    """Projected Newton candidates, then FISTA with backtracking and adaptive restart, on one density matrix.
+
+    Scores rho against count ``row`` through ``likelihood``.  While the fit
+    is within its patience, each pass first scores the projected
+    ``newton_point`` of the incumbent; where it scores strictly lower, it
+    replaces the incumbent with no momentum, the curvature estimate L
+    doubles, and the pass ends.  A fit whose candidate lost and whose
     incumbent has not moved since counts the next pass as a loss without
-    building the same candidate again.  FISTA restarts its momentum where an
-    accepted trial is worse than the incumbent (an overshoot), or where the
-    extrapolated point is worse than the trial or takes a model count below
-    the floor on a setting counted above it.  Returns (rho, converged, trial
-    steps, overshoot restarts).
+    building the same candidate again.  Otherwise the pass takes one FISTA
+    trial step, which restarts its momentum where an accepted trial is
+    worse than the incumbent (an overshoot), or where the extrapolated point
+    is worse than the trial or takes a model count below the floor on a
+    setting counted above it.  Returns (rho, converged, trial steps,
+    overshoot restarts, ties): a tie is a candidate that scored within
+    ``TIE`` of its incumbent, relative to it, where the outcome is decided
+    by rounding.
     """
     evaluate = likelihood(stack, row, mean_photons)
     counted = np.asarray(row) > _EPSILON_FLOOR
     floor_line = _EPSILON_FLOOR / mean_photons
     value, grad, curvature = evaluate(rho)
     ahead, ahead_value, ahead_grad = rho, value, grad
-    momentum, lipschitz, steps, restarts, losses = 1.0, mean_photons, 0, 0, 0
+    momentum, lipschitz, steps, restarts, losses, ties = 1.0, mean_photons, 0, 0, 0, 0
     backtracking, settled = False, False
     while True:
         if not backtracking:
             if np.vdot(grad, rho).real - np.linalg.eigvalsh(grad)[0] <= cfg.convergence_tol:
-                return rho, True, steps, restarts
+                return rho, True, steps, restarts, ties
             lipschitz *= 0.9
         if steps >= cfg.max_iterations:
-            return rho, False, steps, restarts
+            return rho, False, steps, restarts, ties
         steps += 1
-        candidate, eligible, moved = None, losses < _NEWTON_PATIENCE, False
+        eligible = losses < _NEWTON_PATIENCE
         if eligible:
-            if not settled:
-                candidate = newton_point(stack, rho, grad, curvature)
+            candidate = None if settled else newton_point(stack, rho, grad, curvature)
             losses += 1
+            if candidate is not None:
+                candidate = project_to_states(candidate)
+                candidate_value, candidate_grad, candidate_curvature = evaluate(candidate)
+                ties += abs(candidate_value - value) <= TIE * value
+                if candidate_value < value:
+                    rho = ahead = candidate
+                    value = ahead_value = candidate_value
+                    grad = ahead_grad = candidate_grad
+                    curvature, momentum, lipschitz, backtracking = candidate_curvature, 1.0, 2.0 * lipschitz, False
+                    losses, settled = 0, False
+                    continue
         trial = project_to_states(ahead - ahead_grad / lipschitz)
         trial_value, trial_grad, trial_curvature = evaluate(trial)
         move = trial - ahead
         bound = ahead_value + np.vdot(ahead_grad, move).real
         backtracking = trial_value > bound + 0.5 * lipschitz * np.vdot(move, move).real
+        moved = False
         if backtracking:
             lipschitz *= 2.0
         elif trial_value > value:
@@ -378,111 +385,3 @@ def serial_descent(stack, row, rho, cfg, mean_photons):
             if ahead_value > value or floored.any():
                 ahead, ahead_value, ahead_grad, momentum = rho, value, grad, 1.0
         settled = eligible and not moved
-        if candidate is not None:
-            candidate = project_to_states(candidate)
-            candidate_value, candidate_grad, candidate_curvature = evaluate(candidate)
-            if candidate_value < value:
-                rho = ahead = candidate
-                value = ahead_value = candidate_value
-                grad = ahead_grad = candidate_grad
-                curvature, momentum, backtracking = candidate_curvature, 1.0, False
-                losses, settled = 0, False
-
-
-def gathered_objective(design, measured, mean_photons):
-    """Objective, gradient and curvature weights of candidates (b, d^2), each scored against the count row ``rows`` picks.
-
-    ``mean_photons`` holds the photon number of each count row, (B,).
-    """
-    measured_sq = measured * measured
-
-    def evaluate(rho, rows):
-        photons = mean_photons[rows, None]
-        model = photons * np.einsum("kj,bj->bk", design, rho)
-        np.maximum(model, _EPSILON_FLOOR, out=model)
-        resid = measured[rows] - model
-        value = np.add.reduce(resid * resid / model, axis=1)
-        ratio = measured_sq[rows] / (model * model)
-        curvature = ratio / model * (2.0 * photons * photons)
-        return value, np.einsum("bk,kj->bj", photons * (1.0 - ratio), design), curvature
-
-    return evaluate
-
-
-def gathered_descent(design, measured, rho, cfg, mean_photons):
-    """The batched loop with a gather and a scatter of the unfinished rows for every decision.
-
-    Scores rows through a ``gathered_objective``, in three calls a pass (the
-    trial, the extrapolated and the Newton points), and builds the Newton
-    points with the solver's own ``_newton_points`` for every row within its
-    patience, also where the solver skips a candidate sure to lose.  Returns
-    the ``StateEstimates`` (``rho`` as coordinates) and the number of
-    momentum restarts that FISTA took.
-    """
-    evaluate = gathered_objective(design, measured, mean_photons)
-    outer = _traceless_outer(design)
-    rho = rho.copy()
-    batch = len(rho)
-    value, grad, curvature = evaluate(rho, np.arange(batch))
-    ahead, ahead_value, ahead_grad = rho.copy(), value.copy(), grad.copy()
-    momentum, lipschitz = np.ones(batch), mean_photons.copy()
-    steps, losses = np.zeros(batch, dtype=int), np.zeros(batch, dtype=int)
-    converged, stepping, finished = (np.zeros(batch, dtype=bool) for _ in range(3))
-    restarts = 0
-
-    def drop_momentum(rows):
-        nonlocal restarts
-        restarts += rows.size
-        if rows.size:
-            ahead[rows], ahead_value[rows], ahead_grad[rows] = rho[rows], value[rows], grad[rows]
-            momentum[rows] = 1.0
-
-    while True:
-        head = np.flatnonzero(~stepping & ~finished)
-        least = _smallest_eigenvalue(grad[head], np.ones(head.size, dtype=bool))
-        done = _inner(grad[head], rho[head]) - least <= cfg.convergence_tol
-        converged[head[done]] = finished[head[done]] = True
-        head = head[~done]
-        lipschitz[head] *= 0.9
-        stepping[head] = True
-        spent = stepping & (steps >= cfg.max_iterations)
-        finished |= spent
-        stepping &= ~spent
-        live = np.flatnonzero(stepping)
-        if not live.size:
-            return StateEstimates(rho, value, converged, steps), restarts
-        steps[live] += 1
-        proposing = live[losses[live] < _NEWTON_PATIENCE]
-        losses[proposing] += 1
-        points = _newton_points(rho[proposing], grad[proposing], curvature[proposing], outer)
-        finite = np.isfinite(points).all(axis=1)
-        proposing, candidate = proposing[finite], _project_to_states(points[finite])
-        candidate_value, candidate_grad, candidate_curvature = evaluate(candidate, proposing)
-        trial = _project_to_states(ahead[live] - ahead_grad[live] / lipschitz[live, None])
-        trial_value, trial_grad, trial_curvature = evaluate(trial, live)
-        move = trial - ahead[live]
-        bound = ahead_value[live] + _inner(ahead_grad[live], move)
-        accepted = trial_value <= bound + 0.5 * lipschitz[live] * _inner(move, move)
-        lipschitz[live[~accepted]] *= 2.0
-        stepping[live[accepted]] = False
-        drop_momentum(live[accepted & (trial_value > value[live])])
-        moved = accepted & (trial_value <= value[live])
-        live, trial, trial_value, trial_grad, trial_curvature = (
-            a[moved] for a in (live, trial, trial_value, trial_grad, trial_curvature)
-        )
-        next_momentum = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * momentum[live] * momentum[live]))
-        ahead[live] = trial + ((momentum[live] - 1.0) / next_momentum)[:, None] * (trial - rho[live])
-        rho[live], value[live], grad[live], momentum[live] = trial, trial_value, trial_grad, next_momentum
-        curvature[live] = trial_curvature
-        ahead_value[live], ahead_grad[live], _ = evaluate(ahead[live], live)
-        overlaps = np.einsum("kj,bj->bk", design, ahead[live])
-        counted = measured[live] > _EPSILON_FLOOR
-        floored = ((overlaps < _EPSILON_FLOOR / mean_photons[live, None]) & counted).any(axis=1)
-        drop_momentum(live[(ahead_value[live] > value[live]) | floored])
-        wins = candidate_value < value[proposing]
-        taken = proposing[wins]
-        losses[taken] = 0
-        rho[taken], ahead[taken] = candidate[wins], candidate[wins]
-        value[taken], ahead_value[taken] = candidate_value[wins], candidate_value[wins]
-        grad[taken], ahead_grad[taken] = candidate_grad[wins], candidate_grad[wins]
-        curvature[taken], momentum[taken], stepping[taken] = candidate_curvature[wins], 1.0, False
