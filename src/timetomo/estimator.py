@@ -50,11 +50,12 @@ on (B, d^2) coordinate arrays (Bolduc, Knee, Gauger & Leach, npj Quantum
 Inf. 3, 44 (2017)).  The loop keeps the unfinished rows as one contiguous
 working set: a pass in which rows finish writes them out and compacts the
 rest.  One projection and one objective call score the candidates of the
-proposing rows; the rows that then step are gathered, and one projection
-and one objective call, on their trial and extrapolated points stacked,
-step them.  So a pass costs a fixed number of numpy calls, a pass in which
-every candidate wins makes one projection and one objective call, and each
-row's arithmetic is the same as if it were fitted alone.
+proposing rows; one projection and one objective call, on their trial and
+extrapolated points stacked, step the other rows, gathered out of the set
+where some rows took their candidate.  So a pass costs a fixed number of
+numpy calls, a pass in which every candidate wins makes one projection and
+one objective call, and each row's arithmetic is the same as if it were
+fitted alone.
 
 A qubit state has coordinates (1/sqrt 2, r / sqrt 2) for its Bloch vector
 r, so qubit fits need no matrix at all: the projection fixes the trace
@@ -389,8 +390,10 @@ def _accelerated_descent(design, measured, mean_photons, rho, cfg: EstimatorConf
     incumbent and the extrapolated point, the momentum restarts and L
     doubles, and the row takes no gradient step this pass.  (L doubles as
     if the row had also tried a gradient step and seen it fail the
-    sufficient-decrease test, as such steps nearly always do beside a
-    winning candidate; a fit that kept L there took more passes.)  A
+    sufficient-decrease test.  A loop that also ran the trial beside every
+    candidate saw it fail that test in 93-100% of the wins on each of the
+    paper-scale and desk sweeps; keeping L instead takes more steps on the
+    qubit sweeps, though fewer on the entangled ones.)  A
     candidate that comes out non-finite, because the row's Hessian is
     singular, is dropped and counts as a loss, and a row whose candidate
     loses ``_NEWTON_PATIENCE`` passes in a row stops proposing.  A row is
@@ -415,10 +418,13 @@ def _accelerated_descent(design, measured, mean_photons, rho, cfg: EstimatorConf
     marks the rows whose last trial step was rejected: they are inside their
     backtracking loop, so the gap decides only the others.  A pass in which
     every row takes its candidate makes one projection and one objective
-    call on the W rows; otherwise the rows that step are gathered, stepped
-    in one projection and one objective call on their trial and
-    extrapolated points stacked, and written back.  The returned ``rho``
-    holds coordinates.
+    call on the W rows; otherwise the rows that step are stepped in one
+    projection and one objective call on their trial and extrapolated
+    points stacked, gathered out of the set and written back where some
+    rows took their candidate.  The objectives on the proposing rows' count
+    rows, and on the stepping rows' count rows stacked twice, are built
+    again only when those rows change.  The returned ``rho`` holds
+    coordinates.
     """
     batch = len(rho)
     fits = StateEstimates(np.empty_like(rho), np.empty(batch), np.zeros(batch, dtype=bool), np.zeros(batch, dtype=int))
@@ -440,6 +446,7 @@ def _accelerated_descent(design, measured, mean_photons, rho, cfg: EstimatorConf
     floor_line = np.where(watched, _EPSILON_FLOOR / mean_photons[:, None], -np.inf)
     watching = watched.any()
     outer = _traceless_outer(design)
+    score = scored = evaluate = held = None  # both objectives are rebuilt when rows finish
     while True:
         # Frank-Wolfe gap tr(R rho) - lambda_min(R), an upper bound on f(rho) - min f
         gap = _frank_wolfe_gaps(grad, rho, ~backtracking, cfg.convergence_tol)
@@ -458,6 +465,7 @@ def _accelerated_descent(design, measured, mean_photons, rho, cfg: EstimatorConf
                 a[keep] for a in (momentum, lipschitz, steps, losses, index, measured, mean_photons, floor_line)
             )
             watching = watching and np.isfinite(floor_line).any()
+            score = evaluate = None
         if not index.size:
             return fits
         steps = steps + 1
@@ -466,12 +474,15 @@ def _accelerated_descent(design, measured, mean_photons, rho, cfg: EstimatorConf
         # a settled row's candidate would be its last one again, sure to lose: the loss counts, nothing is built
         proposing = np.flatnonzero(eligible & ~settled)
         stepping = slice(None)  # the rows that take a gradient step
+        taken = proposing[:0]
         if proposing.size:
             newton = _newton_points(rho[proposing], grad[proposing], curvature[proposing], outer)
             finite = np.isfinite(newton).all(axis=1)
             proposing = proposing[finite]
             candidate = _project_to_states(newton[finite])
-            score = _objective_from_design(design, measured[proposing], mean_photons[proposing])
+            if score is None or not np.array_equal(proposing, scored):
+                # the objective on the proposing rows' count rows, kept while they stay the same
+                score, scored = _objective_from_design(design, measured[proposing], mean_photons[proposing]), proposing
             candidate_value, candidate_grad, candidate_curvature = score(candidate)
             # a candidate strictly below its incumbent replaces it and restarts the momentum
             wins = candidate_value < value[proposing]
@@ -487,15 +498,22 @@ def _accelerated_descent(design, measured, mean_photons, rho, cfg: EstimatorConf
             if taken.size:
                 stepping = np.ones(len(rho), dtype=bool)
                 stepping[taken] = False
+        if evaluate is None or not np.array_equal(taken, held):
+            # the objective on the stepping rows' count rows stacked twice, kept while they stay the same
+            counts, photons = measured[stepping], mean_photons[stepping]
+            counts, photons = np.concatenate((counts, counts)), np.concatenate((photons, photons))
+            evaluate, held = _objective_from_design(design, counts, photons), taken
         rows = (rho, value, grad, curvature, ahead, ahead_value, ahead_grad, momentum, lipschitz)
-        counts, photons = measured[stepping], mean_photons[stepping]
-        evaluate = _objective_from_design(design, np.concatenate((counts, counts)), np.concatenate((photons, photons)))
         floors = floor_line[stepping] if watching else None
         stepped, accepted, moved = _gradient_step(evaluate, design, floors, *(a[stepping] for a in rows))
-        for a, new in zip(rows, stepped):
-            a[stepping] = new
-        backtracking[stepping] = ~accepted
-        settled[stepping] = eligible[stepping] & ~moved
+        if taken.size:
+            for a, new in zip(rows, stepped):
+                a[stepping] = new
+            backtracking[stepping] = ~accepted
+            settled[stepping] = eligible[stepping] & ~moved
+        else:
+            rho, value, grad, curvature, ahead, ahead_value, ahead_grad, momentum, lipschitz = stepped
+            backtracking, settled = ~accepted, eligible & ~moved
 
 
 def estimate_states(stack, measured, mean_photons, cfg: EstimatorConfig) -> StateEstimates:

@@ -330,24 +330,24 @@ def serial_descent(stack, row, rho, cfg, mean_photons):
     worse than the incumbent (an overshoot), or where the extrapolated point
     is worse than the trial or takes a model count below the floor on a
     setting counted above it.  Returns (rho, converged, trial steps,
-    overshoot restarts, ties): a tie is a candidate that scored within
-    ``TIE`` of its incumbent, relative to it, where the outcome is decided
-    by rounding.
+    overshoot restarts, tie): ``tie`` is the pass in which a candidate first
+    scored within ``TIE`` of its incumbent, relative to it, where rounding
+    decides the outcome, or 0 if none did.
     """
     evaluate = likelihood(stack, row, mean_photons)
     counted = np.asarray(row) > _EPSILON_FLOOR
     floor_line = _EPSILON_FLOOR / mean_photons
     value, grad, curvature = evaluate(rho)
     ahead, ahead_value, ahead_grad = rho, value, grad
-    momentum, lipschitz, steps, restarts, losses, ties = 1.0, mean_photons, 0, 0, 0, 0
+    momentum, lipschitz, steps, restarts, losses, tie = 1.0, mean_photons, 0, 0, 0, 0
     backtracking, settled = False, False
     while True:
         if not backtracking:
             if np.vdot(grad, rho).real - np.linalg.eigvalsh(grad)[0] <= cfg.convergence_tol:
-                return rho, True, steps, restarts, ties
+                return rho, True, steps, restarts, tie
             lipschitz *= 0.9
         if steps >= cfg.max_iterations:
-            return rho, False, steps, restarts, ties
+            return rho, False, steps, restarts, tie
         steps += 1
         eligible = losses < _NEWTON_PATIENCE
         if eligible:
@@ -356,7 +356,8 @@ def serial_descent(stack, row, rho, cfg, mean_photons):
             if candidate is not None:
                 candidate = project_to_states(candidate)
                 candidate_value, candidate_grad, candidate_curvature = evaluate(candidate)
-                ties += abs(candidate_value - value) <= TIE * value
+                if not tie and abs(candidate_value - value) <= TIE * value:
+                    tie = steps
                 if candidate_value < value:
                     rho = ahead = candidate
                     value = ahead_value = candidate_value
